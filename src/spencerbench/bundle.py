@@ -358,6 +358,22 @@ def bundle_to_json(bundle):
     }
 
 
+def _site_row(item, width, shape, what):
+    """Parse a site-resolved row [site, ..., coeffs] after checking its shape."""
+    if not isinstance(item, (list, tuple)) or len(item) != width:
+        raise FormatError(f"{what} row {item!r} must have {width} fields")
+    site, *rest, coeffs = item
+    try:
+        site = tuple(int(s) for s in site)
+        rest = [int(x) for x in rest]
+        coeffs = [parse_scalar(v) for v in coeffs]
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what} row {item!r}: {exc}") from exc
+    if len(site) != len(shape) or not all(0 <= s < m for s, m in zip(site, shape)):
+        raise FormatError(f"{what} row {item!r}: site is not on the {shape} grid")
+    return (site, *rest, coeffs)
+
+
 def bundle_from_json(data, algebra):
     try:
         shape = tuple(int(m) for m in data["grid"])
@@ -378,14 +394,11 @@ def bundle_from_json(data, algebra):
     else:
         omega = {}
         for item in omega_raw:
-            site, a, coeffs = item
-            site = tuple(int(s) for s in site)
-            vecs = omega.get(site)
-            if vecs is None:
-                vecs = [algebra.zero_vector() for _ in range(n)]
-            else:
-                vecs = list(vecs)
-            vecs[int(a)] = algebra.vector([parse_scalar(v) for v in coeffs])
+            site, a, coeffs = _site_row(item, 3, shape, "omega_base")
+            if not 0 <= a < n:
+                raise FormatError(f"omega_base row {item!r}: axis must be in 0..{n - 1}")
+            vecs = list(omega.get(site) or [algebra.zero_vector() for _ in range(n)])
+            vecs[a] = algebra.vector(coeffs)
             omega[site] = tuple(vecs)
 
     lam_raw = data.get("lambda_field")
@@ -396,8 +409,8 @@ def bundle_from_json(data, algebra):
             raise FormatError("lambda_field shorthand must use a 'constant' key")
         lam_field = [parse_scalar(v) for v in lam_raw["constant"]]
     else:
-        lam_field = {
-            tuple(int(s) for s in site): algebra.dual([parse_scalar(v) for v in coeffs])
-            for site, coeffs in lam_raw
-        }
+        lam_field = {}
+        for item in lam_raw:
+            site, coeffs = _site_row(item, 2, shape, "lambda_field")
+            lam_field[site] = algebra.dual(coeffs)
     return grid_bundle(shape, algebra, omega, lam_field)

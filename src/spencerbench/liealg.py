@@ -29,6 +29,7 @@ from .linalg import (
     format_scalar,
     invert_dense,
     parse_scalar,
+    rref,
 )
 
 
@@ -387,46 +388,21 @@ def _su_basis(n):
     return labels, mats
 
 
-_LEFT_INVERSE_CACHE = {}
+def _decompose_flat(mats, flats):
+    """Coordinates of each flattened matrix in flats in the basis mats.
 
-
-def _basis_left_inverse(mats):
-    """Left inverse of the flattened-basis column matrix, cached.
-
-    Turns each span decomposition into one matrix-vector product; solutions
-    are verified against the original columns so out-of-span inputs fail.
+    One elimination of [basis columns | flats]: every basis column must be a
+    pivot (else the basis is dependent) and no flat column may be one (else
+    that flat lies outside the span).
     """
-    key = id(mats)
-    if key not in _LEFT_INVERSE_CACHE:
-        dim = len(mats)
-        coords = [_flatten(m) for m in mats]
-        amb = len(coords[0])
-        gram = [
-            [sum(coords[p][r] * coords[q][r] for r in range(amb)) for q in range(dim)]
-            for p in range(dim)
-        ]
-        gram_inv = invert_dense(gram)
-        if gram_inv is None:
-            raise ValidationError("matrix basis is linearly dependent")
-        left = [
-            [sum(gram_inv[p][q] * coords[q][r] for q in range(dim)) for r in range(amb)]
-            for p in range(dim)
-        ]
-        # mats is kept in the value so the id key can never be reused
-        _LEFT_INVERSE_CACHE[key] = (mats, coords, left)
-    return _LEFT_INVERSE_CACHE[key][1:]
-
-
-def _decompose_flat(mats, flat):
-    coords, left = _basis_left_inverse(mats)
-    amb = len(flat)
-    sol = tuple(
-        sum(left[p][r] * flat[r] for r in range(amb) if flat[r]) for p in range(len(mats))
-    )
-    for r in range(amb):
-        if sum(sol[c] * coords[c][r] for c in range(len(mats))) != flat[r]:
-            raise ValidationError("matrix does not lie in the algebra's span")
-    return sol
+    dim = len(mats)
+    columns = [_flatten(m) for m in mats] + list(flats)
+    reduced, pivots = rref(list(zip(*columns)))
+    if pivots[:dim] != list(range(dim)):
+        raise ValidationError("matrix basis is linearly dependent")
+    if len(pivots) > dim:
+        raise ValidationError("matrix does not lie in the algebra's span")
+    return [tuple(reduced[p][dim + j] for p in range(dim)) for j in range(len(flats))]
 
 
 def _structure_from_matrices(name, labels, mats):
@@ -434,18 +410,18 @@ def _structure_from_matrices(name, labels, mats):
     dim = len(mats)
     mats = tuple(mats)
     structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            sol = _decompose_flat(mats, _flatten(_commutator(mats[i], mats[j])))
-            for k, c in enumerate(sol):
-                structure[i][j][k] = c
-                structure[j][i][k] = -c
+    pairs = list(itertools.combinations(range(dim), 2))
+    sols = _decompose_flat(mats, [_flatten(_commutator(mats[i], mats[j])) for i, j in pairs])
+    for (i, j), sol in zip(pairs, sols):
+        for k, c in enumerate(sol):
+            structure[i][j][k] = c
+            structure[j][i][k] = -c
     structure = tuple(tuple(tuple(row) for row in plane) for plane in structure)
     return LieAlgebra(name, dim, structure, tuple(labels), matrix_basis=mats)
 
 
 def _decompose_in_basis(algebra, mat):
-    return _decompose_flat(algebra.matrix_basis, _flatten(mat))
+    return _decompose_flat(algebra.matrix_basis, [_flatten(mat)])[0]
 
 
 def _so3():

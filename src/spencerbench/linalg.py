@@ -1,15 +1,16 @@
 """Exact sparse rational matrices and rank/kernel routines.
 
-Everything here is Fraction-valued; no floating point. Two independent rank
-paths are provided (rational Gauss-Jordan and integer fraction-free Bareiss)
-so dimension counts computed upstairs can be cross-checked.
+Everything here is Fraction-valued; no floating point. The package uses one
+elimination, ``rref`` (Gauss-Jordan over the integers), for every rank,
+kernel, solve, inverse and column-span test. ``rank_bareiss`` is a separate
+fraction-free Bareiss elimination kept only to cross-check those ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import FormatError
 
@@ -21,7 +22,7 @@ def parse_scalar(text):
     """Parse a "p/q" (or "p") string into a Fraction."""
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational literal {text!r}") from exc
 
 
@@ -177,9 +178,11 @@ class OperatorMatrix:
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError("operator matrix JSON must have rows/cols/entries") from exc
         out = cls.zero(rows, cols)
-        for item in raw:
-            r, c, v = item
-            out.set(int(r), int(c), parse_scalar(v))
+        try:
+            for r, c, v in raw:
+                out.set(int(r), int(c), parse_scalar(v))
+        except (TypeError, ValueError, IndexError) as exc:
+            raise FormatError(f"bad operator matrix entries: {exc}") from exc
         return out
 
     def _check_shape(self, other):
@@ -202,37 +205,51 @@ def place_block(target, block, row_offset, col_offset):
         target.set(row_offset + r, col_offset + c, target.get(row_offset + r, col_offset + c) + v)
 
 
-def rref(dense):
-    """Reduced row echelon form of a dense Fraction matrix.
+def _integer_rows(dense):
+    """Each row times the lcm of its denominators: integer rows, same row space."""
+    out = []
+    for row in dense:
+        mult = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (mult // x.denominator) for x in row])
+    return out
 
-    Returns (new dense matrix, pivot column list). The input is not modified.
+
+def rref(dense):
+    """Reduced row echelon form of a dense rational matrix.
+
+    Returns (new dense Fraction matrix, pivot column list). The input is not
+    modified. Gauss-Jordan over the integers: rows are cleared of
+    denominators once, eliminated with p*row - f*pivot_row and divided by
+    the gcd of their entries; pivot rows are divided by their pivot once at
+    the end. The RREF is unique, so this equals rational Gauss-Jordan.
     """
-    mat = [list(row) for row in dense]
+    mat = _integer_rows(dense)
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for rr in range(r, nrows):
-            if mat[rr][c]:
-                pivot_row = rr
-                break
+        if r == nrows:
+            break
+        pivot_row = next((rr for rr in range(r, nrows) if mat[rr][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pv = mat[r][c]
-        if pv != ONE:
-            mat[r] = [x / pv for x in mat[r]]
+        prow = mat[r]
+        p = prow[c]
         for rr in range(nrows):
-            if rr != r and mat[rr][c]:
-                f = mat[rr][c]
-                mat[rr] = [x - f * y for x, y in zip(mat[rr], mat[r])]
+            f = mat[rr][c]
+            if rr != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(mat[rr], prow)]
+                g = gcd(*row)
+                mat[rr] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return mat, pivots
+    out = [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(mat, pivots)]
+    out.extend([ZERO] * ncols for _ in range(nrows - r))
+    return out, pivots
 
 
 def kernel_basis_dense(dense, ncols):
@@ -263,12 +280,7 @@ def rank_bareiss(dense):
 
     Rows are scaled by their denominator lcm first; this preserves rank.
     """
-    mat = []
-    for row in dense:
-        mult = 1
-        for x in row:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        mat.append([int(x * mult) for x in row])
+    mat = _integer_rows(dense)
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     rank = 0
@@ -324,8 +336,4 @@ def solve_dense(dense, rhs):
 
 def in_column_span(matrix, vec):
     """True iff vec lies in the column span of the sparse matrix."""
-    dense = matrix.to_dense()
-    base_rank = len(rref(dense)[1])
-    for r in range(matrix.rows):
-        dense[r].append(vec[r])
-    return len(rref(dense)[1]) == base_rank
+    return solve_dense(matrix.to_dense(), vec) is not None

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from spencerbench.cli import main
 from spencerbench.liealg import algebra_to_json, builtin_algebra
@@ -231,6 +237,35 @@ def test_bundle_file_valid(tmp_path, capsys):
     code, out = run(capsys, "bundle", "--builtin", "so3", "--bundle-file", str(path))
     assert code == 0
     assert json.loads(out)["cartan_residual_max"] == "0"
+
+
+_VALID_LAM = [[[i, j], ["0", "0", "1"]] for i in range(2) for j in range(2)]
+
+
+@pytest.mark.parametrize(
+    "field,rows",
+    [
+        ("lambda_field", [[[0, 0]]]),
+        ("omega_base", [[[0, 0]]]),
+        ("lambda_field", [[[0, 0], 7]]),
+        ("lambda_field", [[[5, 0], ["0", "0", "1"]]] + _VALID_LAM),
+        ("omega_base", [[[0, 0], 2, ["1", "0", "0"]]]),
+        ("omega_base", [[[0], 0, ["1", "0", "0"]]]),
+    ],
+)
+def test_bundle_file_malformed_row_exit_two(tmp_path, field, rows):
+    data = {"grid": [2, 2], "algebra": "so3", "lambda_field": _VALID_LAM, field: rows}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "spencerbench.cli", "bundle", "--builtin", "so3",
+         "--bundle-file", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # --- published report schemas -------------------------------------------------

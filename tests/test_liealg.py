@@ -5,6 +5,7 @@ import pytest
 
 from spencerbench.errors import FormatError, MismatchError, ValidationError
 from spencerbench.liealg import (
+    _decompose_in_basis,
     algebra_from_json,
     algebra_to_json,
     antisymmetry_residual,
@@ -276,3 +277,50 @@ def test_su2_negate_transpose_is_valid_automorphism():
         for j in range(su2.dim):
             a, b = su2.basis_vector(i), su2.basis_vector(j)
             assert auto.apply(bracket(a, b)) == bracket(auto.apply(a), auto.apply(b))
+
+
+def _gauss_mat_mul(a, b):
+    n = len(a)
+    return [
+        [
+            (
+                sum((a[i][k][0] * b[k][j][0] - a[i][k][1] * b[k][j][1] for k in range(n)), F(0)),
+                sum((a[i][k][0] * b[k][j][1] + a[i][k][1] * b[k][j][0] for k in range(n)), F(0)),
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "su2", "su3", "sl4"])
+def test_structure_constants_rebuild_every_commutator(name):
+    alg = builtin_algebra(name)
+    mats = alg.matrix_basis
+    n = len(mats[0])
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            ab, ba = _gauss_mat_mul(mats[i], mats[j]), _gauss_mat_mul(mats[j], mats[i])
+            lhs = [
+                [(ab[r][c][0] - ba[r][c][0], ab[r][c][1] - ba[r][c][1]) for c in range(n)]
+                for r in range(n)
+            ]
+            rhs = [
+                [
+                    (
+                        sum((alg.structure[i][j][k] * mats[k][r][c][0] for k in range(alg.dim)), F(0)),
+                        sum((alg.structure[i][j][k] * mats[k][r][c][1] for k in range(alg.dim)), F(0)),
+                    )
+                    for c in range(n)
+                ]
+                for r in range(n)
+            ]
+            assert lhs == rhs, (name, i, j)
+
+
+def test_identity_is_outside_sl3_span():
+    identity = tuple(
+        tuple((F(int(r == c)), F(0)) for c in range(3)) for r in range(3)
+    )
+    with pytest.raises(ValidationError):
+        _decompose_in_basis(builtin_algebra("sl3"), identity)

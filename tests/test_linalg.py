@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from spencerbench.errors import FormatError
 from spencerbench.linalg import (
     OperatorMatrix,
     in_column_span,
@@ -105,3 +108,108 @@ def test_shape_mismatch_raises():
         a @ b
     with pytest.raises(ValueError):
         a + b
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[0, 0]], [[0, 0, "1", "2"]], [[2, 0, "1"]], [[0, -1, "1"]], [["a", 0, "1"]], [7], None],
+)
+def test_from_json_malformed_entry_is_format_error(entries):
+    with pytest.raises(FormatError):
+        OperatorMatrix.from_json({"rows": 2, "cols": 2, "entries": entries})
+
+
+# --- properties of the one exact elimination ----------------------------------
+
+
+def oracle_rref(dense):
+    """Textbook Gauss-Jordan over Fraction, kept independent of linalg.rref."""
+    mat = [[F(x) for x in row] for row in dense]
+    nrows, ncols = len(mat), len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((rr for rr in range(r, nrows) if mat[rr][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for rr in range(nrows):
+            if rr != r:
+                f = mat[rr][c]
+                mat[rr] = [x - f * y for x, y in zip(mat[rr], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+entries = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Up to 7x7 rational matrices; some rows are combinations of earlier ones."""
+    rows = draw(st.integers(1, 7))
+    cols = rows if square else draw(st.integers(1, 7))
+    dense = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for r in range(1, rows):
+        if draw(st.booleans()):
+            a, b = draw(entries), draw(entries)
+            p, q = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+            dense[r] = [a * x + b * y for x, y in zip(dense[p], dense[q])]
+    return dense
+
+
+def mat_vec(dense, vec):
+    return [sum((a * x for a, x in zip(row, vec)), F(0)) for row in dense]
+
+
+@given(rational_matrices())
+def test_rref_matches_fraction_oracle(dense):
+    assert rref(dense) == oracle_rref(dense)
+
+
+@given(rational_matrices())
+def test_rank_matches_bareiss_and_kernel_is_complement(dense):
+    m = OperatorMatrix.from_dense(dense)
+    rank = m.rank()
+    assert rank == m.rank_bareiss() == rank_bareiss(dense)
+    basis = m.kernel_basis()
+    assert len(basis) == m.cols - rank
+    for vec in basis:
+        assert not any(m.apply(vec))
+
+
+@given(rational_matrices(), st.data())
+def test_solve_holds_when_multiplied_back(dense, data):
+    cols = len(dense[0])
+    x = data.draw(st.lists(entries, min_size=cols, max_size=cols))
+    rhs = mat_vec(dense, x)
+    sol = solve_dense(dense, rhs)
+    assert sol is not None and mat_vec(dense, sol) == rhs
+    other = data.draw(st.lists(entries, min_size=len(dense), max_size=len(dense)))
+    sol = solve_dense(dense, other)
+    consistent = rank_bareiss([row + [b] for row, b in zip(dense, other)]) == rank_bareiss(dense)
+    assert (sol is not None) == consistent
+    if sol is not None:
+        assert mat_vec(dense, sol) == other
+
+
+@given(rational_matrices(square=True))
+def test_inverse_holds_when_multiplied_back(dense):
+    n = len(dense)
+    inv = invert_dense(dense)
+    assert (inv is not None) == (rank_bareiss(dense) == n)
+    if inv is not None:
+        identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        assert dense_mul(dense, inv) == identity == dense_mul(inv, dense)
+
+
+@given(rational_matrices(), st.data())
+def test_in_column_span_matches_bareiss_on_augmented(dense, data):
+    vec = data.draw(st.lists(entries, min_size=len(dense), max_size=len(dense)))
+    augmented = [row + [v] for row, v in zip(dense, vec)]
+    expected = rank_bareiss(augmented) == rank_bareiss(dense)
+    assert in_column_span(OperatorMatrix.from_dense(dense), vec) == expected
