@@ -130,9 +130,6 @@ def cmd_spencer(args):
     lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
     conv = LeibnizConvention(args.convention)
     ident = Identification(args.identification)
-    matrices = [
-        delta_matrix_to_json(delta_matrix(lam, k, conv, ident), k) for k in range(args.K)
-    ]
     nil = nilpotency_report(lam, args.K, conv, ident)
     report = {
         "command": "spencer",
@@ -141,7 +138,7 @@ def cmd_spencer(args):
         "K": args.K,
         "convention": conv.value,
         "identification": ident.value,
-        "matrices": matrices,
+        "matrices": [delta_matrix_to_json(m, k) for k, m in enumerate(nil.matrices)],
         "nilpotency": nil.to_json(),
     }
     if conv is LeibnizConvention.PAPER_SIGNED:

@@ -70,20 +70,11 @@ class DGAModel:
         return [len(b) for b in self.basis]
 
     def d_squared_residual(self):
-        worst = ZERO
-        for i in range(len(self.diff) - 1):
-            worst = max(worst, (self.diff[i + 1] @ self.diff[i]).max_abs())
-        return worst
+        return _composite_residual(self.diff)
 
     def de_rham_dims(self):
         """H^i dims by rank-nullity on the stored differentials."""
-        dims = []
-        prev_rank = 0
-        for i, labels in enumerate(self.basis):
-            rank = self.diff[i].rank() if i < len(self.diff) else 0
-            dims.append(len(labels) - rank - prev_rank)
-            prev_rank = rank
-        return dims
+        return _rank_nullity(self.dims(), self.diff)
 
     def multiply(self, i, a, j, b):
         """Product of basis elements (degree i, index a) and (degree j, index b)."""
@@ -114,16 +105,33 @@ class DGAModel:
             raise FormatError("DGA JSON needs name/basis/diff") from exc
         product = None
         if "product" in data:
-            product = {}
-            for item in data["product"]:
-                i, a, j, b, table = item
-                product[(int(i), int(a), int(j), int(b))] = {
-                    int(c): parse_scalar(v) for c, v in table
-                }
+            if not isinstance(data["product"], list):
+                raise FormatError("DGA product must be a list of rows")
+            product = dict(_product_row(item, basis) for item in data["product"])
         model = cls(name, basis, diff, product)
         if model.d_squared_residual() != 0:
             raise FormatError("DGA differential does not square to zero")
         return model
+
+
+def _product_row(item, basis):
+    """Parse [i, a, j, b, [[c, coeff], ...]]: e^i_a . e^j_b = sum coeff e^{i+j}_c."""
+    if not isinstance(item, list) or len(item) != 5 or not isinstance(item[4], list):
+        raise FormatError(f"product row {item!r} must be [i, a, j, b, [[c, coeff], ...]]")
+    try:
+        i, a, j, b = (int(x) for x in item[:4])
+        table = {int(c): parse_scalar(v) for c, v in item[4]}
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"product row {item!r}: {exc}") from exc
+    top = len(basis) - 1
+    if min(i, j) < 0 or i + j > top:
+        raise FormatError(f"product row {item!r}: degrees must satisfy i + j <= {top}")
+    for index, degree in [(a, i), (b, j)] + [(c, i + j) for c in table]:
+        if not 0 <= index < len(basis[degree]):
+            raise FormatError(
+                f"product row {item!r}: index {index} out of range in degree {degree}"
+            )
+    return (i, a, j, b), table
 
 
 def torus_model(n):
@@ -181,14 +189,33 @@ class SpencerComplexInstance:
     delta_matrices: list  # delta^j for j in 0..K-1 (reused by diagnostics)
 
     def segment_offsets(self, k):
-        """Start offset of each (form degree i) segment inside the degree-k basis."""
-        offsets = {}
-        pos = 0
-        for i in range(min(k, self.dga.top_degree) + 1):
-            j = k - i
-            offsets[i] = pos
-            pos += len(self.dga.basis[i]) * sym_dim(self.algebra.dim, j)
-        return offsets, pos
+        return segment_offsets(self.dga, self.algebra.dim, k)
+
+
+def segment_offsets(dga, dim, k):
+    """Start offset of each (form degree i) segment inside the degree-k basis.
+
+    Segment i holds Omega^i x S^{k-i}, form index major; returns (offsets, size).
+    """
+    offsets = {}
+    pos = 0
+    for i in range(min(k, dga.top_degree) + 1):
+        offsets[i] = pos
+        pos += len(dga.basis[i]) * sym_dim(dim, k - i)
+    return offsets, pos
+
+
+def _blocks(dga, deltas, dim, i, j):
+    """d x 1 and (-1)^i 1 x delta on Omega^i x S^j (d block None at the top)."""
+    d_block = (
+        kron(dga.diff[i], OperatorMatrix.identity(sym_dim(dim, j)))
+        if i < dga.top_degree
+        else None
+    )
+    delta_block = kron(
+        OperatorMatrix.identity(len(dga.basis[i])), deltas[j]
+    ).scaled(Fraction(-1) ** i)
+    return d_block, delta_block
 
 
 def build_complex(dga, algebra, lam, K, convention=LeibnizConvention.UNSIGNED,
@@ -206,18 +233,10 @@ def build_complex(dga, algebra, lam, K, convention=LeibnizConvention.UNSIGNED,
 
     if grading == GRADING_DIAGONAL:
         blocks = {}
-        top = dga.top_degree
-        for k in range(min(K, top + 1)):
-            n_forms = len(dga.basis[k])
-            s_dim = sym_dim(algebra.dim, k)
-            d_block = (
-                kron(dga.diff[k], OperatorMatrix.identity(s_dim))
-                if k < top
-                else OperatorMatrix.zero(0, n_forms * s_dim)
-            )
-            delta_block = kron(
-                OperatorMatrix.identity(n_forms), deltas[k]
-            ).scaled(Fraction(-1) ** k) if k < K else None
+        for k in range(min(K, dga.top_degree + 1)):
+            d_block, delta_block = _blocks(dga, deltas, algebra.dim, k, k)
+            if d_block is None:
+                d_block = OperatorMatrix.zero(0, delta_block.cols)
             blocks[k] = {"d_block": d_block, "delta_block": delta_block}
         return SpencerComplexInstance(
             dga, algebra, lam, K, convention, grading, identification,
@@ -234,37 +253,17 @@ def build_complex(dga, algebra, lam, K, convention=LeibnizConvention.UNSIGNED,
                     layer.append((i, a, ms))
         bases.append(layer)
 
-    set_index = [
-        {ms: p for p, ms in enumerate(multisets(algebra.dim, j))} for j in range(K + 1)
-    ]
-    set_list = [multisets(algebra.dim, j) for j in range(K + 1)]
-    delta_cols = []
-    for j in range(K):
-        cols = {}
-        for (r, c), v in deltas[j].entries.items():
-            cols.setdefault(c, []).append((r, v))
-        delta_cols.append(cols)
-    diff_cols = []
-    for i in range(len(dga.diff)):
-        cols = {}
-        for (r, c), v in dga.diff[i].entries.items():
-            cols.setdefault(c, []).append((r, v))
-        diff_cols.append(cols)
-
     differentials = []
     for k in range(K):
-        out = OperatorMatrix.zero(len(bases[k + 1]), len(bases[k]))
-        row_index = {key: r for r, key in enumerate(bases[k + 1])}
-        for c, (i, a, ms) in enumerate(bases[k]):
-            j = k - i
-            # d-part: (d omega) x s, lands in form degree i+1
-            if i < dga.top_degree:
-                for b, v in diff_cols[i].get(a, ()):
-                    out.set(row_index[(i + 1, b, ms)], c, v)
-            # delta-part: (-1)^i omega x delta(s)
-            sign = Fraction(-1) ** i
-            for r, v in delta_cols[j].get(set_index[j][ms], ()):
-                out.set(row_index[(i, a, set_list[j + 1][r])], c, sign * v)
+        rows, n_rows = segment_offsets(dga, algebra.dim, k + 1)
+        cols, n_cols = segment_offsets(dga, algebra.dim, k)
+        out = OperatorMatrix.zero(n_rows, n_cols)
+        for i, start in cols.items():
+            d_block, delta_block = _blocks(dga, deltas, algebra.dim, i, k - i)
+            # (d omega) x s lands in form degree i+1, omega x delta(s) in i
+            if d_block is not None:
+                place_block(out, d_block, rows[i + 1], start)
+            place_block(out, delta_block, rows[i], start)
         differentials.append(out)
 
     return SpencerComplexInstance(
@@ -279,13 +278,23 @@ def d_squared_residual(instance):
         raise DegenerateInputError(
             "diagonal grading does not compose; only block shapes are reported"
         )
-    worst = ZERO
-    for k in range(len(instance.differentials) - 1):
-        worst = max(
-            worst,
-            (instance.differentials[k + 1] @ instance.differentials[k]).max_abs(),
-        )
-    return worst
+    return _composite_residual(instance.differentials)
+
+
+def _composite_residual(maps):
+    """Max |entry| over the consecutive composites maps[k+1] @ maps[k]."""
+    return max(((b @ a).max_abs() for a, b in zip(maps, maps[1:])), default=ZERO)
+
+
+def _rank_nullity(sizes, maps):
+    """dim H^k = sizes[k] - rank maps[k] - rank maps[k-1]; absent maps have rank 0."""
+    dims = []
+    prev_rank = 0
+    for k, n in enumerate(sizes):
+        rank = maps[k].rank() if k < len(maps) else 0
+        dims.append(n - rank - prev_rank)
+        prev_rank = rank
+    return dims
 
 
 @dataclass
@@ -322,13 +331,9 @@ def cohomology_report(instance):
             instance.grading, instance.convention, instance.K,
             None, None, residual, ["not-a-complex: D^2 != 0; dims withheld"],
         )
-    dims = []
-    prev_rank = 0
-    for k in range(instance.K):
-        n_k = len(instance.bases[k])
-        rank = instance.differentials[k].rank()
-        dims.append(n_k - rank - prev_rank)
-        prev_rank = rank
+    dims = _rank_nullity(
+        [len(instance.bases[k]) for k in range(instance.K)], instance.differentials
+    )
     euler = sum((-1) ** k * d for k, d in enumerate(dims))
     return CohomologyReport(
         instance.grading, instance.convention, instance.K, dims, euler, residual, [],
@@ -475,13 +480,11 @@ def mirror_invariance_check(instance, transform, transport=TRANSPORT_INVERSE,
         instance.dga, instance.algebra, lam_m, instance.K,
         instance.convention, instance.grading, instance.identification,
     )
-    residuals = []
-    for k in range(instance.K):
-        psi_k = chain_map_matrix(instance, transform, k, base_maps)
-        psi_k1 = chain_map_matrix(instance, transform, k + 1, base_maps)
-        lhs = psi_k1 @ instance.differentials[k]
-        rhs = mirrored.differentials[k] @ psi_k
-        residuals.append((lhs - rhs).max_abs())
+    psi = [chain_map_matrix(instance, transform, k, base_maps) for k in range(instance.K + 1)]
+    residuals = [
+        (psi[k + 1] @ instance.differentials[k] - mirrored.differentials[k] @ psi[k]).max_abs()
+        for k in range(instance.K)
+    ]
     commutation_holds = all(r == 0 for r in residuals)
 
     rep_o = cohomology_report(instance)
@@ -520,20 +523,16 @@ def kunneth_diagnostic(instance):
     """
     if instance.grading != GRADING_TOTAL:
         raise DegenerateInputError("the diagnostic needs the total grading")
-    residual = d_squared_residual(instance)
-    if residual != 0:
-        return KunnethReport(
-            [], None, [f"not applicable: D^2 residual = {residual}"]
-        )
     rep = cohomology_report(instance)
+    if rep.dims is None:
+        return KunnethReport(
+            [], None, [f"not applicable: D^2 residual = {rep.d_squared}"]
+        )
     base_dims = instance.dga.de_rham_dims()
-    delta_ranks = [m.rank() for m in instance.delta_matrices]
-    delta_h = []
-    prev = 0
-    for j in range(instance.K):
-        n_j = sym_dim(instance.algebra.dim, j)
-        delta_h.append(n_j - delta_ranks[j] - prev)
-        prev = delta_ranks[j]
+    delta_h = _rank_nullity(
+        [sym_dim(instance.algebra.dim, j) for j in range(instance.K)],
+        instance.delta_matrices,
+    )
     per_degree = []
     for k in range(instance.K):
         rhs = sum(

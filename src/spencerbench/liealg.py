@@ -291,10 +291,6 @@ def make_automorphism(algebra, matrix, label):
 _GZERO = (ZERO, ZERO)
 
 
-def _gadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def _gmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 

@@ -112,11 +112,6 @@ class OperatorMatrix:
                     out.pop(key, None)
         return OperatorMatrix(self.rows, other.cols, out)
 
-    def transpose(self):
-        return OperatorMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
     def max_abs(self):
         return max((abs(v) for v in self.entries.values()), default=ZERO)
 

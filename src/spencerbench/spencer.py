@@ -41,7 +41,6 @@ from .liealg import bracket, killing_gram, pairing
 from .linalg import ZERO, OperatorMatrix, invert_dense
 from .symtensor import (
     SymTensor,
-    basis_tensor,
     multisets,
     sym_dim,
     sym_product,
@@ -160,7 +159,10 @@ def jacobi_form_generator(lam, v, identification=Identification.BASIS):
 
 
 class _GeneratorTable:
-    """Caches delta of every basis generator for a fixed (lam, identification)."""
+    """Caches delta of every basis generator for a fixed (lam, identification).
+
+    Entry i is the coefficient map {sorted index pair: coeff} of delta(e_i).
+    """
 
     def __init__(self, lam, identification):
         self.lam = lam
@@ -172,33 +174,26 @@ class _GeneratorTable:
         if i not in self._table:
             self._table[i] = delta_lambda_generator(
                 self.lam, self.algebra.basis_vector(i), self.identification
-            )
+            ).coeffs
         return self._table[i]
 
 
-def _delta_sequence_unsigned(table, seq):
-    """Even-derivation extension: replace one factor at a time, no signs."""
-    algebra = table.algebra
-    out = zero_tensor(algebra, len(seq) + 1)
-    for t in range(len(seq)):
+def _image(table, seq, signed):
+    """delta^lam of the product of the factors in seq, as {multiset: coeff}.
+
+    Leibniz rule: the t-th factor is replaced by its generator image, whose
+    index pair is merged into the sorted remaining factors. The signed rule's
+    left-to-right splitting delta(h.r) = delta(h).r - h.delta(r) unrolls to
+    the sign (-1)^t on the t-th term, so it depends on the order of seq.
+    """
+    out = {}
+    for t, i in enumerate(seq):
         rest = seq[:t] + seq[t + 1 :]
-        term = table[seq[t]]
-        for i in rest:
-            term = sym_product(term, basis_tensor(algebra, (i,)))
-        out = out + term
-    return out
-
-
-def _delta_sequence_signed(table, seq):
-    """Left-to-right signed splitting of an ordered factor sequence."""
-    algebra = table.algebra
-    if len(seq) == 1:
-        return table[seq[0]]
-    head, rest = seq[0], seq[1:]
-    first = sym_product(table[head], basis_tensor(algebra, tuple(sorted(rest))))
-    second = sym_product(basis_tensor(algebra, (head,)), _delta_sequence_signed(table, rest))
-    # the walked-past factor has degree 1, so the sign is (-1)^1
-    return first - second
+        sign = -1 if signed and t % 2 else 1
+        for pair, v in table[i].items():
+            key = tuple(sorted(pair + rest))
+            out[key] = out.get(key, ZERO) + sign * v
+    return {key: v for key, v in out.items() if v}
 
 
 def delta_lambda(lam, s, convention=LeibnizConvention.UNSIGNED,
@@ -211,18 +206,13 @@ def delta_lambda(lam, s, convention=LeibnizConvention.UNSIGNED,
     """
     if lam.algebra != s.algebra:
         raise MismatchError("lam and s live on different algebras")
-    convention = LeibnizConvention(convention)
+    signed = LeibnizConvention(convention) is LeibnizConvention.PAPER_SIGNED
     table = _GeneratorTable(lam, identification)
-    out = zero_tensor(s.algebra, s.degree + 1)
+    out = {}
     for key, coeff in s.coeffs.items():
-        if not key:
-            continue
-        if convention is LeibnizConvention.UNSIGNED:
-            img = _delta_sequence_unsigned(table, key)
-        else:
-            img = _delta_sequence_signed(table, key)
-        out = out + img.scaled(coeff)
-    return out
+        for row_key, v in _image(table, key, signed).items():
+            out[row_key] = out.get(row_key, ZERO) + coeff * v
+    return SymTensor(s.algebra, s.degree + 1, {k: v for k, v in out.items() if v})
 
 
 def delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
@@ -230,22 +220,16 @@ def delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
     """Matrix of delta^lam from degree k to k+1 in sym_basis order."""
     if k < 0:
         raise MismatchError("degree must be >= 0")
-    algebra = lam.algebra
-    convention = LeibnizConvention(convention)
+    dim = lam.algebra.dim
+    signed = LeibnizConvention(convention) is LeibnizConvention.PAPER_SIGNED
     table = _GeneratorTable(lam, identification)
-    domain = multisets(algebra.dim, k)
-    codomain_index = {key: r for r, key in enumerate(multisets(algebra.dim, k + 1))}
-    out = OperatorMatrix.zero(sym_dim(algebra.dim, k + 1), sym_dim(algebra.dim, k))
-    for c, key in enumerate(domain):
-        if not key:
-            continue
-        if convention is LeibnizConvention.UNSIGNED:
-            img = _delta_sequence_unsigned(table, key)
-        else:
-            img = _delta_sequence_signed(table, key)
-        for row_key, v in img.coeffs.items():
-            out.set(codomain_index[row_key], c, v)
-    return out
+    codomain_index = {key: r for r, key in enumerate(multisets(dim, k + 1))}
+    entries = {
+        (codomain_index[row_key], c): v
+        for c, key in enumerate(multisets(dim, k))
+        for row_key, v in _image(table, key, signed).items()
+    }
+    return OperatorMatrix(sym_dim(dim, k + 1), sym_dim(dim, k), entries)
 
 
 def delta_matrix_to_json(matrix, k):
@@ -263,6 +247,7 @@ class NilpotencyReport:
     holds: bool
     witness: tuple | None  # (degree, multiset) of a nonzero composite column
     composites: list = field(repr=False, default_factory=list)
+    matrices: list = field(repr=False, default_factory=list)  # delta_k, k < K
 
     def to_json(self):
         return {
@@ -304,6 +289,7 @@ def nilpotency_report(lam, K, convention=LeibnizConvention.UNSIGNED,
         holds,
         witness,
         composites,
+        mats,
     )
 
 
@@ -337,7 +323,10 @@ def signed_leibniz_welldefinedness(lam, k, identification=Identification.BASIS):
     for key in multisets(lam.algebra.dim, k):
         forward = key
         reverse = tuple(reversed(key))
-        diff = _delta_sequence_signed(table, forward) - _delta_sequence_signed(table, reverse)
-        if not diff.is_zero():
-            witnesses.append(OrderingWitness(key, forward, reverse, diff.max_abs()))
+        a = _image(table, forward, True)
+        b = _image(table, reverse, True)
+        gap = max((abs(a.get(m, ZERO) - b.get(m, ZERO)) for m in a.keys() | b.keys()),
+                  default=ZERO)
+        if gap:
+            witnesses.append(OrderingWitness(key, forward, reverse, gap))
     return witnesses

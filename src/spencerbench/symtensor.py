@@ -126,15 +126,6 @@ def from_vector(x):
     return SymTensor(x.algebra, 1, coeffs)
 
 
-def to_vector(s):
-    if s.degree != 1:
-        raise MismatchError("only degree-1 tensors convert to algebra vectors")
-    out = [ZERO] * s.algebra.dim
-    for (i,), v in s.coeffs.items():
-        out[i] = v
-    return s.algebra.vector(out)
-
-
 def tensor_from_json(algebra, data):
     try:
         degree = int(data["degree"])

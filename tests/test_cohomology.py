@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -15,11 +16,12 @@ from spencerbench.cohomology import (
     d_squared_residual,
     kunneth_diagnostic,
     mirror_invariance_check,
+    segment_offsets,
     torus_model,
 )
 from spencerbench.errors import DegenerateInputError, FormatError, MismatchError
 from spencerbench.liealg import builtin_algebra, builtin_automorphism, weyl_mirrors
-from spencerbench.linalg import OperatorMatrix
+from spencerbench.linalg import OperatorMatrix, kron, place_block
 from spencerbench.mirror import automorphism_mirror, sign_mirror
 from spencerbench.spencer import Identification, delta_matrix
 from spencerbench.symtensor import sym_dim
@@ -63,6 +65,31 @@ def test_dga_json_round_trip():
     assert again.basis == t2.basis
     assert again.product == t2.product
     assert [m.to_json() for m in again.diff] == [m.to_json() for m in t2.diff]
+
+
+@pytest.mark.parametrize(
+    "product",
+    [
+        [[0, 0]],  # wrong arity
+        [[0, 0, 0, 0, [], 1]],
+        [[0, 0, 0, 0, 7]],  # table is not a list
+        [["x", 0, 0, 0, []]],  # non-integer field
+        [[0, 0, 0, 0, [["y", "1"]]]],
+        [[0, 0, 0, 0, [[0]]]],  # table entry without a coefficient
+        [[1, 0, 2, 0, []]],  # i + j above the top degree
+        [[3, 0, 0, 0, []]],
+        [[-1, 0, 1, 0, []]],
+        [[0, 1, 1, 0, []]],  # a out of range
+        [[1, 0, 1, 5, [[0, "1"]]]],  # b out of range
+        [[0, 0, 1, 0, [[9, "1"]]]],  # c out of range in degree i + j
+        7,
+    ],
+)
+def test_dga_json_malformed_product_is_format_error(product):
+    data = torus_model(2).to_json()
+    data["product"] = product
+    with pytest.raises(FormatError):
+        DGAModel.from_json(data)
 
 
 # --- assembly ----------------------------------------------------------------
@@ -346,6 +373,75 @@ def test_kunneth_independent_rank_oracle():
         )
         assert formula_dim == oracle
         assert total_dim == oracle
+
+
+# --- a base model with a non-zero differential ----------------------------------
+
+
+def chevalley_eilenberg(alg):
+    """CE cochains of alg: d e^m = -sum_{i<j} c_ij^m e^i e^j, as a derivation.
+
+    Degree k has the sorted k-subsets S as basis; d e^S replaces each e^{s_p}
+    by d e^{s_p} (sign (-1)^p for moving d past p one-forms) and re-sorts the
+    wedge word with its permutation sign.
+    """
+    n = alg.dim
+    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    diff = []
+    for k in range(n):
+        index = {s: r for r, s in enumerate(subsets[k + 1])}
+        out = OperatorMatrix.zero(len(subsets[k + 1]), len(subsets[k]))
+        for col, S in enumerate(subsets[k]):
+            for p, m in enumerate(S):
+                for i, j in itertools.combinations(range(n), 2):
+                    c = alg.structure[i][j][m]
+                    word = S[:p] + (i, j) + S[p + 1 :]
+                    if not c or len(set(word)) < len(word):
+                        continue
+                    inversions = sum(1 for x, y in itertools.combinations(word, 2) if x > y)
+                    r = index[tuple(sorted(word))]
+                    v = -c * (-1) ** (p + inversions)
+                    out.set(r, col, out.get(r, col) + v)
+        diff.append(out)
+    labels = tuple(tuple(str(S) for S in row) for row in subsets)
+    return DGAModel(f"ce({alg.name})", labels, tuple(diff))
+
+
+def test_ce_so3_base_with_nonzero_differential():
+    dga = chevalley_eilenberg(SO3)
+    assert any(not m.is_zero() for m in dga.diff)
+    assert dga.d_squared_residual() == 0
+    assert dga.de_rham_dims() == [1, 0, 0, 1]  # H*(so3) = H*(S^3)
+    ab = builtin_algebra("abelian(2)")
+    c = build_complex(dga, ab, ab.dual([1, -2]), 4)
+    assert any(not m.is_zero() for m in c.differentials)
+    assert d_squared_residual(c) == 0
+    rep = cohomology_report(c)
+    assert rep.dims == [1, 2, 3, 5]  # Betti(S^3) convolved with dim Sym^j(R^2)
+    kun = kunneth_diagnostic(c)
+    assert kun.matches
+    assert [row[1] for row in kun.per_degree] == [1, 2, 3, 5]
+    mi = mirror_invariance_check(c, sign_mirror())
+    assert mi.commutation_holds and mi.dims_equal
+
+
+def test_koszul_sign_cancels_cross_terms_of_d_squared():
+    # with d != 0 and delta != 0, D^2 = d^2 x 1 + 1 x delta^2 holds only when
+    # the mixed terms d x delta cancel, i.e. the delta block carries (-1)^i
+    dga = chevalley_eilenberg(SO3)
+    lam = SO3.dual([1, -2, 3])
+    K = 4
+    c = build_complex(dga, SO3, lam, K)
+    assert d_squared_residual(c) != 0  # delta^2 != 0 on so3
+    for k in range(K - 1):
+        rows, n_rows = segment_offsets(dga, SO3.dim, k + 2)
+        cols, n_cols = segment_offsets(dga, SO3.dim, k)
+        want = OperatorMatrix.zero(n_rows, n_cols)
+        for i, start in cols.items():
+            d2 = c.delta_matrices[k - i + 1] @ c.delta_matrices[k - i]
+            place_block(want, kron(OperatorMatrix.identity(len(dga.basis[i])), d2),
+                        rows[i], start)
+        assert c.differentials[k + 1] @ c.differentials[k] == want
 
 
 def test_user_supplied_base_map_composes_into_chain_map():

@@ -1,8 +1,10 @@
 """Byte-identity guard: pinned SHA-256 digests of a few fast CLI reports.
 
 Each line reaches a different exact-elimination entry point (rank, kernel,
-solve, inverse, column span, basis decomposition). The reduced row echelon
-form is unique, so any correct change to the elimination keeps these digests.
+solve, inverse, column span, basis decomposition) or assembly path (the
+paper-signed delta, a non-zero delta block in the total differential, the
+mirror chain maps). The reduced row echelon form is unique, so any correct
+change to the elimination or the assembly keeps these digests.
 """
 
 import hashlib
@@ -33,10 +35,36 @@ GOLDEN = [
         ["algebra", "--builtin", "su3"],
         "a9636ff09f2d00cd2ff7b1255af8e2e34983e7b87fb469b503181f0c0766f829",
     ),
+    (
+        # paper-signed delta columns and the ordering audit
+        ["spencer", "--builtin", "so3", "--lambda=1,2,3", "--K", "4",
+         "--convention", "paper-signed"],
+        "658ea962ffb320aa7f8e9c578fda8e97fcee0b86b2240b498f34a584398baf0f",
+    ),
+    (
+        # non-zero delta blocks in D^k; D^2 != 0, so dims are withheld
+        ["complex", "--builtin", "so3", "--lambda=0,0,1", "--K", "4",
+         "--mirror", "sign", "--seed", "7"],
+        "827ae6acc24510b65e474594da75f39e18329808c48469ef43242793cf8bb369",
+    ),
+    (
+        # automorphism chain maps, Kunneth and cup products on a complex
+        ["complex", "--builtin", "sl2", "--lambda=0,0,0", "--allow-degenerate",
+         "--K", "4", "--torus", "2", "--mirror", "identity", "--seed", "7"],
+        "d7132ce3692c6f050cb24765dc7fe8f40856afb340bb36e9593158a09cd2ac95",
+    ),
+    (
+        ["complex", "--builtin", "sl2", "--lambda=1,2,3", "--K", "3",
+         "--torus", "2", "--mirror", "negate-transpose"],
+        "793e11e0deb42ea2ef481cf49c35d1328cc882ba1de8ae16ade5046ea8a8bc0c",
+    ),
 ]
 
+IDS = ["bundle", "mirror", "complex", "algebra", "spencer-paper-signed",
+       "complex-so3-sign", "complex-sl2-identity", "complex-sl2-negate-transpose"]
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[g[0][0] for g in GOLDEN])
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=IDS)
 def test_cli_report_digest_is_pinned(argv, digest, capsys):
     code = main(argv)
     out = capsys.readouterr().out

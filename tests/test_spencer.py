@@ -17,6 +17,7 @@ from spencerbench.spencer import (
     signed_leibniz_welldefinedness,
 )
 from spencerbench.symtensor import (
+    SymTensor,
     basis_tensor,
     eval_tensor,
     from_vector,
@@ -233,6 +234,60 @@ def test_delta_matrix_columns_match_generator():
         d = delta_lambda_generator(lam, SO3.basis_vector(c))
         for r, key in enumerate(sets2):
             assert col[r] == d.coeffs.get(key, F(0))
+
+
+def oracle_delta_unsigned(gens, seq):
+    """Even-derivation extension by SymTensor products, one factor at a time."""
+    alg = gens[0].algebra
+    out = SymTensor(alg, len(seq) + 1, {})
+    for t in range(len(seq)):
+        term = gens[seq[t]]
+        for i in seq[:t] + seq[t + 1 :]:
+            term = sym_product(term, basis_tensor(alg, (i,)))
+        out = out + term
+    return out
+
+
+def oracle_delta_signed(gens, seq):
+    """Left-to-right signed splitting by SymTensor products."""
+    alg = gens[0].algebra
+    if len(seq) == 1:
+        return gens[seq[0]]
+    head, rest = seq[0], seq[1:]
+    first = sym_product(gens[head], basis_tensor(alg, tuple(sorted(rest))))
+    second = sym_product(basis_tensor(alg, (head,)), oracle_delta_signed(gens, rest))
+    return first - second
+
+
+ORACLES = {
+    LeibnizConvention.UNSIGNED: oracle_delta_unsigned,
+    LeibnizConvention.PAPER_SIGNED: oracle_delta_signed,
+}
+
+
+@pytest.mark.parametrize("conv", list(LeibnizConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("alg", [SO3, SL2, SL3], ids=lambda a: a.name)
+def test_delta_matrix_columns_match_symtensor_oracle(alg, conv):
+    rng = random.Random(29)
+    lam = rand_lambda(rng, alg)
+    gens = [delta_lambda_generator(lam, v) for v in alg.basis_vectors()]
+    for k in (1, 2, 3):
+        m = delta_matrix(lam, k, conv)
+        rows = multisets(alg.dim, k + 1)
+        cols = {}
+        for (r, c), v in m.entries.items():
+            cols.setdefault(c, {})[rows[r]] = v
+        domain = multisets(alg.dim, k)
+        for c, key in enumerate(domain):
+            assert cols.get(c, {}) == ORACLES[conv](gens, key).coeffs
+        # delta_lambda on a random tensor is sum_c coeff_c * column_c
+        coeffs = {c: F(rng.choice([-5, -2, 1, 3]), rng.randint(1, 4))
+                  for c in rng.sample(range(len(domain)), min(4, len(domain)))}
+        s = SymTensor(alg, k, {domain[c]: v for c, v in coeffs.items()})
+        want = SymTensor(alg, k + 1, {})
+        for c, v in coeffs.items():
+            want = want + SymTensor(alg, k + 1, cols.get(c, {})).scaled(v)
+        assert delta_lambda(lam, s, conv) == want
 
 
 def test_delta_matrix_linear_in_lambda():
