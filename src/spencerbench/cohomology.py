@@ -103,6 +103,17 @@ class DGAModel:
             diff = tuple(OperatorMatrix.from_json(m) for m in data["diff"])
         except (KeyError, TypeError) as exc:
             raise FormatError("DGA JSON needs name/basis/diff") from exc
+        if len(diff) != len(basis) - 1:
+            raise FormatError(
+                f"DGA needs one differential per degree below the top: "
+                f"{len(basis)} basis degrees but {len(diff)} differentials"
+            )
+        for i, m in enumerate(diff):
+            if m.shape != (len(basis[i + 1]), len(basis[i])):
+                raise FormatError(
+                    f"DGA differential {i} has shape {m.shape}, "
+                    f"expected {(len(basis[i + 1]), len(basis[i]))}"
+                )
         product = None
         if "product" in data:
             if not isinstance(data["product"], list):

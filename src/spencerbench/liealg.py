@@ -26,6 +26,7 @@ from .errors import FormatError, MismatchError, ValidationError
 from .linalg import (
     ZERO,
     ONE,
+    common_denominator,
     format_scalar,
     invert_dense,
     parse_scalar,
@@ -186,26 +187,52 @@ def antisymmetry_residual(algebra):
     return worst
 
 
-def jacobi_residual(algebra, with_witness=False):
-    """Max absolute Jacobi sum over all index quadruples (i, j, l, k)."""
-    c = algebra.structure
+def integer_structure(algebra):
+    """(den, nz): the structure constants as integers over their common
+    denominator den; nz[a][b] lists the non-zero c_ab^p as (p, numerator)."""
     n = algebra.dim
-    worst = ZERO
+    den, flat = common_denominator(c for plane in algebra.structure for row in plane for c in row)
+    nz = [[[(p, v) for p, v in enumerate(flat[(a * n + b) * n:(a * n + b + 1) * n]) if v]
+           for b in range(n)] for a in range(n)]
+    return den, nz
+
+
+def jacobi_residual(algebra, with_witness=False):
+    """Max absolute Jacobi sum over all index quadruples (i, j, l, k).
+
+    The sum S(i,j,l,k) = sum_m c_ij^m c_ml^k + c_jl^m c_mi^k + c_li^m c_mj^k
+    is T(i,j,l,k) + T(j,l,i,k) + T(l,i,j,k) with T(x,y,z,k) = sum_m
+    c_xy^m c_mz^k, computed once in integer numerators over the common
+    denominator of the constants and only over non-zero brackets. Every
+    quadruple is measured, so input that is not antisymmetric is measured
+    too. The witness is the lexicographically smallest quadruple attaining
+    the maximum (None when the residual is zero).
+    """
+    n = algebra.dim
+    den, nz = integer_structure(algebra)
+    t = [0] * n ** 4
+    for x in range(n):
+        for y in range(n):
+            base = (x * n + y) * n
+            for m, v in nz[x][y]:
+                for z in range(n):
+                    for k, w in nz[m][z]:
+                        t[(base + z) * n + k] += v * w
+    best = 0
     witness = None
     for i in range(n):
         for j in range(n):
             for l in range(n):
-                for k in range(n):
-                    s = ZERO
-                    for m in range(n):
-                        s += (
-                            c[i][j][m] * c[m][l][k]
-                            + c[j][l][m] * c[m][i][k]
-                            + c[l][i][m] * c[m][j][k]
-                        )
-                    if abs(s) > worst:
-                        worst = abs(s)
-                        witness = (i, j, l, k)
+                a = ((i * n + j) * n + l) * n
+                b = ((j * n + l) * n + i) * n
+                c = ((l * n + i) * n + j) * n
+                sums = [abs(x + y + z) for x, y, z in
+                        zip(t[a:a + n], t[b:b + n], t[c:c + n])]
+                top = max(sums)
+                if top > best:
+                    best = top
+                    witness = (i, j, l, sums.index(top))
+    worst = Fraction(best, den * den)
     if with_witness:
         return worst, witness
     return worst
@@ -603,8 +630,12 @@ def algebra_from_json(data):
         raise FormatError("algebra JSON needs name/dim/structure_constants/basis_labels") from exc
     if dim < 1 or len(labels) != dim:
         raise FormatError("basis_labels length must equal dim")
+    if not isinstance(triples, list):
+        raise FormatError("structure_constants must be a list of [i, j, k, value] entries")
     structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     for item in triples:
+        if not isinstance(item, list):
+            raise FormatError(f"bad structure constant entry {item!r}")
         try:
             i, j, k, v = item
             i, j, k = int(i), int(j), int(k)

@@ -4,6 +4,9 @@ Everything here is Fraction-valued; no floating point. The package uses one
 elimination, ``rref`` (Gauss-Jordan over the integers), for every rank,
 kernel, solve, inverse and column-span test. ``rank_bareiss`` is a separate
 fraction-free Bareiss elimination kept only to cross-check those ranks.
+Products also run on integers: each factor is written as integer numerators
+over one common denominator (``common_denominator``), and a Fraction is
+built once per non-zero entry of the result.
 """
 
 from __future__ import annotations
@@ -29,6 +32,14 @@ def parse_scalar(text):
 def format_scalar(value):
     """Render a Fraction as "p" or "p/q"."""
     return str(value)
+
+
+def common_denominator(values):
+    """(den, ints): the lcm of the denominators of the Fractions in values,
+    and the integer numerators over it, in the order of values."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 @dataclass
@@ -98,18 +109,22 @@ class OperatorMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        da, a = common_denominator(self.entries.values())
+        db, b = common_denominator(other.entries.values())
         by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
+        for (r, c), w in zip(other.entries, b):
+            by_row.setdefault(r, []).append((c, w))
+        left_rows = {}
+        for (r, k), v in zip(self.entries, a):
+            left_rows.setdefault(r, []).append((k, v))
+        den = da * db
         out = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                s = out.get(key, ZERO) + v * w
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+        for r, items in left_rows.items():
+            acc = {}
+            for k, v in items:
+                for c, w in by_row.get(k, ()):
+                    acc[c] = acc.get(c, 0) + v * w
+            out.update(((r, c), Fraction(v, den)) for c, v in acc.items() if v)
         return OperatorMatrix(self.rows, other.cols, out)
 
     def max_abs(self):
@@ -202,11 +217,7 @@ def place_block(target, block, row_offset, col_offset):
 
 def _integer_rows(dense):
     """Each row times the lcm of its denominators: integer rows, same row space."""
-    out = []
-    for row in dense:
-        mult = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (mult // x.denominator) for x in row])
-    return out
+    return [common_denominator(row)[1] for row in dense]
 
 
 def rref(dense):

@@ -33,12 +33,13 @@ residuals per degree.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateInputError, MismatchError
-from .liealg import bracket, killing_gram, pairing
-from .linalg import ZERO, OperatorMatrix, invert_dense
+from .liealg import bracket, integer_structure, killing_gram, pairing
+from .linalg import ZERO, OperatorMatrix, common_denominator, invert_dense
 from .symtensor import (
     SymTensor,
     multisets,
@@ -59,21 +60,16 @@ class Identification(str, enum.Enum):
     KILLING = "killing"
 
 
-_KILLING_INVERSE_CACHE = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _killing_inverse(algebra):
-    key = (algebra.name, algebra.dim, algebra.structure)
-    if key not in _KILLING_INVERSE_CACHE:
-        gram = killing_gram(algebra)
-        inv = invert_dense([list(row) for row in gram])
-        if inv is None:
-            raise DegenerateInputError(
-                f"Killing form of {algebra.name} is singular; "
-                "the killing identification needs a semisimple algebra"
-            )
-        _KILLING_INVERSE_CACHE[key] = tuple(tuple(row) for row in inv)
-    return _KILLING_INVERSE_CACHE[key]
+    gram = killing_gram(algebra)
+    inv = invert_dense([list(row) for row in gram])
+    if inv is None:
+        raise DegenerateInputError(
+            f"Killing form of {algebra.name} is singular; "
+            "the killing identification needs a semisimple algebra"
+        )
+    return tuple(tuple(row) for row in inv)
 
 
 def classical_prolongation(s):
@@ -102,22 +98,6 @@ def classical_prolongation(s):
     return out
 
 
-def _generator_values(lam, v):
-    """Symmetrized nested-bracket pairing on all basis pairs, as a value map."""
-    algebra = v.algebra
-    basis = algebra.basis_vectors()
-    values = {}
-    for i in range(algebra.dim):
-        for j in range(i, algebra.dim):
-            w1, w2 = basis[i], basis[j]
-            val = (
-                pairing(lam, bracket(w1, bracket(w2, v)))
-                + pairing(lam, bracket(w2, bracket(w1, v)))
-            ) / 2
-            values[(i, j)] = val
-    return values
-
-
 def _jacobi_values(lam, v):
     """Same quadratic form computed through the bracket-rewritten formula."""
     algebra = v.algebra
@@ -142,12 +122,55 @@ def _reconstruct(algebra, values, identification):
     return tensor
 
 
+@functools.lru_cache(maxsize=8)
+def _generator_table(lam, identification):
+    """delta^lam of every basis generator, as integers over one denominator.
+
+    Returns (den, rows); rows[m] is a tuple of (sorted index pair, integer)
+    with delta(e_m) = sum int/den * e_pair. The symmetrized pairing
+    (lam([e_i,[e_j,e_m]]) + lam([e_j,[e_i,e_m]]))/2 is evaluated for all m at
+    once through L[a][p] = lam([e_a, e_p]): lam([e_i,[e_j,e_m]]) =
+    sum_p c_jm^p L[i][p].
+    """
+    algebra = lam.algebra
+    n = algebra.dim
+    lam_den, lam_ints = common_denominator(lam.coeffs)
+    c_den, nz = integer_structure(algebra)
+    # lam_br[a][p] = L[a][p] and nested[i][j][m] = lam([e_i,[e_j,e_m]]), in
+    # numerators over c_den * lam_den and c_den^2 * lam_den
+    lam_br = [[sum(v * lam_ints[q] for q, v in nz[a][p]) for p in range(n)] for a in range(n)]
+    nested = [[[sum(v * lam_br[i][p] for p, v in nz[j][m]) for m in range(n)]
+               for j in range(n)] for i in range(n)]
+    scale = 2 * c_den * c_den * lam_den
+    images = [
+        _reconstruct(
+            algebra,
+            {(i, j): Fraction(nested[i][j][m] + nested[j][i][m], scale)
+             for i in range(n) for j in range(i, n)},
+            identification,
+        ).coeffs
+        for m in range(n)
+    ]
+    den, ints = common_denominator(v for coeffs in images for v in coeffs.values())
+    it = iter(ints)
+    rows = tuple(tuple((pair, next(it)) for pair in coeffs) for coeffs in images)
+    return den, rows
+
+
 def delta_lambda_generator(lam, v, identification=Identification.BASIS):
-    """Image of a degree-1 element under the constraint-coupled operator."""
+    """Image of a degree-1 element under the constraint-coupled operator.
+
+    By linearity in v: the sum of v_m times the image of the generator e_m.
+    """
     if lam.algebra != v.algebra:
         raise MismatchError("lam and v live on different algebras")
-    identification = Identification(identification)
-    return _reconstruct(v.algebra, _generator_values(lam, v), identification)
+    den, rows = _generator_table(lam, Identification(identification))
+    out = {}
+    for v_m, row in zip(v.coeffs, rows):
+        if v_m:
+            for pair, x in row:
+                out[pair] = out.get(pair, ZERO) + v_m * x
+    return SymTensor(v.algebra, 2, {pair: x / den for pair, x in out.items() if x})
 
 
 def jacobi_form_generator(lam, v, identification=Identification.BASIS):
@@ -158,41 +181,23 @@ def jacobi_form_generator(lam, v, identification=Identification.BASIS):
     return _reconstruct(v.algebra, _jacobi_values(lam, v), identification)
 
 
-class _GeneratorTable:
-    """Caches delta of every basis generator for a fixed (lam, identification).
+def _image(rows, seq, signed):
+    """delta^lam of the product of the factors in seq, as {multiset: integer}.
 
-    Entry i is the coefficient map {sorted index pair: coeff} of delta(e_i).
-    """
-
-    def __init__(self, lam, identification):
-        self.lam = lam
-        self.identification = Identification(identification)
-        self.algebra = lam.algebra
-        self._table = {}
-
-    def __getitem__(self, i):
-        if i not in self._table:
-            self._table[i] = delta_lambda_generator(
-                self.lam, self.algebra.basis_vector(i), self.identification
-            ).coeffs
-        return self._table[i]
-
-
-def _image(table, seq, signed):
-    """delta^lam of the product of the factors in seq, as {multiset: coeff}.
-
-    Leibniz rule: the t-th factor is replaced by its generator image, whose
-    index pair is merged into the sorted remaining factors. The signed rule's
-    left-to-right splitting delta(h.r) = delta(h).r - h.delta(r) unrolls to
-    the sign (-1)^t on the t-th term, so it depends on the order of seq.
+    rows is the generator table of _generator_table; the integers are over
+    its denominator. Leibniz rule: the t-th factor is replaced by its
+    generator image, whose index pair is merged into the sorted remaining
+    factors. The signed rule's left-to-right splitting
+    delta(h.r) = delta(h).r - h.delta(r) unrolls to the sign (-1)^t on the
+    t-th term, so it depends on the order of seq.
     """
     out = {}
     for t, i in enumerate(seq):
         rest = seq[:t] + seq[t + 1 :]
         sign = -1 if signed and t % 2 else 1
-        for pair, v in table[i].items():
+        for pair, v in rows[i]:
             key = tuple(sorted(pair + rest))
-            out[key] = out.get(key, ZERO) + sign * v
+            out[key] = out.get(key, 0) + sign * v
     return {key: v for key, v in out.items() if v}
 
 
@@ -207,12 +212,15 @@ def delta_lambda(lam, s, convention=LeibnizConvention.UNSIGNED,
     if lam.algebra != s.algebra:
         raise MismatchError("lam and s live on different algebras")
     signed = LeibnizConvention(convention) is LeibnizConvention.PAPER_SIGNED
-    table = _GeneratorTable(lam, identification)
+    identification = Identification(identification)
+    if s.degree == 0 or not s.coeffs:
+        return zero_tensor(s.algebra, s.degree + 1)
+    den, rows = _generator_table(lam, identification)
     out = {}
     for key, coeff in s.coeffs.items():
-        for row_key, v in _image(table, key, signed).items():
+        for row_key, v in _image(rows, key, signed).items():
             out[row_key] = out.get(row_key, ZERO) + coeff * v
-    return SymTensor(s.algebra, s.degree + 1, {k: v for k, v in out.items() if v})
+    return SymTensor(s.algebra, s.degree + 1, {k: v / den for k, v in out.items() if v})
 
 
 def delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
@@ -222,12 +230,15 @@ def delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
         raise MismatchError("degree must be >= 0")
     dim = lam.algebra.dim
     signed = LeibnizConvention(convention) is LeibnizConvention.PAPER_SIGNED
-    table = _GeneratorTable(lam, identification)
+    identification = Identification(identification)
+    if k == 0:
+        return OperatorMatrix.zero(dim, 1)
+    den, rows = _generator_table(lam, identification)
     codomain_index = {key: r for r, key in enumerate(multisets(dim, k + 1))}
     entries = {
-        (codomain_index[row_key], c): v
+        (codomain_index[row_key], c): Fraction(v, den)
         for c, key in enumerate(multisets(dim, k))
-        for row_key, v in _image(table, key, signed).items()
+        for row_key, v in _image(rows, key, signed).items()
     }
     return OperatorMatrix(sym_dim(dim, k + 1), sym_dim(dim, k), entries)
 
@@ -318,15 +329,14 @@ def signed_leibniz_welldefinedness(lam, k, identification=Identification.BASIS):
     """
     if k < 2:
         raise MismatchError("the ordering audit needs degree >= 2")
-    table = _GeneratorTable(lam, identification)
+    den, rows = _generator_table(lam, Identification(identification))
     witnesses = []
     for key in multisets(lam.algebra.dim, k):
         forward = key
         reverse = tuple(reversed(key))
-        a = _image(table, forward, True)
-        b = _image(table, reverse, True)
-        gap = max((abs(a.get(m, ZERO) - b.get(m, ZERO)) for m in a.keys() | b.keys()),
-                  default=ZERO)
+        a = _image(rows, forward, True)
+        b = _image(rows, reverse, True)
+        gap = max((abs(a.get(m, 0) - b.get(m, 0)) for m in a.keys() | b.keys()), default=0)
         if gap:
-            witnesses.append(OrderingWitness(key, forward, reverse, gap))
+            witnesses.append(OrderingWitness(key, forward, reverse, Fraction(gap, den)))
     return witnesses

@@ -257,10 +257,27 @@ def test_bundle_file_malformed_row_exit_two(tmp_path, field, rows):
     data = {"grid": [2, 2], "algebra": "so3", "lambda_field": _VALID_LAM, field: rows}
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(data))
+    assert_input_error("bundle", "--builtin", "so3", "--bundle-file", str(path))
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [7, "0121", {"0": [0, 1, 2, "1"]}, [7], ["0121"], [[0, 1, 2]], [{"i": 0}]],
+    ids=["int", "string", "dict", "int-entry", "string-entry", "short-entry", "dict-entry"],
+)
+def test_algebra_file_malformed_constants_exit_two(tmp_path, constants):
+    data = algebra_to_json(builtin_algebra("so3"))
+    data["structure_constants"] = constants
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    assert_input_error("algebra", "--file", str(path))
+
+
+def assert_input_error(*argv):
+    """The CLI, run as a process, rejects the input: exit 2 and no traceback."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "spencerbench.cli", "bundle", "--builtin", "so3",
-         "--bundle-file", str(path)],
+        [sys.executable, "-m", "spencerbench.cli", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 2

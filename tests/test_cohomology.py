@@ -92,6 +92,39 @@ def test_dga_json_malformed_product_is_format_error(product):
         DGAModel.from_json(data)
 
 
+def _drop_last_diff(data):
+    data["diff"].pop()
+
+
+def _add_diff(data):
+    data["diff"].append({"rows": 1, "cols": 1, "entries": []})
+
+
+def _set_diff_field(index, name, value):
+    def edit(data):
+        data["diff"][index][name] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_diff_field(0, "rows", 3),
+        _set_diff_field(0, "cols", 2),
+        _set_diff_field(1, "rows", 2),
+        _set_diff_field(1, "cols", 1),
+        _drop_last_diff,
+        _add_diff,
+    ],
+    ids=["d0-rows", "d0-cols", "d1-rows", "d1-cols", "too-few", "too-many"],
+)
+def test_dga_json_diff_shapes_checked_against_basis(edit):
+    data = torus_model(2).to_json()
+    edit(data)
+    with pytest.raises(FormatError):
+        DGAModel.from_json(data)
+
+
 # --- assembly ----------------------------------------------------------------
 
 

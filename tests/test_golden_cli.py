@@ -3,15 +3,19 @@
 Each line reaches a different exact-elimination entry point (rank, kernel,
 solve, inverse, column span, basis decomposition) or assembly path (the
 paper-signed delta, a non-zero delta block in the total differential, the
-mirror chain maps). The reduced row echelon form is unique, so any correct
-change to the elimination or the assembly keeps these digests.
+mirror chain maps) or integer kernel (the Jacobi witness among tied
+quadruples, generator tables and products over a rational lambda). The
+reduced row echelon form is unique and every reported value is exact, so
+any correct change to these paths keeps the digests.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from spencerbench.cli import main
+from spencerbench.liealg import algebra_to_json, builtin_algebra
 
 GOLDEN = [
     (
@@ -58,10 +62,23 @@ GOLDEN = [
          "--torus", "2", "--mirror", "negate-transpose"],
         "793e11e0deb42ea2ef481cf49c35d1328cc882ba1de8ae16ade5046ea8a8bc0c",
     ),
+    (
+        # rational lambda through the Killing identification; residuals 1/10, 3/10
+        ["spencer", "--builtin", "so3", "--lambda=1/2,-2/3,3/5", "--K", "4",
+         "--identification", "killing"],
+        "e0ae23e14fd7671b729b258799efee58d5607e199894f5691eb3b8d785b298af",
+    ),
+    (
+        # rational lambda, coordinate identification; residuals 28 and 57
+        ["mirror", "--builtin", "sl3", "--lambda=1,-1/2,2,3,-5,1/3,4,7",
+         "--transform", "weyl:312", "--identification", "basis", "--K", "2"],
+        "32c5cf016e081cfcdb2e2b4dc7f5554ea525a7d3cde0dc2db4d53955f48a512a",
+    ),
 ]
 
 IDS = ["bundle", "mirror", "complex", "algebra", "spencer-paper-signed",
-       "complex-so3-sign", "complex-sl2-identity", "complex-sl2-negate-transpose"]
+       "complex-so3-sign", "complex-sl2-identity", "complex-sl2-negate-transpose",
+       "spencer-so3-killing-rational", "mirror-sl3-basis-rational"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=IDS)
@@ -70,3 +87,23 @@ def test_cli_report_digest_is_pinned(argv, digest, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_algebra_file_report_digest_is_pinned(tmp_path, capsys):
+    # so3 with [e1,e2] = 2e3 but [e2,e1] = -e3: Jacobi residual 1, witness
+    # (0, 0, 1, 1), the smallest of several tied quadruples
+    data = algebra_to_json(builtin_algebra("so3"))
+    data["name"] = "so3-bad"
+    data["structure_constants"] = [
+        [i, j, k, "2" if (i, j, k) == (0, 1, 2) else v]
+        for i, j, k, v in data["structure_constants"]
+    ]
+    path = tmp_path / "so3-bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["algebra", "--file", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out)["jacobi_witness"] == [0, 0, 1, 1]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d562f5d79e52f6e287eb490337bf5747a4d154135c4c71c894e2b77842f8f168"
+    )

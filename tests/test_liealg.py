@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spencerbench.errors import FormatError, MismatchError, ValidationError
 from spencerbench.liealg import (
+    LieAlgebra,
     _decompose_in_basis,
     algebra_from_json,
     algebra_to_json,
@@ -96,6 +99,61 @@ def test_corrupted_constants_nonzero_jacobi(so3):
     ]
     both = algebra_from_json({**data, "structure_constants": rescaled})
     assert antisymmetry_residual(both) == 0 and jacobi_residual(both) == 0
+
+
+def oracle_jacobi(c, n):
+    """Dense n^5 Fraction Jacobi loop: (worst, witness, all maximizers)."""
+    sums = {}
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                for k in range(n):
+                    s = F(0)
+                    for m in range(n):
+                        s += (
+                            c[i][j][m] * c[m][l][k]
+                            + c[j][l][m] * c[m][i][k]
+                            + c[l][i][m] * c[m][j][k]
+                        )
+                    sums[(i, j, l, k)] = abs(s)
+    worst = max(sums.values())
+    if not worst:
+        return worst, None, []
+    tied = sorted(q for q, s in sums.items() if s == worst)
+    return worst, tied[0], tied
+
+
+def raw_algebra(c):
+    n = len(c)
+    structure = tuple(tuple(tuple(F(x) for x in row) for row in plane) for plane in c)
+    return LieAlgebra("raw", n, structure, tuple(f"e{i + 1}" for i in range(n)))
+
+
+@st.composite
+def raw_constants(draw):
+    """Rational constants of dim 1-4 with no antisymmetry imposed."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    return [[draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)] for _ in range(n)]
+
+
+@given(raw_constants())
+def test_jacobi_residual_matches_dense_oracle(c):
+    worst, witness, _ = oracle_jacobi(c, len(c))
+    assert jacobi_residual(raw_algebra(c), with_witness=True) == (worst, witness)
+
+
+def test_jacobi_witness_is_smallest_of_tied_quadruples(so3):
+    data = algebra_to_json(so3)
+    data["structure_constants"] = [
+        [i, j, k, "2" if (i, j, k) == (0, 1, 2) else v]
+        for i, j, k, v in data["structure_constants"]
+    ]
+    bad = algebra_from_json(data)
+    worst, witness, tied = oracle_jacobi(bad.structure, bad.dim)
+    assert (worst, witness) == (1, (0, 0, 1, 1))
+    assert len(tied) >= 5
+    assert jacobi_residual(bad, with_witness=True) == (F(1), (0, 0, 1, 1))
 
 
 def test_pairing_examples(so3):

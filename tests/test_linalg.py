@@ -34,6 +34,56 @@ def test_matmul_matches_dense():
     assert (sa @ sb).to_dense() == dense_mul(a, b)
 
 
+def oracle_product(a, b):
+    """Fraction triple loop over the dense forms; kept independent of @."""
+    da, db = a.to_dense(), b.to_dense()
+    out = {}
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = F(0)
+            for k in range(a.cols):
+                s += da[i][k] * db[k][j]
+            if s:
+                out[(i, j)] = s
+    return out
+
+
+@st.composite
+def product_pairs(draw):
+    """Factors with mixed denominators, empty shapes and forced cancellation."""
+    n, m, p = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=9))
+    a = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
+    b = [draw(st.lists(entry, min_size=p, max_size=p)) for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        # column 1 of a is a multiple of column 0 and row 1 of b the matching
+        # negative multiple of row 0, so their contributions cancel exactly
+        t = draw(entry)
+        for row in a:
+            row[1] = t * row[0]
+        b[1] = [-x / t for x in b[0]] if t else b[1]
+    return (OperatorMatrix(n, m, {(i, k): v for i, row in enumerate(a) for k, v in enumerate(row) if v}),
+            OperatorMatrix(m, p, {(k, j): v for k, row in enumerate(b) for j, v in enumerate(row) if v}))
+
+
+@given(product_pairs())
+def test_matmul_matches_triple_loop_oracle(pair):
+    a, b = pair
+    product = a @ b
+    assert product.shape == (a.rows, b.cols)
+    assert product.entries == oracle_product(a, b)
+    assert all(product.entries.values())
+
+
+def test_matmul_stores_no_cancelled_entry():
+    a = OperatorMatrix(1, 2, {(0, 0): F(1, 2), (0, 1): F(1, 3)})
+    b = OperatorMatrix(2, 2, {(0, 0): F(2, 3), (1, 0): F(-1), (0, 1): F(5, 7)})
+    product = a @ b
+    assert product.entries == {(0, 1): F(5, 14)}
+    assert (OperatorMatrix.zero(0, 3) @ OperatorMatrix.zero(3, 2)).shape == (0, 2)
+    assert (OperatorMatrix.zero(2, 0) @ OperatorMatrix.zero(0, 4)).entries == {}
+
+
 def test_rank_two_ways_agree():
     rng = random.Random(1)
     for _ in range(20):

@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from spencerbench.errors import DegenerateInputError, MismatchError
-from spencerbench.liealg import builtin_algebra
+from spencerbench.liealg import LieAlgebra, bracket, builtin_algebra, pairing
+from spencerbench.linalg import invert_dense
 from spencerbench.spencer import (
     Identification,
     LeibnizConvention,
+    _generator_table,
+    _reconstruct,
     classical_prolongation,
     delta_lambda,
     delta_lambda_generator,
@@ -166,6 +169,60 @@ def test_jacobi_form_equals_constructive(alg):
     for lam in lams:
         for v in alg.basis_vectors():
             assert delta_lambda_generator(lam, v) == jacobi_form_generator(lam, v)
+
+
+def bracket_generator_values(lam, v):
+    """The generator rule as double brackets, one basis pair at a time."""
+    basis = v.algebra.basis_vectors()
+    values = {}
+    for i in range(v.algebra.dim):
+        for j in range(i, v.algebra.dim):
+            w1, w2 = basis[i], basis[j]
+            values[(i, j)] = (
+                pairing(lam, bracket(w1, bracket(w2, v)))
+                + pairing(lam, bracket(w2, bracket(w1, v)))
+            ) / 2
+    return values
+
+
+def dense_basis_change(alg, rng):
+    """alg in the basis f_i = sum_j A[j][i] e_j for a dense rational A = L U."""
+    n = alg.dim
+    low = [[F(1) if r == k else F(rng.choice([-2, -1, 1, 2])) if r > k else F(0)
+            for k in range(n)] for r in range(n)]
+    up = [[F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3])) if r == k
+           else F(rng.choice([-1, 1])) if r < k else F(0) for k in range(n)] for r in range(n)]
+    a = [[sum(low[r][m] * up[m][k] for m in range(n)) for k in range(n)] for r in range(n)]
+    ainv = invert_dense(a)
+    c = alg.structure
+    structure = []
+    for i in range(n):
+        plane = []
+        for j in range(n):
+            bra = [sum(a[p][i] * a[q][j] * c[p][q][l] for p in range(n) for q in range(n))
+                   for l in range(n)]
+            plane.append(tuple(sum(ainv[k][l] * bra[l] for l in range(n)) for k in range(n)))
+        structure.append(tuple(plane))
+    return LieAlgebra(alg.name + "-dense", n, tuple(structure),
+                      tuple(f"f{i + 1}" for i in range(n)))
+
+
+SL3_DENSE = dense_basis_change(SL3, random.Random(31))
+
+
+@pytest.mark.parametrize("ident", list(Identification), ids=lambda i: i.value)
+@pytest.mark.parametrize(
+    "alg", [SO3, SL2, SL3, builtin_algebra("su3"), SL3_DENSE], ids=lambda a: a.name
+)
+def test_generator_table_matches_bracket_oracle(alg, ident):
+    rng = random.Random(32)
+    int_lam = alg.dual([rng.randint(-9, 9) for _ in range(alg.dim)])
+    for lam in (int_lam, rand_lambda(rng, alg)):
+        den, rows = _generator_table(lam, ident)
+        for m, row in enumerate(rows):
+            oracle = _reconstruct(alg, bracket_generator_values(lam, alg.basis_vector(m)), ident)
+            assert {pair: F(x, den) for pair, x in row} == oracle.coeffs
+            assert delta_lambda_generator(lam, alg.basis_vector(m), ident) == oracle
 
 
 # --- Leibniz extensions -----------------------------------------------------
