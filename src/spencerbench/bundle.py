@@ -13,6 +13,13 @@ optimization happens here). The transversality report is deliberately a
 measurement: for fiber dimension > 1 the kernel arithmetic forces
 dim(D & V) = dim(g) - 1 > 0, and the report states that outcome next to the
 claim it audits instead of assuming either.
+
+The exact per-site work depends only on the site's (lam, omega) value, so
+it runs once per distinct value: the constraint kernel, the rank of D + V,
+the annihilator-distance solve of the energy and the coadjoint term of the
+flatness residual. A bundle's fields are read-only, so its kernels and its
+flatness report are computed once and shared by every diagnostic that
+needs them.
 """
 
 from __future__ import annotations
@@ -20,9 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import DegenerateInputError, FormatError, MismatchError
-from .liealg import coadjoint, pairing
+from .liealg import coadjoint, coadjoint_matrix, pairing
 from .linalg import (
     ZERO,
     ONE,
@@ -38,8 +47,8 @@ from .linalg import (
 class GridBundle:
     shape: tuple  # sites per axis
     algebra: object
-    omega: dict  # site -> tuple of AlgebraVector, one per axis
-    lam_field: dict  # site -> DualVector
+    omega: dict  # site -> tuple of AlgebraVector, one per axis (read-only)
+    lam_field: dict  # site -> DualVector (read-only)
 
     @property
     def n_axes(self):
@@ -61,6 +70,32 @@ class GridBundle:
         out = list(site)
         out[axis] = (out[axis] + step) % self.shape[axis]
         return tuple(out)
+
+    @cached_property
+    def _site_classes(self):
+        """(sites, cls, reps): the sites in grid order, cls[i] the number of the
+        distinct (lam, omega) value at sites[i] (keyed on its raw coefficients,
+        hashed once per site) and reps[c] the first site with value c."""
+        sites = self.sites()
+        keys = {}
+        cls = []
+        reps = []
+        for site in sites:
+            key = (self.lam_field[site].coeffs, tuple(v.coeffs for v in self.omega[site]))
+            c = keys.setdefault(key, len(keys))
+            if c == len(reps):
+                reps.append(site)
+            cls.append(c)
+        return sites, cls, reps
+
+    @cached_property
+    def _kernels(self):
+        """The constraint kernel of each distinct site value, in class order."""
+        return [constraint_distribution(self, site) for site in self._site_classes[2]]
+
+    @cached_property
+    def _cartan(self):
+        return _cartan_report(self)
 
 
 def grid_bundle(shape, algebra, omega=None, lam_field=None):
@@ -110,7 +145,7 @@ def grid_bundle(shape, algebra, omega=None, lam_field=None):
     else:
         const = lam_field if hasattr(lam_field, "algebra") else algebra.dual(lam_field)
         lam_map = {site: const for site in sites}
-    return GridBundle(shape, algebra, omega_map, lam_map)
+    return GridBundle(shape, algebra, MappingProxyType(omega_map), MappingProxyType(lam_map))
 
 
 def constraint_functional(bundle, site):
@@ -170,19 +205,15 @@ def transversality_report(bundle):
     vertical = [
         tuple(ONE if c == n + i else ZERO for c in range(tangent)) for i in range(dim_g)
     ]
-    per_site = {}
-    zero_intersection = True
-    full_sum = True
-    for site in bundle.sites():
-        dist = constraint_distribution(bundle, site)
+    dims = []
+    for dist in bundle._kernels:
         stacked = [list(v) for v in dist] + [list(v) for v in vertical]
         dim_sum = len(rref(stacked)[1])
-        dim_int = len(dist) + dim_g - dim_sum
-        per_site[site] = (len(dist), dim_int, dim_sum)
-        if dim_int != 0:
-            zero_intersection = False
-        if dim_sum != tangent:
-            full_sum = False
+        dims.append((len(dist), len(dist) + dim_g - dim_sum, dim_sum))
+    sites, cls, _ = bundle._site_classes
+    per_site = {site: dims[c] for site, c in zip(sites, cls)}
+    zero_intersection = all(dim_int == 0 for _, dim_int, _ in dims)
+    full_sum = all(dim_sum == tangent for _, _, dim_sum in dims)
     return TransversalityReport(
         per_site, tangent, dim_g, zero_intersection, full_sum, [],
     )
@@ -207,21 +238,30 @@ def cartan_residual(bundle):
     """Central-difference flatness residual of the dual field.
 
     Per site and axis a: (lam(site+a) - lam(site-a)) / (2 h_a)
-    + ad*_{omega_a(site)} lam(site). Exact for constant fields.
+    + ad*_{omega_a(site)} lam(site). Exact for constant fields. Computed once
+    per bundle; later calls return the same report.
     """
+    return bundle._cartan
+
+
+def _cartan_report(bundle):
     for m in bundle.shape:
         if m < 3:
             raise MismatchError("central differences need at least 3 sites per axis")
+    sites, cls, reps = bundle._site_classes
+    n = bundle.n_axes
+    # the algebraic term depends only on the site's (lam, omega) value
+    coad = [[coadjoint(bundle.omega[rep][a], bundle.lam_field[rep]) for a in range(n)]
+            for rep in reps]
     field = {}
     worst = ZERO
-    for site in bundle.sites():
-        lam = bundle.lam_field[site]
-        for a in range(bundle.n_axes):
+    for site, c in zip(sites, cls):
+        for a in range(n):
             plus = bundle.lam_field[bundle.shift(site, a, 1)]
             minus = bundle.lam_field[bundle.shift(site, a, -1)]
             scale = 1 / (2 * bundle.spacing(a))
             diff = (plus - minus).scaled(scale)
-            res = diff + coadjoint(bundle.omega[site][a], lam)
+            res = diff + coad[c][a]
             field[(site, a)] = res.coeffs
             m = max((abs(v) for v in res.coeffs), default=ZERO)
             worst = max(worst, m)
@@ -235,16 +275,14 @@ def equivariance_residual(bundle, order=8, steps=(0.1, 0.2)):
     coadjoint exponential in one step of size t and in two steps of t/2; the
     residual is the max coefficient deviation. Zero steps and abelian fibers
     give exactly zero; otherwise the defect is the series truncation error.
+    Each transport is applied once per distinct dual value.
     """
     if order < 4:
         raise MismatchError("series order must be >= 4")
     alg = bundle.algebra
     dim = alg.dim
-
-    def coad_float(z):
-        # columns are ad*_z applied to the dual basis vectors
-        cols = [coadjoint(z, alg.dual_basis_vector(m)).coeffs for m in range(dim)]
-        return [[float(cols[c][r]) for c in range(dim)] for r in range(dim)]
+    distinct = {bundle.lam_field[site].coeffs: None for site in bundle._site_classes[2]}
+    lams = [[float(c) for c in coeffs] for coeffs in distinct]
 
     def mat_mul(a, b):
         return [
@@ -268,13 +306,12 @@ def equivariance_residual(bundle, order=8, steps=(0.1, 0.2)):
 
     worst = 0.0
     for i in range(dim):
-        gen = coad_float(alg.basis_vector(i))
+        gen = [[float(v) for v in row] for row in coadjoint_matrix(alg.basis_vector(i))]
         for t in steps:
             one_step = expm(gen, t)
             half = expm(gen, t / 2)
             two_step = mat_mul(half, half)
-            for site in bundle.sites():
-                lam = [float(c) for c in bundle.lam_field[site].coeffs]
+            for lam in lams:
                 a = mat_apply(one_step, lam)
                 b = mat_apply(two_step, lam)
                 worst = max(worst, max(abs(x - y) for x, y in zip(a, b)))
@@ -298,42 +335,47 @@ def compatibility_functional_terms(bundle, dist_target=None):
     first = first * vol / 2
 
     if dist_target is None:
-        dist_target = {site: constraint_distribution(bundle, site) for site in bundle.sites()}
+        # the default target is the constraint kernel: one solve per distinct site value
+        _, cls, reps = bundle._site_classes
+        per_value = [_annihilator_distance_sq(bundle, site, dist)
+                     for site, dist in zip(reps, bundle._kernels)]
+        dists = [per_value[c] for c in cls]
+    else:
+        dists = [_annihilator_distance_sq(bundle, site, dist_target[site])
+                 for site in bundle.sites()]
+    second = vol * sum(dists, ZERO)
+    return first, second
 
+
+def _annihilator_distance_sq(bundle, site, basis):
+    """Squared distance from lam(site) to the annihilator of omega(span basis)."""
     dim_g = bundle.algebra.dim
     n = bundle.n_axes
-    second = ZERO
-    for site in bundle.sites():
-        lam = bundle.lam_field[site]
-        # omega applied to the distribution basis spans a subspace of g
-        images = []
-        for vec in dist_target[site]:
-            img = [ZERO] * dim_g
-            for a in range(n):
-                if vec[a]:
-                    for r, c in enumerate(bundle.omega[site][a].coeffs):
-                        img[r] += vec[a] * c
-            for r in range(dim_g):
-                img[r] += vec[n + r]
-            images.append(img)
-        # annihilator of that subspace inside the dual
-        ann = kernel_basis_dense(images, dim_g) if images else []
-        if not ann:
-            dist_sq = sum((v * v for v in lam.coeffs), ZERO)
-        else:
-            cols = len(ann)
-            gram = [
-                [sum((ann[p][r] * ann[q][r] for r in range(dim_g)), ZERO) for q in range(cols)]
-                for p in range(cols)
-            ]
-            rhs = [sum((ann[p][r] * lam.coeffs[r] for r in range(dim_g)), ZERO) for p in range(cols)]
-            sol = solve_dense(gram, rhs)
-            proj = [
-                sum((sol[p] * ann[p][r] for p in range(cols)), ZERO) for r in range(dim_g)
-            ]
-            dist_sq = sum(((lam.coeffs[r] - proj[r]) ** 2 for r in range(dim_g)), ZERO)
-        second += vol * dist_sq
-    return first, second
+    lam = bundle.lam_field[site]
+    # omega applied to the distribution basis spans a subspace of g
+    images = []
+    for vec in basis:
+        img = [ZERO] * dim_g
+        for a in range(n):
+            if vec[a]:
+                for r, c in enumerate(bundle.omega[site][a].coeffs):
+                    img[r] += vec[a] * c
+        for r in range(dim_g):
+            img[r] += vec[n + r]
+        images.append(img)
+    # annihilator of that subspace inside the dual
+    ann = kernel_basis_dense(images, dim_g) if images else []
+    if not ann:
+        return sum((v * v for v in lam.coeffs), ZERO)
+    cols = len(ann)
+    gram = [
+        [sum((ann[p][r] * ann[q][r] for r in range(dim_g)), ZERO) for q in range(cols)]
+        for p in range(cols)
+    ]
+    rhs = [sum((ann[p][r] * lam.coeffs[r] for r in range(dim_g)), ZERO) for p in range(cols)]
+    sol = solve_dense(gram, rhs)
+    proj = [sum((sol[p] * ann[p][r] for p in range(cols)), ZERO) for r in range(dim_g)]
+    return sum(((lam.coeffs[r] - proj[r]) ** 2 for r in range(dim_g)), ZERO)
 
 
 # ---------------------------------------------------------------------------

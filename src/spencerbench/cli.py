@@ -308,7 +308,10 @@ def cmd_bundle(args):
     else:
         if not args.grid or args.lam is None:
             raise FormatError("provide --grid and --lambda, or --bundle-file")
-        shape = tuple(int(m) for m in args.grid.split(","))
+        try:
+            shape = tuple(int(m) for m in args.grid.split(","))
+        except ValueError as exc:
+            raise FormatError(f"--grid must be comma-separated integers, got {args.grid!r}") from exc
         lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
         omega = None
         if args.omega:

@@ -21,6 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FormatError, MismatchError, ValidationError
 from .linalg import (
@@ -67,6 +68,17 @@ class LieAlgebra:
 
     def basis_vectors(self):
         return [self.basis_vector(i) for i in range(self.dim)]
+
+    @cached_property
+    def integer_structure(self):
+        """(den, nz): the structure constants as integers over their common
+        denominator den; nz[a][b] lists the non-zero c_ab^p as (p, numerator).
+        Computed once per algebra object."""
+        n = self.dim
+        den, flat = common_denominator(c for plane in self.structure for row in plane for c in row)
+        nz = tuple(tuple(tuple((p, v) for p, v in enumerate(flat[(a * n + b) * n:(a * n + b + 1) * n])
+                               if v) for b in range(n)) for a in range(n))
+        return den, nz
 
 
 @dataclass(frozen=True)
@@ -149,24 +161,39 @@ def pairing(xi, x):
     return sum((a * b for a, b in zip(xi.coeffs, x.coeffs)), ZERO)
 
 
+def _coadjoint_numerators(z):
+    """(scale, mat): mat[j][i] / scale = -sum_a z_a c_aj^i, the coefficient of
+    xi_i in (ad*_z xi)_j, summed in integers over the non-zero constants only."""
+    alg = z.algebra
+    den, nz = alg.integer_structure
+    z_den, z_ints = common_denominator(z.coeffs)
+    mat = [[0] * alg.dim for _ in range(alg.dim)]
+    for a, za in enumerate(z_ints):
+        if za:
+            for row, consts in zip(mat, nz[a]):
+                for i, v in consts:
+                    row[i] -= za * v
+    return den * z_den, mat
+
+
 def coadjoint(z, xi):
     """ad*_z xi under the convention <ad*_z xi, y> = -<xi, [z, y]>.
 
     With this sign, z -> ad*_z is a Lie algebra representation on the dual.
+    In coordinates (ad*_z xi)_j = -sum_a z_a sum_i c_aj^i xi_i.
     """
     _same_algebra(z, xi)
-    alg = z.algebra
-    out = []
-    for j in range(alg.dim):
-        out.append(-pairing(xi, bracket(z, alg.basis_vector(j))))
-    return DualVector(alg, tuple(out))
+    scale, mat = _coadjoint_numerators(z)
+    xi_den, xi_ints = common_denominator(xi.coeffs)
+    scale *= xi_den
+    return DualVector(z.algebra, tuple(
+        Fraction(sum(m * x for m, x in zip(row, xi_ints)), scale) for row in mat))
 
 
 def coadjoint_matrix(z):
     """Matrix of ad*_z acting on dual coordinates."""
-    alg = z.algebra
-    cols = [coadjoint(z, alg.dual_basis_vector(m)).coeffs for m in range(alg.dim)]
-    return tuple(tuple(cols[c][r] for c in range(alg.dim)) for r in range(alg.dim))
+    scale, mat = _coadjoint_numerators(z)
+    return tuple(tuple(Fraction(v, scale) for v in row) for row in mat)
 
 
 def adjoint_matrix(z):
@@ -187,16 +214,6 @@ def antisymmetry_residual(algebra):
     return worst
 
 
-def integer_structure(algebra):
-    """(den, nz): the structure constants as integers over their common
-    denominator den; nz[a][b] lists the non-zero c_ab^p as (p, numerator)."""
-    n = algebra.dim
-    den, flat = common_denominator(c for plane in algebra.structure for row in plane for c in row)
-    nz = [[[(p, v) for p, v in enumerate(flat[(a * n + b) * n:(a * n + b + 1) * n]) if v]
-           for b in range(n)] for a in range(n)]
-    return den, nz
-
-
 def jacobi_residual(algebra, with_witness=False):
     """Max absolute Jacobi sum over all index quadruples (i, j, l, k).
 
@@ -209,7 +226,7 @@ def jacobi_residual(algebra, with_witness=False):
     the maximum (None when the residual is zero).
     """
     n = algebra.dim
-    den, nz = integer_structure(algebra)
+    den, nz = algebra.integer_structure
     t = [0] * n ** 4
     for x in range(n):
         for y in range(n):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateInputError, MismatchError
-from .liealg import bracket, integer_structure, killing_gram, pairing
+from .liealg import bracket, killing_gram, pairing
 from .linalg import ZERO, OperatorMatrix, common_denominator, invert_dense
 from .symtensor import (
     SymTensor,
@@ -135,7 +135,7 @@ def _generator_table(lam, identification):
     algebra = lam.algebra
     n = algebra.dim
     lam_den, lam_ints = common_denominator(lam.coeffs)
-    c_den, nz = integer_structure(algebra)
+    c_den, nz = algebra.integer_structure
     # lam_br[a][p] = L[a][p] and nested[i][j][m] = lam([e_i,[e_j,e_m]]), in
     # numerators over c_den * lam_den and c_den^2 * lam_den
     lam_br = [[sum(v * lam_ints[q] for q, v in nz[a][p]) for p in range(n)] for a in range(n)]

@@ -14,8 +14,8 @@ from spencerbench.bundle import (
     transversality_report,
 )
 from spencerbench.errors import DegenerateInputError, FormatError, MismatchError
-from spencerbench.liealg import builtin_algebra
-from spencerbench.linalg import row_space_canonical
+from spencerbench.liealg import bracket, builtin_algebra, pairing
+from spencerbench.linalg import kernel_basis_dense, row_space_canonical, rref
 
 F = Fraction
 SO3 = builtin_algebra("so3")
@@ -264,3 +264,110 @@ def test_bundle_json_constant_shorthand():
 def test_bundle_json_missing_lambda():
     with pytest.raises(FormatError):
         bundle_from_json({"grid": [3]}, SO3)
+
+
+# --- per-site work once per distinct site value -------------------------------------
+
+
+def mixed_so3_bundle():
+    """so3 on a 3x4 grid whose (lam, omega) values repeat at some sites only."""
+    rng = random.Random(45)
+    lams = [[F(1, 2), F(-2), F(3)], [F(0), F(1), F(-1, 3)], [F(2), F(0), F(0)]]
+    omegas = [[SO3.vector([1, 0, F(1, 2)]), SO3.vector([0, -1, 2])],
+              [SO3.zero_vector(), SO3.vector([F(2, 3), 1, 0])]]
+    sites = [(i, j) for i in range(3) for j in range(4)]
+    lf = {s: rng.choice(lams) for s in sites}
+    omega = {s: rng.choice(omegas) for s in sites}
+    lf[(2, 3)] = [F(5), F(-1, 4), F(1)]  # a value seen at one site only
+    values = {(tuple(lf[s]), tuple(v.coeffs for v in omega[s])) for s in sites}
+    assert 1 < len(values) < len(sites)
+    return grid_bundle((3, 4), SO3, omega, lf), lf, omega
+
+
+def oracle_site_dims(bundle, site):
+    """(dim D, dim D&V, dim D+V) from one kernel and one rref at this site."""
+    lam = bundle.lam_field[site]
+    n, dim_g = bundle.n_axes, bundle.algebra.dim
+    row = [pairing(lam, w) for w in bundle.omega[site]] + list(lam.coeffs)
+    dist = kernel_basis_dense([row], n + dim_g)
+    vertical = [[F(int(c == n + i)) for c in range(n + dim_g)] for i in range(dim_g)]
+    dim_sum = len(rref([list(v) for v in dist] + vertical)[1])
+    return len(dist), len(dist) + dim_g - dim_sum, dim_sum
+
+
+def oracle_distance_sq(bundle, site, basis):
+    """Squared distance from lam(site) to the annihilator of omega(span basis),
+    by the normal equations of the annihilator basis solved with rref."""
+    lam = bundle.lam_field[site].coeffs
+    n, dim_g = bundle.n_axes, bundle.algebra.dim
+    images = [[vec[n + r] + sum((vec[a] * bundle.omega[site][a].coeffs[r] for a in range(n)), F(0))
+               for r in range(dim_g)] for vec in basis]
+    ann = kernel_basis_dense(images, dim_g)
+    gram = [[sum((x * y for x, y in zip(p, q)), F(0)) for q in ann]
+            + [sum((x * y for x, y in zip(p, lam)), F(0))] for p in ann]
+    red, _ = rref(gram)
+    coef = [red_row[-1] for red_row in red[:len(ann)]]
+    proj = [sum((c * p[r] for c, p in zip(coef, ann)), F(0)) for r in range(dim_g)]
+    return sum(((x - y) ** 2 for x, y in zip(lam, proj)), F(0))
+
+
+def test_shared_site_work_matches_per_site_oracle():
+    b, lf, omega = mixed_so3_bundle()
+    rep = transversality_report(b)
+    for site in b.sites():
+        assert rep.per_site[site] == oracle_site_dims(b, site)
+
+    field = cartan_residual(b).field
+    energy = F(0)
+    for site in b.sites():
+        for a in range(2):
+            step = [int(a == 0), int(a == 1)]
+            plus = lf[((site[0] + step[0]) % 3, (site[1] + step[1]) % 4)]
+            minus = lf[((site[0] - step[0]) % 3, (site[1] - step[1]) % 4)]
+            half_m = F(b.shape[a], 2)
+            lam = SO3.dual(lf[site])
+            coad = [-pairing(lam, bracket(omega[site][a], e)) for e in SO3.basis_vectors()]
+            expect = tuple((p - m) * half_m + c for p, m, c in zip(plus, minus, coad))
+            assert field[(site, a)] == expect
+            energy += sum(v * v for v in expect)
+
+    vol = F(1, 12)
+    second = sum(oracle_distance_sq(b, s, constraint_distribution(b, s)) for s in b.sites())
+    assert compatibility_functional_terms(b) == (energy * vol / 2, second * vol)
+    assert second == 0 and energy != 0
+
+
+def test_supplied_target_is_used_after_shared_kernels():
+    b, _, _ = mixed_so3_bundle()
+    assert compatibility_functional_terms(b)[1] == 0  # fills the shared kernels
+    target = {site: [(F(0), F(0), F(0), F(1), F(0)), (F(1), F(0), F(0), F(0), F(1))]
+              for site in b.sites()}
+    expect = sum(oracle_distance_sq(b, s, target[s]) for s in b.sites()) * F(1, 12)
+    _, second = compatibility_functional_terms(b, target)
+    assert second == expect and second != 0
+
+
+def test_constant_field_eliminations_do_not_grow_with_the_grid(monkeypatch):
+    import spencerbench.bundle as bundle_mod
+    import spencerbench.linalg as linalg_mod
+
+    calls = []
+    original = linalg_mod.rref
+
+    def counting_rref(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "rref", counting_rref)
+    monkeypatch.setattr(bundle_mod, "rref", counting_rref)
+    counts = []
+    for shape in ((3, 3), (12, 12)):
+        calls.clear()
+        b = grid_bundle(shape, SO3, [SO3.vector([1, 0, 2]), SO3.vector([0, F(1, 2), 0])],
+                        [F(1), F(-2, 3), F(3)])
+        transversality_report(b)
+        cartan_residual(b)
+        compatibility_functional_terms(b)
+        equivariance_residual(b)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -260,6 +260,11 @@ def test_bundle_file_malformed_row_exit_two(tmp_path, field, rows):
     assert_input_error("bundle", "--builtin", "so3", "--bundle-file", str(path))
 
 
+@pytest.mark.parametrize("grid", ["abc", "4,"])
+def test_bundle_malformed_grid_exit_two(grid):
+    assert_input_error("bundle", "--builtin", "so3", "--grid", grid, "--lambda", "0,0,1")
+
+
 @pytest.mark.parametrize(
     "constants",
     [7, "0121", {"0": [0, 1, 2, "1"]}, [7], ["0121"], [[0, 1, 2]], [{"i": 0}]],

@@ -4,13 +4,16 @@ Each line reaches a different exact-elimination entry point (rank, kernel,
 solve, inverse, column span, basis decomposition) or assembly path (the
 paper-signed delta, a non-zero delta block in the total differential, the
 mirror chain maps) or integer kernel (the Jacobi witness among tied
-quadruples, generator tables and products over a rational lambda). The
+quadruples, generator tables and products over a rational lambda) or
+bundle diagnostic (a constant connection, a site-resolved rational field
+on three axes, float rendering). The
 reduced row echelon form is unique and every reported value is exact, so
 any correct change to these paths keeps the digests.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -74,11 +77,25 @@ GOLDEN = [
          "--transform", "weyl:312", "--identification", "basis", "--K", "2"],
         "32c5cf016e081cfcdb2e2b4dc7f5554ea525a7d3cde0dc2db4d53955f48a512a",
     ),
+    (
+        # constant non-zero connection: coadjoint term, Cartan residual 5/2,
+        # first energy 69/8, 256 sites sharing one kernel
+        ["bundle", "--builtin", "so3", "--grid", "16,16", "--lambda=1,-2,3",
+         "--omega", "1,0,1/2;0,-1,2"],
+        "056928048c647d88f1f54992a9bef61beb1471b2f51c6f02e6950fcf570a5687",
+    ),
+    (
+        # float rendering of the bundle report, equivariance from the coadjoint matrices
+        ["bundle", "--builtin", "sl3", "--grid", "6,6", "--lambda=1,2,3,4,5,6,7,8",
+         "--mode", "float"],
+        "368e76330f20ffc462303e9fba5131da47b33b25449d3651145d01261a50aedb",
+    ),
 ]
 
 IDS = ["bundle", "mirror", "complex", "algebra", "spencer-paper-signed",
        "complex-so3-sign", "complex-sl2-identity", "complex-sl2-negate-transpose",
-       "spencer-so3-killing-rational", "mirror-sl3-basis-rational"]
+       "spencer-so3-killing-rational", "mirror-sl3-basis-rational",
+       "bundle-so3-omega", "bundle-sl3-float"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=IDS)
@@ -106,4 +123,26 @@ def test_algebra_file_report_digest_is_pinned(tmp_path, capsys):
     assert json.loads(out)["jacobi_witness"] == [0, 0, 1, 1]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d562f5d79e52f6e287eb490337bf5747a4d154135c4c71c894e2b77842f8f168"
+    )
+
+
+def test_bundle_file_report_digest_is_pinned(tmp_path, capsys):
+    # site-resolved so3 on 4x4x4: five rational lambda values repeat over the
+    # sites, and every fifth site carries its own connection on all three axes
+    rng = random.Random(51)
+    pool = [[f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}" for _ in range(3)] for _ in range(5)]
+    pool = [p if any(x[0] != "0" for x in p) else ["1", "0", "0"] for p in pool]
+    sites = [[i, j, k] for i in range(4) for j in range(4) for k in range(4)]
+    lam = [[s, rng.choice(pool)] for s in sites]
+    omega = [[s, a, [str(rng.randint(-2, 2)) for _ in range(3)]]
+             for s in sites[::5] for a in range(3)]
+    data = {"grid": [4, 4, 4], "algebra": "so3", "omega_base": omega, "lambda_field": lam}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(data))
+    code = main(["bundle", "--builtin", "so3", "--bundle-file", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["functional_terms"] == ["17823/128", "0"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bdb9d6859f6c394ddcab17f92ea501ca5effd9b280d950a0ad066a9766853c4a"
     )

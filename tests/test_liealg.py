@@ -25,6 +25,7 @@ from spencerbench.liealg import (
     pairing,
     weyl_mirrors,
 )
+from spencerbench.linalg import invert_dense
 
 F = Fraction
 
@@ -141,6 +142,68 @@ def raw_constants(draw):
 def test_jacobi_residual_matches_dense_oracle(c):
     worst, witness, _ = oracle_jacobi(c, len(c))
     assert jacobi_residual(raw_algebra(c), with_witness=True) == (worst, witness)
+
+
+def oracle_coadjoint(z, xi):
+    """The bracket-based coadjoint: -<xi, [z, e_j]> for every basis vector e_j."""
+    alg = z.algebra
+    return alg.dual([-pairing(xi, bracket(z, alg.basis_vector(j))) for j in range(alg.dim)])
+
+
+def dense_sl3_from_json():
+    """sl3 after a dense rational basis change f_i = sum_j A[j][i] e_j (A = L U),
+    written as algebra JSON and loaded back."""
+    sl3 = builtin_algebra("sl3")
+    n, c = sl3.dim, sl3.structure
+    rng = random.Random(61)
+    low = [[F(1) if r == k else F(rng.choice([-2, -1, 1, 2])) if r > k else F(0)
+            for k in range(n)] for r in range(n)]
+    up = [[F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3])) if r == k
+           else F(rng.choice([-1, 1])) if r < k else F(0) for k in range(n)] for r in range(n)]
+    a = [[sum(low[r][m] * up[m][k] for m in range(n)) for k in range(n)] for r in range(n)]
+    ainv = invert_dense(a)
+    triples = []
+    for i in range(n):
+        for j in range(n):
+            bra = [sum(a[p][i] * a[q][j] * c[p][q][l] for p in range(n) for q in range(n))
+                   for l in range(n)]
+            for k in range(n):
+                v = sum(ainv[k][l] * bra[l] for l in range(n))
+                if v:
+                    triples.append([i, j, k, str(v)])
+    return algebra_from_json({"name": "sl3-dense", "dim": n, "structure_constants": triples,
+                              "basis_labels": [f"f{i + 1}" for i in range(n)]})
+
+
+COADJOINT_ALGEBRAS = [builtin_algebra(name) for name in ("so3", "sl3", "su3")] + [
+    dense_sl3_from_json()
+]
+RATIONAL_ENTRY = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4,
+                                                       max_denominator=5))
+
+
+@st.composite
+def coadjoint_cases(draw):
+    """(z, xi) with rational coefficients on a builtin, the dense sl3 or raw
+    constants that are not antisymmetric."""
+    alg = draw(st.one_of(st.sampled_from(COADJOINT_ALGEBRAS), raw_constants().map(raw_algebra)))
+    coeffs = st.lists(RATIONAL_ENTRY, min_size=alg.dim, max_size=alg.dim)
+    return alg.vector(draw(coeffs)), alg.dual(draw(coeffs))
+
+
+@given(coadjoint_cases())
+def test_coadjoint_matches_bracket_oracle(case):
+    z, xi = case
+    alg = z.algebra
+    assert coadjoint(z, xi) == oracle_coadjoint(z, xi)
+    columns = [oracle_coadjoint(z, alg.dual_basis_vector(m)).coeffs for m in range(alg.dim)]
+    assert coadjoint_matrix(z) == tuple(zip(*columns))
+
+
+def test_dense_sl3_from_json_is_a_lie_algebra():
+    alg = COADJOINT_ALGEBRAS[-1]
+    assert antisymmetry_residual(alg) == 0 and jacobi_residual(alg) == 0
+    assert any(c.denominator > 1 for plane in alg.structure for row in plane for c in row)
 
 
 def test_jacobi_witness_is_smallest_of_tied_quadruples(so3):
