@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import spencerbench.bundle as bundle_mod
+import spencerbench.linalg as linalg_mod
 from spencerbench.bundle import (
     bundle_from_json,
     bundle_to_json,
@@ -266,7 +268,7 @@ def test_bundle_json_missing_lambda():
         bundle_from_json({"grid": [3]}, SO3)
 
 
-# --- per-site work once per distinct site value -------------------------------------
+# --- per-site work once per distinct site value ----------------------------------
 
 
 def mixed_so3_bundle():
@@ -348,9 +350,6 @@ def test_supplied_target_is_used_after_shared_kernels():
 
 
 def test_constant_field_eliminations_do_not_grow_with_the_grid(monkeypatch):
-    import spencerbench.bundle as bundle_mod
-    import spencerbench.linalg as linalg_mod
-
     calls = []
     original = linalg_mod.rref
 
