@@ -58,6 +58,8 @@ EXIT_INPUT = 2
 
 
 def _load_algebra(args):
+    if args.builtin and args.file:
+        raise FormatError("--builtin and --file are mutually exclusive")
     if args.builtin:
         return builtin_algebra(args.builtin)
     if args.file:
@@ -121,8 +123,7 @@ def cmd_algebra(args):
         "jacobi_witness": list(witness) if jac != 0 else None,
         "valid": anti == 0 and jac == 0,
     }
-    _emit(args, _float_mode(report, args.mode == "float"))
-    return EXIT_OK if report["valid"] else EXIT_CHECK_FAILED
+    return report, EXIT_OK if report["valid"] else EXIT_CHECK_FAILED
 
 
 def cmd_spencer(args):
@@ -145,29 +146,29 @@ def cmd_spencer(args):
         report["ordering_witnesses"] = [
             w.to_json() for k in range(2, args.K) for w in signed_leibniz_welldefinedness(lam, k, ident)
         ]
-    _emit(args, _float_mode(report, args.mode == "float"))
-    if args.assert_nilpotent and not nil.holds:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return report, EXIT_CHECK_FAILED if args.assert_nilpotent and not nil.holds else EXIT_OK
 
 
 def _parse_transform(algebra, text):
     text = text.strip().lower()
     if text == "sign":
-        return sign_mirror(), None
+        return sign_mirror()
     if text in ("identity", "negate-transpose", "negate_transpose", "inverse-mirror",
                 "inverse_mirror"):
-        return None, builtin_automorphism(algebra, text.replace("-", "_"))
-    if text.startswith("weyl:") or text.startswith("permutation:"):
-        digits = text.split(":", 1)[1]
-        return None, builtin_automorphism(algebra, f"permutation:{digits}")
-    raise FormatError(f"unknown transform {text!r}")
+        label = text.replace("-", "_")
+    elif text.startswith("weyl:") or text.startswith("permutation:"):
+        label = "permutation:" + text.split(":", 1)[1]
+    else:
+        raise FormatError(f"unknown transform {text!r}")
+    return automorphism_mirror(builtin_automorphism(algebra, label))
 
 
 def cmd_mirror(args):
     algebra = _load_algebra(args)
     lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
-    transform, auto = _parse_transform(algebra, args.transform)
+    if args.K < 2:
+        raise MismatchError("mirror needs K >= 2")
+    transform = _parse_transform(algebra, args.transform)
     conv = LeibnizConvention(args.convention)
     ident = Identification(args.identification)
     report = {
@@ -179,7 +180,7 @@ def cmd_mirror(args):
         "identification": ident.value,
     }
     failed = False
-    if transform is not None and transform.kind == "sign":
+    if transform.kind == "sign":
         twice = mirror_lambda(transform, mirror_lambda(transform, lam))
         involution_exact = twice == lam
         sign_identity = all(
@@ -193,19 +194,15 @@ def cmd_mirror(args):
         checks = []
         for k in range(1, args.K):
             for transport in (TRANSPORT_INVERSE, TRANSPORT_LITERAL):
-                rep = intertwining_check(auto, lam, k, conv, transport, ident)
+                rep = intertwining_check(transform.automorphism, lam, k, conv, transport, ident)
                 checks.append(rep.to_json())
                 if transport == TRANSPORT_INVERSE and not rep.holds:
                     failed = True
         report["intertwining"] = checks
         report["mirrored_lambda"] = [
-            str(c)
-            for c in mirror_lambda(automorphism_mirror(auto), lam, TRANSPORT_INVERSE).coeffs
+            str(c) for c in mirror_lambda(transform, lam, TRANSPORT_INVERSE).coeffs
         ]
-    _emit(args, _float_mode(report, args.mode == "float"))
-    if args.assert_intertwining and failed:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return report, EXIT_CHECK_FAILED if args.assert_intertwining and failed else EXIT_OK
 
 
 def cmd_complex(args):
@@ -239,26 +236,19 @@ def cmd_complex(args):
             }
             for k, blocks in instance.diagonal_blocks.items()
         }
-        _emit(args, _float_mode(report, args.mode == "float"))
-        return EXIT_OK
+        return report, EXIT_OK
 
     cohrep = coh.cohomology_report(instance)
     report["report"] = cohrep.to_json()
     failed = False
     if args.mirror:
-        transform, auto = _parse_transform(algebra, args.mirror)
-        if transform is None:
-            transform = automorphism_mirror(auto)
-        mi = coh.mirror_invariance_check(instance, transform)
+        mi = coh.mirror_invariance_check(instance, _parse_transform(algebra, args.mirror))
         report["mirror"] = mi.to_json()
         failed = (not mi.commutation_holds) or mi.dims_equal is False
     if cohrep.dims is not None:
         report["kunneth"] = coh.kunneth_diagnostic(instance).to_json()
         report["cup"] = _cup_section(instance, args.seed)
-    _emit(args, _float_mode(report, args.mode == "float"))
-    if args.assert_mirror_invariant and failed:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return report, EXIT_CHECK_FAILED if args.assert_mirror_invariant and failed else EXIT_OK
 
 
 def _cup_section(instance, seed):
@@ -336,8 +326,7 @@ def cmd_bundle(args):
         "equivariance_residual": equiv,
         "equivariance_below_tolerance": equiv < 1e-8,
     }
-    _emit(args, _float_mode(report, args.mode == "float"))
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def build_parser():
@@ -412,7 +401,9 @@ def main(argv=None):
         # argparse exits with 2 on bad usage, matching the input-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        _emit(args, _float_mode(report, args.mode == "float"))
+        return code
     except (FormatError, DegenerateInputError, MismatchError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

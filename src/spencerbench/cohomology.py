@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import DegenerateInputError, FormatError, MismatchError
@@ -199,8 +200,9 @@ class SpencerComplexInstance:
     diagonal_blocks: dict  # diagonal grading: k -> {"d_block", "delta_block"}
     delta_matrices: list  # delta^j for j in 0..K-1 (reused by diagnostics)
 
-    def segment_offsets(self, k):
-        return segment_offsets(self.dga, self.algebra.dim, k)
+    @cached_property
+    def _cohomology(self):
+        return _cohomology_report(self)
 
 
 def segment_offsets(dga, dim, k):
@@ -331,11 +333,16 @@ class CohomologyReport:
 
 
 def cohomology_report(instance):
-    """Exact dims and Euler characteristic for k <= K-1, or a non-complex flag."""
+    """Exact dims and Euler characteristic for k <= K-1, or a non-complex flag.
+    Computed once per instance; later calls return the same read-only report."""
     if instance.grading == GRADING_DIAGONAL:
         raise DegenerateInputError(
             "dimension claims are only made for the total grading"
         )
+    return instance._cohomology
+
+
+def _cohomology_report(instance):
     residual = d_squared_residual(instance)
     if residual != 0:
         return CohomologyReport(
@@ -461,7 +468,7 @@ def chain_map_matrix(instance, transform, k, base_maps=None):
     """
     layer = instance.bases[k]
     out = OperatorMatrix.zero(len(layer), len(layer))
-    offsets, total = instance.segment_offsets(k)
+    offsets, total = segment_offsets(instance.dga, instance.algebra.dim, k)
     assert total == len(layer)
     for i, start in offsets.items():
         j = k - i

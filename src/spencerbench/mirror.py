@@ -22,6 +22,7 @@ and its dual (see the spencer module):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,8 +101,10 @@ def mirror_lambda(transform, lam, transport=TRANSPORT_INVERSE):
     return lam.algebra.dual(coeffs)
 
 
+@functools.lru_cache(maxsize=8)
 def induced_tensor_map(auto, k, identification=Identification.KILLING):
-    """Degree-k companion matrix of an automorphism on symmetric tensors."""
+    """Degree-k companion matrix of an automorphism on symmetric tensors,
+    built once per argument triple and shared: callers treat it as read-only."""
     if k < 0:
         raise MismatchError("degree must be >= 0")
     identification = Identification(identification)

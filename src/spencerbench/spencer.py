@@ -39,12 +39,13 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError, MismatchError
 from .liealg import bracket, killing_gram, pairing
-from .linalg import ZERO, OperatorMatrix, common_denominator, invert_dense
+from .linalg import OperatorMatrix, common_denominator, invert_dense
 from .symtensor import (
-    SymTensor,
+    _combine,
+    apply_linear_map,
+    from_vector,
     multisets,
     sym_dim,
-    sym_product,
     tensor_from_values,
     zero_tensor,
 )
@@ -73,29 +74,12 @@ def _killing_inverse(algebra):
 
 
 def classical_prolongation(s):
-    """Basis-summed prolongation; degree k -> k+1, zero on degree 0."""
-    algebra = s.algebra
-    if s.degree == 0:
-        return zero_tensor(algebra, 1)
-    out = zero_tensor(algebra, s.degree + 1)
-    basis = algebra.basis_vectors()
-    for key, coeff in s.coeffs.items():
-        for i, e_i in enumerate(basis):
-            for j in range(len(key)):
-                replaced = bracket(e_i, basis[key[j]])
-                if replaced.is_zero():
-                    continue
-                rest = key[:j] + key[j + 1 :]
-                term = SymTensor(algebra, s.degree - 1, {tuple(rest): coeff})
-                # e_i . [e_i, e_{key_j}] expanded into the multiset basis
-                pair = {}
-                for m, c in enumerate(replaced.coeffs):
-                    if c:
-                        ms = tuple(sorted((i, m)))
-                        pair[ms] = pair.get(ms, ZERO) + c
-                factor = SymTensor(algebra, 2, {k: v for k, v in pair.items() if v})
-                out = out + sym_product(term, factor)
-    return out
+    """Basis-summed prolongation, degree k -> k+1 (zero on degree 0): the
+    unsigned Leibniz extension of e_m -> sum_i e_i . [e_i, e_m]."""
+    den, nz = s.algebra.integer_structure
+    n = s.algebra.dim
+    rows = [[((i, p), v) for i in range(n) for p, v in nz[i][m]] for m in range(n)]
+    return _combine(s, [_image(rows, key, False) for key in s.coeffs], den, s.degree + 1)
 
 
 def _jacobi_values(lam, v):
@@ -116,8 +100,6 @@ def _jacobi_values(lam, v):
 def _reconstruct(algebra, values, identification):
     tensor = tensor_from_values(algebra, 2, lambda key: values[key])
     if identification == Identification.KILLING:
-        from .symtensor import apply_linear_map
-
         tensor = apply_linear_map(tensor, _killing_inverse(algebra))
     return tensor
 
@@ -165,12 +147,8 @@ def delta_lambda_generator(lam, v, identification=Identification.BASIS):
     if lam.algebra != v.algebra:
         raise MismatchError("lam and v live on different algebras")
     den, rows = _generator_table(lam, Identification(identification))
-    out = {}
-    for v_m, row in zip(v.coeffs, rows):
-        if v_m:
-            for pair, x in row:
-                out[pair] = out.get(pair, ZERO) + v_m * x
-    return SymTensor(v.algebra, 2, {pair: x / den for pair, x in out.items() if x})
+    s = from_vector(v)
+    return _combine(s, [dict(rows[m]) for (m,) in s.coeffs], den, 2)
 
 
 def jacobi_form_generator(lam, v, identification=Identification.BASIS):
@@ -182,10 +160,12 @@ def jacobi_form_generator(lam, v, identification=Identification.BASIS):
 
 
 def _image(rows, seq, signed):
-    """delta^lam of the product of the factors in seq, as {multiset: integer}.
+    """Leibniz extension of a generator table to the product of the factors in
+    seq, as {multiset: integer}.
 
-    rows is the generator table of _generator_table; the integers are over
-    its denominator. Leibniz rule: the t-th factor is replaced by its
+    rows[m] lists the (index pair, integer) terms of the image of e_m, over
+    one denominator: the table of _generator_table for delta^lam, or the
+    structure constants for the classical prolongation. Leibniz rule: the t-th factor is replaced by its
     generator image, whose index pair is merged into the sorted remaining
     factors. The signed rule's left-to-right splitting
     delta(h.r) = delta(h).r - h.delta(r) unrolls to the sign (-1)^t on the
@@ -216,11 +196,7 @@ def delta_lambda(lam, s, convention=LeibnizConvention.UNSIGNED,
     if s.degree == 0 or not s.coeffs:
         return zero_tensor(s.algebra, s.degree + 1)
     den, rows = _generator_table(lam, identification)
-    out = {}
-    for key, coeff in s.coeffs.items():
-        for row_key, v in _image(rows, key, signed).items():
-            out[row_key] = out.get(row_key, ZERO) + coeff * v
-    return SymTensor(s.algebra, s.degree + 1, {k: v / den for k, v in out.items() if v})
+    return _combine(s, [_image(rows, key, signed) for key in s.coeffs], den, s.degree + 1)
 
 
 def delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import FormatError, MismatchError
-from .linalg import ZERO, ONE, OperatorMatrix, format_scalar, parse_scalar
+from .linalg import ZERO, ONE, OperatorMatrix, common_denominator, format_scalar, parse_scalar
 
 
 def multisets(dim, k):
@@ -212,37 +212,56 @@ def tensor_from_values(algebra, k, value_fn):
     return SymTensor(algebra, k, coeffs)
 
 
+def _combine(s, images, scale, degree):
+    """The degree-`degree` tensor sum_t c_t images[t] / scale, over the terms
+    c_t of s in order; each image is a {multiset: integer} map."""
+    s_den, s_ints = common_denominator(s.coeffs.values())
+    out = {}
+    for x, image in zip(s_ints, images):
+        for key, v in image.items():
+            out[key] = out.get(key, 0) + x * v
+    scale *= s_den
+    return SymTensor(s.algebra, degree, {key: Fraction(v, scale) for key, v in out.items() if v})
+
+
+def _power_images(matrix, keys):
+    """(den, images): den is the common denominator of the matrix entries and
+    images[t] the {multiset: integer} image of keys[t] under the degree-k
+    power, over den ** k: the merge of its factors' integer columns."""
+    dim = len(matrix)
+    den, flat = common_denominator(v for row in matrix for v in row)
+    cols = [[(r, flat[r * dim + c]) for r in range(dim) if flat[r * dim + c]]
+            for c in range(dim)]
+    memo = {(): {(): 1}}
+
+    def image(key):
+        if key not in memo:
+            out = {}
+            for prefix, v in image(key[:-1]).items():
+                for r, w in cols[key[-1]]:
+                    merged = tuple(sorted(prefix + (r,)))
+                    out[merged] = out.get(merged, 0) + v * w
+            memo[key] = {m: v for m, v in out.items() if v}
+        return memo[key]
+
+    return den, [image(key) for key in keys]
+
+
 def apply_linear_map(s, matrix):
     """Image of s under the degree-k power of a linear map on the algebra.
 
     matrix is row-major (tuple of tuples); each factor e_i of a basis multiset
     is replaced by the i-th matrix column and the products are re-expanded.
     """
-    out = zero_tensor(s.algebra, s.degree)
-    dim = s.algebra.dim
-    cols = [
-        SymTensor(
-            s.algebra,
-            1,
-            {(r,): matrix[r][c] for r in range(dim) if matrix[r][c]},
-        )
-        for c in range(dim)
-    ]
-    for key, coeff in s.coeffs.items():
-        term = SymTensor(s.algebra, 0, {(): coeff})
-        for i in key:
-            term = sym_product(term, cols[i])
-        out = out + term
-    return out
+    den, images = _power_images(matrix, list(s.coeffs))
+    return _combine(s, images, den ** s.degree, s.degree)
 
 
 def symmetric_power_matrix(algebra, matrix, k):
     """Matrix of the degree-k power map in sym_basis order."""
     basis = multisets(algebra.dim, k)
     index = {key: r for r, key in enumerate(basis)}
-    out = OperatorMatrix.zero(len(basis), len(basis))
-    for c, key in enumerate(basis):
-        image = apply_linear_map(basis_tensor(algebra, key), matrix)
-        for row_key, v in image.coeffs.items():
-            out.set(index[row_key], c, v)
-    return out
+    den, images = _power_images(matrix, basis)
+    entries = {(index[key], c): Fraction(v, den ** k)
+               for c, image in enumerate(images) for key, v in image.items()}
+    return OperatorMatrix(len(basis), len(basis), entries)

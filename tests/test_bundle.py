@@ -16,7 +16,7 @@ from spencerbench.bundle import (
     transversality_report,
 )
 from spencerbench.errors import DegenerateInputError, FormatError, MismatchError
-from spencerbench.liealg import bracket, builtin_algebra, pairing
+from spencerbench.liealg import bracket, builtin_algebra, builtin_automorphism, pairing
 from spencerbench.linalg import kernel_basis_dense, row_space_canonical, rref
 
 F = Fraction
@@ -80,6 +80,37 @@ def test_sign_flip_leaves_constraint_kernel_unchanged():
         a = row_space_canonical(constraint_distribution(b_plus, site))
         c = row_space_canonical(constraint_distribution(b_minus, site))
         assert a == c
+
+
+def test_automorphism_mirror_transports_dims_and_flatness_field():
+    # lam -> lam o A^{-1} per site and omega -> A omega: the constraint row
+    # (lam(omega_a) | lam) maps to (lam(omega_a) | lam o A^{-1}), so every
+    # site keeps its dims, and A[x, y] = [Ax, Ay] carries each Cartan
+    # residual r to r o A^{-1}
+    sl3 = builtin_algebra("sl3")
+    auto = builtin_automorphism(sl3, "permutation:231")
+
+    def pull_back(coeffs):
+        return tuple(sum((c * auto.inverse[i][j] for i, c in enumerate(coeffs)), F(0))
+                     for j in range(sl3.dim))
+
+    rng = random.Random(47)
+    sites = [(i, j) for i in range(3) for j in range(4)]
+    lf = {s: [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(8)] for s in sites}
+    for coeffs in lf.values():
+        coeffs[rng.randrange(8)] = F(rng.randint(1, 5))  # non-degenerate at every site
+    omega = {s: [sl3.vector([F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(8)])
+                 for _ in range(2)] for s in sites}
+    b = grid_bundle((3, 4), sl3, omega, lf)
+    b_mirror = grid_bundle((3, 4), sl3, {s: [auto.apply(w) for w in omega[s]] for s in sites},
+                           {s: pull_back(lf[s]) for s in sites})
+
+    assert transversality_report(b_mirror).per_site == transversality_report(b).per_site
+    field = cartan_residual(b).field
+    mirrored = cartan_residual(b_mirror).field
+    assert mirrored.keys() == field.keys()
+    assert all(mirrored[key] == pull_back(r) for key, r in field.items())
+    assert any(any(r) for r in field.values())
 
 
 # --- transversality -------------------------------------------------------------

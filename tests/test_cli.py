@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from spencerbench.cli import main
+from spencerbench.linalg import OperatorMatrix
 from spencerbench.liealg import algebra_to_json, builtin_algebra
 
 
@@ -276,6 +277,33 @@ def test_algebra_file_malformed_constants_exit_two(tmp_path, constants):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(data))
     assert_input_error("algebra", "--file", str(path))
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_mirror_without_an_intertwining_degree_exit_two(k):
+    assert_input_error("mirror", "--builtin", "sl3", "--lambda=1,2,3,4,5,6,7,8",
+                       "--transform", "weyl:231", "--K", k, "--assert-intertwining")
+
+
+def test_builtin_and_file_are_exclusive(tmp_path):
+    assert_input_error("algebra", "--builtin", "so3", "--file", str(tmp_path / "missing.json"))
+
+
+def test_complex_ranks_each_differential_once(monkeypatch, capsys):
+    # 4 ranks of D and 4 of the mirrored D, 4 of delta and 2 of the base
+    calls = []
+    original = OperatorMatrix.rank
+
+    def counting(self):
+        calls.append(self.shape)
+        return original(self)
+
+    monkeypatch.setattr(OperatorMatrix, "rank", counting)
+    code = main(["complex", "--builtin", "sl2", "--lambda=0,0,0", "--allow-degenerate",
+                 "--K", "4", "--torus", "2", "--mirror", "identity"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 14
 
 
 def assert_input_error(*argv):

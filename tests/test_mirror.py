@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import spencerbench.mirror as mirror_mod
+from spencerbench.cli import main
 from spencerbench.errors import MismatchError
 from spencerbench.liealg import builtin_algebra, builtin_automorphism, killing_gram, weyl_mirrors
 from spencerbench.linalg import OperatorMatrix
@@ -122,6 +124,25 @@ def test_functoriality_on_weyl_pairs():
         for k in (1, 2):
             lhs = induced_tensor_map(a, k, ident) @ induced_tensor_map(b, k, ident)
             assert lhs == induced_tensor_map(match[0], k, ident)
+
+
+def test_mirror_command_builds_each_power_map_once(monkeypatch, capsys):
+    # degrees 1..3 each need the maps of degree k and k + 1, for two transports
+    builds = []
+    original = mirror_mod.symmetric_power_matrix
+
+    def counting(*args):
+        builds.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(mirror_mod, "symmetric_power_matrix", counting)
+    induced_tensor_map.cache_clear()
+    code = main(["mirror", "--builtin", "sl3", "--lambda=1,2,3,4,5,6,7,8", "--K", "4",
+                 "--transform", "weyl:231"])
+    induced_tensor_map.cache_clear()
+    capsys.readouterr()
+    assert code == 0
+    assert sorted(builds) == [1, 2, 3, 4]
 
 
 def killing_eval(alg, s, args):

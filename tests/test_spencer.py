@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spencerbench.errors import DegenerateInputError, MismatchError
 from spencerbench.liealg import LieAlgebra, bracket, builtin_algebra, pairing
@@ -98,6 +100,57 @@ def test_classical_prolongation_linear_degree_raising():
     assert lhs == rhs
     assert lhs.degree == 3
     assert classical_prolongation(basis_tensor(SO3, ())).is_zero()
+
+
+def oracle_classical_prolongation(s):
+    """sum_i sum_j e_i . (s with [e_i, -] applied to the j-th factor), by
+    brackets and SymTensor products, one basis multiset at a time."""
+    algebra = s.algebra
+    out = SymTensor(algebra, s.degree + 1, {})
+    basis = algebra.basis_vectors()
+    for key, coeff in s.coeffs.items():
+        for i, e_i in enumerate(basis):
+            for j in range(len(key)):
+                replaced = bracket(e_i, basis[key[j]])
+                if replaced.is_zero():
+                    continue
+                rest = SymTensor(algebra, s.degree - 1, {key[:j] + key[j + 1:]: coeff})
+                pair = {}
+                for m, c in enumerate(replaced.coeffs):
+                    if c:
+                        ms = tuple(sorted((i, m)))
+                        pair[ms] = pair.get(ms, F(0)) + c
+                factor = SymTensor(algebra, 2, {k: v for k, v in pair.items() if v})
+                out = out + sym_product(rest, factor)
+    return out
+
+
+@st.composite
+def raw_algebras(draw):
+    """Rational constants of dim 1-4 with no antisymmetry imposed."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    structure = tuple(tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+                            for _ in range(n)) for _ in range(n))
+    return LieAlgebra("raw", n, structure, tuple(f"e{i + 1}" for i in range(n)))
+
+
+@st.composite
+def prolongation_inputs(draw):
+    alg = draw(st.one_of(st.sampled_from([SO3, SL3, builtin_algebra("su3")]), raw_algebras()))
+    degree = draw(st.integers(0, 3))
+    coeffs = draw(st.dictionaries(
+        st.sampled_from(multisets(alg.dim, degree)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda f: f != 0),
+        max_size=4,
+    ))
+    return SymTensor(alg, degree, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prolongation_inputs())
+def test_classical_prolongation_matches_bracket_oracle(s):
+    assert classical_prolongation(s) == oracle_classical_prolongation(s)
 
 
 # --- generator rule ---------------------------------------------------------

@@ -207,3 +207,59 @@ def test_json_round_trip():
     s = random_tensor(rng, SO3, 2, sparsity=4)
     again = tensor_from_json(SO3, s.to_json())
     assert again == s
+
+
+# --- the integer power-map kernel against the SymTensor-product oracle --------
+
+
+def oracle_apply_linear_map(s, matrix):
+    """Factorwise power by SymTensor products: each factor e_i becomes the
+    degree-1 tensor of column i, multiplied in one factor at a time."""
+    dim = s.algebra.dim
+    cols = [SymTensor(s.algebra, 1, {(r,): matrix[r][c] for r in range(dim) if matrix[r][c]})
+            for c in range(dim)]
+    out = zero_tensor(s.algebra, s.degree)
+    for key, coeff in s.coeffs.items():
+        term = SymTensor(s.algebra, 0, {(): coeff})
+        for i in key:
+            term = sym_product(term, cols[i])
+        out = out + term
+    return out
+
+
+AB4 = builtin_algebra("abelian(4)")
+ENTRY = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def linear_maps(draw, n):
+    """Rational n x n matrices: sparse, dense (no zero entry) or singular (the
+    last row a rational combination of the others)."""
+    kind = draw(st.sampled_from(["any", "dense", "singular"]))
+    entry = ENTRY.filter(lambda f: f != 0) if kind == "dense" else ENTRY
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if kind == "singular":
+        mix = draw(st.lists(ENTRY, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((w * row[c] for w, row in zip(mix, rows)), F(0)) for c in range(n)]
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([SO3, AB4]).flatmap(
+    lambda alg: st.tuples(st.just(alg), linear_maps(alg.dim), st.integers(0, 4))))
+def test_power_matrix_matches_symtensor_oracle(case):
+    alg, m, k = case
+    basis = multisets(alg.dim, k)
+    want = {}
+    for c, key in enumerate(basis):
+        for row_key, v in oracle_apply_linear_map(basis_tensor(alg, key), m).coeffs.items():
+            want[(basis.index(row_key), c)] = v
+    assert symmetric_power_matrix(alg, m, k).entries == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_maps(3), st.integers(0, 4).flatmap(
+    lambda d: st.dictionaries(st.sampled_from(multisets(3, d)), ENTRY, max_size=5)
+    .map(lambda c: SymTensor(SO3, d, {key: v for key, v in c.items() if v}))))
+def test_apply_linear_map_matches_symtensor_oracle(m, s):
+    assert apply_linear_map(s, m) == oracle_apply_linear_map(s, m)
