@@ -210,6 +210,9 @@ def cmd_complex(args):
     lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
     conv = LeibnizConvention(args.convention)
     ident = Identification(args.identification)
+    transform = _parse_transform(algebra, args.mirror) if args.mirror else None
+    if args.grading == coh.GRADING_DIAGONAL and (args.mirror or args.assert_mirror_invariant):
+        raise DegenerateInputError("mirror comparison needs the total grading")
     dga = coh.torus_model(args.torus)
     instance = coh.build_complex(dga, algebra, lam, args.K, conv, args.grading, ident)
     report = {
@@ -241,8 +244,8 @@ def cmd_complex(args):
     cohrep = coh.cohomology_report(instance)
     report["report"] = cohrep.to_json()
     failed = False
-    if args.mirror:
-        mi = coh.mirror_invariance_check(instance, _parse_transform(algebra, args.mirror))
+    if transform is not None:
+        mi = coh.mirror_invariance_check(instance, transform)
         report["mirror"] = mi.to_json()
         failed = (not mi.commutation_holds) or mi.dims_equal is False
     if cohrep.dims is not None:

@@ -225,9 +225,7 @@ def _blocks(dga, deltas, dim, i, j):
         if i < dga.top_degree
         else None
     )
-    delta_block = kron(
-        OperatorMatrix.identity(len(dga.basis[i])), deltas[j]
-    ).scaled(Fraction(-1) ** i)
+    delta_block = kron(OperatorMatrix.identity(len(dga.basis[i])).scaled((-1) ** i), deltas[j])
     return d_block, delta_block
 
 

@@ -1,17 +1,21 @@
 """Exact sparse rational matrices and rank/kernel routines.
 
-Everything here is Fraction-valued; no floating point. The package uses one
-elimination, ``rref`` (Gauss-Jordan over the integers), for every rank,
-kernel, solve, inverse and column-span test. ``rank_bareiss`` is a separate
-fraction-free Bareiss elimination kept only to cross-check those ranks.
-Products also run on integers: each factor is written as integer numerators
-over one common denominator (``common_denominator``), and a Fraction is
-built once per non-zero entry of the result.
+No floating point. An ``OperatorMatrix`` stores integer numerators over one
+positive denominator, kept canonical (the gcd of the denominator and every
+numerator is 1, and zero numerators are not stored), so ``==`` is exact
+whatever built a matrix. Sums, products, scaling, Kronecker products and
+block writes are integer operations; Fractions appear only at the interface
+(``get``, ``entries``, ``to_dense``, ``to_json``). The package uses one
+elimination, Gauss-Jordan over the integers, for every rank, kernel, solve,
+inverse and column-span test: a matrix hands it its numerator rows, and the
+dense entry points (``rref``, ``kernel_basis_dense``, ``solve_dense``) clear
+each row of denominators first. ``rank_bareiss`` is a separate fraction-free
+Bareiss elimination on the Fraction form, kept only to cross-check ranks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -42,96 +46,158 @@ def common_denominator(values):
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-@dataclass
-class OperatorMatrix:
-    """Sparse rows x cols matrix over Fraction; entries holds only nonzeros."""
+def _reduced(den, nums):
+    """The canonical form of nums / den (den > 0, no zero numerators): both
+    divided by the gcd of den and every numerator."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {key: v // g for key, v in nums.items()}
+    return den, nums
 
-    rows: int
-    cols: int
-    entries: dict = field(default_factory=dict)
+
+class _Entries(Mapping):
+    """Read-only view of a matrix's non-zero entries as Fractions."""
+
+    __slots__ = ("_matrix",)
+
+    def __init__(self, matrix):
+        self._matrix = matrix
+
+    def __getitem__(self, key):
+        return Fraction(self._matrix.nums[key], self._matrix.den)
+
+    def __iter__(self):
+        return iter(self._matrix.nums)
+
+    def __len__(self):
+        return len(self._matrix.nums)
+
+
+class OperatorMatrix:
+    """Sparse rows x cols rational matrix: the non-zero entries are
+    nums[(r, c)] / den, in canonical form.
+
+    ``OperatorMatrix(rows, cols, {(r, c): Fraction})`` builds one from
+    rationals; ``from_numerators`` from integers over a denominator.
+    """
+
+    __slots__ = ("rows", "cols", "den", "nums")
+
+    def __init__(self, rows, cols, entries=None):
+        items = [(key, v) for key, v in (entries or {}).items() if v]
+        den, ints = common_denominator(v for _, v in items)
+        self.rows, self.cols = rows, cols
+        self.den, self.nums = _reduced(den, {key: v for (key, _), v in zip(items, ints)})
+
+    @classmethod
+    def from_numerators(cls, rows, cols, den, nums):
+        """The matrix nums / den; den > 0 and nums holds non-zero integers.
+        The matrix takes ownership of nums."""
+        out = cls.__new__(cls)
+        out.rows, out.cols = rows, cols
+        out.den, out.nums = _reduced(den, nums)
+        return out
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, {})
+        return cls.from_numerators(rows, cols, 1, {})
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls.from_numerators(n, n, 1, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_dense(cls, dense):
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(dense):
-            for c, v in enumerate(row):
-                v = Fraction(v)
-                if v:
-                    entries[(r, c)] = v
-        return cls(rows, cols, entries)
+        return cls(rows, cols, {(r, c): Fraction(v) for r, row in enumerate(dense)
+                                for c, v in enumerate(row)})
+
+    @property
+    def entries(self):
+        return _Entries(self)
 
     def set(self, r, c, value):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError((r, c))
+        value = Fraction(value)
+        den = lcm(self.den, value.denominator)
+        nums = self.nums
+        if den != self.den:
+            nums = {key: v * (den // self.den) for key, v in nums.items()}
         if value:
-            self.entries[(r, c)] = value
+            nums[(r, c)] = value.numerator * (den // value.denominator)
         else:
-            self.entries.pop((r, c), None)
+            nums.pop((r, c), None)
+        self.den, self.nums = _reduced(den, nums)
 
     def get(self, r, c):
-        return self.entries.get((r, c), ZERO)
+        return Fraction(self.nums.get((r, c), 0), self.den)
 
-    def __add__(self, other):
+    def __eq__(self, other):
+        if not isinstance(other, OperatorMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.den, self.nums) == (
+            other.rows, other.cols, other.den, other.nums)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"OperatorMatrix({self.rows}, {self.cols}, den={self.den}, nums={self.nums})"
+
+    def _plus(self, other, sign):
         self._check_shape(other)
-        out = dict(self.entries)
-        for key, v in other.entries.items():
-            s = out.get(key, ZERO) + v
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {key: v * a for key, v in self.nums.items()}
+        for key, v in other.nums.items():
+            s = out.get(key, 0) + v * b
             if s:
                 out[key] = s
             else:
-                out.pop(key, None)
-        return OperatorMatrix(self.rows, self.cols, out)
+                del out[key]
+        return OperatorMatrix.from_numerators(self.rows, self.cols, den, out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + other.scaled(Fraction(-1))
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return self.scaled(Fraction(-1))
+        return self.scaled(-1)
 
     def scaled(self, a):
         a = Fraction(a)
-        if not a:
-            return OperatorMatrix.zero(self.rows, self.cols)
-        return OperatorMatrix(
-            self.rows, self.cols, {k: a * v for k, v in self.entries.items()}
-        )
+        p = a.numerator
+        nums = {key: v * p for key, v in self.nums.items()} if p else {}
+        return OperatorMatrix.from_numerators(self.rows, self.cols, self.den * a.denominator, nums)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        da, a = common_denominator(self.entries.values())
-        db, b = common_denominator(other.entries.values())
         by_row = {}
-        for (r, c), w in zip(other.entries, b):
+        for (r, c), w in other.nums.items():
             by_row.setdefault(r, []).append((c, w))
         left_rows = {}
-        for (r, k), v in zip(self.entries, a):
+        for (r, k), v in self.nums.items():
             left_rows.setdefault(r, []).append((k, v))
-        den = da * db
         out = {}
         for r, items in left_rows.items():
             acc = {}
             for k, v in items:
                 for c, w in by_row.get(k, ()):
                     acc[c] = acc.get(c, 0) + v * w
-            out.update(((r, c), Fraction(v, den)) for c, v in acc.items() if v)
-        return OperatorMatrix(self.rows, other.cols, out)
+            out.update(((r, c), v) for c, v in acc.items() if v)
+        return OperatorMatrix.from_numerators(self.rows, other.cols, self.den * other.den, out)
 
     def max_abs(self):
-        return max((abs(v) for v in self.entries.values()), default=ZERO)
+        return Fraction(max(map(abs, self.nums.values()), default=0), self.den)
 
     def is_zero(self):
-        return not self.entries
+        return not self.nums
 
     @property
     def shape(self):
@@ -139,15 +205,22 @@ class OperatorMatrix:
 
     def to_dense(self):
         dense = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
+        for (r, c), v in self.nums.items():
+            dense[r][c] = Fraction(v, self.den)
         return dense
+
+    def _numerator_rows(self):
+        """Dense integer rows den * self: the same row space as self."""
+        mat = [[0] * self.cols for _ in range(self.rows)]
+        for (r, c), v in self.nums.items():
+            mat[r][c] = v
+        return mat
 
     def column(self, c):
         col = [ZERO] * self.rows
-        for (r, cc), v in self.entries.items():
+        for (r, cc), v in self.nums.items():
             if cc == c:
-                col[r] = v
+                col[r] = Fraction(v, self.den)
         return tuple(col)
 
     def apply(self, vec):
@@ -155,28 +228,27 @@ class OperatorMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [ZERO] * self.rows
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self.nums.items():
             if vec[c]:
                 out[r] += v * vec[c]
-        return tuple(out)
+        return tuple(x / self.den for x in out)
 
     def rank(self):
-        return len(rref(self.to_dense())[1])
+        return len(_eliminate(self._numerator_rows()))
 
     def kernel_basis(self):
-        return kernel_basis_dense(self.to_dense(), self.cols)
+        mat = self._numerator_rows()
+        return _kernel(mat, _eliminate(mat), self.cols)
 
     def rank_bareiss(self):
         return rank_bareiss(self.to_dense())
-
-    def sorted_entries(self):
-        return sorted(self.entries.items())
 
     def to_json(self):
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[r, c, format_scalar(v)] for (r, c), v in self.sorted_entries()],
+            "entries": [[r, c, format_scalar(Fraction(v, self.den))]
+                        for (r, c), v in sorted(self.nums.items())],
         }
 
     @classmethod
@@ -187,13 +259,16 @@ class OperatorMatrix:
             raw = data["entries"]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError("operator matrix JSON must have rows/cols/entries") from exc
-        out = cls.zero(rows, cols)
+        entries = {}
         try:
             for r, c, v in raw:
-                out.set(int(r), int(c), parse_scalar(v))
+                r, c = int(r), int(c)
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise IndexError((r, c))
+                entries[(r, c)] = parse_scalar(v)
         except (TypeError, ValueError, IndexError) as exc:
             raise FormatError(f"bad operator matrix entries: {exc}") from exc
-        return out
+        return cls(rows, cols, entries)
 
     def _check_shape(self, other):
         if self.shape != other.shape:
@@ -202,17 +277,33 @@ class OperatorMatrix:
 
 def kron(a, b):
     """Kronecker product of two sparse matrices."""
-    entries = {}
-    for (ra, ca), va in a.entries.items():
-        for (rb, cb), vb in b.entries.items():
-            entries[(ra * b.rows + rb, ca * b.cols + cb)] = va * vb
-    return OperatorMatrix(a.rows * b.rows, a.cols * b.cols, entries)
+    nums = {}
+    for (ra, ca), va in a.nums.items():
+        r0, c0 = ra * b.rows, ca * b.cols
+        for (rb, cb), vb in b.nums.items():
+            nums[(r0 + rb, c0 + cb)] = va * vb
+    return OperatorMatrix.from_numerators(a.rows * b.rows, a.cols * b.cols, a.den * b.den, nums)
 
 
 def place_block(target, block, row_offset, col_offset):
-    """Copy block entries into target (an OperatorMatrix) at an offset."""
-    for (r, c), v in block.entries.items():
-        target.set(row_offset + r, col_offset + c, target.get(row_offset + r, col_offset + c) + v)
+    """Add block into target (an OperatorMatrix) at an offset, in place.
+
+    Both are written over the lcm of their denominators, once per block.
+    """
+    if not (0 <= row_offset <= target.rows - block.rows
+            and 0 <= col_offset <= target.cols - block.cols):
+        raise IndexError((row_offset, col_offset))
+    den = lcm(target.den, block.den)
+    a, b = den // target.den, den // block.den
+    nums = target.nums if a == 1 else {key: v * a for key, v in target.nums.items()}
+    for (r, c), v in block.nums.items():
+        key = (row_offset + r, col_offset + c)
+        s = nums.get(key, 0) + v * b
+        if s:
+            nums[key] = s
+        else:
+            del nums[key]
+    target.den, target.nums = _reduced(den, nums)
 
 
 def _integer_rows(dense):
@@ -220,16 +311,13 @@ def _integer_rows(dense):
     return [common_denominator(row)[1] for row in dense]
 
 
-def rref(dense):
-    """Reduced row echelon form of a dense rational matrix.
+def _eliminate(mat):
+    """Gauss-Jordan over the integers, in place on a list of integer rows.
 
-    Returns (new dense Fraction matrix, pivot column list). The input is not
-    modified. Gauss-Jordan over the integers: rows are cleared of
-    denominators once, eliminated with p*row - f*pivot_row and divided by
-    the gcd of their entries; pivot rows are divided by their pivot once at
-    the end. The RREF is unique, so this equals rational Gauss-Jordan.
+    Returns the pivot columns; row r < len(pivots) is then the r-th RREF row
+    times its pivot entry mat[r][pivots[r]]. Rows are eliminated with
+    p*row - f*pivot_row and divided by the gcd of their entries.
     """
-    mat = _integer_rows(dense)
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots = []
@@ -253,24 +341,43 @@ def rref(dense):
                 mat[rr] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    out = [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(mat, pivots)]
-    out.extend([ZERO] * ncols for _ in range(nrows - r))
-    return out, pivots
+    return pivots
 
 
-def kernel_basis_dense(dense, ncols):
-    """Canonical kernel basis (from RREF free columns), list of tuples."""
-    mat, pivots = rref(dense)
+def _kernel(mat, pivots, ncols):
+    """Canonical kernel basis (one vector per free column) from _eliminate."""
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         vec = [ZERO] * ncols
         vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
+        for row, pc in zip(mat, pivots):
+            vec[pc] = -Fraction(row[fc], row[pc])
         basis.append(tuple(vec))
     return basis
+
+
+def rref(dense):
+    """Reduced row echelon form of a dense rational matrix.
+
+    Returns (new dense Fraction matrix, pivot column list). The input is not
+    modified. Rows are cleared of denominators once and eliminated over the
+    integers; pivot rows are divided by their pivot once at the end. The RREF
+    is unique, so this equals rational Gauss-Jordan.
+    """
+    mat = _integer_rows(dense)
+    pivots = _eliminate(mat)
+    ncols = len(mat[0]) if mat else 0
+    out = [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(mat, pivots)]
+    out.extend([ZERO] * ncols for _ in range(len(mat) - len(pivots)))
+    return out, pivots
+
+
+def kernel_basis_dense(dense, ncols):
+    """Canonical kernel basis (from RREF free columns), list of tuples."""
+    mat = _integer_rows(dense)
+    return _kernel(mat, _eliminate(mat), ncols)
 
 
 def row_space_canonical(vectors):
@@ -341,5 +448,13 @@ def solve_dense(dense, rhs):
 
 
 def in_column_span(matrix, vec):
-    """True iff vec lies in the column span of the sparse matrix."""
-    return solve_dense(matrix.to_dense(), vec) is not None
+    """True iff vec lies in the column span of the sparse matrix: appending
+    it as a column adds no pivot. The augmented rows are den * vden times
+    [matrix | vec], vden the common denominator of vec."""
+    vden, ints = common_denominator(vec)
+    mat = matrix._numerator_rows()
+    for row, x in zip(mat, ints):
+        if vden != 1:
+            row[:] = [v * vden for v in row]
+        row.append(x * matrix.den)
+    return matrix.cols not in _eliminate(mat)

@@ -211,12 +211,12 @@ def delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
         return OperatorMatrix.zero(dim, 1)
     den, rows = _generator_table(lam, identification)
     codomain_index = {key: r for r, key in enumerate(multisets(dim, k + 1))}
-    entries = {
-        (codomain_index[row_key], c): Fraction(v, den)
+    nums = {
+        (codomain_index[row_key], c): v
         for c, key in enumerate(multisets(dim, k))
         for row_key, v in _image(rows, key, signed).items()
     }
-    return OperatorMatrix(sym_dim(dim, k + 1), sym_dim(dim, k), entries)
+    return OperatorMatrix.from_numerators(sym_dim(dim, k + 1), sym_dim(dim, k), den, nums)
 
 
 def delta_matrix_to_json(matrix, k):

@@ -262,6 +262,5 @@ def symmetric_power_matrix(algebra, matrix, k):
     basis = multisets(algebra.dim, k)
     index = {key: r for r, key in enumerate(basis)}
     den, images = _power_images(matrix, basis)
-    entries = {(index[key], c): Fraction(v, den ** k)
-               for c, image in enumerate(images) for key, v in image.items()}
-    return OperatorMatrix(len(basis), len(basis), entries)
+    nums = {(index[key], c): v for c, image in enumerate(images) for key, v in image.items()}
+    return OperatorMatrix.from_numerators(len(basis), len(basis), den ** k, nums)

@@ -285,6 +285,17 @@ def test_mirror_without_an_intertwining_degree_exit_two(k):
                        "--transform", "weyl:231", "--K", k, "--assert-intertwining")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--mirror", "sign"], ["--mirror", "bogus"], ["--assert-mirror-invariant"],
+     ["--mirror", "sign", "--assert-mirror-invariant"]],
+    ids=["sign", "bogus", "assert-only", "sign-assert"],
+)
+def test_complex_diagonal_grading_rejects_mirror_flags(flags):
+    assert_input_error("complex", "--builtin", "so3", "--lambda", "0,0,1", "--K", "3",
+                       "--grading", "diagonal", *flags)
+
+
 def test_builtin_and_file_are_exclusive(tmp_path):
     assert_input_error("algebra", "--builtin", "so3", "--file", str(tmp_path / "missing.json"))
 

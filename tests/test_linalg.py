@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from spencerbench.linalg import (
     invert_dense,
     kernel_basis_dense,
     kron,
+    place_block,
     rank_bareiss,
     row_space_canonical,
     rref,
@@ -82,6 +84,167 @@ def test_matmul_stores_no_cancelled_entry():
     assert product.entries == {(0, 1): F(5, 14)}
     assert (OperatorMatrix.zero(0, 3) @ OperatorMatrix.zero(3, 2)).shape == (0, 2)
     assert (OperatorMatrix.zero(2, 0) @ OperatorMatrix.zero(0, 4)).entries == {}
+
+
+# --- the Fraction-dict matrix operations, kept as oracles -----------------------
+# OperatorMatrix once stored {(r, c): Fraction}; these are its operations on
+# such dicts, kept independent of the integer numerator/denominator form.
+
+
+def oracle_add(a, b):
+    out = dict(a)
+    for key, v in b.items():
+        s = out.get(key, F(0)) + v
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def oracle_scaled(a, s):
+    s = F(s)
+    return {key: s * v for key, v in a.items()} if s else {}
+
+
+def oracle_sub(a, b):
+    return oracle_add(a, oracle_scaled(b, -1))
+
+
+def oracle_kron(a, b, b_rows, b_cols):
+    return {(ra * b_rows + rb, ca * b_cols + cb): va * vb
+            for (ra, ca), va in a.items() for (rb, cb), vb in b.items()}
+
+
+def oracle_place_block(target, block, row_offset, col_offset):
+    out = dict(target)
+    for (r, c), v in block.items():
+        key = (row_offset + r, col_offset + c)
+        s = out.get(key, F(0)) + v
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def oracle_max_abs(a):
+    return max((abs(v) for v in a.values()), default=F(0))
+
+
+def assert_canonical(m):
+    """den > 0, no stored zero, and gcd(den, every numerator) == 1."""
+    assert m.den > 0
+    assert all(m.nums.values())
+    assert gcd(m.den, *m.nums.values()) == 1
+    assert all(0 <= r < m.rows and 0 <= c < m.cols for r, c in m.nums)
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def fraction_dicts(draw, rows, cols):
+    """Sparse {(r, c): Fraction} with mixed denominators and no stored zero."""
+    cells = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                          max_size=rows * cols)) if rows and cols else []
+    return {cell: v for cell in cells if (v := draw(rationals))}
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """(rows, cols, a, b); b sometimes cancels part of a exactly."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    a = draw(fraction_dicts(rows, cols))
+    b = draw(fraction_dicts(rows, cols))
+    for key in a:
+        if draw(st.booleans()):
+            b[key] = -a[key]
+    return rows, cols, a, b
+
+
+@given(same_shape_pairs(), rationals)
+def test_sum_difference_scaled_match_fraction_dict_oracles(pair, s):
+    rows, cols, a, b = pair
+    ma, mb = OperatorMatrix(rows, cols, a), OperatorMatrix(rows, cols, b)
+    results = {
+        "add": (ma + mb, oracle_add(a, b)),
+        "sub": (ma - mb, oracle_sub(a, b)),
+        "neg": (-ma, oracle_scaled(a, -1)),
+        "scaled": (ma.scaled(s), oracle_scaled(a, s)),
+    }
+    for name, (got, want) in results.items():
+        assert got.shape == (rows, cols), name
+        assert got.entries == want, name
+        assert_canonical(got)
+    assert ma.max_abs() == oracle_max_abs(a)
+    assert (ma + mb).max_abs() == oracle_max_abs(oracle_add(a, b))
+    assert ma.to_dense() == [[a.get((r, c), F(0)) for c in range(cols)] for r in range(rows)]
+
+
+@given(st.data())
+def test_kron_matches_fraction_dict_oracle(data):
+    ar, ac, br, bc = (data.draw(st.integers(0, 3)) for _ in range(4))
+    a, b = data.draw(fraction_dicts(ar, ac)), data.draw(fraction_dicts(br, bc))
+    got = kron(OperatorMatrix(ar, ac, a), OperatorMatrix(br, bc, b))
+    assert got.shape == (ar * br, ac * bc)
+    assert got.entries == oracle_kron(a, b, br, bc)
+    assert_canonical(got)
+
+
+@given(st.data())
+def test_place_block_matches_fraction_dict_oracle(data):
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    target = data.draw(fraction_dicts(rows, cols))
+    m = OperatorMatrix(rows, cols, target)
+    want = dict(target)
+    for _ in range(data.draw(st.integers(1, 3))):
+        br, bc = data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))
+        ro, co = data.draw(st.integers(0, rows - br)), data.draw(st.integers(0, cols - bc))
+        block = data.draw(fraction_dicts(br, bc))
+        if data.draw(st.booleans()):
+            # cancel whatever the target holds under the block
+            block.update({(r - ro, c - co): -v for (r, c), v in want.items()
+                          if ro <= r < ro + br and co <= c < co + bc})
+        place_block(m, OperatorMatrix(br, bc, block), ro, co)
+        want = oracle_place_block(want, block, ro, co)
+        assert m.entries == want
+        assert_canonical(m)
+    with pytest.raises(IndexError):
+        place_block(m, OperatorMatrix.zero(1, 1), rows, 0)
+
+
+@given(same_shape_pairs(), st.integers(1, 30))
+def test_one_matrix_over_any_denominator_is_one_canonical_form(pair, m):
+    rows, cols, a, b = pair
+    direct = OperatorMatrix(rows, cols, a)
+    den = direct.den * m
+    routes = [
+        OperatorMatrix.from_numerators(rows, cols, den,
+                                       {k: (v * den).numerator for k, v in a.items()}),
+        direct.scaled(F(m, 7)).scaled(F(7, m)),
+        (direct + OperatorMatrix(rows, cols, b)) - OperatorMatrix(rows, cols, b),
+        OperatorMatrix.from_json(direct.to_json()),
+    ]
+    if rows:  # a dense list of no rows has no column count
+        routes.append(OperatorMatrix.from_dense(direct.to_dense()))
+    for again in routes:
+        assert again == direct
+        assert (again.den, again.nums) == (direct.den, direct.nums)
+        assert again.to_json() == direct.to_json()
+    built = OperatorMatrix.zero(rows, cols)
+    for (r, c), v in a.items():
+        built.set(r, c, v * m)
+        built.set(r, c, v)
+    assert built == direct
+
+
+def test_max_abs_and_get_are_over_the_denominator():
+    m = OperatorMatrix(2, 2, {(0, 0): F(1, 6), (1, 1): F(-3, 4)})
+    assert (m.den, m.nums) == (12, {(0, 0): 2, (1, 1): -9})
+    assert m.max_abs() == F(3, 4)
+    assert m.get(1, 1) == F(-3, 4) and m.get(0, 1) == 0
+    assert (m - m).den == 1 and (m - m).is_zero()
 
 
 def test_rank_two_ways_agree():
