@@ -1,82 +1,66 @@
 """Exact-arithmetic workbench for constraint-coupled Spencer operators,
 mirror transformations, and rank-based cohomology over finite-dimensional
-Lie algebras."""
+Lie algebras.
 
-from .errors import (
-    DegenerateInputError,
-    FormatError,
-    MismatchError,
-    SpencerbenchError,
-    ValidationError,
-)
-from .liealg import (
-    AlgebraVector,
-    DualVector,
-    LieAlgebra,
-    LieAutomorphism,
-    antisymmetry_residual,
-    bracket,
-    builtin_algebra,
-    builtin_automorphism,
-    coadjoint,
-    jacobi_residual,
-    killing_gram,
-    make_automorphism,
-    pairing,
-    weyl_mirrors,
-)
-from .linalg import OperatorMatrix
-from .symtensor import (
-    SymTensor,
-    basis_tensor,
-    eval_tensor,
-    sym_basis,
-    sym_product,
-)
-from .spencer import (
-    Identification,
-    LeibnizConvention,
-    NilpotencyReport,
-    classical_prolongation,
-    delta_lambda,
-    delta_lambda_generator,
-    delta_matrix,
-    jacobi_form_generator,
-    nilpotency_report,
-    signed_leibniz_welldefinedness,
-)
-from .mirror import (
-    IntertwiningReport,
-    MirrorTransform,
-    automorphism_mirror,
-    induced_tensor_map,
-    intertwining_check,
-    mirror_lambda,
-    sign_chain_sign,
-    sign_mirror,
-)
-from .cohomology import (
-    CohomologyReport,
-    DGAModel,
-    SpencerComplexInstance,
-    build_complex,
-    cohomology_report,
-    cup_product,
-    d_squared_residual,
-    kunneth_diagnostic,
-    mirror_invariance_check,
-    torus_model,
-)
-from .bundle import (
-    GridBundle,
-    TransversalityReport,
-    cartan_residual,
-    compatibility_functional_terms,
-    constraint_distribution,
-    equivariance_residual,
-    grid_bundle,
-    transversality_report,
-)
+Importing the package loads none of its modules: each public name is
+imported from its submodule on first use (PEP 562) and then kept here.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
+_MODULE_NAMES = {
+    "errors": (
+        "DegenerateInputError", "FormatError", "MismatchError", "SpencerbenchError",
+        "ValidationError",
+    ),
+    "liealg": (
+        "AlgebraVector", "DualVector", "LieAlgebra", "LieAutomorphism",
+        "antisymmetry_residual", "bracket", "builtin_algebra", "builtin_automorphism",
+        "coadjoint", "jacobi_residual", "killing_gram", "make_automorphism", "pairing",
+        "weyl_mirrors",
+    ),
+    "linalg": ("OperatorMatrix",),
+    "symtensor": ("SymTensor", "basis_tensor", "eval_tensor", "sym_basis", "sym_product"),
+    "spencer": (
+        "Identification", "LeibnizConvention", "NilpotencyReport", "classical_prolongation",
+        "delta_lambda", "delta_lambda_generator", "delta_matrix", "jacobi_form_generator",
+        "nilpotency_report", "signed_leibniz_welldefinedness",
+    ),
+    "mirror": (
+        "IntertwiningReport", "MirrorTransform", "automorphism_mirror", "induced_tensor_map",
+        "intertwining_check", "mirror_lambda", "sign_chain_sign", "sign_mirror",
+    ),
+    "cohomology": (
+        "CohomologyReport", "DGAModel", "SpencerComplexInstance", "build_complex",
+        "cohomology_report", "cup_product", "d_squared_residual", "kunneth_diagnostic",
+        "mirror_invariance_check", "torus_model",
+    ),
+    "bundle": (
+        "GridBundle", "TransversalityReport", "cartan_residual",
+        "compatibility_functional_terms", "constraint_distribution", "equivariance_residual",
+        "grid_bundle", "transversality_report",
+    ),
+}
+
+# public name -> the submodule that defines it; a submodule's own name maps
+# to itself and stands for the module
+_SUBMODULE = {name: module for module, names in _MODULE_NAMES.items()
+              for name in (module, *names)}
+
+__all__ = sorted(_SUBMODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

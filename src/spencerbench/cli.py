@@ -18,8 +18,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bundle as bundle_mod
-from . import cohomology as coh
 from .errors import (
     DegenerateInputError,
     FormatError,
@@ -27,30 +25,14 @@ from .errors import (
     SpencerbenchError,
     ValidationError,
 )
-from .liealg import (
-    algebra_from_json,
-    antisymmetry_residual,
-    builtin_algebra,
-    builtin_automorphism,
-    jacobi_residual,
-)
-from .linalg import in_column_span, parse_scalar
-from .mirror import (
-    TRANSPORT_INVERSE,
-    TRANSPORT_LITERAL,
-    automorphism_mirror,
-    intertwining_check,
-    mirror_lambda,
-    sign_mirror,
-)
-from .spencer import (
-    Identification,
-    LeibnizConvention,
-    delta_matrix,
-    delta_matrix_to_json,
-    nilpotency_report,
-    signed_leibniz_welldefinedness,
-)
+
+# Each command imports the modules it uses, so that a command loads only
+# those. The parser therefore spells its choices out instead of reading
+# them from spencer's enums and cohomology's grading constants; the tests
+# pin them equal. The first choice of each is the default.
+CONVENTIONS = ("unsigned", "paper-signed")
+IDENTIFICATIONS = ("basis", "killing")
+GRADINGS = ("total", "diagonal")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,6 +40,8 @@ EXIT_INPUT = 2
 
 
 def _load_algebra(args):
+    from .liealg import algebra_from_json, builtin_algebra
+
     if args.builtin and args.file:
         raise FormatError("--builtin and --file are mutually exclusive")
     if args.builtin:
@@ -73,6 +57,8 @@ def _load_algebra(args):
 
 
 def _parse_lambda(algebra, text, allow_degenerate=False):
+    from .linalg import parse_scalar
+
     try:
         coeffs = [parse_scalar(part) for part in text.split(",")]
     except AttributeError as exc:
@@ -110,6 +96,8 @@ def _float_mode(report, enabled):
 
 
 def cmd_algebra(args):
+    from .liealg import antisymmetry_residual, jacobi_residual
+
     algebra = _load_algebra(args)
     anti = antisymmetry_residual(algebra)
     jac, witness = jacobi_residual(algebra, with_witness=True)
@@ -127,6 +115,14 @@ def cmd_algebra(args):
 
 
 def cmd_spencer(args):
+    from .spencer import (
+        Identification,
+        LeibnizConvention,
+        delta_matrix_to_json,
+        nilpotency_report,
+        signed_leibniz_welldefinedness,
+    )
+
     algebra = _load_algebra(args)
     lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
     conv = LeibnizConvention(args.convention)
@@ -150,6 +146,9 @@ def cmd_spencer(args):
 
 
 def _parse_transform(algebra, text):
+    from .liealg import builtin_automorphism
+    from .mirror import automorphism_mirror, sign_mirror
+
     text = text.strip().lower()
     if text == "sign":
         return sign_mirror()
@@ -164,6 +163,9 @@ def _parse_transform(algebra, text):
 
 
 def cmd_mirror(args):
+    from .mirror import TRANSPORT_INVERSE, TRANSPORT_LITERAL, intertwining_check, mirror_lambda
+    from .spencer import Identification, LeibnizConvention, delta_matrix
+
     algebra = _load_algebra(args)
     lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
     if args.K < 2:
@@ -206,6 +208,9 @@ def cmd_mirror(args):
 
 
 def cmd_complex(args):
+    from . import cohomology as coh
+    from .spencer import Identification, LeibnizConvention
+
     algebra = _load_algebra(args)
     lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
     conv = LeibnizConvention(args.convention)
@@ -213,6 +218,8 @@ def cmd_complex(args):
     transform = _parse_transform(algebra, args.mirror) if args.mirror else None
     if args.grading == coh.GRADING_DIAGONAL and (args.mirror or args.assert_mirror_invariant):
         raise DegenerateInputError("mirror comparison needs the total grading")
+    if args.assert_mirror_invariant and not args.mirror:
+        raise FormatError("--assert-mirror-invariant needs --mirror")
     dga = coh.torus_model(args.torus)
     instance = coh.build_complex(dga, algebra, lam, args.K, conv, args.grading, ident)
     report = {
@@ -256,6 +263,9 @@ def cmd_complex(args):
 
 def _cup_section(instance, seed):
     """Cup products of the degree-1 cohomology generators, when any exist."""
+    from . import cohomology as coh
+    from .linalg import in_column_span
+
     if instance.K < 2:
         return {"pairs": []}
     d0 = instance.differentials[0]
@@ -289,6 +299,9 @@ def _cup_section(instance, seed):
 
 
 def cmd_bundle(args):
+    from . import bundle as bundle_mod
+    from .linalg import parse_scalar
+
     algebra = _load_algebra(args)
     if args.bundle_file:
         try:
@@ -351,11 +364,9 @@ def build_parser():
                            help="comma-separated dual coefficients")
             p.add_argument("--allow-degenerate", action="store_true")
             p.add_argument("--K", type=int, default=4)
-            p.add_argument("--convention", choices=[c.value for c in LeibnizConvention],
-                           default=LeibnizConvention.UNSIGNED.value)
-            p.add_argument("--identification",
-                           choices=[i.value for i in Identification],
-                           default=Identification.BASIS.value)
+            p.add_argument("--convention", choices=CONVENTIONS, default=CONVENTIONS[0])
+            p.add_argument("--identification", choices=IDENTIFICATIONS,
+                           default=IDENTIFICATIONS[0])
 
     p = sub.add_parser("algebra", help="validate an algebra's structure constants")
     common(p, lam=False)
@@ -374,13 +385,12 @@ def build_parser():
     p.set_defaults(func=cmd_mirror)
     # the mirror command defaults to the identification that makes the
     # transported operator identity exact for every validated automorphism
-    p.set_defaults(identification=Identification.KILLING.value)
+    p.set_defaults(identification="killing")
 
     p = sub.add_parser("complex", help="coupled complex, cohomology, mirror comparison")
     common(p)
     p.add_argument("--torus", type=int, default=2, help="base model dimension (1..4)")
-    p.add_argument("--grading", choices=[coh.GRADING_TOTAL, coh.GRADING_DIAGONAL],
-                   default=coh.GRADING_TOTAL)
+    p.add_argument("--grading", choices=GRADINGS, default=GRADINGS[0])
     p.add_argument("--mirror", help="optional transform to compare against")
     p.add_argument("--assert-mirror-invariant", action="store_true")
     p.set_defaults(func=cmd_complex)

@@ -119,20 +119,30 @@ class DGAModel:
         if "product" in data:
             if not isinstance(data["product"], list):
                 raise FormatError("DGA product must be a list of rows")
-            product = dict(_product_row(item, basis) for item in data["product"])
+            scalars = {}
+            product = dict(_product_row(item, basis, scalars) for item in data["product"])
         model = cls(name, basis, diff, product)
         if model.d_squared_residual() != 0:
             raise FormatError("DGA differential does not square to zero")
         return model
 
 
-def _product_row(item, basis):
-    """Parse [i, a, j, b, [[c, coeff], ...]]: e^i_a . e^j_b = sum coeff e^{i+j}_c."""
+def _product_row(item, basis, scalars):
+    """Parse [i, a, j, b, [[c, coeff], ...]]: e^i_a . e^j_b = sum coeff e^{i+j}_c.
+
+    scalars maps each coefficient literal already parsed to its value, so a
+    table of many rows parses each distinct literal once.
+    """
     if not isinstance(item, list) or len(item) != 5 or not isinstance(item[4], list):
         raise FormatError(f"product row {item!r} must be [i, a, j, b, [[c, coeff], ...]]")
     try:
         i, a, j, b = (int(x) for x in item[:4])
-        table = {int(c): parse_scalar(v) for c, v in item[4]}
+        table = {}
+        for c, v in item[4]:
+            c = int(c)
+            if v not in scalars:
+                scalars[v] = parse_scalar(v)
+            table[c] = scalars[v]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"product row {item!r}: {exc}") from exc
     top = len(basis) - 1

@@ -10,9 +10,12 @@ antisymmetry and Jacobi residuals are exact. Built-in families:
 * ``su<n>``        real basis i*H_k, E_jk - E_kj, i(E_jk + E_kj)
 * ``abelian(<n>)`` all brackets zero
 
-The sl/su families carry their defining matrix realization (entries are
-Gaussian rationals) so conjugation and transpose maps can be turned into
-validated automorphisms.
+The sl/su families are built on integers: every entry of their defining
+matrices is 0, +-1 or +-i, so the commutators are Gaussian-integer matrices
+and one integer elimination of [basis | commutators] gives every structure
+constant. The algebras carry that realization (``matrix_basis``, dense
+(re, im) Fraction matrices) so conjugation and transpose maps can be turned
+into validated automorphisms, decomposed by the same elimination.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from .linalg import (
     ONE,
     common_denominator,
     format_scalar,
+    _eliminate,
     invert_dense,
     parse_scalar,
-    rref,
 )
 
 
@@ -332,64 +335,9 @@ def make_automorphism(algebra, matrix, label):
 # Built-in algebras
 # ---------------------------------------------------------------------------
 
-_GZERO = (ZERO, ZERO)
-
-
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(
-            _gsum(_gmul(a[i][k], b[k][j]) for k in range(n)) for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def _gsum(items):
-    re_, im = ZERO, ZERO
-    for a, b in items:
-        re_ += a
-        im += b
-    return (re_, im)
-
-
-def _mat_sub(a, b):
-    n = len(a)
-    return tuple(
-        tuple((a[i][j][0] - b[i][j][0], a[i][j][1] - b[i][j][1]) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _commutator(a, b):
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
-
-
-def _flatten(mat):
-    out = []
-    for row in mat:
-        for re_, im in row:
-            out.append(re_)
-            out.append(im)
-    return out
-
-
-def _elementary(n, i, j, re_=ONE, im=ZERO):
-    return tuple(
-        tuple((re_, im) if (r, c) == (i, j) else _GZERO for c in range(n)) for r in range(n)
-    )
-
-
-def _mat_add(a, b):
-    n = len(a)
-    return tuple(
-        tuple((a[i][j][0] + b[i][j][0], a[i][j][1] + b[i][j][1]) for j in range(n))
-        for i in range(n)
-    )
+# The sl/su bases are built as sparse Gaussian-integer matrices
+# {(row, col): (re, im)}; matrix_basis shows them as dense (re, im)
+# Fraction matrices.
 
 
 def _sl_basis(n):
@@ -397,12 +345,12 @@ def _sl_basis(n):
     mats = []
     for k in range(n - 1):
         labels.append(f"H{k + 1}")
-        mats.append(_mat_add(_elementary(n, k, k), _elementary(n, k + 1, k + 1, Fraction(-1))))
+        mats.append({(k, k): (1, 0), (k + 1, k + 1): (-1, 0)})
     for i in range(n):
         for j in range(n):
             if i != j:
                 labels.append(f"E{i + 1}{j + 1}")
-                mats.append(_elementary(n, i, j))
+                mats.append({(i, j): (1, 0)})
     return labels, mats
 
 
@@ -411,57 +359,92 @@ def _su_basis(n):
     mats = []
     for k in range(n - 1):
         labels.append(f"iH{k + 1}")
-        mats.append(
-            _mat_add(
-                _elementary(n, k, k, ZERO, ONE),
-                _elementary(n, k + 1, k + 1, ZERO, Fraction(-1)),
-            )
-        )
+        mats.append({(k, k): (0, 1), (k + 1, k + 1): (0, -1)})
     for i in range(n):
         for j in range(i + 1, n):
             labels.append(f"A{i + 1}{j + 1}")
-            mats.append(_mat_add(_elementary(n, i, j), _elementary(n, j, i, Fraction(-1))))
+            mats.append({(i, j): (1, 0), (j, i): (-1, 0)})
             labels.append(f"S{i + 1}{j + 1}")
-            mats.append(
-                _mat_add(_elementary(n, i, j, ZERO, ONE), _elementary(n, j, i, ZERO, ONE))
-            )
+            mats.append({(i, j): (0, 1), (j, i): (0, 1)})
     return labels, mats
 
 
-def _decompose_flat(mats, flats):
-    """Coordinates of each flattened matrix in flats in the basis mats.
+def _sparse_commutator(a, b):
+    """ab - ba of two sparse Gaussian matrices."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for (r, k), (p, q) in x.items():
+            for (kk, c), (u, v) in y.items():
+                if k == kk:
+                    re_, im = out.get((r, c), (0, 0))
+                    out[(r, c)] = (re_ + sign * (p * u - q * v), im + sign * (p * v + q * u))
+    return out
 
-    One elimination of [basis columns | flats]: every basis column must be a
-    pivot (else the basis is dependent) and no flat column may be one (else
-    that flat lies outside the span).
+
+def _sparse(mat):
+    """A dense (re, im) matrix as a sparse one."""
+    return {(r, c): z for r, row in enumerate(mat) for c, z in enumerate(row) if z[0] or z[1]}
+
+
+def _dense(n, mat):
+    """A sparse Gaussian matrix as a dense n x n (re, im) Fraction matrix."""
+    zero = (ZERO, ZERO)
+    return tuple(
+        tuple((Fraction(z[0]), Fraction(z[1])) if (z := mat.get((r, c))) else zero
+              for c in range(n))
+        for r in range(n)
+    )
+
+
+def _flatten(n, mat):
+    out = [0] * (2 * n * n)
+    for (r, c), (re_, im) in mat.items():
+        out[2 * (r * n + c)] = re_
+        out[2 * (r * n + c) + 1] = im
+    return out
+
+
+def _decompose_flat(n, basis, mats):
+    """Coordinates of each sparse n x n matrix in mats in the sparse basis.
+
+    One integer elimination of the flattened columns [basis | mats], scaled
+    by one common denominator (which leaves the coordinates unchanged):
+    every basis column must be a pivot (else the basis is dependent) and no
+    column of mats may be one (else that matrix lies outside the span).
     """
-    dim = len(mats)
-    columns = [_flatten(m) for m in mats] + list(flats)
-    reduced, pivots = rref(list(zip(*columns)))
+    dim = len(basis)
+    size = 2 * n * n
+    _, ints = common_denominator(
+        v for m in itertools.chain(basis, mats) for v in _flatten(n, m))
+    rows = [ints[r::size] for r in range(size)]
+    pivots = _eliminate(rows)
     if pivots[:dim] != list(range(dim)):
         raise ValidationError("matrix basis is linearly dependent")
     if len(pivots) > dim:
         raise ValidationError("matrix does not lie in the algebra's span")
-    return [tuple(reduced[p][dim + j] for p in range(dim)) for j in range(len(flats))]
+    return [tuple(Fraction(rows[p][j], rows[p][p]) for p in range(dim))
+            for j in range(dim, dim + len(mats))]
 
 
-def _structure_from_matrices(name, labels, mats):
+def _structure_from_matrices(name, labels, n, mats):
     """Assemble structure constants by decomposing commutators in the basis."""
     dim = len(mats)
-    mats = tuple(mats)
     structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     pairs = list(itertools.combinations(range(dim), 2))
-    sols = _decompose_flat(mats, [_flatten(_commutator(mats[i], mats[j])) for i, j in pairs])
+    sols = _decompose_flat(n, mats, [_sparse_commutator(mats[i], mats[j]) for i, j in pairs])
     for (i, j), sol in zip(pairs, sols):
         for k, c in enumerate(sol):
             structure[i][j][k] = c
             structure[j][i][k] = -c
     structure = tuple(tuple(tuple(row) for row in plane) for plane in structure)
-    return LieAlgebra(name, dim, structure, tuple(labels), matrix_basis=mats)
+    return LieAlgebra(name, dim, structure, tuple(labels),
+                      matrix_basis=tuple(_dense(n, m) for m in mats))
 
 
-def _decompose_in_basis(algebra, mat):
-    return _decompose_flat(algebra.matrix_basis, [_flatten(mat)])[0]
+def _decompose_in_basis(algebra, *mats):
+    """Coordinates of dense (re, im) matrices in the algebra's matrix basis."""
+    basis = algebra.matrix_basis
+    return _decompose_flat(len(basis[0]), [_sparse(m) for m in basis], [_sparse(m) for m in mats])
 
 
 def _so3():
@@ -511,14 +494,14 @@ def _build_named(key):
         labels, mats = _sl_basis(n)
         if n == 2:
             labels = ["h", "x", "y"]
-        return _structure_from_matrices(f"sl{n}", labels, mats)
+        return _structure_from_matrices(f"sl{n}", labels, n, mats)
     m = re.fullmatch(r"su(\d+)|sun\((\d+)\)", key)
     if m:
         n = int(m.group(1) or m.group(2))
         if n < 2:
             raise FormatError("su(n) needs n >= 2")
         labels, mats = _su_basis(n)
-        return _structure_from_matrices(f"su{n}", labels, mats)
+        return _structure_from_matrices(f"su{n}", labels, n, mats)
     raise FormatError(f"unknown builtin algebra {key!r}")
 
 
@@ -528,7 +511,7 @@ def _build_named(key):
 
 
 def _map_matrix_from_realization(algebra, mat_map, label):
-    cols = [_decompose_in_basis(algebra, mat_map(m)) for m in algebra.matrix_basis]
+    cols = _decompose_in_basis(algebra, *map(mat_map, algebra.matrix_basis))
     matrix = tuple(
         tuple(cols[c][r] for c in range(algebra.dim)) for r in range(algebra.dim)
     )

@@ -296,6 +296,12 @@ def test_complex_diagonal_grading_rejects_mirror_flags(flags):
                        "--grading", "diagonal", *flags)
 
 
+def test_complex_assert_mirror_invariant_needs_a_mirror():
+    # with no --mirror there is nothing to assert; exit 2 instead of passing
+    assert_input_error("complex", "--builtin", "so3", "--lambda", "0,0,1", "--K", "3",
+                       "--assert-mirror-invariant")
+
+
 def test_builtin_and_file_are_exclusive(tmp_path):
     assert_input_error("algebra", "--builtin", "so3", "--file", str(tmp_path / "missing.json"))
 
@@ -396,3 +402,80 @@ def test_mirror_inverse_mirror_rejected_exit_one(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "bracket homomorphism" in err  # witness-carrying diagnostic
+
+
+# --- what importing the package and running a command load --------------------
+
+ALGEBRA_MODULES = {"errors", "linalg", "liealg", "cli"}
+SPENCER_MODULES = ALGEBRA_MODULES | {"symtensor", "spencer"}
+
+
+def _loaded_submodules(code):
+    """The spencerbench submodules a fresh interpreter holds after code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = code + (
+        "\nimport sys\n"
+        "sys.stderr.write(' '.join(m.split('.', 1)[1] for m in sys.modules"
+        " if m.startswith('spencerbench.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_submodules("import spencerbench") == set()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["algebra", "--builtin", "sl3"], ALGEBRA_MODULES),
+        (["bundle", "--builtin", "so3", "--grid", "3,3", "--lambda", "0,0,1"],
+         ALGEBRA_MODULES | {"bundle"}),
+        (["spencer", "--builtin", "so3", "--lambda", "0,0,1", "--K", "2"], SPENCER_MODULES),
+        (["mirror", "--builtin", "so3", "--lambda", "0,0,1", "--K", "2", "--transform", "sign"],
+         SPENCER_MODULES | {"mirror"}),
+        (["complex", "--builtin", "so3", "--lambda", "0,0,1", "--K", "2"],
+         SPENCER_MODULES | {"mirror", "cohomology"}),
+    ],
+    ids=["algebra", "bundle", "spencer", "mirror", "complex"],
+)
+def test_each_command_loads_only_its_modules(argv, expected):
+    code = f"from spencerbench import cli\nassert cli.main({argv!r}) == 0"
+    assert _loaded_submodules(code) == expected
+
+
+def test_star_import_binds_every_public_name():
+    import importlib
+
+    import spencerbench
+
+    namespace = {}
+    exec("from spencerbench import *", namespace)
+    for name in spencerbench.__all__:
+        owner = spencerbench._SUBMODULE[name]
+        module = importlib.import_module(f"spencerbench.{owner}")
+        expected = module if name == owner else getattr(module, name)
+        assert namespace[name] is expected, name
+
+
+def test_parser_choices_are_the_enum_values():
+    from spencerbench import cli
+    from spencerbench.cohomology import GRADING_DIAGONAL, GRADING_TOTAL
+    from spencerbench.spencer import Identification, LeibnizConvention
+
+    assert cli.CONVENTIONS == tuple(c.value for c in LeibnizConvention)
+    assert cli.IDENTIFICATIONS == tuple(i.value for i in Identification)
+    assert cli.GRADINGS == (GRADING_TOTAL, GRADING_DIAGONAL)
+    parser = cli.build_parser()
+    lam = ["--builtin", "so3", "--lambda", "0,0,1"]
+    args = parser.parse_args(["spencer", *lam])
+    assert args.convention == LeibnizConvention.UNSIGNED.value
+    assert args.identification == Identification.BASIS.value
+    args = parser.parse_args(["mirror", *lam, "--transform", "sign"])
+    assert args.identification == Identification.KILLING.value
+    assert parser.parse_args(["complex", *lam]).grading == GRADING_TOTAL

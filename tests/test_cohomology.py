@@ -83,6 +83,8 @@ def test_dga_json_round_trip():
         [[1, 0, 1, 5, [[0, "1"]]]],  # b out of range
         [[0, 0, 1, 0, [[9, "1"]]]],  # c out of range in degree i + j
         7,
+        [[0, 0, 0, 0, [[0, "1"]]], [0, 0, 1, 0, [[0, "1/0"]]]],  # bad literal after a good one
+        [[0, 0, 0, 0, [[0, [1]]]]],  # unhashable coefficient
     ],
 )
 def test_dga_json_malformed_product_is_format_error(product):
@@ -90,6 +92,18 @@ def test_dga_json_malformed_product_is_format_error(product):
     data["product"] = product
     with pytest.raises(FormatError):
         DGAModel.from_json(data)
+
+
+def test_dga_json_parses_each_coefficient_literal_once(monkeypatch):
+    import spencerbench.cohomology as cohomology_mod
+
+    parsed = []
+    original = cohomology_mod.parse_scalar
+    monkeypatch.setattr(cohomology_mod, "parse_scalar", lambda v: parsed.append(v) or original(v))
+    t3 = torus_model(3)
+    again = DGAModel.from_json(t3.to_json())
+    assert again.product == t3.product
+    assert sorted(parsed) == ["-1", "1"]
 
 
 def _drop_last_diff(data):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from spencerbench.liealg import (
     pairing,
     weyl_mirrors,
 )
-from spencerbench.linalg import invert_dense
+from spencerbench.linalg import invert_dense, rref
 
 F = Fraction
 
@@ -445,3 +446,116 @@ def test_identity_is_outside_sl3_span():
     )
     with pytest.raises(ValidationError):
         _decompose_in_basis(builtin_algebra("sl3"), identity)
+
+
+# --- the Fraction construction of the builtins, kept as an oracle -------------
+# Builtins are built on Gaussian integers; this is the construction they
+# replaced: dense (re, im) Fraction matrices, Fraction commutators and one
+# rref of [basis | images].
+
+
+def _oracle_elementary(n, i, j, re_=F(1), im=F(0)):
+    return tuple(
+        tuple((re_, im) if (r, c) == (i, j) else (F(0), F(0)) for c in range(n)) for r in range(n)
+    )
+
+
+def _oracle_add(a, b):
+    return tuple(tuple((x[0] + y[0], x[1] + y[1]) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _oracle_basis(name):
+    n = int(name[2:])
+    labels, mats = [], []
+    for k in range(n - 1):
+        if name.startswith("sl"):
+            labels.append(f"H{k + 1}")
+            mats.append(_oracle_add(_oracle_elementary(n, k, k),
+                                    _oracle_elementary(n, k + 1, k + 1, F(-1))))
+        else:
+            labels.append(f"iH{k + 1}")
+            mats.append(_oracle_add(_oracle_elementary(n, k, k, F(0), F(1)),
+                                    _oracle_elementary(n, k + 1, k + 1, F(0), F(-1))))
+    if name.startswith("sl"):
+        for i, j in itertools.permutations(range(n), 2):
+            labels.append(f"E{i + 1}{j + 1}")
+            mats.append(_oracle_elementary(n, i, j))
+    else:
+        for i, j in itertools.combinations(range(n), 2):
+            labels.append(f"A{i + 1}{j + 1}")
+            mats.append(_oracle_add(_oracle_elementary(n, i, j),
+                                    _oracle_elementary(n, j, i, F(-1))))
+            labels.append(f"S{i + 1}{j + 1}")
+            mats.append(_oracle_add(_oracle_elementary(n, i, j, F(0), F(1)),
+                                    _oracle_elementary(n, j, i, F(0), F(1))))
+    return (("h", "x", "y") if name == "sl2" else tuple(labels)), tuple(mats)
+
+
+def _oracle_flatten(mat):
+    return [part for row in mat for z in row for part in z]
+
+
+def _oracle_decompose(mats, images):
+    dim = len(mats)
+    reduced, pivots = rref(list(zip(*([_oracle_flatten(m) for m in mats]
+                                      + [_oracle_flatten(m) for m in images]))))
+    assert pivots == list(range(dim))
+    return [tuple(reduced[p][dim + j] for p in range(dim)) for j in range(len(images))]
+
+
+def _oracle_structure(mats):
+    dim = len(mats)
+    structure = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    pairs = list(itertools.combinations(range(dim), 2))
+    commutators = []
+    for i, j in pairs:
+        ab, ba = _gauss_mat_mul(mats[i], mats[j]), _gauss_mat_mul(mats[j], mats[i])
+        commutators.append([[(x[0] - y[0], x[1] - y[1]) for x, y in zip(ra, rb)]
+                            for ra, rb in zip(ab, ba)])
+    for (i, j), sol in zip(pairs, _oracle_decompose(mats, commutators)):
+        for k, c in enumerate(sol):
+            structure[i][j][k] = c
+            structure[j][i][k] = -c
+    return tuple(tuple(tuple(row) for row in plane) for plane in structure)
+
+
+def _oracle_automorphism(mats, mat_map):
+    cols = _oracle_decompose(mats, [mat_map(m) for m in mats])
+    return tuple(tuple(col[r] for col in cols) for r in range(len(mats)))
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "su2", "su3", "su4"])
+def test_integer_builtin_matches_the_fraction_construction(name):
+    labels, mats = _oracle_basis(name)
+    alg = builtin_algebra(name)
+    assert alg.basis_labels == labels
+    assert alg.matrix_basis == mats
+    assert alg.structure == _oracle_structure(mats)
+    assert all(type(v) is F for m in alg.matrix_basis for row in m for z in row for v in z)
+    assert all(type(c) is F for plane in alg.structure for row in plane for c in row)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "su2", "su3", "su4"])
+def test_integer_negate_transpose_matches_the_fraction_construction(name):
+    _, mats = _oracle_basis(name)
+    n = len(mats[0])
+
+    def neg_transpose(mat):
+        return tuple(tuple((-mat[j][i][0], -mat[j][i][1]) for j in range(n)) for i in range(n))
+
+    auto = builtin_automorphism(builtin_algebra(name), "negate_transpose")
+    assert auto.matrix == _oracle_automorphism(mats, neg_transpose)
+
+
+def test_integer_weyl_mirrors_match_the_fraction_construction():
+    _, mats = _oracle_basis("sl3")
+    autos = weyl_mirrors(3)
+    assert len(autos) == 6
+    for auto in autos:
+        perm = [int(d) - 1 for d in auto.label.split(":")[1]]
+
+        def conjugate(mat):
+            moved = {(perm[a], perm[b]): z for a, row in enumerate(mat) for b, z in enumerate(row)}
+            return tuple(tuple(moved[(i, j)] for j in range(3)) for i in range(3))
+
+        assert auto.matrix == _oracle_automorphism(mats, conjugate), auto.label
