@@ -32,15 +32,7 @@ from types import MappingProxyType
 
 from .errors import DegenerateInputError, FormatError, MismatchError
 from .liealg import coadjoint, coadjoint_matrix, pairing
-from .linalg import (
-    ZERO,
-    ONE,
-    format_scalar,
-    kernel_basis_dense,
-    parse_scalar,
-    rref,
-    solve_dense,
-)
+from .linalg import ZERO, ONE, OperatorMatrix, format_scalar, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -163,8 +155,13 @@ def constraint_distribution(bundle, site):
     lam = bundle.lam_field[site]
     if not lam.is_nondegenerate():
         raise DegenerateInputError(f"degenerate dual value at site {site}")
-    row = constraint_functional(bundle, site)
-    return kernel_basis_dense([row], len(row))
+    return OperatorMatrix.from_dense([constraint_functional(bundle, site)]).kernel_basis()
+
+
+def _rows(vectors, cols):
+    """The matrix whose rows are the given vectors."""
+    return OperatorMatrix(len(vectors), cols, {
+        (i, c): v for i, vec in enumerate(vectors) for c, v in enumerate(vec)})
 
 
 @dataclass
@@ -207,8 +204,7 @@ def transversality_report(bundle):
     ]
     dims = []
     for dist in bundle._kernels:
-        stacked = [list(v) for v in dist] + [list(v) for v in vertical]
-        dim_sum = len(rref(stacked)[1])
+        dim_sum = _rows(dist + vertical, tangent).rank()
         dims.append((len(dist), len(dist) + dim_g - dim_sum, dim_sum))
     sites, cls, _ = bundle._site_classes
     per_site = {site: dims[c] for site, c in zip(sites, cls)}
@@ -253,18 +249,18 @@ def _cartan_report(bundle):
     # the algebraic term depends only on the site's (lam, omega) value
     coad = [[coadjoint(bundle.omega[rep][a], bundle.lam_field[rep]) for a in range(n)]
             for rep in reps]
+    # 1 / (2 h_a) = m_a / 2
+    half = [Fraction(m, 2) for m in bundle.shape]
     field = {}
     worst = ZERO
     for site, c in zip(sites, cls):
         for a in range(n):
-            plus = bundle.lam_field[bundle.shift(site, a, 1)]
-            minus = bundle.lam_field[bundle.shift(site, a, -1)]
-            scale = 1 / (2 * bundle.spacing(a))
-            diff = (plus - minus).scaled(scale)
-            res = diff + coad[c][a]
-            field[(site, a)] = res.coeffs
-            m = max((abs(v) for v in res.coeffs), default=ZERO)
-            worst = max(worst, m)
+            plus = bundle.lam_field[bundle.shift(site, a, 1)].coeffs
+            minus = bundle.lam_field[bundle.shift(site, a, -1)].coeffs
+            res = tuple((p - q) * half[a] + x
+                        for p, q, x in zip(plus, minus, coad[c][a].coeffs))
+            field[(site, a)] = res
+            worst = max(worst, max(map(abs, res), default=ZERO))
     return CartanResidualReport(field, worst)
 
 
@@ -306,7 +302,8 @@ def equivariance_residual(bundle, order=8, steps=(0.1, 0.2)):
 
     worst = 0.0
     for i in range(dim):
-        gen = [[float(v) for v in row] for row in coadjoint_matrix(alg.basis_vector(i))]
+        gen = [[float(v) for v in row]
+               for row in coadjoint_matrix(alg.basis_vector(i)).to_dense()]
         for t in steps:
             one_step = expm(gen, t)
             half = expm(gen, t / 2)
@@ -351,31 +348,18 @@ def _annihilator_distance_sq(bundle, site, basis):
     """Squared distance from lam(site) to the annihilator of omega(span basis)."""
     dim_g = bundle.algebra.dim
     n = bundle.n_axes
-    lam = bundle.lam_field[site]
-    # omega applied to the distribution basis spans a subspace of g
-    images = []
-    for vec in basis:
-        img = [ZERO] * dim_g
-        for a in range(n):
-            if vec[a]:
-                for r, c in enumerate(bundle.omega[site][a].coeffs):
-                    img[r] += vec[a] * c
-        for r in range(dim_g):
-            img[r] += vec[n + r]
-        images.append(img)
-    # annihilator of that subspace inside the dual
-    ann = kernel_basis_dense(images, dim_g) if images else []
-    if not ann:
-        return sum((v * v for v in lam.coeffs), ZERO)
-    cols = len(ann)
-    gram = [
-        [sum((ann[p][r] * ann[q][r] for r in range(dim_g)), ZERO) for q in range(cols)]
-        for p in range(cols)
-    ]
-    rhs = [sum((ann[p][r] * lam.coeffs[r] for r in range(dim_g)), ZERO) for p in range(cols)]
-    sol = solve_dense(gram, rhs)
-    proj = [sum((sol[p] * ann[p][r] for p in range(cols)), ZERO) for r in range(dim_g)]
-    return sum(((lam.coeffs[r] - proj[r]) ** 2 for r in range(dim_g)), ZERO)
+    # omega(u, X) = sum_a u_a omega_a(site) + X, as a (n + dim g) x dim g
+    # matrix acting on row vectors
+    omega = {(a, r): c for a, w in enumerate(bundle.omega[site]) for r, c in enumerate(w.coeffs)}
+    omega.update({(n + r, r): ONE for r in range(dim_g)})
+    images = _rows(basis, n + dim_g) @ OperatorMatrix(n + dim_g, dim_g, omega)
+    # rows of ann: a basis of the annihilator of omega(span basis) in the dual
+    ann = _rows(images.kernel_basis(), dim_g)
+    lam = _rows([(v,) for v in bundle.lam_field[site].coeffs], 1)
+    # orthogonal projection of lam onto the row span of ann: normal equations
+    coef = (ann @ ann.transpose()).solve(ann @ lam)
+    diff = lam - ann.transpose() @ coef
+    return (diff.transpose() @ diff).get(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +384,26 @@ def bundle_to_json(bundle):
     }
 
 
+def _list(value, what):
+    """value, checked to be a list: a string or a number is not split up."""
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _coefficients(value, what):
+    return [parse_scalar(v) for v in _list(value, what)]
+
+
 def _site_row(item, width, shape, what):
     """Parse a site-resolved row [site, ..., coeffs] after checking its shape."""
     if not isinstance(item, (list, tuple)) or len(item) != width:
         raise FormatError(f"{what} row {item!r} must have {width} fields")
     site, *rest, coeffs = item
     try:
-        site = tuple(int(s) for s in site)
+        site = tuple(int(s) for s in _list(site, f"{what} row site"))
         rest = [int(x) for x in rest]
-        coeffs = [parse_scalar(v) for v in coeffs]
+        coeffs = _coefficients(coeffs, f"{what} row coefficients")
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{what} row {item!r}: {exc}") from exc
     if len(site) != len(shape) or not all(0 <= s < m for s, m in zip(site, shape)):
@@ -418,7 +413,7 @@ def _site_row(item, width, shape, what):
 
 def bundle_from_json(data, algebra):
     try:
-        shape = tuple(int(m) for m in data["grid"])
+        shape = tuple(int(m) for m in _list(data["grid"], "grid"))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bundle JSON needs a grid field") from exc
     n = len(shape)
@@ -430,12 +425,12 @@ def bundle_from_json(data, algebra):
         if "constant" not in omega_raw:
             raise FormatError("omega_base shorthand must use a 'constant' key")
         omega = [
-            algebra.vector([parse_scalar(v) for v in coeffs])
-            for coeffs in omega_raw["constant"]
+            algebra.vector(_coefficients(coeffs, "omega_base constant row"))
+            for coeffs in _list(omega_raw["constant"], "omega_base constant")
         ]
     else:
         omega = {}
-        for item in omega_raw:
+        for item in _list(omega_raw, "omega_base"):
             site, a, coeffs = _site_row(item, 3, shape, "omega_base")
             if not 0 <= a < n:
                 raise FormatError(f"omega_base row {item!r}: axis must be in 0..{n - 1}")
@@ -449,10 +444,10 @@ def bundle_from_json(data, algebra):
     if isinstance(lam_raw, dict):
         if "constant" not in lam_raw:
             raise FormatError("lambda_field shorthand must use a 'constant' key")
-        lam_field = [parse_scalar(v) for v in lam_raw["constant"]]
+        lam_field = _coefficients(lam_raw["constant"], "lambda_field constant")
     else:
         lam_field = {}
-        for item in lam_raw:
+        for item in _list(lam_raw, "lambda_field"):
             site, coeffs = _site_row(item, 2, shape, "lambda_field")
             lam_field[site] = algebra.dual(coeffs)
     return grid_bundle(shape, algebra, omega, lam_field)

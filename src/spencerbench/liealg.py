@@ -30,10 +30,10 @@ from .errors import FormatError, MismatchError, ValidationError
 from .linalg import (
     ZERO,
     ONE,
+    OperatorMatrix,
     common_denominator,
     format_scalar,
     _eliminate,
-    invert_dense,
     parse_scalar,
 )
 
@@ -196,14 +196,9 @@ def coadjoint(z, xi):
 def coadjoint_matrix(z):
     """Matrix of ad*_z acting on dual coordinates."""
     scale, mat = _coadjoint_numerators(z)
-    return tuple(tuple(Fraction(v, scale) for v in row) for row in mat)
-
-
-def adjoint_matrix(z):
-    """Matrix of ad_z acting on vector coordinates."""
-    alg = z.algebra
-    cols = [bracket(z, alg.basis_vector(j)).coeffs for j in range(alg.dim)]
-    return tuple(tuple(cols[c][r] for c in range(alg.dim)) for r in range(alg.dim))
+    n = z.algebra.dim
+    return OperatorMatrix.from_numerators(n, n, scale, {
+        (j, i): v for j, row in enumerate(mat) for i, v in enumerate(row) if v})
 
 
 def antisymmetry_residual(algebra):
@@ -259,19 +254,19 @@ def jacobi_residual(algebra, with_witness=False):
 
 
 def killing_gram(algebra):
-    """Killing form Gram matrix B_ij = tr(ad_i ad_j), dense Fraction rows."""
-    c = algebra.structure
+    """Killing form Gram matrix B_ij = tr(ad_i ad_j) = sum_mk c_im^k c_jk^m,
+    summed in integers over the non-zero constants."""
+    den, nz = algebra.integer_structure
     n = algebra.dim
-    gram = [[ZERO] * n for _ in range(n)]
+    # ad[i][(m, k)] = c_im^k
+    ad = [{(m, k): v for m in range(n) for k, v in nz[i][m]} for i in range(n)]
+    nums = {}
     for i in range(n):
         for j in range(i, n):
-            s = ZERO
-            for m in range(n):
-                for k in range(n):
-                    s += c[i][m][k] * c[j][k][m]
-            gram[i][j] = s
-            gram[j][i] = s
-    return tuple(tuple(row) for row in gram)
+            s = sum(v * ad[j].get((k, m), 0) for (m, k), v in ad[i].items())
+            if s:
+                nums[(i, j)] = nums[(j, i)] = s
+    return OperatorMatrix.from_numerators(n, n, den * den, nums)
 
 
 # ---------------------------------------------------------------------------
@@ -279,47 +274,40 @@ def killing_gram(algebra):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# eq=False: an automorphism hashes by identity (its matrices are unhashable),
+# which is what the per-automorphism caches of the mirror module key on
+@dataclass(frozen=True, eq=False)
 class LieAutomorphism:
     """Validated linear automorphism, stored with its exact inverse."""
 
     algebra: LieAlgebra
-    matrix: tuple  # row-major tuple of tuples of Fraction
-    inverse: tuple
+    matrix: OperatorMatrix
+    inverse: OperatorMatrix
     label: str
 
     def apply(self, x):
-        return self.algebra.vector(_mat_vec(self.matrix, x.coeffs))
+        return self.algebra.vector(self.matrix.apply(x.coeffs))
 
     def apply_inverse(self, x):
-        return self.algebra.vector(_mat_vec(self.inverse, x.coeffs))
-
-
-def _mat_vec(matrix, vec):
-    return tuple(
-        sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), ZERO) for row in matrix
-    )
+        return self.algebra.vector(self.inverse.apply(x.coeffs))
 
 
 def make_automorphism(algebra, matrix, label):
-    """Validate and wrap a candidate automorphism matrix.
+    """Validate and wrap a candidate automorphism matrix (an OperatorMatrix).
 
     Checks exact invertibility and the bracket homomorphism A[e_i,e_j] =
     [Ae_i, Ae_j] on every basis pair; raises ValidationError with a witness
     pair on the first failure.
     """
-    matrix = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-    if len(matrix) != algebra.dim or any(len(row) != algebra.dim for row in matrix):
+    if matrix.shape != (algebra.dim, algebra.dim):
         raise MismatchError("automorphism matrix shape does not match the algebra")
-    inverse = invert_dense([list(row) for row in matrix])
+    inverse = matrix.solve(OperatorMatrix.identity(algebra.dim))
     if inverse is None:
         raise ValidationError(f"matrix for {label!r} is singular")
-    inverse = tuple(tuple(row) for row in inverse)
-    cols = [algebra.vector(tuple(matrix[r][c] for r in range(algebra.dim)))
-            for c in range(algebra.dim)]
+    cols = [algebra.vector(matrix.column(c)) for c in range(algebra.dim)]
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
-            lhs = _mat_vec(matrix, bracket(algebra.basis_vector(i), algebra.basis_vector(j)).coeffs)
+            lhs = matrix.apply(bracket(algebra.basis_vector(i), algebra.basis_vector(j)).coeffs)
             rhs = bracket(cols[i], cols[j]).coeffs
             if lhs != rhs:
                 raise ValidationError(
@@ -512,9 +500,8 @@ def _build_named(key):
 
 def _map_matrix_from_realization(algebra, mat_map, label):
     cols = _decompose_in_basis(algebra, *map(mat_map, algebra.matrix_basis))
-    matrix = tuple(
-        tuple(cols[c][r] for c in range(algebra.dim)) for r in range(algebra.dim)
-    )
+    matrix = OperatorMatrix(algebra.dim, algebra.dim, {
+        (r, c): v for c, col in enumerate(cols) for r, v in enumerate(col)})
     return make_automorphism(algebra, matrix, label)
 
 
@@ -544,19 +531,12 @@ def builtin_automorphism(algebra, kind):
     """
     kind = kind.strip().lower().replace("-", "_")
     if kind == "identity":
-        ident = tuple(
-            tuple(ONE if i == j else ZERO for j in range(algebra.dim))
-            for i in range(algebra.dim)
-        )
-        return make_automorphism(algebra, ident, "identity")
+        return make_automorphism(algebra, OperatorMatrix.identity(algebra.dim), "identity")
     if kind == "inverse_mirror":
-        neg = tuple(
-            tuple(-ONE if i == j else ZERO for j in range(algebra.dim))
-            for i in range(algebra.dim)
-        )
         # X -> -X reverses brackets, so validation fails whenever some
         # [e_i, e_j] != 0; the error message carries the witness pair.
-        return make_automorphism(algebra, neg, "inverse_mirror")
+        return make_automorphism(algebra, -OperatorMatrix.identity(algebra.dim),
+                                 "inverse_mirror")
     if kind == "negate_transpose":
         if algebra.matrix_basis is None:
             raise FormatError(
@@ -588,13 +568,11 @@ def weyl_mirrors(n):
         raise FormatError("weyl_mirrors supports 2 <= n <= 5")
     algebra = builtin_algebra(f"sl{n}")
     out = []
-    seen = set()
     for perm in itertools.permutations(range(1, n + 1)):
         digits = "".join(str(d) for d in perm)
         auto = builtin_automorphism(algebra, f"permutation:{digits}")
-        if auto.matrix in seen:
+        if any(auto.matrix == m.matrix for m in out):
             raise ValidationError(f"duplicate Weyl mirror for {digits}")
-        seen.add(auto.matrix)
         out.append(auto)
     return out
 
@@ -625,9 +603,12 @@ def algebra_from_json(data):
         name = str(data["name"])
         dim = int(data["dim"])
         triples = data["structure_constants"]
-        labels = tuple(str(s) for s in data["basis_labels"])
+        labels = data["basis_labels"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("algebra JSON needs name/dim/structure_constants/basis_labels") from exc
+    if not isinstance(labels, list):
+        raise FormatError("basis_labels must be a list")
+    labels = tuple(str(s) for s in labels)
     if dim < 1 or len(labels) != dim:
         raise FormatError("basis_labels length must equal dim")
     if not isinstance(triples, list):
@@ -651,15 +632,21 @@ def algebra_from_json(data):
 def automorphism_to_json(auto):
     return {
         "algebra": auto.algebra.name,
-        "matrix": [[format_scalar(v) for v in row] for row in auto.matrix],
+        "matrix": [[format_scalar(v) for v in row] for row in auto.matrix.to_dense()],
         "label": auto.label,
     }
 
 
 def automorphism_from_json(data, algebra):
     try:
-        matrix = [[parse_scalar(v) for v in row] for row in data["matrix"]]
+        rows = data["matrix"]
         label = str(data.get("label", "unnamed"))
     except (KeyError, TypeError) as exc:
         raise FormatError("automorphism JSON needs a matrix field") from exc
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise FormatError("automorphism matrix must be a list of rows")
+    # OperatorMatrix does not bounds-check its keys: check the shape here
+    if len(rows) != algebra.dim or any(len(row) != algebra.dim for row in rows):
+        raise MismatchError("automorphism matrix shape does not match the algebra")
+    matrix = OperatorMatrix.from_dense([[parse_scalar(v) for v in row] for row in rows])
     return make_automorphism(algebra, matrix, label)

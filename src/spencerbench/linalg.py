@@ -1,16 +1,18 @@
-"""Exact sparse rational matrices and rank/kernel routines.
+"""Exact sparse rational matrices and rank/kernel/solve routines.
 
-No floating point. An ``OperatorMatrix`` stores integer numerators over one
-positive denominator, kept canonical (the gcd of the denominator and every
-numerator is 1, and zero numerators are not stored), so ``==`` is exact
-whatever built a matrix. Sums, products, scaling, Kronecker products and
-block writes are integer operations; Fractions appear only at the interface
-(``get``, ``entries``, ``to_dense``, ``to_json``). The package uses one
-elimination, Gauss-Jordan over the integers, for every rank, kernel, solve,
-inverse and column-span test: a matrix hands it its numerator rows, and the
-dense entry points (``rref``, ``kernel_basis_dense``, ``solve_dense``) clear
-each row of denominators first. ``rank_bareiss`` is a separate fraction-free
-Bareiss elimination on the Fraction form, kept only to cross-check ranks.
+No floating point. ``OperatorMatrix`` is the package's one matrix type: it
+stores integer numerators over one positive denominator, kept canonical (the
+gcd of the denominator and every numerator is 1, and zero numerators are not
+stored), so ``==`` is exact whatever built a matrix. Sums, products,
+scaling, transposes, Kronecker products and block writes are integer
+operations; Fractions appear only at the interface (``get``, ``entries``,
+``to_dense``, ``to_json``). Every rank, kernel, solve, inverse and
+column-span test is one Gauss-Jordan elimination over the integers of the
+matrix's numerator rows; ``solve(B)`` eliminates [A | B] once, so an inverse
+is ``solve(identity)``. ``rank_bareiss`` is a separate fraction-free Bareiss
+elimination on the dense Fraction form, kept only to cross-check ranks.
+
+Only the boundaries stay dense: ``from_dense``/``to_dense`` and JSON.
 """
 
 from __future__ import annotations
@@ -193,6 +195,10 @@ class OperatorMatrix:
             out.update(((r, c), v) for c, v in acc.items() if v)
         return OperatorMatrix.from_numerators(self.rows, other.cols, self.den * other.den, out)
 
+    def transpose(self):
+        return OperatorMatrix.from_numerators(
+            self.cols, self.rows, self.den, {(c, r): v for (r, c), v in self.nums.items()})
+
     def max_abs(self):
         return Fraction(max(map(abs, self.nums.values()), default=0), self.den)
 
@@ -239,6 +245,26 @@ class OperatorMatrix:
     def kernel_basis(self):
         mat = self._numerator_rows()
         return _kernel(mat, _eliminate(mat), self.cols)
+
+    def solve(self, rhs):
+        """One exact solution X of self @ X = rhs, free variables set to
+        zero, or None when the system is inconsistent. The elimination runs
+        once on the integer rows of lcm(den, rhs.den) * [self | rhs]."""
+        if self.rows != rhs.rows:
+            raise ValueError(f"shape mismatch {self.shape} vs {rhs.shape}")
+        den = lcm(self.den, rhs.den)
+        a, b = den // self.den, den // rhs.den
+        mat = [[0] * (self.cols + rhs.cols) for _ in range(self.rows)]
+        for (r, c), v in self.nums.items():
+            mat[r][c] = v * a
+        for (r, c), v in rhs.nums.items():
+            mat[r][self.cols + c] = v * b
+        pivots = _eliminate(mat)
+        if pivots and pivots[-1] >= self.cols:
+            return None
+        return OperatorMatrix(self.cols, rhs.cols, {
+            (pc, j): Fraction(x, row[pc])
+            for row, pc in zip(mat, pivots) for j, x in enumerate(row[self.cols:])})
 
     def rank_bareiss(self):
         return rank_bareiss(self.to_dense())
@@ -306,11 +332,6 @@ def place_block(target, block, row_offset, col_offset):
     target.den, target.nums = _reduced(den, nums)
 
 
-def _integer_rows(dense):
-    """Each row times the lcm of its denominators: integer rows, same row space."""
-    return [common_denominator(row)[1] for row in dense]
-
-
 def _eliminate(mat):
     """Gauss-Jordan over the integers, in place on a list of integer rows.
 
@@ -358,42 +379,12 @@ def _kernel(mat, pivots, ncols):
     return basis
 
 
-def rref(dense):
-    """Reduced row echelon form of a dense rational matrix.
-
-    Returns (new dense Fraction matrix, pivot column list). The input is not
-    modified. Rows are cleared of denominators once and eliminated over the
-    integers; pivot rows are divided by their pivot once at the end. The RREF
-    is unique, so this equals rational Gauss-Jordan.
-    """
-    mat = _integer_rows(dense)
-    pivots = _eliminate(mat)
-    ncols = len(mat[0]) if mat else 0
-    out = [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(mat, pivots)]
-    out.extend([ZERO] * ncols for _ in range(len(mat) - len(pivots)))
-    return out, pivots
-
-
-def kernel_basis_dense(dense, ncols):
-    """Canonical kernel basis (from RREF free columns), list of tuples."""
-    mat = _integer_rows(dense)
-    return _kernel(mat, _eliminate(mat), ncols)
-
-
-def row_space_canonical(vectors):
-    """Canonical basis of the span of the given row vectors (RREF rows)."""
-    if not vectors:
-        return []
-    mat, pivots = rref([list(v) for v in vectors])
-    return [tuple(mat[i]) for i in range(len(pivots))]
-
-
 def rank_bareiss(dense):
-    """Rank by integer fraction-free elimination (independent of rref).
-
-    Rows are scaled by their denominator lcm first; this preserves rank.
+    """Rank of a dense Fraction matrix by integer fraction-free elimination,
+    independent of ``_eliminate``. Each row is scaled by the lcm of its
+    denominators first; this preserves rank.
     """
-    mat = _integer_rows(dense)
+    mat = [common_denominator(row)[1] for row in dense]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     rank = 0
@@ -420,41 +411,8 @@ def rank_bareiss(dense):
     return rank
 
 
-def invert_dense(dense):
-    """Exact inverse of a square dense Fraction matrix; None if singular."""
-    n = len(dense)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(dense)]
-    mat, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in mat]
-
-
-def solve_dense(dense, rhs):
-    """One exact solution of A x = b, or None if inconsistent.
-
-    For full-column-rank A the solution is unique.
-    """
-    nrows = len(dense)
-    ncols = len(dense[0]) if nrows else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(dense)]
-    mat, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = mat[r][ncols]
-    return tuple(x)
-
-
 def in_column_span(matrix, vec):
-    """True iff vec lies in the column span of the sparse matrix: appending
-    it as a column adds no pivot. The augmented rows are den * vden times
-    [matrix | vec], vden the common denominator of vec."""
-    vden, ints = common_denominator(vec)
-    mat = matrix._numerator_rows()
-    for row, x in zip(mat, ints):
-        if vden != 1:
-            row[:] = [v * vden for v in row]
-        row.append(x * matrix.den)
-    return matrix.cols not in _eliminate(mat)
+    """True iff vec lies in the column span of the sparse matrix, that is iff
+    matrix @ x = vec has a solution."""
+    column = OperatorMatrix(len(vec), 1, {(r, 0): v for r, v in enumerate(vec)})
+    return matrix.solve(column) is not None

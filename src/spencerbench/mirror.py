@@ -91,14 +91,7 @@ def mirror_lambda(transform, lam, transport=TRANSPORT_INVERSE):
         raise MismatchError("automorphism and dual vector algebras differ")
     source = auto.inverse if transport == TRANSPORT_INVERSE else auto.matrix
     # <lam', e_j> = <lam, M e_j> with M the chosen source matrix
-    coeffs = tuple(
-        sum(
-            (lam.coeffs[i] * source[i][j] for i in range(lam.algebra.dim) if lam.coeffs[i]),
-            Fraction(0),
-        )
-        for j in range(lam.algebra.dim)
-    )
-    return lam.algebra.dual(coeffs)
+    return lam.algebra.dual(source.transpose().apply(lam.coeffs))
 
 
 @functools.lru_cache(maxsize=8)
@@ -111,8 +104,7 @@ def induced_tensor_map(auto, k, identification=Identification.KILLING):
     if identification is Identification.KILLING:
         base = auto.matrix
     else:
-        dim = auto.algebra.dim
-        base = tuple(tuple(auto.inverse[c][r] for c in range(dim)) for r in range(dim))
+        base = auto.inverse.transpose()
     return symmetric_power_matrix(auto.algebra, base, k)
 
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError, MismatchError
 from .liealg import bracket, killing_gram, pairing
-from .linalg import OperatorMatrix, common_denominator, invert_dense
+from .linalg import OperatorMatrix, common_denominator
 from .symtensor import (
     _combine,
     apply_linear_map,
@@ -63,14 +63,13 @@ class Identification(str, enum.Enum):
 
 @functools.lru_cache(maxsize=8)
 def _killing_inverse(algebra):
-    gram = killing_gram(algebra)
-    inv = invert_dense([list(row) for row in gram])
+    inv = killing_gram(algebra).solve(OperatorMatrix.identity(algebra.dim))
     if inv is None:
         raise DegenerateInputError(
             f"Killing form of {algebra.name} is singular; "
             "the killing identification needs a semisimple algebra"
         )
-    return tuple(tuple(row) for row in inv)
+    return inv
 
 
 def classical_prolongation(s):

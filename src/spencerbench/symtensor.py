@@ -225,13 +225,14 @@ def _combine(s, images, scale, degree):
 
 
 def _power_images(matrix, keys):
-    """(den, images): den is the common denominator of the matrix entries and
-    images[t] the {multiset: integer} image of keys[t] under the degree-k
-    power, over den ** k: the merge of its factors' integer columns."""
-    dim = len(matrix)
-    den, flat = common_denominator(v for row in matrix for v in row)
-    cols = [[(r, flat[r * dim + c]) for r in range(dim) if flat[r * dim + c]]
-            for c in range(dim)]
+    """(den, images): den is the matrix's denominator and images[t] the
+    {multiset: integer} image of keys[t] under the degree-k power, over
+    den ** k: the merge of its factors' integer columns."""
+    # each column in row order, so every image lists its terms in the order
+    # the generator tables and reports have always seen
+    cols = [[] for _ in range(matrix.cols)]
+    for (r, c), v in sorted(matrix.nums.items()):
+        cols[c].append((r, v))
     memo = {(): {(): 1}}
 
     def image(key):
@@ -244,14 +245,14 @@ def _power_images(matrix, keys):
             memo[key] = {m: v for m, v in out.items() if v}
         return memo[key]
 
-    return den, [image(key) for key in keys]
+    return matrix.den, [image(key) for key in keys]
 
 
 def apply_linear_map(s, matrix):
     """Image of s under the degree-k power of a linear map on the algebra.
 
-    matrix is row-major (tuple of tuples); each factor e_i of a basis multiset
-    is replaced by the i-th matrix column and the products are re-expanded.
+    matrix is an OperatorMatrix; each factor e_i of a basis multiset is
+    replaced by the i-th matrix column and the products are re-expanded.
     """
     den, images = _power_images(matrix, list(s.coeffs))
     return _combine(s, images, den ** s.degree, s.degree)

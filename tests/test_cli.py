@@ -261,6 +261,33 @@ def test_bundle_file_malformed_row_exit_two(tmp_path, field, rows):
     assert_input_error("bundle", "--builtin", "so3", "--bundle-file", str(path))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"lambda_field": 7}, {"lambda_field": {"constant": 7}},
+     {"lambda_field": {"constant": "123"}}, {"omega_base": 7}, {"omega_base": {"constant": 7}},
+     {"omega_base": {"constant": [7, 8]}}, {"omega_base": [[[0, 0], 0, "123"]]},
+     {"omega_base": [["00", 0, ["1", "0", "0"]]]}, {"grid": "33"}],
+    ids=["lambda-int", "lambda-constant-int", "lambda-constant-string", "omega-int",
+         "omega-constant-int", "omega-constant-rows-int", "omega-row-string",
+         "omega-site-string", "grid-string"],
+)
+def test_bundle_file_field_that_is_not_a_list_exit_two(tmp_path, fields):
+    # a string is never split into characters where a list is required
+    data = {"grid": [3, 3], "algebra": "so3", "lambda_field": {"constant": ["0", "0", "1"]},
+            **fields}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    assert_input_error("bundle", "--builtin", "so3", "--bundle-file", str(path))
+
+
+def test_algebra_file_string_basis_labels_exit_two(tmp_path):
+    data = algebra_to_json(builtin_algebra("so3"))
+    data["basis_labels"] = "abc"
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    assert_input_error("algebra", "--file", str(path))
+
+
 @pytest.mark.parametrize("grid", ["abc", "4,"])
 def test_bundle_malformed_grid_exit_two(grid):
     assert_input_error("bundle", "--builtin", "so3", "--grid", grid, "--lambda", "0,0,1")

@@ -1,6 +1,6 @@
 """Byte-identity guard: pinned SHA-256 digests of a few fast CLI reports.
 
-Each line reaches a different exact-elimination entry point (rank, kernel,
+Each line reaches a different use of the one exact elimination (rank, kernel,
 solve, inverse, column span, basis decomposition) or assembly path (the
 paper-signed delta, a non-zero delta block in the total differential, the
 mirror chain maps) or integer kernel (the Jacobi witness among tied
@@ -22,7 +22,7 @@ from spencerbench.liealg import algebra_to_json, builtin_algebra
 
 GOLDEN = [
     (
-        # kernel, solve, rref
+        # kernel, solve, rank
         ["bundle", "--builtin", "sl3", "--grid", "4,4", "--lambda=1,2,3,4,5,6,7,8"],
         "5abe713abdda056e427f165aea6e306f92c841c1974521aedf5a869a03f49e41",
     ),
@@ -90,12 +90,19 @@ GOLDEN = [
          "--mode", "float"],
         "368e76330f20ffc462303e9fba5131da47b33b25449d3651145d01261a50aedb",
     ),
+    (
+        # Killing inverse, power maps of A and the chain maps together;
+        # D^2 residual 49/108, commutation residuals 0, 0, 0
+        ["complex", "--builtin", "sl3", "--lambda=1,-1/2,2,3,-5,1/3,4,7", "--K", "3",
+         "--torus", "1", "--identification", "killing", "--mirror", "weyl:231"],
+        "743b367ec6fe3a988894f7f53b68cf770139451b4e01ee1d4ca31701c551451b",
+    ),
 ]
 
 IDS = ["bundle", "mirror", "complex", "algebra", "spencer-paper-signed",
        "complex-so3-sign", "complex-sl2-identity", "complex-sl2-negate-transpose",
        "spencer-so3-killing-rational", "mirror-sl3-basis-rational",
-       "bundle-so3-omega", "bundle-sl3-float"]
+       "bundle-so3-omega", "bundle-sl3-float", "complex-sl3-killing-weyl"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=IDS)

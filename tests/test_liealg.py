@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import oracle_inverse, oracle_rref
 from spencerbench.errors import FormatError, MismatchError, ValidationError
 from spencerbench.liealg import (
     LieAlgebra,
@@ -15,7 +16,6 @@ from spencerbench.liealg import (
     antisymmetry_residual,
     automorphism_from_json,
     automorphism_to_json,
-    adjoint_matrix,
     bracket,
     builtin_algebra,
     builtin_automorphism,
@@ -26,7 +26,7 @@ from spencerbench.liealg import (
     pairing,
     weyl_mirrors,
 )
-from spencerbench.linalg import invert_dense, rref
+from spencerbench.linalg import OperatorMatrix
 
 F = Fraction
 
@@ -162,7 +162,7 @@ def dense_sl3_from_json():
     up = [[F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3])) if r == k
            else F(rng.choice([-1, 1])) if r < k else F(0) for k in range(n)] for r in range(n)]
     a = [[sum(low[r][m] * up[m][k] for m in range(n)) for k in range(n)] for r in range(n)]
-    ainv = invert_dense(a)
+    ainv = oracle_inverse(a)
     triples = []
     for i in range(n):
         for j in range(n):
@@ -198,7 +198,7 @@ def test_coadjoint_matches_bracket_oracle(case):
     alg = z.algebra
     assert coadjoint(z, xi) == oracle_coadjoint(z, xi)
     columns = [oracle_coadjoint(z, alg.dual_basis_vector(m)).coeffs for m in range(alg.dim)]
-    assert coadjoint_matrix(z) == tuple(zip(*columns))
+    assert coadjoint_matrix(z) == OperatorMatrix.from_dense(list(zip(*columns)))
 
 
 def test_dense_sl3_from_json_is_a_lie_algebra():
@@ -238,6 +238,11 @@ def test_coadjoint_examples(so3):
     assert coadjoint(ab.basis_vector(0), ab.dual([1, 2, 3])) == ab.dual([0, 0, 0])
 
 
+def _dense(m):
+    """An OperatorMatrix as a tuple of Fraction rows."""
+    return tuple(tuple(row) for row in m.to_dense())
+
+
 def _mat_mul(a, b):
     n = len(a)
     return tuple(
@@ -255,11 +260,9 @@ def test_coadjoint_is_a_representation(name):
     for i in range(alg.dim):
         for j in range(alg.dim):
             z, w = alg.basis_vector(i), alg.basis_vector(j)
-            lhs = coadjoint_matrix(bracket(z, w))
-            rhs = _mat_sub(
-                _mat_mul(coadjoint_matrix(z), coadjoint_matrix(w)),
-                _mat_mul(coadjoint_matrix(w), coadjoint_matrix(z)),
-            )
+            lhs = _dense(coadjoint_matrix(bracket(z, w)))
+            cz, cw = _dense(coadjoint_matrix(z)), _dense(coadjoint_matrix(w))
+            rhs = _mat_sub(_mat_mul(cz, cw), _mat_mul(cw, cz))
             assert lhs == rhs
 
 
@@ -280,7 +283,7 @@ def test_negate_transpose_on_sl2(sl2):
 
 def test_identity_automorphism(so3):
     auto = builtin_automorphism(so3, "identity")
-    assert all(auto.matrix[i][i] == 1 for i in range(3))
+    assert auto.matrix == auto.inverse == OperatorMatrix.identity(3)
 
 
 def test_inverse_mirror_rejected_on_nonabelian(so3):
@@ -296,7 +299,7 @@ def test_inverse_mirror_rejected_on_nonabelian(so3):
 def test_inverse_mirror_fine_on_abelian():
     ab = builtin_algebra("abelian(3)")
     auto = builtin_automorphism(ab, "inverse_mirror")
-    assert auto.matrix[0][0] == -1
+    assert auto.matrix == auto.inverse == -OperatorMatrix.identity(3)
 
 
 def test_automorphism_bracket_invariant_all_pairs(sl2):
@@ -310,7 +313,7 @@ def test_automorphism_bracket_invariant_all_pairs(sl2):
 
 def test_automorphism_inverse_exact(sl2):
     auto = builtin_automorphism(sl2, "negate_transpose")
-    prod = _mat_mul(auto.matrix, auto.inverse)
+    prod = _mat_mul(_dense(auto.matrix), _dense(auto.inverse))
     assert prod == tuple(
         tuple(F(1) if i == j else F(0) for j in range(3)) for i in range(3)
     )
@@ -325,7 +328,7 @@ def test_pairing_transport_compatibility(sl2):
         x = sl2.vector([F(rng.randint(-4, 4)) for _ in range(3)])
         xi_t = sl2.dual(
             tuple(
-                sum(xi.coeffs[i] * auto.inverse[i][j] for i in range(3))
+                sum(xi.coeffs[i] * auto.inverse.get(i, j) for i in range(3))
                 for j in range(3)
             )
         )
@@ -336,7 +339,9 @@ def test_pairing_transport_compatibility(sl2):
 def test_weyl_mirror_counts(n, count):
     mirrors = weyl_mirrors(n)
     assert len(mirrors) == count
-    assert len({m.matrix for m in mirrors}) == count
+    distinct = [m.matrix for i, m in enumerate(mirrors)
+                if all(m.matrix != o.matrix for o in mirrors[:i])]
+    assert len(distinct) == count
 
 
 def test_weyl_mirrors_range_check():
@@ -347,7 +352,7 @@ def test_weyl_mirrors_range_check():
 
 
 def test_killing_gram_so3(so3):
-    gram = killing_gram(so3)
+    gram = _dense(killing_gram(so3))
     assert gram == tuple(
         tuple(F(-2) if i == j else F(0) for j in range(3)) for i in range(3)
     )
@@ -355,19 +360,40 @@ def test_killing_gram_so3(so3):
 
 def test_killing_gram_invariant_under_automorphism(sl2):
     # B(Ax, Ay) = B(x, y) for every validated automorphism
-    gram = killing_gram(sl2)
+    gram = _dense(killing_gram(sl2))
     for kind in ("negate_transpose", "permutation:21"):
-        a = builtin_automorphism(sl2, kind).matrix
+        a = _dense(builtin_automorphism(sl2, kind).matrix)
         lhs = _mat_mul(_mat_mul(tuple(zip(*a)), gram), a)
         assert lhs == gram
 
 
-def test_adjoint_matrix_matches_bracket(so3):
-    z = so3.vector([1, 2, 3])
-    mat = adjoint_matrix(z)
-    for j in range(3):
-        col = tuple(mat[r][j] for r in range(3))
-        assert col == bracket(z, so3.basis_vector(j)).coeffs
+def oracle_killing_gram(algebra):
+    """B_ij = sum_mk c_im^k c_jk^m, a dense Fraction loop over every constant."""
+    c, n = algebra.structure, algebra.dim
+    return tuple(tuple(sum((c[i][m][k] * c[j][k][m] for m in range(n) for k in range(n)), F(0))
+                       for j in range(n)) for i in range(n))
+
+
+@given(st.one_of(st.sampled_from(COADJOINT_ALGEBRAS), raw_constants().map(raw_algebra)))
+def test_killing_gram_matches_dense_oracle(alg):
+    gram = killing_gram(alg)
+    assert _dense(gram) == oracle_killing_gram(alg)
+    assert gram == OperatorMatrix.from_dense(oracle_killing_gram(alg))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[["1", "0", "0"], ["0", "1"], ["0", "0", "1"]],
+     [["1", "0", "0"], ["0", "1", "0"]],
+     [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]],
+     ["100", "010", "001"],
+     "100010001",
+     7],
+    ids=["ragged", "short", "wide", "string-rows", "string", "int"],
+)
+def test_automorphism_json_of_the_wrong_shape_is_an_input_error(sl2, matrix):
+    with pytest.raises((FormatError, MismatchError)):
+        automorphism_from_json({"matrix": matrix, "label": "bad"}, sl2)
 
 
 def test_algebra_json_round_trip(sl2):
@@ -451,7 +477,7 @@ def test_identity_is_outside_sl3_span():
 # --- the Fraction construction of the builtins, kept as an oracle -------------
 # Builtins are built on Gaussian integers; this is the construction they
 # replaced: dense (re, im) Fraction matrices, Fraction commutators and one
-# rref of [basis | images].
+# Fraction RREF of [basis | images].
 
 
 def _oracle_elementary(n, i, j, re_=F(1), im=F(0)):
@@ -497,7 +523,7 @@ def _oracle_flatten(mat):
 
 def _oracle_decompose(mats, images):
     dim = len(mats)
-    reduced, pivots = rref(list(zip(*([_oracle_flatten(m) for m in mats]
+    reduced, pivots = oracle_rref(list(zip(*([_oracle_flatten(m) for m in mats]
                                       + [_oracle_flatten(m) for m in images]))))
     assert pivots == list(range(dim))
     return [tuple(reduced[p][dim + j] for p in range(dim)) for j in range(len(images))]
@@ -544,7 +570,7 @@ def test_integer_negate_transpose_matches_the_fraction_construction(name):
         return tuple(tuple((-mat[j][i][0], -mat[j][i][1]) for j in range(n)) for i in range(n))
 
     auto = builtin_automorphism(builtin_algebra(name), "negate_transpose")
-    assert auto.matrix == _oracle_automorphism(mats, neg_transpose)
+    assert _dense(auto.matrix) == _oracle_automorphism(mats, neg_transpose)
 
 
 def test_integer_weyl_mirrors_match_the_fraction_construction():
@@ -558,4 +584,4 @@ def test_integer_weyl_mirrors_match_the_fraction_construction():
             moved = {(perm[a], perm[b]): z for a, row in enumerate(mat) for b, z in enumerate(row)}
             return tuple(tuple(moved[(i, j)] for j in range(3)) for i in range(3))
 
-        assert auto.matrix == _oracle_automorphism(mats, conjugate), auto.label
+        assert _dense(auto.matrix) == _oracle_automorphism(mats, conjugate), auto.label

@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import oracle_kernel, oracle_rref, oracle_solve
 from spencerbench.errors import FormatError
 from spencerbench.linalg import (
     OperatorMatrix,
+    _eliminate,
+    common_denominator,
     in_column_span,
-    invert_dense,
-    kernel_basis_dense,
     kron,
     place_block,
     rank_bareiss,
-    row_space_canonical,
-    rref,
-    solve_dense,
 )
 
 F = Fraction
@@ -268,24 +266,26 @@ def test_kernel_is_kernel_and_canonical():
         assert all(v == 0 for v in m.apply(vec))
     # scaling the functional leaves the canonical kernel unchanged
     m2 = OperatorMatrix.from_dense([[F(-7) * x for x in dense[0]]])
-    assert m2.kernel_basis() == kernel_basis_dense([dense[0]], 3)
+    assert m2.kernel_basis() == OperatorMatrix.from_dense([dense[0]]).kernel_basis()
+    assert m2.kernel_basis() == oracle_kernel([dense[0]], 3)
 
 
-def test_rref_idempotent_pivots():
-    dense = [[F(0), F(2)], [F(1), F(1)], [F(1), F(3)]]
-    reduced, pivots = rref(dense)
-    again, pivots2 = rref(reduced)
-    assert reduced == again and pivots == pivots2 == [0, 1]
+def column(values):
+    return OperatorMatrix(len(values), 1, {(r, 0): F(v) for r, v in enumerate(values)})
 
 
 def test_invert_and_solve():
-    a = [[F(2), F(1)], [F(1), F(1)]]
-    inv = invert_dense(a)
-    assert dense_mul(a, inv) == [[F(1), F(0)], [F(0), F(1)]]
-    assert invert_dense([[F(1), F(2)], [F(2), F(4)]]) is None
-    x = solve_dense([[F(2), F(0)], [F(0), F(3)]], [F(4), F(9)])
-    assert x == (F(2), F(3))
-    assert solve_dense([[F(1)], [F(1)]], [F(1), F(2)]) is None
+    a = OperatorMatrix.from_dense([[F(2), F(1)], [F(1), F(1)]])
+    inv = a.solve(OperatorMatrix.identity(2))
+    assert a @ inv == OperatorMatrix.identity(2)
+    assert inv.to_dense() == [[F(1), F(-1)], [F(-1), F(2)]]
+    assert OperatorMatrix.from_dense([[F(1), F(2)], [F(2), F(4)]]).solve(
+        OperatorMatrix.identity(2)) is None
+    x = OperatorMatrix.from_dense([[F(2), F(0)], [F(0), F(3)]]).solve(column([4, 9]))
+    assert x == column([2, 3])
+    assert OperatorMatrix.from_dense([[F(1)], [F(1)]]).solve(column([1, 2])) is None
+    with pytest.raises(ValueError):
+        a.solve(column([1, 2, 3]))
 
 
 def test_kron_shapes_and_values():
@@ -300,12 +300,6 @@ def test_in_column_span():
     m = OperatorMatrix.from_dense([[F(1), F(0)], [F(0), F(1)], [F(0), F(0)]])
     assert in_column_span(m, (F(3), F(-2), F(0)))
     assert not in_column_span(m, (F(0), F(0), F(1)))
-
-
-def test_row_space_canonical_is_order_independent():
-    v1, v2 = (F(1), F(2), F(0)), (F(0), F(1), F(1))
-    mixed = (F(2), F(5), F(1))  # v1*2 + v2
-    assert row_space_canonical([v1, v2]) == row_space_canonical([mixed, v2, v1])
 
 
 def test_json_round_trip():
@@ -335,27 +329,6 @@ def test_from_json_malformed_entry_is_format_error(entries):
 # --- properties of the one exact elimination ----------------------------------
 
 
-def oracle_rref(dense):
-    """Textbook Gauss-Jordan over Fraction, kept independent of linalg.rref."""
-    mat = [[F(x) for x in row] for row in dense]
-    nrows, ncols = len(mat), len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((rr for rr in range(r, nrows) if mat[rr][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        mat[r] = [x / mat[r][c] for x in mat[r]]
-        for rr in range(nrows):
-            if rr != r:
-                f = mat[rr][c]
-                mat[rr] = [x - f * y for x, y in zip(mat[rr], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat, pivots
-
-
 entries = st.one_of(
     st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6)
 )
@@ -380,8 +353,14 @@ def mat_vec(dense, vec):
 
 
 @given(rational_matrices())
-def test_rref_matches_fraction_oracle(dense):
-    assert rref(dense) == oracle_rref(dense)
+def test_eliminate_matches_fraction_oracle(dense):
+    # row r < len(pivots) of the integer elimination is the r-th RREF row
+    # times its pivot entry
+    mat = [common_denominator(row)[1] for row in dense]
+    pivots = _eliminate(mat)
+    reduced = [[F(x, row[c]) for x in row] for row, c in zip(mat, pivots)]
+    reduced += [[F(0)] * len(dense[0]) for _ in range(len(dense) - len(pivots))]
+    assert (reduced, pivots) == oracle_rref(dense)
 
 
 @given(rational_matrices())
@@ -399,25 +378,26 @@ def test_rank_matches_bareiss_and_kernel_is_complement(dense):
 def test_solve_holds_when_multiplied_back(dense, data):
     cols = len(dense[0])
     x = data.draw(st.lists(entries, min_size=cols, max_size=cols))
-    rhs = mat_vec(dense, x)
-    sol = solve_dense(dense, rhs)
-    assert sol is not None and mat_vec(dense, sol) == rhs
+    m = OperatorMatrix.from_dense(dense)
+    rhs = column(mat_vec(dense, x))
+    sol = m.solve(rhs)
+    assert sol is not None and m @ sol == rhs
     other = data.draw(st.lists(entries, min_size=len(dense), max_size=len(dense)))
-    sol = solve_dense(dense, other)
+    sol = m.solve(column(other))
     consistent = rank_bareiss([row + [b] for row, b in zip(dense, other)]) == rank_bareiss(dense)
     assert (sol is not None) == consistent
     if sol is not None:
-        assert mat_vec(dense, sol) == other
+        assert m @ sol == column(other)
 
 
 @given(rational_matrices(square=True))
 def test_inverse_holds_when_multiplied_back(dense):
     n = len(dense)
-    inv = invert_dense(dense)
+    m = OperatorMatrix.from_dense(dense)
+    inv = m.solve(OperatorMatrix.identity(n))
     assert (inv is not None) == (rank_bareiss(dense) == n)
     if inv is not None:
-        identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-        assert dense_mul(dense, inv) == identity == dense_mul(inv, dense)
+        assert m @ inv == OperatorMatrix.identity(n) == inv @ m
 
 
 @given(rational_matrices(), st.data())
@@ -426,3 +406,63 @@ def test_in_column_span_matches_bareiss_on_augmented(dense, data):
     augmented = [row + [v] for row, v in zip(dense, vec)]
     expected = rank_bareiss(augmented) == rank_bareiss(dense)
     assert in_column_span(OperatorMatrix.from_dense(dense), vec) == expected
+
+
+# --- solve and transpose against the shared Fraction oracle ----------------------
+
+
+def as_matrix(rows, cols, dense):
+    return OperatorMatrix(rows, cols, {(r, c): v for r, row in enumerate(dense)
+                                       for c, v in enumerate(row)})
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, B) as dense rows with 0-6 rows and columns and 0-3 right-hand
+    sides: square singular or non-singular A, consistent B = A X, or any B."""
+    rows = draw(st.integers(0, 6))
+    cols = rows if draw(st.booleans()) else draw(st.integers(0, 6))
+    width = draw(st.integers(0, 3))
+    a = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        # the last row a rational combination of the others: singular when square
+        mix = draw(st.lists(entries, min_size=rows - 1, max_size=rows - 1))
+        a[-1] = [sum((w * row[c] for w, row in zip(mix, a)), F(0)) for c in range(cols)]
+    if draw(st.booleans()):
+        x = [draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(cols)]
+        b = [[sum((row[k] * x[k][j] for k in range(cols)), F(0)) for j in range(width)]
+             for row in a]
+    else:
+        b = [draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(rows)]
+    return rows, cols, width, a, b
+
+
+@given(linear_systems())
+def test_solve_matches_fraction_oracle(system):
+    rows, cols, width, a, b = system
+    ma, mb = as_matrix(rows, cols, a), as_matrix(rows, width, b)
+    sol = ma.solve(mb)
+    want = oracle_solve(a, b, cols, width)
+    assert (sol is None) == (want is None)
+    if sol is not None:
+        assert sol.shape == (cols, width)
+        assert sol.to_dense() == want
+        assert_canonical(sol)
+        assert ma @ sol == mb
+    if rows == cols:
+        inv = ma.solve(OperatorMatrix.identity(rows))
+        assert (inv is not None) == (rank_bareiss(a) == rows)
+
+
+@given(st.data())
+def test_transpose_is_a_canonical_involution_and_reverses_products(data):
+    n, m, p = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = data.draw(fraction_dicts(n, m))
+    b = data.draw(fraction_dicts(m, p))
+    ma, mb = OperatorMatrix(n, m, a), OperatorMatrix(m, p, b)
+    t = ma.transpose()
+    assert t.shape == (m, n)
+    assert t.entries == {(c, r): v for (r, c), v in a.items()}
+    assert_canonical(t)
+    assert t.transpose() == ma
+    assert (ma @ mb).transpose() == mb.transpose() @ ma.transpose()

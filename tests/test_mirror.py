@@ -111,13 +111,10 @@ def test_degree_zero_is_one_by_one():
 def test_functoriality_on_weyl_pairs():
     mirrors = weyl_mirrors(3)
     a, b = mirrors[3], mirrors[4]  # the two 3-cycles
-    composed_matrix = tuple(
-        tuple(
-            sum(a.matrix[i][k] * b.matrix[k][j] for k in range(SL3.dim))
-            for j in range(SL3.dim)
-        )
-        for i in range(SL3.dim)
-    )
+    composed_matrix = OperatorMatrix(SL3.dim, SL3.dim, {
+        (i, j): sum(a.matrix.get(i, k) * b.matrix.get(k, j) for k in range(SL3.dim))
+        for i in range(SL3.dim) for j in range(SL3.dim)
+    })
     match = [m for m in mirrors if m.matrix == composed_matrix]
     assert len(match) == 1
     for ident in Identification:
@@ -149,7 +146,7 @@ def killing_eval(alg, s, args):
     """Evaluation against the Killing pairing: arguments hit B first."""
     gram = killing_gram(alg)
     mapped = [
-        alg.vector(tuple(sum(gram[r][c] * x.coeffs[c] for c in range(alg.dim))
+        alg.vector(tuple(sum(gram.get(r, c) * x.coeffs[c] for c in range(alg.dim))
                          for r in range(alg.dim)))
         for x in args
     ]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spencerbench.errors import MismatchError
 from spencerbench.liealg import builtin_algebra
+from spencerbench.linalg import OperatorMatrix
 from spencerbench.symtensor import (
     SymTensor,
     apply_linear_map,
@@ -180,7 +181,7 @@ def test_from_vector_and_unit():
 
 def test_apply_linear_map_is_functorial_power():
     # the degree-k power of M acts factorwise
-    m = ((F(0), F(1), F(0)), (F(1), F(0), F(0)), (F(0), F(0), F(2)))
+    m = OperatorMatrix.from_dense([[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(2)]])
     s = basis_tensor(SO3, (0, 2))
     out = apply_linear_map(s, m)
     assert out.coeffs == {(1, 2): F(2)}
@@ -198,8 +199,9 @@ def test_power_matrix_multiplicative():
         tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
     )
     for k in (0, 1, 2, 3):
-        lhs = symmetric_power_matrix(SO3, a, k) @ symmetric_power_matrix(SO3, b, k)
-        assert lhs == symmetric_power_matrix(SO3, ab, k)
+        lhs = (symmetric_power_matrix(SO3, OperatorMatrix.from_dense(a), k)
+               @ symmetric_power_matrix(SO3, OperatorMatrix.from_dense(b), k))
+        assert lhs == symmetric_power_matrix(SO3, OperatorMatrix.from_dense(ab), k)
 
 
 def test_json_round_trip():
@@ -254,7 +256,7 @@ def test_power_matrix_matches_symtensor_oracle(case):
     for c, key in enumerate(basis):
         for row_key, v in oracle_apply_linear_map(basis_tensor(alg, key), m).coeffs.items():
             want[(basis.index(row_key), c)] = v
-    assert symmetric_power_matrix(alg, m, k).entries == want
+    assert symmetric_power_matrix(alg, OperatorMatrix.from_dense(m), k).entries == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,4 +264,4 @@ def test_power_matrix_matches_symtensor_oracle(case):
     lambda d: st.dictionaries(st.sampled_from(multisets(3, d)), ENTRY, max_size=5)
     .map(lambda c: SymTensor(SO3, d, {key: v for key, v in c.items() if v}))))
 def test_apply_linear_map_matches_symtensor_oracle(m, s):
-    assert apply_linear_map(s, m) == oracle_apply_linear_map(s, m)
+    assert apply_linear_map(s, OperatorMatrix.from_dense(m)) == oracle_apply_linear_map(s, m)
