@@ -20,6 +20,16 @@ the annihilator-distance solve of the energy and the coadjoint term of the
 flatness residual. A bundle's fields are read-only, so its kernels and its
 flatness report are computed once and shared by every diagnostic that
 needs them.
+
+The flatness residual is integer arithmetic: the dual field is written over
+one denominator L, each coadjoint term comes from the integer coadjoint
+matrix mat / s of its connection sample, and every residual coefficient is
+an integer numerator over D = 2 L S, with S the lcm of the scales s. Its
+maximum and the first energy term are then one Fraction each; the Fraction
+field is built only when it is read. The float series of the fiber-action
+law is evaluated once per distinct step value, with the same products and
+builtin sums in the same order as a plain index loop, so its float is the
+same bit for bit.
 """
 
 from __future__ import annotations
@@ -28,11 +38,21 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 from types import MappingProxyType
 
 from .errors import DegenerateInputError, FormatError, MismatchError
-from .liealg import coadjoint, coadjoint_matrix, pairing
-from .linalg import ZERO, ONE, OperatorMatrix, format_scalar, parse_scalar
+from .liealg import _coadjoint_numerators, coadjoint_matrix, pairing
+from .linalg import (
+    ZERO,
+    ONE,
+    OperatorMatrix,
+    common_denominator,
+    format_scalar,
+    parse_int,
+    parse_scalar,
+)
 
 
 @dataclass(frozen=True)
@@ -217,8 +237,23 @@ def transversality_report(bundle):
 
 @dataclass
 class CartanResidualReport:
-    field: dict  # (site, axis) -> residual coefficients (dual coordinates)
-    max_abs: Fraction
+    den: int  # every residual coefficient is an integer numerator over den
+    nums: dict  # (site, axis) -> integer numerators of the residual coefficients
+
+    @cached_property
+    def field(self):
+        """(site, axis) -> residual coefficients (dual coordinates)."""
+        return {key: tuple(Fraction(v, self.den) for v in row) for key, row in self.nums.items()}
+
+    @cached_property
+    def max_abs(self):
+        worst = max(map(abs, itertools.chain.from_iterable(self.nums.values())), default=0)
+        return Fraction(worst, self.den)
+
+    def squared_norm(self):
+        """Sum of the squares of every residual coefficient."""
+        return Fraction(sum(sum(map(mul, row, row)) for row in self.nums.values()),
+                        self.den * self.den)
 
     def to_json(self):
         return {
@@ -246,22 +281,38 @@ def _cartan_report(bundle):
             raise MismatchError("central differences need at least 3 sites per axis")
     sites, cls, reps = bundle._site_classes
     n = bundle.n_axes
+    dim = bundle.algebra.dim
+    # the dual field as integers over one denominator L, once per site value
+    big_l, flat = common_denominator(c for rep in reps for c in bundle.lam_field[rep].coeffs)
+    lam = [tuple(flat[k * dim:(k + 1) * dim]) for k in range(len(reps))]
+    lam_at = dict(zip(sites, (lam[c] for c in cls)))
+    # ad*_z has integer matrix mat / s for each distinct connection sample z;
+    # every term is written over S = lcm of the scales s
+    coad_of = {}
+    for rep in reps:
+        for z in bundle.omega[rep]:
+            if z.coeffs not in coad_of:
+                coad_of[z.coeffs] = _coadjoint_numerators(z)
+    big_s = lcm(*(s for s, _ in coad_of.values()))
+
+    def coad_term(z, xi):
+        """2 (S / s) mat xi: ad*_z of xi / L, as numerators over D = 2 L S."""
+        s, mat = coad_of[z.coeffs]
+        f = 2 * (big_s // s)
+        return tuple(f * sum(map(mul, row, xi)) for row in mat)
+
     # the algebraic term depends only on the site's (lam, omega) value
-    coad = [[coadjoint(bundle.omega[rep][a], bundle.lam_field[rep]) for a in range(n)]
-            for rep in reps]
-    # 1 / (2 h_a) = m_a / 2
-    half = [Fraction(m, 2) for m in bundle.shape]
-    field = {}
-    worst = ZERO
+    coad = [[coad_term(z, xi) for z in bundle.omega[rep]] for rep, xi in zip(reps, lam)]
+    # (lam(site+a) - lam(site-a)) / (2 h_a) = m_a S (plus - minus) / D
+    step = [m * big_s for m in bundle.shape]
+    nums = {}
     for site, c in zip(sites, cls):
         for a in range(n):
-            plus = bundle.lam_field[bundle.shift(site, a, 1)].coeffs
-            minus = bundle.lam_field[bundle.shift(site, a, -1)].coeffs
-            res = tuple((p - q) * half[a] + x
-                        for p, q, x in zip(plus, minus, coad[c][a].coeffs))
-            field[(site, a)] = res
-            worst = max(worst, max(map(abs, res), default=ZERO))
-    return CartanResidualReport(field, worst)
+            plus = lam_at[bundle.shift(site, a, 1)]
+            minus = lam_at[bundle.shift(site, a, -1)]
+            k = step[a]
+            nums[(site, a)] = tuple(k * (p - q) + x for p, q, x in zip(plus, minus, coad[c][a]))
+    return CartanResidualReport(2 * big_l * big_s, nums)
 
 
 def equivariance_residual(bundle, order=8, steps=(0.1, 0.2)):
@@ -280,38 +331,38 @@ def equivariance_residual(bundle, order=8, steps=(0.1, 0.2)):
     distinct = {bundle.lam_field[site].coeffs: None for site in bundle._site_classes[2]}
     lams = [[float(c) for c in coeffs] for coeffs in distinct]
 
+    # Every entry is one builtin sum of the products a[i][k] * b[k][j] in
+    # order of k, so the float result does not depend on how it is looped.
     def mat_mul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)]
-            for i in range(dim)
-        ]
+        cols = list(zip(*b))
+        return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
-    def mat_apply(a, v):
-        return [sum(a[i][k] * v[k] for k in range(dim)) for i in range(dim)]
-
-    def expm(mat, t):
+    def expm(cols, t):
+        """Truncated exponential of t * gen, from the columns of gen."""
         out = [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
-        term = [row[:] for row in out]
+        term = out
         for p in range(1, order + 1):
-            term = mat_mul(term, mat)
-            term = [[x * t / p for x in row] for row in term]
-            for i in range(dim):
-                for j in range(dim):
-                    out[i][j] += term[i][j]
+            term = [[sum(map(mul, row, col)) * t / p for col in cols] for row in term]
+            out = [[o + x for o, x in zip(orow, trow)] for orow, trow in zip(out, term)]
         return out
 
     worst = 0.0
     for i in range(dim):
         gen = [[float(v) for v in row]
                for row in coadjoint_matrix(alg.basis_vector(i)).to_dense()]
+        cols = list(zip(*gen))
+        series = {}  # one truncated exponential per distinct step value
         for t in steps:
-            one_step = expm(gen, t)
-            half = expm(gen, t / 2)
-            two_step = mat_mul(half, half)
+            for u in (t, t / 2):
+                if u not in series:
+                    series[u] = expm(cols, u)
+            half = series[t / 2]
+            rows = list(zip(series[t], mat_mul(half, half)))
             for lam in lams:
-                a = mat_apply(one_step, lam)
-                b = mat_apply(two_step, lam)
-                worst = max(worst, max(abs(x - y) for x, y in zip(a, b)))
+                for one, two in rows:
+                    d = abs(sum(map(mul, one, lam)) - sum(map(mul, two, lam)))
+                    if d > worst:
+                        worst = d
     return worst
 
 
@@ -324,12 +375,8 @@ def compatibility_functional_terms(bundle, dist_target=None):
     (defaults to the constraint kernel itself, which makes the term vanish).
     Distances use the dual-coordinate Euclidean norm.
     """
-    residuals = cartan_residual(bundle)
     vol = bundle.cell_volume()
-    first = ZERO
-    for coeffs in residuals.field.values():
-        first += sum((v * v for v in coeffs), ZERO)
-    first = first * vol / 2
+    first = cartan_residual(bundle).squared_norm() * vol / 2
 
     if dist_target is None:
         # the default target is the constraint kernel: one solve per distinct site value
@@ -400,12 +447,9 @@ def _site_row(item, width, shape, what):
     if not isinstance(item, (list, tuple)) or len(item) != width:
         raise FormatError(f"{what} row {item!r} must have {width} fields")
     site, *rest, coeffs = item
-    try:
-        site = tuple(int(s) for s in _list(site, f"{what} row site"))
-        rest = [int(x) for x in rest]
-        coeffs = _coefficients(coeffs, f"{what} row coefficients")
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{what} row {item!r}: {exc}") from exc
+    site = tuple(parse_int(s, f"{what} row site") for s in _list(site, f"{what} row site"))
+    rest = [parse_int(x, f"{what} row axis") for x in rest]
+    coeffs = _coefficients(coeffs, f"{what} row coefficients")
     if len(site) != len(shape) or not all(0 <= s < m for s, m in zip(site, shape)):
         raise FormatError(f"{what} row {item!r}: site is not on the {shape} grid")
     return (site, *rest, coeffs)
@@ -413,8 +457,8 @@ def _site_row(item, width, shape, what):
 
 def bundle_from_json(data, algebra):
     try:
-        shape = tuple(int(m) for m in _list(data["grid"], "grid"))
-    except (KeyError, TypeError, ValueError) as exc:
+        shape = tuple(parse_int(m, "grid extent") for m in _list(data["grid"], "grid"))
+    except (KeyError, TypeError) as exc:
         raise FormatError("bundle JSON needs a grid field") from exc
     n = len(shape)
 

@@ -37,6 +37,7 @@ from .linalg import (
     format_scalar,
     in_column_span,
     kron,
+    parse_int,
     parse_scalar,
     place_block,
 )
@@ -135,14 +136,16 @@ def _product_row(item, basis, scalars):
     """
     if not isinstance(item, list) or len(item) != 5 or not isinstance(item[4], list):
         raise FormatError(f"product row {item!r} must be [i, a, j, b, [[c, coeff], ...]]")
+    i, a, j, b = (parse_int(x, "product row index") for x in item[:4])
     try:
-        i, a, j, b = (int(x) for x in item[:4])
         table = {}
         for c, v in item[4]:
-            c = int(c)
-            if v not in scalars:
-                scalars[v] = parse_scalar(v)
-            table[c] = scalars[v]
+            c = parse_int(c, "product row index")
+            # the literal's type is part of the key: 1, 1.0 and True are equal
+            key = (type(v), v)
+            if key not in scalars:
+                scalars[key] = parse_scalar(v)
+            table[c] = scalars[key]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"product row {item!r}: {exc}") from exc
     top = len(basis) - 1

@@ -34,6 +34,7 @@ from .linalg import (
     common_denominator,
     format_scalar,
     _eliminate,
+    parse_int,
     parse_scalar,
 )
 
@@ -601,10 +602,10 @@ def algebra_to_json(algebra):
 def algebra_from_json(data):
     try:
         name = str(data["name"])
-        dim = int(data["dim"])
+        dim = parse_int(data["dim"], "algebra dim")
         triples = data["structure_constants"]
         labels = data["basis_labels"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError("algebra JSON needs name/dim/structure_constants/basis_labels") from exc
     if not isinstance(labels, list):
         raise FormatError("basis_labels must be a list")
@@ -619,9 +620,9 @@ def algebra_from_json(data):
             raise FormatError(f"bad structure constant entry {item!r}")
         try:
             i, j, k, v = item
-            i, j, k = int(i), int(j), int(k)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise FormatError(f"bad structure constant entry {item!r}") from exc
+        i, j, k = (parse_int(x, "structure constant index") for x in (i, j, k))
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise FormatError(f"structure constant index out of range in {item!r}")
         structure[i][j][k] = parse_scalar(v)
@@ -645,7 +646,7 @@ def automorphism_from_json(data, algebra):
         raise FormatError("automorphism JSON needs a matrix field") from exc
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise FormatError("automorphism matrix must be a list of rows")
-    # OperatorMatrix does not bounds-check its keys: check the shape here
+    # a ragged or non-square matrix is a shape mismatch, not a format error
     if len(rows) != algebra.dim or any(len(row) != algebra.dim for row in rows):
         raise MismatchError("automorphism matrix shape does not match the algebra")
     matrix = OperatorMatrix.from_dense([[parse_scalar(v) for v in row] for row in rows])

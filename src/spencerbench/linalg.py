@@ -8,9 +8,10 @@ scaling, transposes, Kronecker products and block writes are integer
 operations; Fractions appear only at the interface (``get``, ``entries``,
 ``to_dense``, ``to_json``). Every rank, kernel, solve, inverse and
 column-span test is one Gauss-Jordan elimination over the integers of the
-matrix's numerator rows; ``solve(B)`` eliminates [A | B] once, so an inverse
-is ``solve(identity)``. ``rank_bareiss`` is a separate fraction-free Bareiss
-elimination on the dense Fraction form, kept only to cross-check ranks.
+matrix's numerator rows; ``rank()`` asks it for the pivots only, and
+``solve(B)`` eliminates [A | B] once, so an inverse is ``solve(identity)``.
+``rank_bareiss`` is a separate fraction-free Bareiss elimination on the
+dense Fraction form, kept only to cross-check ranks.
 
 Only the boundaries stay dense: ``from_dense``/``to_dense`` and JSON.
 """
@@ -28,11 +29,24 @@ ONE = Fraction(1)
 
 
 def parse_scalar(text):
-    """Parse a "p/q" (or "p") string into a Fraction."""
+    """Parse a "p/q" (or "p") string, or an integer, into a Fraction.
+
+    A float or a bool is not an exact rational literal and is rejected.
+    """
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise FormatError(f"bad rational literal {text!r}")
     try:
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational literal {text!r}") from exc
+
+
+def parse_int(value, what):
+    """value, checked to be an integer (not a bool): a float or a string is
+    rejected instead of being truncated or converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def format_scalar(value):
@@ -82,13 +96,18 @@ class OperatorMatrix:
     nums[(r, c)] / den, in canonical form.
 
     ``OperatorMatrix(rows, cols, {(r, c): Fraction})`` builds one from
-    rationals; ``from_numerators`` from integers over a denominator.
+    rationals and raises IndexError for a key outside the shape;
+    ``from_numerators`` builds one from integers over a denominator.
     """
 
     __slots__ = ("rows", "cols", "den", "nums")
 
     def __init__(self, rows, cols, entries=None):
-        items = [(key, v) for key, v in (entries or {}).items() if v]
+        entries = entries or {}
+        for r, c in entries:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise IndexError((r, c))
+        items = [(key, v) for key, v in entries.items() if v]
         den, ints = common_denominator(v for _, v in items)
         self.rows, self.cols = rows, cols
         self.den, self.nums = _reduced(den, {key: v for (key, _), v in zip(items, ints)})
@@ -240,7 +259,7 @@ class OperatorMatrix:
         return tuple(x / self.den for x in out)
 
     def rank(self):
-        return len(_eliminate(self._numerator_rows()))
+        return len(_eliminate(self._numerator_rows(), full=False))
 
     def kernel_basis(self):
         mat = self._numerator_rows()
@@ -280,21 +299,19 @@ class OperatorMatrix:
     @classmethod
     def from_json(cls, data):
         try:
-            rows = int(data["rows"])
-            cols = int(data["cols"])
+            rows = parse_int(data["rows"], "operator matrix rows")
+            cols = parse_int(data["cols"], "operator matrix cols")
             raw = data["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FormatError("operator matrix JSON must have rows/cols/entries") from exc
         entries = {}
         try:
             for r, c, v in raw:
-                r, c = int(r), int(c)
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise IndexError((r, c))
-                entries[(r, c)] = parse_scalar(v)
+                key = (parse_int(r, "entry row"), parse_int(c, "entry column"))
+                entries[key] = parse_scalar(v)
+            return cls(rows, cols, entries)
         except (TypeError, ValueError, IndexError) as exc:
             raise FormatError(f"bad operator matrix entries: {exc}") from exc
-        return cls(rows, cols, entries)
 
     def _check_shape(self, other):
         if self.shape != other.shape:
@@ -332,12 +349,15 @@ def place_block(target, block, row_offset, col_offset):
     target.den, target.nums = _reduced(den, nums)
 
 
-def _eliminate(mat):
+def _eliminate(mat, full=True):
     """Gauss-Jordan over the integers, in place on a list of integer rows.
 
     Returns the pivot columns; row r < len(pivots) is then the r-th RREF row
     times its pivot entry mat[r][pivots[r]]. Rows are eliminated with
-    p*row - f*pivot_row and divided by the gcd of their entries.
+    p*row - f*pivot_row and divided by the gcd of their entries. With
+    full=False only the rows below each pivot are eliminated: the rows that
+    later pivots are chosen from go through the same steps, so the pivots are
+    the same, but the rows above them are left unreduced.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
@@ -352,7 +372,7 @@ def _eliminate(mat):
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         prow = mat[r]
         p = prow[c]
-        for rr in range(nrows):
+        for rr in range(nrows) if full else range(r + 1, nrows):
             f = mat[rr][c]
             if rr != r and f:
                 g = gcd(p, f)

@@ -20,7 +20,15 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import FormatError, MismatchError
-from .linalg import ZERO, ONE, OperatorMatrix, common_denominator, format_scalar, parse_scalar
+from .linalg import (
+    ZERO,
+    ONE,
+    OperatorMatrix,
+    common_denominator,
+    format_scalar,
+    parse_int,
+    parse_scalar,
+)
 
 
 def multisets(dim, k):
@@ -128,14 +136,14 @@ def from_vector(x):
 
 def tensor_from_json(algebra, data):
     try:
-        degree = int(data["degree"])
+        degree = parse_int(data["degree"], "tensor degree")
         raw = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError("tensor JSON needs degree and terms") from exc
     coeffs = {}
     for item in raw:
         key, v = item
-        key = tuple(int(i) for i in key)
+        key = tuple(parse_int(i, "tensor index") for i in key)
         if any(not 0 <= i < algebra.dim for i in key):
             raise FormatError(f"tensor index out of range in {item!r}")
         if tuple(sorted(key)) != key:

@@ -1,12 +1,18 @@
-"""Exact-elimination oracles shared by the tests.
+"""Oracles shared by the tests.
 
 Textbook Gauss-Jordan over Fraction on dense rows, kept independent of the
 integer elimination in ``spencerbench.linalg``: the reduced row echelon form
 is unique, so every kernel, span and solution derived from it is canonical
-and can be compared with ``==``.
+and can be compared with ``==``. The lattice oracles evaluate the bundle
+diagnostics straight from their definitions, site by site: the flatness
+residual and its energy in Fractions, and the equivariance defect with the
+same float operations in the same order as the library, so that ``==``
+holds for it too.
 """
 
 from fractions import Fraction
+
+from spencerbench.liealg import bracket, coadjoint_matrix, pairing
 
 F = Fraction
 
@@ -66,3 +72,77 @@ def oracle_solve(a, b, ncols, width):
 def oracle_inverse(a):
     n = len(a)
     return oracle_solve(a, [[F(int(i == j)) for j in range(n)] for i in range(n)], n, n)
+
+
+# ---------------------------------------------------------------------------
+# Lattice diagnostics, coded from their definitions over Fractions and floats
+# ---------------------------------------------------------------------------
+
+
+def oracle_cartan(bundle):
+    """(field, max_abs) of the central-difference flatness residual, summed
+    per coefficient in Fractions; the coadjoint term is -<lam, [omega_a, e_j]>
+    from the bracket, independent of the integer coadjoint matrices."""
+    basis = bundle.algebra.basis_vectors()
+    field = {}
+    worst = F(0)
+    for site in bundle.sites():
+        lam = bundle.lam_field[site]
+        for a in range(bundle.n_axes):
+            plus = bundle.lam_field[bundle.shift(site, a, 1)].coeffs
+            minus = bundle.lam_field[bundle.shift(site, a, -1)].coeffs
+            half = F(bundle.shape[a], 2)  # 1 / (2 h_a)
+            coad = [-pairing(lam, bracket(bundle.omega[site][a], e)) for e in basis]
+            res = tuple((p - q) * half + x for p, q, x in zip(plus, minus, coad))
+            field[(site, a)] = res
+            worst = max(worst, max(map(abs, res), default=F(0)))
+    return field, worst
+
+
+def oracle_first_term(field, vol):
+    """Half the volume-weighted sum of the squared residual coefficients."""
+    total = F(0)
+    for coeffs in field.values():
+        total += sum((v * v for v in coeffs), F(0))
+    return total * vol / 2
+
+
+def oracle_equivariance_residual(bundle, order=8, steps=(0.1, 0.2)):
+    """The float group-law defect with plain index loops: one series per step
+    and per half step, every entry one builtin sum over k in order."""
+    alg = bundle.algebra
+    dim = alg.dim
+    lams = {bundle.lam_field[site].coeffs: None for site in bundle.sites()}
+    lams = [[float(c) for c in coeffs] for coeffs in lams]
+
+    def mat_mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)]
+                for i in range(dim)]
+
+    def mat_apply(a, v):
+        return [sum(a[i][k] * v[k] for k in range(dim)) for i in range(dim)]
+
+    def expm(mat, t):
+        out = [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+        term = [row[:] for row in out]
+        for p in range(1, order + 1):
+            term = mat_mul(term, mat)
+            term = [[x * t / p for x in row] for row in term]
+            for i in range(dim):
+                for j in range(dim):
+                    out[i][j] += term[i][j]
+        return out
+
+    worst = 0.0
+    for i in range(dim):
+        gen = [[float(v) for v in row]
+               for row in coadjoint_matrix(alg.basis_vector(i)).to_dense()]
+        for t in steps:
+            one_step = expm(gen, t)
+            half = expm(gen, t / 2)
+            two_step = mat_mul(half, half)
+            for lam in lams:
+                a = mat_apply(one_step, lam)
+                b = mat_apply(two_step, lam)
+                worst = max(worst, max(abs(x - y) for x, y in zip(a, b)))
+    return worst

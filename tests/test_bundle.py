@@ -1,10 +1,21 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spencerbench.linalg as linalg_mod
-from oracles import oracle_kernel, oracle_row_space, oracle_rref
+from oracles import (
+    oracle_cartan,
+    oracle_equivariance_residual,
+    oracle_first_term,
+    oracle_inverse,
+    oracle_kernel,
+    oracle_row_space,
+    oracle_rref,
+)
 from spencerbench.bundle import (
     bundle_from_json,
     bundle_to_json,
@@ -16,7 +27,13 @@ from spencerbench.bundle import (
     transversality_report,
 )
 from spencerbench.errors import DegenerateInputError, FormatError, MismatchError
-from spencerbench.liealg import bracket, builtin_algebra, builtin_automorphism, pairing
+from spencerbench.liealg import (
+    algebra_from_json,
+    bracket,
+    builtin_algebra,
+    builtin_automorphism,
+    pairing,
+)
 
 F = Fraction
 SO3 = builtin_algebra("so3")
@@ -407,3 +424,76 @@ def test_constant_field_eliminations_do_not_grow_with_the_grid(monkeypatch):
         equivariance_residual(b)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+# --- integer residuals and the float series against their definitions ------------
+
+
+small_rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7, 12]))
+
+
+def changed_basis(name, seed):
+    """The builtin algebra in the basis f_i = sum_p a[p][i] e_p for a random
+    invertible integer matrix a: dense coadjoint matrices and rational
+    structure constants, so every float sum has several non-zero terms."""
+    alg = builtin_algebra(name)
+    n, c = alg.dim, alg.structure
+    rng = random.Random(seed)
+    inv = None
+    while inv is None:
+        a = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        inv = oracle_inverse(a)
+    triples = []
+    for i in range(n):
+        for j in range(n):
+            bra = [sum((a[p][i] * a[q][j] * c[p][q][m] for p in range(n) for q in range(n)), F(0))
+                   for m in range(n)]
+            for k in range(n):
+                v = sum((inv[k][m] * bra[m] for m in range(n)), F(0))
+                if v:
+                    triples.append([i, j, k, str(v)])
+    return algebra_from_json({"name": f"{name}-dense", "dim": n, "structure_constants": triples,
+                              "basis_labels": [f"f{i + 1}" for i in range(n)]})
+
+
+FIELD_ALGEBRAS = [builtin_algebra("so3"), builtin_algebra("sl2"), builtin_algebra("sl3"),
+                  changed_basis("so3", 1), changed_basis("sl2", 2), changed_basis("sl3", 3)]
+
+
+@st.composite
+def site_resolved_fields(draw):
+    """A random site-resolved bundle: rational lambda values with mixed
+    denominators, drawn from a pool so that some repeat, and a connection
+    that is zero at some sites and rational or integer at others."""
+    alg = draw(st.sampled_from(FIELD_ALGEBRAS))
+    shape = draw(st.sampled_from([(3, 3), (3, 4), (4, 3), (5, 4), (3, 3, 3)]))
+    sites = list(itertools.product(*(range(m) for m in shape)))
+    vector = st.lists(small_rationals, min_size=alg.dim, max_size=alg.dim)
+    pool = draw(st.lists(vector, min_size=1, max_size=len(sites)))
+    pool = [v if any(v) else [F(1)] + v[1:] for v in pool]
+    lam = {s: draw(st.sampled_from(pool)) for s in sites}
+    integer = st.lists(st.integers(-3, 3).map(F), min_size=alg.dim, max_size=alg.dim)
+    sample = st.one_of(st.none(), vector, integer)
+    omega = {}
+    for s in sites:
+        axes = [draw(sample) for _ in shape]
+        if any(v is not None for v in axes):
+            omega[s] = [alg.vector(v or [0] * alg.dim) for v in axes]
+    return grid_bundle(shape, alg, omega, lam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(site_resolved_fields())
+def test_integer_cartan_report_and_first_term_match_fraction_oracle(b):
+    field, worst = oracle_cartan(b)
+    rep = cartan_residual(b)
+    assert rep.field == field
+    assert rep.max_abs == worst
+    first, _ = compatibility_functional_terms(b)
+    assert first == oracle_first_term(field, b.cell_volume())
+
+
+@settings(max_examples=30, deadline=None)
+@given(site_resolved_fields(), st.sampled_from([(0.1, 0.2), (0.2, 0.1), (0.3,), (0.0,)]))
+def test_equivariance_residual_is_the_float_series_bit_for_bit(b, steps):
+    assert equivariance_residual(b, steps=steps) == oracle_equivariance_residual(b, steps=steps)

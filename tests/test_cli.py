@@ -280,6 +280,44 @@ def test_bundle_file_field_that_is_not_a_list_exit_two(tmp_path, fields):
     assert_input_error("bundle", "--builtin", "so3", "--bundle-file", str(path))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"grid": [3.7, 3]}, {"grid": ["3", True]}, {"grid": ["3", 3]}, {"grid": [3, 3.0]},
+     {"lambda_field": {"constant": [0, 0.1, 1]}}, {"lambda_field": {"constant": [0, True, 1]}},
+     {"lambda_field": [[[i, j], ["0", "0", "1"]] for i in range(3) for j in range(3)]
+      + [[[0.0, 1], ["1", "0", "0"]]]},
+     {"omega_base": [[[0, 0], True, ["1", "0", "0"]]]},
+     {"omega_base": [[[0, 0], 0, ["1", 0.5, "0"]]]}],
+    ids=["float-grid", "string-and-bool-grid", "string-grid", "integral-float-grid", "float-lambda",
+         "bool-lambda", "float-site", "bool-axis", "float-omega"],
+)
+def test_bundle_file_non_integer_or_inexact_number_exit_two(tmp_path, fields):
+    # a float is neither truncated to an integer nor read as its binary
+    # expansion, and a bool is not an integer
+    data = {"grid": [3, 3], "algebra": "so3", "lambda_field": {"constant": ["0", "0", "1"]},
+            **fields}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    assert_input_error("bundle", "--builtin", "so3", "--bundle-file", str(path))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda d: d.update(dim=3.9),
+     lambda d: d.update(dim=True, structure_constants=[], basis_labels=["e"]),
+     lambda d: d["structure_constants"][0].__setitem__(0, 1.0),
+     lambda d: d["structure_constants"][0].__setitem__(2, False),
+     lambda d: d["structure_constants"][0].__setitem__(3, 1.0)],
+    ids=["float-dim", "bool-dim", "float-index", "bool-index", "float-value"],
+)
+def test_algebra_file_non_integer_or_inexact_number_exit_two(tmp_path, edit):
+    data = algebra_to_json(builtin_algebra("so3"))
+    edit(data)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    assert_input_error("algebra", "--file", str(path))
+
+
 def test_algebra_file_string_basis_labels_exit_two(tmp_path):
     data = algebra_to_json(builtin_algebra("so3"))
     data["basis_labels"] = "abc"

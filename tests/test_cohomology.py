@@ -85,6 +85,11 @@ def test_dga_json_round_trip():
         7,
         [[0, 0, 0, 0, [[0, "1"]]], [0, 0, 1, 0, [[0, "1/0"]]]],  # bad literal after a good one
         [[0, 0, 0, 0, [[0, [1]]]]],  # unhashable coefficient
+        [[0.0, 0, 1, 0, [[0, "1"]]]],  # a float degree
+        [[0, 0, True, 0, [[0, "1"]]]],  # a bool degree
+        [[0, 0, 1, 0, [[0.0, "1"]]]],  # a float index in degree i + j
+        [[0, 0, 1, 0, [[0, 0.5]]]],  # a float coefficient
+        [[0, 0, 0, 0, [[0, 1]]], [0, 0, 1, 0, [[0, True]]]],  # True after an equal 1
     ],
 )
 def test_dga_json_malformed_product_is_format_error(product):

@@ -6,14 +6,16 @@ paper-signed delta, a non-zero delta block in the total differential, the
 mirror chain maps) or integer kernel (the Jacobi witness among tied
 quadruples, generator tables and products over a rational lambda) or
 bundle diagnostic (a constant connection, a site-resolved rational field
-on three axes, float rendering). The
-reduced row echelon form is unique and every reported value is exact, so
-any correct change to these paths keeps the digests.
+on three axes, a distinct rational value at every site of an sl3 field,
+float rendering). The reduced row echelon form is unique, every reported
+rational is exact and the one reported float is pinned to its order of
+operations, so any correct change to these paths keeps the digests.
 """
 
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -152,4 +154,31 @@ def test_bundle_file_report_digest_is_pinned(tmp_path, capsys):
     assert json.loads(out)["functional_terms"] == ["17823/128", "0"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "bdb9d6859f6c394ddcab17f92ea501ca5effd9b280d950a0ad066a9766853c4a"
+    )
+
+
+def test_sl3_site_resolved_bundle_file_digest_is_pinned(tmp_path, capsys):
+    # site-resolved sl3 on 5x4: a distinct rational lambda at every site, with
+    # mixed denominators, and a non-zero integer connection on both axes, so
+    # the float series runs over 20 distinct values and the Cartan residual
+    # mixes the denominators of neighbouring sites with coadjoint terms
+    rng = random.Random(61)
+    sites = [[i, j] for i in range(5) for j in range(4)]
+    lam = [[s, [f"{rng.randint(-6, 6)}/{rng.choice((1, 2, 3, 5, 7))}" for _ in range(7)]
+            + [f"{k + 1}/{rng.choice((1, 4, 9))}"]] for k, s in enumerate(sites)]
+    omega = [[s, a, [str(rng.randint(1, 2) * rng.choice((-1, 1)) if p == k % 8
+                         else rng.randint(-2, 2)) for p in range(8)]]
+             for k, s in enumerate(sites) for a in range(2)]
+    assert len({tuple(map(Fraction, coeffs)) for _, coeffs in lam}) == len(sites)
+    data = {"grid": [5, 4], "algebra": "sl3", "omega_base": omega, "lambda_field": lam}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(data))
+    code = main(["bundle", "--builtin", "sl3", "--bundle-file", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    report = json.loads(out)
+    assert report["cartan_residual_max"] == "1173/8"
+    assert report["functional_terms"] == ["315514211323/127008000", "0"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "02040fd426f1dec57c4f948e7ac47f000ccec6b9be6dee2164c257d615d826cd"
     )

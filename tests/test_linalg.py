@@ -319,11 +319,33 @@ def test_shape_mismatch_raises():
 
 @pytest.mark.parametrize(
     "entries",
-    [[[0, 0]], [[0, 0, "1", "2"]], [[2, 0, "1"]], [[0, -1, "1"]], [["a", 0, "1"]], [7], None],
+    [[[0, 0]], [[0, 0, "1", "2"]], [[2, 0, "1"]], [[0, -1, "1"]], [["a", 0, "1"]], [7], None,
+     [[1.0, 0, "1"]], [[0, True, "1"]], [[0, 0, 0.25]], [[0, 0, False]]],
 )
 def test_from_json_malformed_entry_is_format_error(entries):
     with pytest.raises(FormatError):
         OperatorMatrix.from_json({"rows": 2, "cols": 2, "entries": entries})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"rows": 2.9, "cols": "2", "entries": [[1.5, 0, 0.25]]},
+     {"rows": 2.9, "cols": 2, "entries": []}, {"rows": 2, "cols": "2", "entries": []},
+     {"rows": True, "cols": 2, "entries": []}],
+    ids=["all-fields", "float-rows", "string-cols", "bool-rows"],
+)
+def test_from_json_non_integer_shape_is_format_error(data):
+    # a float is not truncated and a string is not converted
+    with pytest.raises(FormatError):
+        OperatorMatrix.from_json(data)
+
+
+@pytest.mark.parametrize("key", [(5, 5), (2, 0), (0, 2), (-1, 0), (0, -1)])
+@pytest.mark.parametrize("value", [F(1), F(0)])
+def test_constructor_rejects_a_key_outside_the_shape(key, value):
+    with pytest.raises(IndexError):
+        OperatorMatrix(2, 2, {key: value})
+    assert OperatorMatrix(2, 2, {(1, 1): value}).to_dense()[1][1] == value
 
 
 # --- properties of the one exact elimination ----------------------------------
@@ -466,3 +488,41 @@ def test_transpose_is_a_canonical_involution_and_reverses_products(data):
     assert_canonical(t)
     assert t.transpose() == ma
     assert (ma @ mb).transpose() == mb.transpose() @ ma.transpose()
+
+
+@st.composite
+def rank_test_matrices(draw):
+    """Random rational matrices with dependent rows, and block-diagonal ones
+    with their rows and columns permuted; either may have 0 rows or 0 columns."""
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        dense = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+        for r in range(1, rows):
+            if draw(st.booleans()):
+                a, b = draw(entries), draw(entries)
+                p, q = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+                dense[r] = [a * x + b * y for x, y in zip(dense[p], dense[q])]
+        return OperatorMatrix(rows, cols, {(r, c): v for r, row in enumerate(dense)
+                                           for c, v in enumerate(row)})
+    blocks = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3))
+    rows, cols = sum(r for r, _ in blocks), sum(c for _, c in blocks)
+    row_perm = draw(st.permutations(range(rows)))
+    col_perm = draw(st.permutations(range(cols)))
+    out = {}
+    r0 = c0 = 0
+    for br, bc in blocks:
+        block = [draw(st.lists(entries, min_size=bc, max_size=bc)) for _ in range(br)]
+        if br > 1 and draw(st.booleans()):
+            block[-1] = [2 * x - y for x, y in zip(block[0], block[1])]
+        for r, row in enumerate(block):
+            for c, v in enumerate(row):
+                out[(row_perm[r0 + r], col_perm[c0 + c])] = v
+        r0, c0 = r0 + br, c0 + bc
+    return OperatorMatrix(rows, cols, out)
+
+
+@given(rank_test_matrices())
+def test_pivot_only_rank_matches_bareiss_and_full_reduction(m):
+    full = _eliminate(m._numerator_rows())
+    assert _eliminate(m._numerator_rows(), full=False) == full
+    assert m.rank() == m.rank_bareiss() == len(full)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spencerbench.errors import MismatchError
+from spencerbench.errors import FormatError, MismatchError
 from spencerbench.liealg import builtin_algebra
 from spencerbench.linalg import OperatorMatrix
 from spencerbench.symtensor import (
@@ -209,6 +209,17 @@ def test_json_round_trip():
     s = random_tensor(rng, SO3, 2, sparsity=4)
     again = tensor_from_json(SO3, s.to_json())
     assert again == s
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"degree": 2.0, "terms": []}, {"degree": True, "terms": []},
+     {"degree": 2, "terms": [[[0, 1.0], "1"]]}, {"degree": 2, "terms": [[[0, 1], 0.5]]}],
+    ids=["float-degree", "bool-degree", "float-index", "float-coefficient"],
+)
+def test_json_non_integer_or_inexact_number_is_format_error(data):
+    with pytest.raises(FormatError):
+        tensor_from_json(SO3, data)
 
 
 # --- the integer power-map kernel against the SymTensor-product oracle --------
