@@ -17,9 +17,12 @@ claim it audits instead of assuming either.
 The exact per-site work depends only on the site's (lam, omega) value, so
 it runs once per distinct value: the constraint kernel, the rank of D + V,
 the annihilator-distance solve of the energy and the coadjoint term of the
-flatness residual. A bundle's fields are read-only, so its kernels and its
-flatness report are computed once and shared by every diagnostic that
-needs them.
+flatness residual. Each step runs on integer numerators: the kernel is an
+integer matrix from ``OperatorMatrix.kernel()``, D + V is that matrix
+stacked on the unit fiber rows over its denominator, and the distance
+solve takes the integer kernel of the omega-images. A bundle's fields are
+read-only, so its kernels and its flatness report are computed once and
+shared by every diagnostic that needs them.
 
 The flatness residual is integer arithmetic: the dual field is written over
 one denominator L, each coadjoint term comes from the integer coadjoint
@@ -102,8 +105,9 @@ class GridBundle:
 
     @cached_property
     def _kernels(self):
-        """The constraint kernel of each distinct site value, in class order."""
-        return [constraint_distribution(self, site) for site in self._site_classes[2]]
+        """The constraint kernel of each distinct site value, in class order,
+        as the rows of an integer matrix."""
+        return [_constraint_kernel(self, site) for site in self._site_classes[2]]
 
     @cached_property
     def _cartan(self):
@@ -170,18 +174,17 @@ def constraint_functional(bundle, site):
     return row
 
 
-def constraint_distribution(bundle, site):
-    """Canonical exact kernel basis of the constraint functional at a site."""
+def _constraint_kernel(bundle, site):
     lam = bundle.lam_field[site]
     if not lam.is_nondegenerate():
         raise DegenerateInputError(f"degenerate dual value at site {site}")
-    return OperatorMatrix.from_dense([constraint_functional(bundle, site)]).kernel_basis()
+    return OperatorMatrix.from_dense([constraint_functional(bundle, site)]).kernel()
 
 
-def _rows(vectors, cols):
-    """The matrix whose rows are the given vectors."""
-    return OperatorMatrix(len(vectors), cols, {
-        (i, c): v for i, vec in enumerate(vectors) for c, v in enumerate(vec)})
+def constraint_distribution(bundle, site):
+    """Canonical exact kernel basis of the constraint functional at a site,
+    as tuples of Fractions."""
+    return [tuple(row) for row in _constraint_kernel(bundle, site).to_dense()]
 
 
 @dataclass
@@ -219,13 +222,14 @@ def transversality_report(bundle):
             f"degenerate dual value at sites {degenerate[:4]}"
             + ("..." if len(degenerate) > 4 else "")
         )
-    vertical = [
-        tuple(ONE if c == n + i else ZERO for c in range(tangent)) for i in range(dim_g)
-    ]
     dims = []
     for dist in bundle._kernels:
-        dim_sum = _rows(dist + vertical, tangent).rank()
-        dims.append((len(dist), len(dist) + dim_g - dim_sum, dim_sum))
+        # the rows of D stacked on the unit fiber rows, over D's denominator
+        k = dist.rows
+        nums = dict(dist.nums)
+        nums.update(((k + i, n + i), dist.den) for i in range(dim_g))
+        dim_sum = OperatorMatrix.from_numerators(k + dim_g, tangent, dist.den, nums).rank()
+        dims.append((k, k + dim_g - dim_sum, dim_sum))
     sites, cls, _ = bundle._site_classes
     per_site = {site: dims[c] for site, c in zip(sites, cls)}
     zero_intersection = all(dim_int == 0 for _, dim_int, _ in dims)
@@ -385,24 +389,31 @@ def compatibility_functional_terms(bundle, dist_target=None):
                      for site, dist in zip(reps, bundle._kernels)]
         dists = [per_value[c] for c in cls]
     else:
-        dists = [_annihilator_distance_sq(bundle, site, dist_target[site])
-                 for site in bundle.sites()]
+        tangent = bundle.n_axes + bundle.algebra.dim
+        dists = []
+        for site in bundle.sites():
+            vecs = dist_target[site]
+            basis = OperatorMatrix(len(vecs), tangent, {
+                (i, c): v for i, vec in enumerate(vecs) for c, v in enumerate(vec)})
+            dists.append(_annihilator_distance_sq(bundle, site, basis))
     second = vol * sum(dists, ZERO)
     return first, second
 
 
 def _annihilator_distance_sq(bundle, site, basis):
-    """Squared distance from lam(site) to the annihilator of omega(span basis)."""
+    """Squared distance from lam(site) to the annihilator of omega(row span
+    of the matrix basis)."""
     dim_g = bundle.algebra.dim
     n = bundle.n_axes
     # omega(u, X) = sum_a u_a omega_a(site) + X, as a (n + dim g) x dim g
-    # matrix acting on row vectors
-    omega = {(a, r): c for a, w in enumerate(bundle.omega[site]) for r, c in enumerate(w.coeffs)}
-    omega.update({(n + r, r): ONE for r in range(dim_g)})
-    images = _rows(basis, n + dim_g) @ OperatorMatrix(n + dim_g, dim_g, omega)
+    # matrix acting on row vectors, over the denominator w of the omega_a
+    w, ints = common_denominator(c for z in bundle.omega[site] for c in z.coeffs)
+    omega = {divmod(k, dim_g): v for k, v in enumerate(ints) if v}
+    omega.update(((n + r, r), w) for r in range(dim_g))
+    images = basis @ OperatorMatrix.from_numerators(n + dim_g, dim_g, w, omega)
     # rows of ann: a basis of the annihilator of omega(span basis) in the dual
-    ann = _rows(images.kernel_basis(), dim_g)
-    lam = _rows([(v,) for v in bundle.lam_field[site].coeffs], 1)
+    ann = images.kernel()
+    lam = OperatorMatrix(dim_g, 1, {(r, 0): v for r, v in enumerate(bundle.lam_field[site].coeffs)})
     # orthogonal projection of lam onto the row span of ann: normal equations
     coef = (ann @ ann.transpose()).solve(ann @ lam)
     diff = lam - ann.transpose() @ coef
@@ -474,10 +485,14 @@ def bundle_from_json(data, algebra):
         ]
     else:
         omega = {}
+        seen = set()
         for item in _list(omega_raw, "omega_base"):
             site, a, coeffs = _site_row(item, 3, shape, "omega_base")
             if not 0 <= a < n:
                 raise FormatError(f"omega_base row {item!r}: axis must be in 0..{n - 1}")
+            if (site, a) in seen:
+                raise FormatError(f"omega_base has two rows for site {site}, axis {a}")
+            seen.add((site, a))
             vecs = list(omega.get(site) or [algebra.zero_vector() for _ in range(n)])
             vecs[a] = algebra.vector(coeffs)
             omega[site] = tuple(vecs)
@@ -493,5 +508,7 @@ def bundle_from_json(data, algebra):
         lam_field = {}
         for item in _list(lam_raw, "lambda_field"):
             site, coeffs = _site_row(item, 2, shape, "lambda_field")
+            if site in lam_field:
+                raise FormatError(f"lambda_field has two rows for site {site}")
             lam_field[site] = algebra.dual(coeffs)
     return grid_bundle(shape, algebra, omega, lam_field)

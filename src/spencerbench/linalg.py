@@ -10,6 +10,9 @@ operations; Fractions appear only at the interface (``get``, ``entries``,
 column-span test is one Gauss-Jordan elimination over the integers of the
 matrix's numerator rows; ``rank()`` asks it for the pivots only, and
 ``solve(B)`` eliminates [A | B] once, so an inverse is ``solve(identity)``.
+The elimination runs on each connected component of the non-zero pattern
+on its own (found by union-find over the stored keys), and kernels and
+solutions come out as integer numerators over the lcm of the pivots.
 ``rank_bareiss`` is a separate fraction-free Bareiss elimination on the
 dense Fraction form, kept only to cross-check ranks.
 
@@ -259,31 +262,47 @@ class OperatorMatrix:
         return tuple(x / self.den for x in out)
 
     def rank(self):
-        return len(_eliminate(self._numerator_rows(), full=False))
+        return sum(len(_eliminate(mat, full=False)) for _, mat in _blocks(self))
+
+    def kernel(self):
+        """The canonical kernel basis as the rows of an integer matrix: row k
+        has 1 at the k-th free column fc of the RREF and minus the RREF entry
+        in column fc at each pivot column, all over the lcm of the pivots."""
+        rows, pivots = _rref(self)
+        pivot_set = set(pivots)
+        free = [c for c in range(self.cols) if c not in pivot_set]
+        index = {c: k for k, c in enumerate(free)}
+        den = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
+        nums = {(k, c): den for k, c in enumerate(free)}
+        for row, pc in zip(rows, pivots):
+            f = den // row[pc]
+            for c, v in row.items():
+                if c != pc:
+                    nums[(index[c], pc)] = -v * f
+        return OperatorMatrix.from_numerators(len(free), self.cols, den, nums)
 
     def kernel_basis(self):
-        mat = self._numerator_rows()
-        return _kernel(mat, _eliminate(mat), self.cols)
+        """The rows of kernel(), as tuples of Fractions."""
+        return [tuple(row) for row in self.kernel().to_dense()]
 
     def solve(self, rhs):
         """One exact solution X of self @ X = rhs, free variables set to
-        zero, or None when the system is inconsistent. The elimination runs
-        once on the integer rows of lcm(den, rhs.den) * [self | rhs]."""
+        zero, or None when the system is inconsistent. One elimination of
+        the integer matrix lcm(den, rhs.den) * [self | rhs]."""
         if self.rows != rhs.rows:
             raise ValueError(f"shape mismatch {self.shape} vs {rhs.shape}")
         den = lcm(self.den, rhs.den)
         a, b = den // self.den, den // rhs.den
-        mat = [[0] * (self.cols + rhs.cols) for _ in range(self.rows)]
-        for (r, c), v in self.nums.items():
-            mat[r][c] = v * a
-        for (r, c), v in rhs.nums.items():
-            mat[r][self.cols + c] = v * b
-        pivots = _eliminate(mat)
-        if pivots and pivots[-1] >= self.cols:
+        n = self.cols
+        nums = {key: v * a for key, v in self.nums.items()}
+        nums.update(((r, n + c), v * b) for (r, c), v in rhs.nums.items())
+        rows, pivots = _rref(OperatorMatrix.from_numerators(self.rows, n + rhs.cols, 1, nums))
+        if pivots and pivots[-1] >= n:
             return None
-        return OperatorMatrix(self.cols, rhs.cols, {
-            (pc, j): Fraction(x, row[pc])
-            for row, pc in zip(mat, pivots) for j, x in enumerate(row[self.cols:])})
+        den = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
+        return OperatorMatrix.from_numerators(n, rhs.cols, den, {
+            (pc, c - n): v * (den // row[pc])
+            for row, pc in zip(rows, pivots) for c, v in row.items() if c >= n})
 
     def rank_bareiss(self):
         return rank_bareiss(self.to_dense())
@@ -385,18 +404,71 @@ def _eliminate(mat, full=True):
     return pivots
 
 
-def _kernel(mat, pivots, ncols):
-    """Canonical kernel basis (one vector per free column) from _eliminate."""
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for row, pc in zip(mat, pivots):
-            vec[pc] = -Fraction(row[fc], row[pc])
-        basis.append(tuple(vec))
-    return basis
+def _blocks(matrix):
+    """The connected components of the non-zero pattern of a matrix, as
+    (cols, mat): mat holds the numerator rows of the component's rows
+    restricted to its columns cols, both in ascending order.
+
+    Union-find joins row r and column c for each key (r, c), in one pass
+    over the non-zeros that stops once the rows and columns in use are
+    joined. Rows and columns with no non-zero are left out. A matrix with
+    at most one row, or one component, is one block of all its rows and
+    columns.
+    """
+    nrows, ncols, nums = matrix.rows, matrix.cols, matrix.nums
+    if not nums:
+        return []
+    if nrows > 1:
+        parent = list(range(nrows + ncols))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        # the number of unions that leaves one component
+        left = len({r for r, _ in nums}) + len({c for _, c in nums}) - 1
+        for r, c in nums:
+            a, b = find(r), find(nrows + c)
+            if a != b:
+                parent[a] = b
+                left -= 1
+                if not left:
+                    break
+        if left:
+            root = [find(x) for x in range(nrows + ncols)]
+            rows, cols = {}, {}
+            for r in range(nrows):
+                rows.setdefault(root[r], []).append(r)
+            for c in range(ncols):
+                if root[nrows + c] in rows:
+                    cols.setdefault(root[nrows + c], []).append(c)
+            local = [0] * (nrows + ncols)
+            blocks = {}
+            for key, cc in cols.items():
+                for i, r in enumerate(rows[key]):
+                    local[r] = i
+                for j, c in enumerate(cc):
+                    local[nrows + c] = j
+                blocks[key] = (cc, [[0] * len(cc) for _ in rows[key]])
+            for (r, c), v in nums.items():
+                blocks[root[r]][1][local[r]][local[nrows + c]] = v
+            return list(blocks.values())
+    return [(range(ncols), matrix._numerator_rows())]
+
+
+def _rref(matrix):
+    """(rows, pivots): the pivot columns of matrix in ascending order and,
+    for each, the non-zeros {column: value} of its RREF row times its pivot
+    entry. Each block of _blocks runs through _eliminate on its own; the
+    RREF is unique and the blocks share no row or column, so the pivots and
+    the RREF rows are those of the whole matrix."""
+    out = []
+    for cols, mat in _blocks(matrix):
+        for row, pc in zip(mat, _eliminate(mat)):
+            out.append((cols[pc], {cols[j]: v for j, v in enumerate(row) if v}))
+    out.sort(key=lambda item: item[0])
+    return [row for _, row in out], [pc for pc, _ in out]
 
 
 def rank_bareiss(dense):

@@ -333,6 +333,19 @@ def mixed_so3_bundle():
     return grid_bundle((3, 4), SO3, omega, lf), lf, omega
 
 
+def test_constraint_distribution_is_fraction_tuples_of_the_oracle_kernel():
+    b, _, _ = mixed_so3_bundle()
+    n, dim_g = b.n_axes, b.algebra.dim
+    for site in b.sites():
+        lam = b.lam_field[site]
+        row = [pairing(lam, w) for w in b.omega[site]] + list(lam.coeffs)
+        basis = constraint_distribution(b, site)
+        assert type(basis) is list
+        assert all(type(vec) is tuple and len(vec) == n + dim_g for vec in basis)
+        assert all(type(v) is F for vec in basis for v in vec)
+        assert basis == oracle_kernel([row], n + dim_g)
+
+
 def oracle_site_dims(bundle, site):
     """(dim D, dim D&V, dim D+V) from one kernel and one RREF at this site."""
     lam = bundle.lam_field[site]

@@ -262,6 +262,27 @@ def test_bundle_file_malformed_row_exit_two(tmp_path, field, rows):
 
 
 @pytest.mark.parametrize(
+    "field,row,message",
+    [("lambda_field", [[0, 0], ["1", "0", "0"]], "two rows for site (0, 0)"),
+     ("omega_base", [[0, 0], 1, ["0", "1", "0"]], "two rows for site (0, 0), axis 1")],
+)
+def test_bundle_file_duplicate_row_exit_two(tmp_path, capsys, field, row, message):
+    # a second row for the same site (and axis) is an input error, not a
+    # silent overwrite of the first
+    lam = [[[i, j], ["0", "0", "1"]] for i in range(3) for j in range(3)]
+    omega = [[[0, 0], 1, ["1", "0", "0"]]]
+    data = {"grid": [3, 3], "algebra": "so3", "lambda_field": lam, "omega_base": omega}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "bundle", "--builtin", "so3", "--bundle-file", str(path))[0] == 0
+    data[field].append(row)
+    path.write_text(json.dumps(data))
+    assert main(["bundle", "--builtin", "so3", "--bundle-file", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert_input_error("bundle", "--builtin", "so3", "--bundle-file", str(path))
+
+
+@pytest.mark.parametrize(
     "fields",
     [{"lambda_field": 7}, {"lambda_field": {"constant": 7}},
      {"lambda_field": {"constant": "123"}}, {"omega_base": 7}, {"omega_base": {"constant": 7}},

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import spencerbench.linalg as linalg_mod
 from spencerbench.cohomology import (
     DGAModel,
     GRADING_DIAGONAL,
@@ -29,6 +30,7 @@ from spencerbench.symtensor import sym_dim
 F = Fraction
 SO3 = builtin_algebra("so3")
 SL2 = builtin_algebra("sl2")
+SL3 = builtin_algebra("sl3")
 
 
 # --- base models -------------------------------------------------------------
@@ -475,6 +477,30 @@ def test_ce_so3_base_with_nonzero_differential():
     assert [row[1] for row in kun.per_degree] == [1, 2, 3, 5]
     mi = mirror_invariance_check(c, sign_mirror())
     assert mi.commutation_holds and mi.dims_equal
+
+
+def test_ce_so3_with_sl3_fiber_splits_the_top_differential(monkeypatch):
+    # lambda = 0: D = d x 1 is one copy of the CE differential per multiset,
+    # so the top differential falls apart into many components
+    c = build_complex(chevalley_eilenberg(SO3), SL3, SL3.dual([0] * 8), 6)
+    assert d_squared_residual(c) == 0
+    # Betti(so3) = (1, 0, 0, 1) convolved with dim Sym^j(sl3) = C(j + 7, 7)
+    betti = [1, 0, 0, 1]
+    expected = [sum(betti[i] * comb(k - i + 7, 7) for i in range(min(k, 3) + 1))
+                for k in range(6)]
+    assert expected == [1, 8, 36, 121, 338, 828]
+    assert cohomology_report(c).dims == expected
+    calls = []
+    original = linalg_mod._eliminate
+
+    def counting_eliminate(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "_eliminate", counting_eliminate)
+    top = c.differentials[-1]
+    assert top.rank() == 990  # rank 3 of d on CE^1(so3) times dim Sym^4(sl3) = 330
+    assert len(calls) > 1
 
 
 def test_koszul_sign_cancels_cross_terms_of_d_squared():

@@ -11,6 +11,7 @@ from spencerbench.errors import FormatError
 from spencerbench.linalg import (
     OperatorMatrix,
     _eliminate,
+    _rref,
     common_denominator,
     in_column_span,
     kron,
@@ -526,3 +527,50 @@ def test_pivot_only_rank_matches_bareiss_and_full_reduction(m):
     full = _eliminate(m._numerator_rows())
     assert _eliminate(m._numerator_rows(), full=False) == full
     assert m.rank() == m.rank_bareiss() == len(full)
+
+
+# --- integer kernels and the component split ------------------------------------
+
+
+@given(rational_matrices())
+def test_kernel_basis_reads_the_canonical_integer_kernel(dense):
+    m = OperatorMatrix.from_dense(dense)
+    kernel = m.kernel()
+    assert_canonical(kernel)
+    assert kernel.shape == (m.cols - m.rank(), m.cols)
+    assert (m @ kernel.transpose()).is_zero()
+    basis = m.kernel_basis()
+    assert type(basis) is list
+    assert all(type(vec) is tuple and len(vec) == m.cols for vec in basis)
+    assert all(type(v) is F for vec in basis for v in vec)
+    assert basis == oracle_kernel(dense, m.cols)
+    assert basis == [tuple(row) for row in kernel.to_dense()]
+
+
+@given(rank_test_matrices(), st.data())
+def test_split_elimination_matches_the_whole_matrix_oracles(m, data):
+    # block-diagonal inputs with shuffled rows and columns, zero rows and
+    # columns with no non-zero fall apart into components in _blocks
+    a = m.to_dense()
+    red, pivots = oracle_rref(a)
+    assert _eliminate(m._numerator_rows()) == pivots
+    rref_rows, rref_pivots = _rref(m)
+    assert rref_pivots == pivots
+    assert [[F(row.get(c, 0), row[pc]) for c in range(m.cols)]
+            for row, pc in zip(rref_rows, rref_pivots)] == red[:len(pivots)]
+    assert m.rank() == m.rank_bareiss() == len(pivots)
+    assert m.kernel_basis() == oracle_kernel(a, m.cols)
+    assert_canonical(m.kernel())
+    width = data.draw(st.integers(0, 2))
+    if data.draw(st.booleans()):  # consistent: B = A X
+        x = [data.draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(m.cols)]
+        b = [[sum((row[k] * x[k][j] for k in range(m.cols)), F(0)) for j in range(width)]
+             for row in a]
+    else:
+        b = [data.draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(m.rows)]
+    sol = m.solve(as_matrix(m.rows, width, b))
+    want = oracle_solve(a, b, m.cols, width)
+    assert (sol is None) == (want is None)
+    if sol is not None:
+        assert sol.to_dense() == want
+        assert_canonical(sol)
