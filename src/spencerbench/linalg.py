@@ -409,11 +409,11 @@ def _blocks(matrix):
     (cols, mat): mat holds the numerator rows of the component's rows
     restricted to its columns cols, both in ascending order.
 
-    Union-find joins row r and column c for each key (r, c), in one pass
-    over the non-zeros that stops once the rows and columns in use are
-    joined. Rows and columns with no non-zero are left out. A matrix with
-    at most one row, or one component, is one block of all its rows and
-    columns.
+    Union-find joins row r and column c for each key (r, c), one key at a
+    time, and stops once the rows and columns in use are joined; no dense
+    row is scanned. Rows and columns with no non-zero are left out. A
+    matrix with at most one row, or one component, is one block of all its
+    rows and columns.
     """
     nrows, ncols, nums = matrix.rows, matrix.cols, matrix.nums
     if not nums:
