@@ -16,13 +16,19 @@ claim it audits instead of assuming either.
 
 The exact per-site work depends only on the site's (lam, omega) value, so
 it runs once per distinct value: the constraint kernel, the rank of D + V,
-the annihilator-distance solve of the energy and the coadjoint term of the
-flatness residual. Each step runs on integer numerators: the kernel is an
-integer matrix from ``OperatorMatrix.kernel()``, D + V is that matrix
-stacked on the unit fiber rows over its denominator, and the distance
-solve takes the integer kernel of the omega-images. A bundle's fields are
-read-only, so its kernels and its flatness report are computed once and
-shared by every diagnostic that needs them.
+the annihilator distance of the energy and the coadjoint term of the
+flatness residual. Each step runs on integer numerators. The kernel is an
+integer matrix from ``OperatorMatrix.kernel()``. The unit fiber rows V
+clear the fiber columns of D, so rank [D; V] = dim g + the rank of D's
+block on the n base columns, and only that k x n block is eliminated. The
+distance from lam to the annihilator of omega(D) is 0 iff lam annihilates
+omega(D), which one integer product tests exactly; only a dual value that
+fails the test is projected, through the integer kernel of the
+omega-images and one solve of the normal equations. On the default target
+(D the constraint kernel) the test holds at every site, so the printed 0
+is measured without a solve. A bundle's fields are read-only, so its
+kernels and its flatness report are computed once and shared by every
+diagnostic that needs them.
 
 The flatness residual is integer arithmetic: the dual field is written over
 one denominator L, each coadjoint term comes from the integer coadjoint
@@ -53,8 +59,8 @@ from .linalg import (
     OperatorMatrix,
     common_denominator,
     format_scalar,
+    literal_parser,
     parse_int,
-    parse_scalar,
 )
 
 
@@ -224,11 +230,11 @@ def transversality_report(bundle):
         )
     dims = []
     for dist in bundle._kernels:
-        # the rows of D stacked on the unit fiber rows, over D's denominator
+        # the unit fiber rows V clear the fiber columns of D's rows, so
+        # rank [D; V] = dim g + the rank of D's block on the n base columns
         k = dist.rows
-        nums = dict(dist.nums)
-        nums.update(((k + i, n + i), dist.den) for i in range(dim_g))
-        dim_sum = OperatorMatrix.from_numerators(k + dim_g, tangent, dist.den, nums).rank()
+        base = {key: v for key, v in dist.nums.items() if key[1] < n}
+        dim_sum = dim_g + OperatorMatrix.from_numerators(k, n, 1, base).rank()
         dims.append((k, k + dim_g - dim_sum, dim_sum))
     sites, cls, _ = bundle._site_classes
     per_site = {site: dims[c] for site, c in zip(sites, cls)}
@@ -371,19 +377,23 @@ def equivariance_residual(bundle, order=8, steps=(0.1, 0.2)):
 
 
 def compatibility_functional_terms(bundle, dist_target=None):
-    """The two lattice energies of the compatibility functional (no solve).
+    """The two lattice energies of the compatibility functional (evaluated, not minimized).
 
     First term: half the volume-weighted sum of squared flatness residuals.
     Second term: volume-weighted squared distance from the dual value to the
     annihilator of omega(D) at each site, with D the supplied per-site bases
-    (defaults to the constraint kernel itself, which makes the term vanish).
-    Distances use the dual-coordinate Euclidean norm.
+    (dist_target: site -> vectors of length n + dim g; defaults to the
+    constraint kernel itself). Distances use the dual-coordinate Euclidean
+    norm. Each distance first tests exactly whether the dual value
+    annihilates omega(D), which proves a distance of 0; only a value that
+    fails the test is projected by the normal equations. On the default
+    target the test holds at every site, so no system is solved.
     """
     vol = bundle.cell_volume()
     first = cartan_residual(bundle).squared_norm() * vol / 2
 
     if dist_target is None:
-        # the default target is the constraint kernel: one solve per distinct site value
+        # the default target is the constraint kernel: one distance per distinct site value
         _, cls, reps = bundle._site_classes
         per_value = [_annihilator_distance_sq(bundle, site, dist)
                      for site, dist in zip(reps, bundle._kernels)]
@@ -392,7 +402,14 @@ def compatibility_functional_terms(bundle, dist_target=None):
         tangent = bundle.n_axes + bundle.algebra.dim
         dists = []
         for site in bundle.sites():
-            vecs = dist_target[site]
+            try:
+                vecs = dist_target[site]
+            except KeyError:
+                raise MismatchError(f"distribution target has no basis at site {site}") from None
+            if any(len(vec) != tangent for vec in vecs):
+                raise MismatchError(
+                    f"distribution target at site {site}: every vector needs "
+                    f"{tangent} coordinates (n + dim g)")
             basis = OperatorMatrix(len(vecs), tangent, {
                 (i, c): v for i, vec in enumerate(vecs) for c, v in enumerate(vec)})
             dists.append(_annihilator_distance_sq(bundle, site, basis))
@@ -408,12 +425,16 @@ def _annihilator_distance_sq(bundle, site, basis):
     # omega(u, X) = sum_a u_a omega_a(site) + X, as a (n + dim g) x dim g
     # matrix acting on row vectors, over the denominator w of the omega_a
     w, ints = common_denominator(c for z in bundle.omega[site] for c in z.coeffs)
-    omega = {divmod(k, dim_g): v for k, v in enumerate(ints) if v}
-    omega.update(((n + r, r), w) for r in range(dim_g))
-    images = basis @ OperatorMatrix.from_numerators(n + dim_g, dim_g, w, omega)
-    # rows of ann: a basis of the annihilator of omega(span basis) in the dual
-    ann = images.kernel()
+    nums = {divmod(k, dim_g): v for k, v in enumerate(ints) if v}
+    nums.update(((n + r, r), w) for r in range(dim_g))
+    omega = OperatorMatrix.from_numerators(n + dim_g, dim_g, w, nums)
     lam = OperatorMatrix(dim_g, 1, {(r, 0): v for r, v in enumerate(bundle.lam_field[site].coeffs)})
+    # the distance to a subspace is 0 iff lam lies in it: here iff
+    # <lam, omega(v)> = 0 for every row v of basis
+    if (basis @ (omega @ lam)).is_zero():
+        return ZERO
+    # rows of ann: a basis of the annihilator of omega(span basis) in the dual
+    ann = (basis @ omega).kernel()
     # orthogonal projection of lam onto the row span of ann: normal equations
     coef = (ann @ ann.transpose()).solve(ann @ lam)
     diff = lam - ann.transpose() @ coef
@@ -449,18 +470,19 @@ def _list(value, what):
     return value
 
 
-def _coefficients(value, what):
-    return [parse_scalar(v) for v in _list(value, what)]
+def _coefficients(value, what, parse):
+    return [parse(v) for v in _list(value, what)]
 
 
-def _site_row(item, width, shape, what):
-    """Parse a site-resolved row [site, ..., coeffs] after checking its shape."""
+def _site_row(item, width, shape, what, parse):
+    """Parse a site-resolved row [site, ..., coeffs] after checking its shape;
+    parse reads each coefficient."""
     if not isinstance(item, (list, tuple)) or len(item) != width:
         raise FormatError(f"{what} row {item!r} must have {width} fields")
     site, *rest, coeffs = item
     site = tuple(parse_int(s, f"{what} row site") for s in _list(site, f"{what} row site"))
     rest = [parse_int(x, f"{what} row axis") for x in rest]
-    coeffs = _coefficients(coeffs, f"{what} row coefficients")
+    coeffs = _coefficients(coeffs, f"{what} row coefficients", parse)
     if len(site) != len(shape) or not all(0 <= s < m for s, m in zip(site, shape)):
         raise FormatError(f"{what} row {item!r}: site is not on the {shape} grid")
     return (site, *rest, coeffs)
@@ -472,6 +494,8 @@ def bundle_from_json(data, algebra):
     except (KeyError, TypeError) as exc:
         raise FormatError("bundle JSON needs a grid field") from exc
     n = len(shape)
+    # the fields repeat few literals: each distinct one is parsed once
+    parse = literal_parser()
 
     omega_raw = data.get("omega_base")
     if omega_raw is None:
@@ -480,14 +504,14 @@ def bundle_from_json(data, algebra):
         if "constant" not in omega_raw:
             raise FormatError("omega_base shorthand must use a 'constant' key")
         omega = [
-            algebra.vector(_coefficients(coeffs, "omega_base constant row"))
+            algebra.vector(_coefficients(coeffs, "omega_base constant row", parse))
             for coeffs in _list(omega_raw["constant"], "omega_base constant")
         ]
     else:
         omega = {}
         seen = set()
         for item in _list(omega_raw, "omega_base"):
-            site, a, coeffs = _site_row(item, 3, shape, "omega_base")
+            site, a, coeffs = _site_row(item, 3, shape, "omega_base", parse)
             if not 0 <= a < n:
                 raise FormatError(f"omega_base row {item!r}: axis must be in 0..{n - 1}")
             if (site, a) in seen:
@@ -503,11 +527,11 @@ def bundle_from_json(data, algebra):
     if isinstance(lam_raw, dict):
         if "constant" not in lam_raw:
             raise FormatError("lambda_field shorthand must use a 'constant' key")
-        lam_field = _coefficients(lam_raw["constant"], "lambda_field constant")
+        lam_field = _coefficients(lam_raw["constant"], "lambda_field constant", parse)
     else:
         lam_field = {}
         for item in _list(lam_raw, "lambda_field"):
-            site, coeffs = _site_row(item, 2, shape, "lambda_field")
+            site, coeffs = _site_row(item, 2, shape, "lambda_field", parse)
             if site in lam_field:
                 raise FormatError(f"lambda_field has two rows for site {site}")
             lam_field[site] = algebra.dual(coeffs)

@@ -37,8 +37,8 @@ from .linalg import (
     format_scalar,
     in_column_span,
     kron,
+    literal_parser,
     parse_int,
-    parse_scalar,
     place_block,
 )
 from .mirror import (
@@ -120,20 +120,17 @@ class DGAModel:
         if "product" in data:
             if not isinstance(data["product"], list):
                 raise FormatError("DGA product must be a list of rows")
-            scalars = {}
-            product = dict(_product_row(item, basis, scalars) for item in data["product"])
+            parse = literal_parser()
+            product = dict(_product_row(item, basis, parse) for item in data["product"])
         model = cls(name, basis, diff, product)
         if model.d_squared_residual() != 0:
             raise FormatError("DGA differential does not square to zero")
         return model
 
 
-def _product_row(item, basis, scalars):
-    """Parse [i, a, j, b, [[c, coeff], ...]]: e^i_a . e^j_b = sum coeff e^{i+j}_c.
-
-    scalars maps each coefficient literal already parsed to its value, so a
-    table of many rows parses each distinct literal once.
-    """
+def _product_row(item, basis, parse):
+    """Parse [i, a, j, b, [[c, coeff], ...]]: e^i_a . e^j_b = sum coeff e^{i+j}_c,
+    reading each coefficient with parse (one ``literal_parser`` per table)."""
     if not isinstance(item, list) or len(item) != 5 or not isinstance(item[4], list):
         raise FormatError(f"product row {item!r} must be [i, a, j, b, [[c, coeff], ...]]")
     i, a, j, b = (parse_int(x, "product row index") for x in item[:4])
@@ -141,11 +138,7 @@ def _product_row(item, basis, scalars):
         table = {}
         for c, v in item[4]:
             c = parse_int(c, "product row index")
-            # the literal's type is part of the key: 1, 1.0 and True are equal
-            key = (type(v), v)
-            if key not in scalars:
-                scalars[key] = parse_scalar(v)
-            table[c] = scalars[key]
+            table[c] = parse(v)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"product row {item!r}: {exc}") from exc
     top = len(basis) - 1

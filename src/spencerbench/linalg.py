@@ -44,6 +44,25 @@ def parse_scalar(text):
         raise FormatError(f"bad rational literal {text!r}") from exc
 
 
+def literal_parser():
+    """A parse_scalar that parses each distinct literal once, for a loader
+    whose data repeat few literals. The literal's type is part of the key:
+    1, 1.0 and True are equal, but only 1 is a rational literal."""
+    seen = {}
+
+    def parse(value):
+        key = (type(value), value)
+        try:
+            return seen[key]
+        except KeyError:
+            out = seen[key] = parse_scalar(value)
+            return out
+        except TypeError:  # unhashable, so no literal: parse_scalar rejects it
+            return parse_scalar(value)
+
+    return parse
+
+
 def parse_int(value, what):
     """value, checked to be an integer (not a bool): a float or a string is
     rejected instead of being truncated or converted."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from spencerbench.bundle import (
     transversality_report,
 )
 from spencerbench.errors import DegenerateInputError, FormatError, MismatchError
+from spencerbench.linalg import OperatorMatrix
 from spencerbench.liealg import (
     algebra_from_json,
     bracket,
@@ -417,6 +419,67 @@ def test_empty_target_leaves_the_whole_dual_as_annihilator():
     assert compatibility_functional_terms(b, target)[1] == 0
 
 
+@pytest.mark.parametrize("vecs, site_shown", [
+    ([(F(1), F(0))], "(0, 0)"),  # too short
+    ([(F(1), F(0), F(0), F(0), F(0), F(0))], "(0, 0)"),  # too long
+    (None, "(2, 1)"),  # no basis at one site
+])
+def test_supplied_target_is_checked_site_by_site(vecs, site_shown):
+    b = flat_so3((3, 3))
+    good = (F(0), F(0), F(1), F(0), F(0))
+    if vecs is None:
+        target = {site: [good] for site in b.sites() if site != (2, 1)}
+    else:
+        target = {site: vecs if site == (0, 0) else [good] for site in b.sites()}
+    with pytest.raises(MismatchError, match=re.escape(site_shown)):
+        compatibility_functional_terms(b, target)
+
+
+def test_default_target_is_measured_without_a_solve(monkeypatch):
+    # the default target is the constraint kernel itself, so the membership
+    # test proves every distance 0; a target off the kernel still solves
+    calls = []
+    original = OperatorMatrix.solve
+
+    def counting_solve(self, rhs):
+        calls.append(1)
+        return original(self, rhs)
+
+    monkeypatch.setattr(OperatorMatrix, "solve", counting_solve)
+    b, _, _ = mixed_so3_bundle()
+    assert compatibility_functional_terms(b)[1] == 0
+    assert calls == []
+    target = {site: [(F(0), F(0), F(0), F(1), F(0)), (F(1), F(0), F(0), F(0), F(1))]
+              for site in b.sites()}
+    assert compatibility_functional_terms(b, target)[1] != 0
+    assert len(calls) > 0
+
+
+def test_bundle_json_parses_each_coefficient_literal_once(monkeypatch):
+    parsed = []
+    original = linalg_mod.parse_scalar
+    monkeypatch.setattr(linalg_mod, "parse_scalar", lambda v: parsed.append(v) or original(v))
+    sites = [[i, j] for i in range(3) for j in range(3)]
+    data = {
+        "grid": [3, 3],
+        "omega_base": [[s, a, ["1", "0", "-1/2"]] for s in sites for a in range(2)],
+        "lambda_field": [[s, [1, "0", "-1/2"]] for s in sites],
+    }
+    b = bundle_from_json(data, SO3)
+    assert b.omega[(2, 2)][1] == SO3.vector([1, 0, F(-1, 2)])
+    assert b.lam_field[(1, 0)] == SO3.dual([1, 0, F(-1, 2)])
+    assert sorted(parsed, key=repr) == ["-1/2", "0", "1", 1]
+
+
+@pytest.mark.parametrize("later", [True, 1.0, [1]])
+def test_bundle_json_rejects_a_non_literal_after_an_equal_literal(later):
+    rows = [[[i, j], [1, 0, 0]] for i in range(3) for j in range(3)]
+    assert bundle_from_json({"grid": [3, 3], "lambda_field": rows}, SO3).lam_field[(2, 2)]
+    rows[-1][1] = [later, 0, 0]
+    with pytest.raises(FormatError, match="bad rational literal"):
+        bundle_from_json({"grid": [3, 3], "lambda_field": rows}, SO3)
+
+
 def test_constant_field_eliminations_do_not_grow_with_the_grid(monkeypatch):
     calls = []
     original = linalg_mod._eliminate
@@ -510,3 +573,33 @@ def test_integer_cartan_report_and_first_term_match_fraction_oracle(b):
 @given(site_resolved_fields(), st.sampled_from([(0.1, 0.2), (0.2, 0.1), (0.3,), (0.0,)]))
 def test_equivariance_residual_is_the_float_series_bit_for_bit(b, steps):
     assert equivariance_residual(b, steps=steps) == oracle_equivariance_residual(b, steps=steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(site_resolved_fields())
+def test_transversality_dims_match_the_stacked_oracle_rank(b):
+    rep = transversality_report(b)
+    assert rep.per_site == {site: oracle_site_dims(b, site) for site in b.sites()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(site_resolved_fields(), st.randoms(use_true_random=False))
+def test_supplied_targets_match_the_distance_oracle(b, rng):
+    # per site, a target inside the annihilator (combinations of the
+    # constraint kernel: the membership test proves 0) or a random one
+    # (mostly outside it: the normal equations are solved)
+    tangent = b.n_axes + b.algebra.dim
+    target = {}
+    for site in b.sites():
+        count = rng.randint(0, 3)
+        if rng.random() < 0.5:
+            kernel = constraint_distribution(b, site)
+            target[site] = [
+                tuple(sum((rng.randint(-2, 2) * vec[c] for vec in kernel), F(0))
+                      for c in range(tangent))
+                for _ in range(count)]
+        else:
+            target[site] = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(tangent))
+                            for _ in range(count)]
+    expect = sum((oracle_distance_sq(b, s, target[s]) for s in b.sites()), F(0))
+    assert compatibility_functional_terms(b, target)[1] == expect * b.cell_volume()

@@ -102,11 +102,11 @@ def test_dga_json_malformed_product_is_format_error(product):
 
 
 def test_dga_json_parses_each_coefficient_literal_once(monkeypatch):
-    import spencerbench.cohomology as cohomology_mod
+    import spencerbench.linalg as linalg_mod
 
     parsed = []
-    original = cohomology_mod.parse_scalar
-    monkeypatch.setattr(cohomology_mod, "parse_scalar", lambda v: parsed.append(v) or original(v))
+    original = linalg_mod.parse_scalar
+    monkeypatch.setattr(linalg_mod, "parse_scalar", lambda v: parsed.append(v) or original(v))
     t3 = torus_model(3)
     again = DGAModel.from_json(t3.to_json())
     assert again.product == t3.product
