@@ -6,39 +6,30 @@ the fiber direction kept algebraic: a connection sample assigns an algebra
 vector to each site and base axis, and the connection form acts as
 omega(u, X) = sum_a u_a * omega_a(site) + X.
 
-Per-site diagnostics are exact: the constraint subspace is the kernel of
-v -> <lam(site), omega(v)>, the flatness residual uses central differences,
-and the two-term compatibility energy is evaluated as a lattice sum (no
-optimization happens here). The transversality report is deliberately a
-measurement: for fiber dimension > 1 the kernel arithmetic forces
-dim(D & V) = dim(g) - 1 > 0, and the report states that outcome next to the
-claim it audits instead of assuming either.
+Every exact per-site diagnostic depends only on the site's (lam, omega)
+value, so the bundle groups its sites into classes of equal value and keeps
+one site operator per class: the integer (n + dim g) x dim g matrix of
+omega, the dual value lam as a column, and the constraint distribution
+D = ker <lam, omega(.)> as the rows of an integer kernel (none where
+lam = 0). Each diagnostic reads that table:
 
-The exact per-site work depends only on the site's (lam, omega) value, so
-it runs once per distinct value: the constraint kernel, the rank of D + V,
-the annihilator distance of the energy and the coadjoint term of the
-flatness residual. Each step runs on integer numerators. The kernel is an
-integer matrix from ``OperatorMatrix.kernel()``. The unit fiber rows V
-clear the fiber columns of D, so rank [D; V] = dim g + the rank of D's
-block on the n base columns, and only that k x n block is eliminated. The
-distance from lam to the annihilator of omega(D) is 0 iff lam annihilates
-omega(D), which one integer product tests exactly; only a dual value that
-fails the test is projected, through the integer kernel of the
-omega-images and one solve of the normal equations. On the default target
-(D the constraint kernel) the test holds at every site, so the printed 0
-is measured without a solve. A bundle's fields are read-only, so its
-kernels and its flatness report are computed once and shared by every
-diagnostic that needs them.
+* transversality: the unit fiber rows V clear the fiber columns of D, so
+  rank [D; V] = dim g + the rank of D's block on the n base columns. For
+  fiber dimension > 1 the kernel arithmetic forces dim(D & V) > 0; the
+  report states that measurement next to the claim it audits.
+* the flatness residual: central differences of the dual field plus the
+  coadjoint term ad*_{omega_a} lam, which is minus the base rows of omega
+  times the integer contraction of the structure constants with lam. Every
+  coefficient is an integer numerator over one denominator, so its maximum
+  and the first energy are one Fraction each.
+* the second energy: the distance from lam to the annihilator of
+  omega(D). It is 0 iff lam annihilates omega(D), which one integer product
+  tests exactly; only a value that fails the test is projected by the
+  normal equations.
 
-The flatness residual is integer arithmetic: the dual field is written over
-one denominator L, each coadjoint term comes from the integer coadjoint
-matrix mat / s of its connection sample, and every residual coefficient is
-an integer numerator over D = 2 L S, with S the lcm of the scales s. Its
-maximum and the first energy term are then one Fraction each; the Fraction
-field is built only when it is read. The float series of the fiber-action
-law is evaluated once per distinct step value, with the same products and
-builtin sums in the same order as a plain index loop, so its float is the
-same bit for bit.
+The fields are read-only, so the table and the flatness report are built
+once per bundle. The sampled fiber-action law is the one float diagnostic,
+summed in the same order as a plain index loop, once per distinct step.
 """
 
 from __future__ import annotations
@@ -52,7 +43,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .errors import DegenerateInputError, FormatError, MismatchError
-from .liealg import _coadjoint_numerators, coadjoint_matrix, pairing
+from .liealg import coadjoint_matrix
 from .linalg import (
     ZERO,
     ONE,
@@ -78,9 +69,6 @@ class GridBundle:
     def sites(self):
         return list(itertools.product(*(range(m) for m in self.shape)))
 
-    def spacing(self, axis):
-        return Fraction(1, self.shape[axis])
-
     def cell_volume(self):
         vol = ONE
         for m in self.shape:
@@ -94,26 +82,37 @@ class GridBundle:
 
     @cached_property
     def _site_classes(self):
-        """(sites, cls, reps): the sites in grid order, cls[i] the number of the
-        distinct (lam, omega) value at sites[i] (keyed on its raw coefficients,
-        hashed once per site) and reps[c] the first site with value c."""
-        sites = self.sites()
+        """(cls, reps): cls maps each site, in grid order, to the number of its
+        distinct (lam, omega) value (keyed on the raw coefficients, hashed once
+        per site), and reps[c] is the first site with value c."""
         keys = {}
-        cls = []
+        cls = {}
         reps = []
-        for site in sites:
+        for site in self.sites():
             key = (self.lam_field[site].coeffs, tuple(v.coeffs for v in self.omega[site]))
-            c = keys.setdefault(key, len(keys))
+            c = cls[site] = keys.setdefault(key, len(keys))
             if c == len(reps):
                 reps.append(site)
-            cls.append(c)
-        return sites, cls, reps
+        return cls, reps
 
     @cached_property
-    def _kernels(self):
-        """The constraint kernel of each distinct site value, in class order,
-        as the rows of an integer matrix."""
-        return [_constraint_kernel(self, site) for site in self._site_classes[2]]
+    def _operators(self):
+        """One (omega, lam, kernel) per site class, in class order: omega is the
+        integer matrix of omega(u, X) = sum_a u_a omega_a + X acting on row
+        vectors (the omega_a rows over their lcm denominator, then the
+        identity), lam the dual value as a column, and kernel the rows of the
+        constraint kernel ker <lam, omega(.)>, or None where lam = 0."""
+        n, dim = self.n_axes, self.algebra.dim
+        out = []
+        for site in self._site_classes[1]:
+            w, ints = common_denominator(c for z in self.omega[site] for c in z.coeffs)
+            nums = {divmod(k, dim): v for k, v in enumerate(ints) if v}
+            nums.update(((n + r, r), w) for r in range(dim))
+            omega = OperatorMatrix.from_numerators(n + dim, dim, w, nums)
+            lam = OperatorMatrix(dim, 1, {(r, 0): v for r, v in enumerate(self.lam_field[site].coeffs)})
+            kernel = None if lam.is_zero() else (omega @ lam).transpose().kernel()
+            out.append((omega, lam, kernel))
+        return out
 
     @cached_property
     def _cartan(self):
@@ -132,19 +131,19 @@ def grid_bundle(shape, algebra, omega=None, lam_field=None):
         raise FormatError("grid shape needs positive extents")
     sites = list(itertools.product(*(range(m) for m in shape)))
     n = len(shape)
+    flat = (algebra.zero_vector(),) * n
 
     def as_vector(coeffs):
         return algebra.vector(coeffs) if not hasattr(coeffs, "algebra") else coeffs
 
     if omega is None:
-        const = tuple(algebra.zero_vector() for _ in range(n))
-        omega_map = {site: const for site in sites}
+        omega_map = {site: flat for site in sites}
     elif isinstance(omega, dict):
         omega_map = {}
         for site in sites:
             vecs = omega.get(tuple(site))
             if vecs is None:
-                omega_map[site] = tuple(algebra.zero_vector() for _ in range(n))
+                omega_map[site] = flat
             else:
                 if len(vecs) != n:
                     raise MismatchError("need one connection sample per axis")
@@ -170,27 +169,18 @@ def grid_bundle(shape, algebra, omega=None, lam_field=None):
     return GridBundle(shape, algebra, MappingProxyType(omega_map), MappingProxyType(lam_map))
 
 
-def constraint_functional(bundle, site):
-    """Row vector of v = (u, X) -> <lam(site), omega(v)> on R^n + g."""
-    lam = bundle.lam_field[site]
-    row = []
-    for a in range(bundle.n_axes):
-        row.append(pairing(lam, bundle.omega[site][a]))
-    row.extend(lam.coeffs)
-    return row
-
-
-def _constraint_kernel(bundle, site):
-    lam = bundle.lam_field[site]
-    if not lam.is_nondegenerate():
+def _kernel(bundle, site):
+    """The constraint kernel of the site's class; a degenerate value raises."""
+    kernel = bundle._operators[bundle._site_classes[0][site]][2]
+    if kernel is None:
         raise DegenerateInputError(f"degenerate dual value at site {site}")
-    return OperatorMatrix.from_dense([constraint_functional(bundle, site)]).kernel()
+    return kernel
 
 
 def constraint_distribution(bundle, site):
-    """Canonical exact kernel basis of the constraint functional at a site,
-    as tuples of Fractions."""
-    return [tuple(row) for row in _constraint_kernel(bundle, site).to_dense()]
+    """Canonical exact kernel basis of the constraint functional
+    v = (u, X) -> <lam(site), omega(v)> at a site, as tuples of Fractions."""
+    return [tuple(row) for row in _kernel(bundle, site).to_dense()]
 
 
 @dataclass
@@ -220,24 +210,23 @@ def transversality_report(bundle):
     n = bundle.n_axes
     dim_g = bundle.algebra.dim
     tangent = n + dim_g
-    degenerate = [
-        site for site in bundle.sites() if not bundle.lam_field[site].is_nondegenerate()
-    ]
+    cls, _ = bundle._site_classes
+    kernels = [kernel for _, _, kernel in bundle._operators]
+    degenerate = [site for site, c in cls.items() if kernels[c] is None]
     if degenerate:
         raise DegenerateInputError(
             f"degenerate dual value at sites {degenerate[:4]}"
             + ("..." if len(degenerate) > 4 else "")
         )
     dims = []
-    for dist in bundle._kernels:
+    for dist in kernels:
         # the unit fiber rows V clear the fiber columns of D's rows, so
         # rank [D; V] = dim g + the rank of D's block on the n base columns
         k = dist.rows
         base = {key: v for key, v in dist.nums.items() if key[1] < n}
         dim_sum = dim_g + OperatorMatrix.from_numerators(k, n, 1, base).rank()
         dims.append((k, k + dim_g - dim_sum, dim_sum))
-    sites, cls, _ = bundle._site_classes
-    per_site = {site: dims[c] for site, c in zip(sites, cls)}
+    per_site = {site: dims[c] for site, c in cls.items()}
     zero_intersection = all(dim_int == 0 for _, dim_int, _ in dims)
     full_sum = all(dim_sum == tangent for _, _, dim_sum in dims)
     return TransversalityReport(
@@ -289,34 +278,32 @@ def _cartan_report(bundle):
     for m in bundle.shape:
         if m < 3:
             raise MismatchError("central differences need at least 3 sites per axis")
-    sites, cls, reps = bundle._site_classes
+    cls, reps = bundle._site_classes
     n = bundle.n_axes
     dim = bundle.algebra.dim
-    # the dual field as integers over one denominator L, once per site value
+    c_den, nz = bundle.algebra.integer_structure
+    # the dual field as integers over one denominator L, once per site class
     big_l, flat = common_denominator(c for rep in reps for c in bundle.lam_field[rep].coeffs)
-    lam = [tuple(flat[k * dim:(k + 1) * dim]) for k in range(len(reps))]
-    lam_at = dict(zip(sites, (lam[c] for c in cls)))
-    # ad*_z has integer matrix mat / s for each distinct connection sample z;
-    # every term is written over S = lcm of the scales s
-    coad_of = {}
-    for rep in reps:
-        for z in bundle.omega[rep]:
-            if z.coeffs not in coad_of:
-                coad_of[z.coeffs] = _coadjoint_numerators(z)
-    big_s = lcm(*(s for s, _ in coad_of.values()))
-
-    def coad_term(z, xi):
-        """2 (S / s) mat xi: ad*_z of xi / L, as numerators over D = 2 L S."""
-        s, mat = coad_of[z.coeffs]
-        f = 2 * (big_s // s)
-        return tuple(f * sum(map(mul, row, xi)) for row in mat)
-
-    # the algebraic term depends only on the site's (lam, omega) value
-    coad = [[coad_term(z, xi) for z in bundle.omega[rep]] for rep, xi in zip(reps, lam)]
+    lam = [flat[k * dim:(k + 1) * dim] for k in range(len(reps))]
+    # (ad*_z xi)_j = -sum_b z_b M[b][j] / c_den with M[b][j] = sum_i c_bj^i xi_i,
+    # so the base rows of a class's omega (over its den w) give every axis's
+    # term at once; each is written over D = 2 L S with S = c_den * lcm of the w
+    big_s = c_den * lcm(*(omega.den for omega, _, _ in bundle._operators))
+    coad = []
+    for (omega, _, _), xi in zip(bundle._operators, lam):
+        terms = [[0] * dim for _ in range(n)]
+        base = [(a, b, v) for (a, b), v in omega.nums.items() if a < n]
+        if base:
+            mat = [[sum(v * xi[i] for i, v in consts) for consts in row] for row in nz]
+            f = -2 * (big_s // (c_den * omega.den))
+            for a, b, v in base:
+                terms[a] = [t + f * v * x for t, x in zip(terms[a], mat[b])]
+        coad.append(terms)
+    lam_at = {site: lam[c] for site, c in cls.items()}
     # (lam(site+a) - lam(site-a)) / (2 h_a) = m_a S (plus - minus) / D
     step = [m * big_s for m in bundle.shape]
     nums = {}
-    for site, c in zip(sites, cls):
+    for site, c in cls.items():
         for a in range(n):
             plus = lam_at[bundle.shift(site, a, 1)]
             minus = lam_at[bundle.shift(site, a, -1)]
@@ -338,7 +325,7 @@ def equivariance_residual(bundle, order=8, steps=(0.1, 0.2)):
         raise MismatchError("series order must be >= 4")
     alg = bundle.algebra
     dim = alg.dim
-    distinct = {bundle.lam_field[site].coeffs: None for site in bundle._site_classes[2]}
+    distinct = {bundle.lam_field[site].coeffs: None for site in bundle._site_classes[1]}
     lams = [[float(c) for c in coeffs] for coeffs in distinct]
 
     # Every entry is one builtin sum of the products a[i][k] * b[k][j] in
@@ -392,16 +379,17 @@ def compatibility_functional_terms(bundle, dist_target=None):
     vol = bundle.cell_volume()
     first = cartan_residual(bundle).squared_norm() * vol / 2
 
+    cls, reps = bundle._site_classes
+    ops = bundle._operators
     if dist_target is None:
-        # the default target is the constraint kernel: one distance per distinct site value
-        _, cls, reps = bundle._site_classes
-        per_value = [_annihilator_distance_sq(bundle, site, dist)
-                     for site, dist in zip(reps, bundle._kernels)]
-        dists = [per_value[c] for c in cls]
+        # the default target is the constraint kernel: one distance per site class
+        per_class = [_annihilator_distance_sq(omega, lam, _kernel(bundle, rep))
+                     for rep, (omega, lam, _) in zip(reps, ops)]
+        dists = [per_class[c] for c in cls.values()]
     else:
         tangent = bundle.n_axes + bundle.algebra.dim
         dists = []
-        for site in bundle.sites():
+        for site, c in cls.items():
             try:
                 vecs = dist_target[site]
             except KeyError:
@@ -411,24 +399,16 @@ def compatibility_functional_terms(bundle, dist_target=None):
                     f"distribution target at site {site}: every vector needs "
                     f"{tangent} coordinates (n + dim g)")
             basis = OperatorMatrix(len(vecs), tangent, {
-                (i, c): v for i, vec in enumerate(vecs) for c, v in enumerate(vec)})
-            dists.append(_annihilator_distance_sq(bundle, site, basis))
+                (i, j): v for i, vec in enumerate(vecs) for j, v in enumerate(vec)})
+            omega, lam, _ = ops[c]
+            dists.append(_annihilator_distance_sq(omega, lam, basis))
     second = vol * sum(dists, ZERO)
     return first, second
 
 
-def _annihilator_distance_sq(bundle, site, basis):
-    """Squared distance from lam(site) to the annihilator of omega(row span
-    of the matrix basis)."""
-    dim_g = bundle.algebra.dim
-    n = bundle.n_axes
-    # omega(u, X) = sum_a u_a omega_a(site) + X, as a (n + dim g) x dim g
-    # matrix acting on row vectors, over the denominator w of the omega_a
-    w, ints = common_denominator(c for z in bundle.omega[site] for c in z.coeffs)
-    nums = {divmod(k, dim_g): v for k, v in enumerate(ints) if v}
-    nums.update(((n + r, r), w) for r in range(dim_g))
-    omega = OperatorMatrix.from_numerators(n + dim_g, dim_g, w, nums)
-    lam = OperatorMatrix(dim_g, 1, {(r, 0): v for r, v in enumerate(bundle.lam_field[site].coeffs)})
+def _annihilator_distance_sq(omega, lam, basis):
+    """Squared distance from the dual value lam (a column) to the annihilator
+    of omega(row span of the matrix basis)."""
     # the distance to a subspace is 0 iff lam lies in it: here iff
     # <lam, omega(v)> = 0 for every row v of basis
     if (basis @ (omega @ lam)).is_zero():
@@ -494,6 +474,7 @@ def bundle_from_json(data, algebra):
     except (KeyError, TypeError) as exc:
         raise FormatError("bundle JSON needs a grid field") from exc
     n = len(shape)
+    flat = (algebra.zero_vector(),) * n
     # the fields repeat few literals: each distinct one is parsed once
     parse = literal_parser()
 
@@ -517,7 +498,7 @@ def bundle_from_json(data, algebra):
             if (site, a) in seen:
                 raise FormatError(f"omega_base has two rows for site {site}, axis {a}")
             seen.add((site, a))
-            vecs = list(omega.get(site) or [algebra.zero_vector() for _ in range(n)])
+            vecs = list(omega.get(site) or flat)
             vecs[a] = algebra.vector(coeffs)
             omega[site] = tuple(vecs)
 

@@ -2,9 +2,9 @@
 
 Subcommands: algebra | spencer | mirror | complex | bundle. Reports are JSON,
 written to stdout or --out, and are byte-deterministic for a fixed command
-line (and seed, where one applies). Exit codes: 0 success, 1 a check asserted
-via flags failed (or a structural invariant failed, with a witness in the
-report), 2 malformed input or violated precondition.
+line. Exit codes: 0 success, 1 a check asserted via flags failed (or a
+structural invariant failed, with a witness in the report), 2 malformed
+input or violated precondition.
 
 Contested identities (nilpotency of the coupled operator, strong
 transversality of the forward construction) are emitted as data and never
@@ -209,6 +209,7 @@ def cmd_mirror(args):
 
 def cmd_complex(args):
     from . import cohomology as coh
+    from .linalg import ZERO
     from .spencer import Identification, LeibnizConvention
 
     algebra = _load_algebra(args)
@@ -230,15 +231,10 @@ def cmd_complex(args):
         "seed": args.seed,
     }
     if args.grading == coh.GRADING_DIAGONAL:
-        report["report"] = {
-            "grading": args.grading,
-            "convention": conv.value,
-            "K": args.K,
-            "dims": [],
-            "euler": 0,
-            "d_squared_residual": "0",
-            "flags": ["diagonal-grading: blocks recorded, no composition or dim claims"],
-        }
+        report["report"] = coh.CohomologyReport(
+            args.grading, conv, args.K, None, None, ZERO,
+            ["diagonal-grading: blocks recorded, no composition or dim claims"],
+        ).to_json()
         report["blocks"] = {
             str(k): {
                 "d_block_shape": list(blocks["d_block"].shape),
@@ -257,11 +253,11 @@ def cmd_complex(args):
         failed = (not mi.commutation_holds) or mi.dims_equal is False
     if cohrep.dims is not None:
         report["kunneth"] = coh.kunneth_diagnostic(instance).to_json()
-        report["cup"] = _cup_section(instance, args.seed)
+        report["cup"] = _cup_section(instance)
     return report, EXIT_CHECK_FAILED if args.assert_mirror_invariant and failed else EXIT_OK
 
 
-def _cup_section(instance, seed):
+def _cup_section(instance):
     """Cup products of the degree-1 cohomology generators, when any exist."""
     from . import cohomology as coh
     from .linalg import in_column_span
@@ -284,9 +280,7 @@ def _cup_section(instance, seed):
             nontrivial = any(product) and not coh.classes_equal(
                 instance, degree, product, tuple(Fraction(0) for _ in product)
             )
-            stable = coh.cup_well_defined_sample(
-                instance, 1, gens[p], 1, gens[q], seed=seed or 0
-            )
+            stable = coh.cup_well_defined(instance, 1, gens[p], 1, gens[q])
             pairs.append(
                 {
                     "generators": [p, q],
@@ -304,6 +298,9 @@ def cmd_bundle(args):
 
     algebra = _load_algebra(args)
     if args.bundle_file:
+        for flag, value in (("--grid", args.grid), ("--lambda", args.lam), ("--omega", args.omega)):
+            if value is not None:
+                raise FormatError(f"--bundle-file and {flag} are mutually exclusive")
         try:
             with open(args.bundle_file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -358,7 +355,7 @@ def build_parser():
         p.add_argument("--file", help="algebra JSON file")
         p.add_argument("--mode", choices=["rational", "float"], default="rational")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
+        p.add_argument("--seed", type=int, default=None, help="echoed in the complex report; no check is randomized")
         if lam:
             p.add_argument("--lambda", dest="lam", required=True,
                            help="comma-separated dual coefficients")

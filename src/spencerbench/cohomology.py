@@ -25,7 +25,6 @@ and reported only when the squared differential is exactly zero.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -414,20 +413,17 @@ def classes_equal(instance, degree, vec1, vec2):
     return in_column_span(instance.differentials[degree - 1], diff)
 
 
-def cup_well_defined_sample(instance, deg1, rep1, deg2, rep2, seed, trials=4):
-    """Perturb inputs by exact boundaries and check the product class is stable."""
-    rng = random.Random(seed)
-    target, base = cup_product(instance, deg1, rep1, deg2, rep2)
-    for _ in range(trials):
-        if deg1 == 0:
-            break
-        prev = instance.differentials[deg1 - 1]
-        noise = [Fraction(rng.randint(-3, 3)) for _ in range(prev.cols)]
-        perturbed = tuple(
-            a + b for a, b in zip(rep1, prev.apply(noise))
-        )
-        _, shifted = cup_product(instance, deg1, perturbed, deg2, rep2)
-        if not classes_equal(instance, target, base, shifted):
+def cup_well_defined(instance, deg1, rep1, deg2, rep2):
+    """True iff the class of rep1 . rep2 does not move when rep1 moves by a
+    boundary. The product is bilinear, so this holds iff D(e) . rep2 is
+    exact for every basis vector e one degree below deg1."""
+    target, _ = cup_product(instance, deg1, rep1, deg2, rep2)
+    if deg1 == 0:
+        return True
+    prev = instance.differentials[deg1 - 1]
+    for c in range(prev.cols):
+        _, shift = cup_product(instance, deg1, prev.column(c), deg2, rep2)
+        if any(shift) and not in_column_span(instance.differentials[target - 1], shift):
             return False
     return True
 

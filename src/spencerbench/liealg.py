@@ -165,21 +165,6 @@ def pairing(xi, x):
     return sum((a * b for a, b in zip(xi.coeffs, x.coeffs)), ZERO)
 
 
-def _coadjoint_numerators(z):
-    """(scale, mat): mat[j][i] / scale = -sum_a z_a c_aj^i, the coefficient of
-    xi_i in (ad*_z xi)_j, summed in integers over the non-zero constants only."""
-    alg = z.algebra
-    den, nz = alg.integer_structure
-    z_den, z_ints = common_denominator(z.coeffs)
-    mat = [[0] * alg.dim for _ in range(alg.dim)]
-    for a, za in enumerate(z_ints):
-        if za:
-            for row, consts in zip(mat, nz[a]):
-                for i, v in consts:
-                    row[i] -= za * v
-    return den * z_den, mat
-
-
 def coadjoint(z, xi):
     """ad*_z xi under the convention <ad*_z xi, y> = -<xi, [z, y]>.
 
@@ -187,19 +172,23 @@ def coadjoint(z, xi):
     In coordinates (ad*_z xi)_j = -sum_a z_a sum_i c_aj^i xi_i.
     """
     _same_algebra(z, xi)
-    scale, mat = _coadjoint_numerators(z)
-    xi_den, xi_ints = common_denominator(xi.coeffs)
-    scale *= xi_den
-    return DualVector(z.algebra, tuple(
-        Fraction(sum(m * x for m, x in zip(row, xi_ints)), scale) for row in mat))
+    return z.algebra.dual(coadjoint_matrix(z).apply(xi.coeffs))
 
 
 def coadjoint_matrix(z):
-    """Matrix of ad*_z acting on dual coordinates."""
-    scale, mat = _coadjoint_numerators(z)
-    n = z.algebra.dim
-    return OperatorMatrix.from_numerators(n, n, scale, {
-        (j, i): v for j, row in enumerate(mat) for i, v in enumerate(row) if v})
+    """Matrix of ad*_z acting on dual coordinates: entry (j, i) is
+    -sum_a z_a c_aj^i, summed in integers over the non-zero constants only."""
+    alg = z.algebra
+    den, nz = alg.integer_structure
+    z_den, z_ints = common_denominator(z.coeffs)
+    nums = {}
+    for a, za in enumerate(z_ints):
+        if za:
+            for j, consts in enumerate(nz[a]):
+                for i, v in consts:
+                    nums[(j, i)] = nums.get((j, i), 0) - za * v
+    return OperatorMatrix.from_numerators(alg.dim, alg.dim, den * z_den,
+                                          {key: v for key, v in nums.items() if v})
 
 
 def antisymmetry_residual(algebra):

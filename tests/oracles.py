@@ -99,6 +99,13 @@ def oracle_cartan(bundle):
     return field, worst
 
 
+def oracle_constraint_row(bundle, site):
+    """The constraint functional v = (u, X) -> <lam, omega(v)> at a site as
+    one Fraction row: <lam, omega_a> for each base axis a, then lam."""
+    lam = bundle.lam_field[site]
+    return [pairing(lam, w) for w in bundle.omega[site]] + list(lam.coeffs)
+
+
 def oracle_first_term(field, vol):
     """Half the volume-weighted sum of the squared residual coefficients."""
     total = F(0)

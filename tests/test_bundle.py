@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import spencerbench.linalg as linalg_mod
 from oracles import (
     oracle_cartan,
+    oracle_constraint_row,
     oracle_equivariance_residual,
     oracle_first_term,
     oracle_inverse,
@@ -76,6 +77,34 @@ def test_degenerate_site_rejected():
         constraint_distribution(b, (1, 2))
     with pytest.raises(DegenerateInputError):
         transversality_report(b)
+
+
+def test_a_degenerate_site_leaves_the_other_kernels_readable():
+    # the per-class table holds no kernel for lam = 0; only that site raises
+    lf = {(i, j): [F(1), F(i), F(-j)] for i in range(3) for j in range(4)}
+    lf[(2, 1)] = [F(0), F(0), F(0)]
+    b = grid_bundle((3, 4), SO3, [SO3.vector([1, 0, 2]), SO3.zero_vector()], lf)
+    with pytest.raises(DegenerateInputError, match=re.escape("(2, 1)")):
+        constraint_distribution(b, (2, 1))
+    for site in [(0, 0), (2, 0), (2, 2)]:
+        assert constraint_distribution(b, site) == oracle_kernel(
+            [oracle_constraint_row(b, site)], 2 + 3)
+    with pytest.raises(DegenerateInputError, match=re.escape("[(2, 1)]")):
+        transversality_report(b)
+
+
+def test_one_site_operator_per_distinct_site_value():
+    const = grid_bundle((12, 12), SO3, [SO3.vector([1, 0, F(1, 2)]), SO3.vector([0, -1, 2])],
+                        [F(1), F(-2, 3), F(3)])
+    assert len(const._operators) == 1
+    sites = [[i, j] for i in range(12) for j in range(12)]
+    data = {"grid": [12, 12],
+            "lambda_field": [[s, [1, s[0], f"{s[1]}/7"]] for s in sites],
+            "omega_base": [[s, 0, ["1", "0", "-1"]] for s in sites[::2]]}
+    distinct = bundle_from_json(data, SO3)
+    assert len(distinct._operators) == 144
+    assert transversality_report(distinct).per_site == {
+        site: oracle_site_dims(distinct, site) for site in distinct.sites()}
 
 
 def test_generic_functional_has_corank_one():
@@ -339,8 +368,7 @@ def test_constraint_distribution_is_fraction_tuples_of_the_oracle_kernel():
     b, _, _ = mixed_so3_bundle()
     n, dim_g = b.n_axes, b.algebra.dim
     for site in b.sites():
-        lam = b.lam_field[site]
-        row = [pairing(lam, w) for w in b.omega[site]] + list(lam.coeffs)
+        row = oracle_constraint_row(b, site)
         basis = constraint_distribution(b, site)
         assert type(basis) is list
         assert all(type(vec) is tuple and len(vec) == n + dim_g for vec in basis)
@@ -350,10 +378,8 @@ def test_constraint_distribution_is_fraction_tuples_of_the_oracle_kernel():
 
 def oracle_site_dims(bundle, site):
     """(dim D, dim D&V, dim D+V) from one kernel and one RREF at this site."""
-    lam = bundle.lam_field[site]
     n, dim_g = bundle.n_axes, bundle.algebra.dim
-    row = [pairing(lam, w) for w in bundle.omega[site]] + list(lam.coeffs)
-    dist = oracle_kernel([row], n + dim_g)
+    dist = oracle_kernel([oracle_constraint_row(bundle, site)], n + dim_g)
     vertical = [[F(int(c == n + i)) for c in range(n + dim_g)] for i in range(dim_g)]
     dim_sum = len(oracle_rref([list(v) for v in dist] + vertical)[1])
     return len(dist), len(dist) + dim_g - dim_sum, dim_sum
@@ -573,6 +599,15 @@ def test_integer_cartan_report_and_first_term_match_fraction_oracle(b):
 @given(site_resolved_fields(), st.sampled_from([(0.1, 0.2), (0.2, 0.1), (0.3,), (0.0,)]))
 def test_equivariance_residual_is_the_float_series_bit_for_bit(b, steps):
     assert equivariance_residual(b, steps=steps) == oracle_equivariance_residual(b, steps=steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(site_resolved_fields())
+def test_every_constraint_distribution_is_the_oracle_kernel_of_its_row(b):
+    tangent = b.n_axes + b.algebra.dim
+    for site in b.sites():
+        expect = oracle_kernel([oracle_constraint_row(b, site)], tangent)
+        assert constraint_distribution(b, site) == expect
 
 
 @settings(max_examples=30, deadline=None)

@@ -240,6 +240,18 @@ def test_bundle_file_valid(tmp_path, capsys):
     assert json.loads(out)["cartan_residual_max"] == "0"
 
 
+@pytest.mark.parametrize("flag", [["--grid", "4,4"], ["--lambda=1,0,0"], ["--omega", "garbage"]],
+                         ids=["grid", "lambda", "omega"])
+def test_bundle_file_rejects_grid_lambda_and_omega(tmp_path, capsys, flag):
+    # the file defines the grid and both fields: a flag that would be
+    # ignored next to it is an input error, as --builtin with --file is
+    data = {"grid": [3, 3], "algebra": "so3", "lambda_field": {"constant": ["0", "0", "1"]}}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "bundle", "--builtin", "so3", "--bundle-file", str(path))[0] == 0
+    assert_input_error("bundle", "--builtin", "so3", "--bundle-file", str(path), *flag)
+
+
 _VALID_LAM = [[[i, j], ["0", "0", "1"]] for i in range(2) for j in range(2)]
 
 

@@ -13,7 +13,7 @@ from spencerbench.cohomology import (
     classes_equal,
     cohomology_report,
     cup_product,
-    cup_well_defined_sample,
+    cup_well_defined,
     d_squared_residual,
     kunneth_diagnostic,
     mirror_invariance_check,
@@ -293,7 +293,20 @@ def test_cup_class_stable_under_boundaries(flat_complex):
     c = flat_complex
     dx = basis_rep(c, 1, 1, 0, ())
     dy = basis_rep(c, 1, 1, 1, ())
-    assert cup_well_defined_sample(c, 1, dx, 1, dy, seed=5)
+    assert cup_well_defined(c, 1, dx, 1, dy)
+
+
+def test_cup_class_moves_with_a_boundary():
+    # d(1) = a and a . b = ab: moving b by the boundary a moves b . b = 0 to
+    # ab, which no boundary reaches (the only boundaries in degree 2 are a x e1)
+    dga = DGAModel("d1-is-a", (("1",), ("a", "b"), ("ab",)),
+                   (OperatorMatrix.from_dense([[1], [0]]), OperatorMatrix.zero(1, 2)),
+                   {(1, 0, 1, 1): {0: F(1)}})
+    ab1 = builtin_algebra("abelian(1)")
+    c = build_complex(dga, ab1, ab1.dual([0]), 3)
+    b = basis_rep(c, 1, 1, 1, ())
+    assert cup_product(c, 1, b, 1, b)[1] == (F(0),) * len(c.bases[2])
+    assert not cup_well_defined(c, 1, b, 1, b)
 
 
 # --- mirror comparisons -------------------------------------------------------

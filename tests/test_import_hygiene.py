@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and every
+module-level private helper is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,52 @@ def test_an_unused_import_is_found():
               "re.compile('x')\n"
               "lcm(1)\n")
     assert unused_imports(source) == [(2, "os"), (4, "gcd")]
+
+
+def referenced_names(node):
+    """Every name that the code under node reads, calls or imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.split(".")[-1])
+    return names
+
+
+def unused_private_definitions(sources):
+    """(module, line, name) of each module-level ``def _name`` or ``class _Name``
+    in sources ({module: source}) that no code refers to outside the
+    definition itself."""
+    bodies = {module: ast.parse(source).body for module, source in sources.items()}
+    uses = [(node, referenced_names(node)) for body in bodies.values() for node in body]
+    found = []
+    for module, body in bodies.items():
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and not any(node.name in names for other, names in uses if other is not node)):
+                found.append((module, node.lineno, node.name))
+    return sorted(found)
+
+
+def test_no_unused_private_definition():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unused_private_definitions(sources) == []
+
+
+def test_an_unused_private_helper_is_found():
+    sources = {
+        "a": ("def _called():\n    return 1\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class _Unused:\n    pass\n"
+              "def __getattr__(name):\n    return name\n"
+              "def public():\n    return _called()\n"),
+        "b": ("from .a import _imported\n"
+              "import a\n"
+              "def _imported():\n    return a._by_attribute\n"
+              "def _by_attribute():\n    return 2\n"),
+    }
+    assert unused_private_definitions(sources) == [("a", 3, "_recursive"), ("a", 5, "_Unused")]
