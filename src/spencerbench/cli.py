@@ -146,20 +146,18 @@ def cmd_spencer(args):
 
 
 def _parse_transform(algebra, text):
+    """sign, or a builtin automorphism kind (weyl:<digits> names
+    permutation:<digits>); builtin_automorphism normalises and checks the
+    kind."""
     from .liealg import builtin_automorphism
     from .mirror import automorphism_mirror, sign_mirror
 
-    text = text.strip().lower()
-    if text == "sign":
+    kind = text.strip().lower()
+    if kind == "sign":
         return sign_mirror()
-    if text in ("identity", "negate-transpose", "negate_transpose", "inverse-mirror",
-                "inverse_mirror"):
-        label = text.replace("-", "_")
-    elif text.startswith("weyl:") or text.startswith("permutation:"):
-        label = "permutation:" + text.split(":", 1)[1]
-    else:
-        raise FormatError(f"unknown transform {text!r}")
-    return automorphism_mirror(builtin_automorphism(algebra, label))
+    if kind.startswith("weyl:"):
+        kind = "permutation:" + kind[len("weyl:"):]
+    return automorphism_mirror(builtin_automorphism(algebra, kind))
 
 
 def cmd_mirror(args):
@@ -315,7 +313,8 @@ def cmd_bundle(args):
             shape = tuple(int(m) for m in args.grid.split(","))
         except ValueError as exc:
             raise FormatError(f"--grid must be comma-separated integers, got {args.grid!r}") from exc
-        lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
+        # a zero lambda reaches the bundle, which names the degenerate sites
+        lam = _parse_lambda(algebra, args.lam, allow_degenerate=True)
         omega = None
         if args.omega:
             parts = args.omega.split(";")
@@ -395,7 +394,6 @@ def build_parser():
     p = sub.add_parser("bundle", help="lattice transversality and flatness diagnostics")
     common(p, lam=False)
     p.add_argument("--lambda", dest="lam", help="comma-separated dual coefficients")
-    p.add_argument("--allow-degenerate", action="store_true")
     p.add_argument("--grid", help="comma-separated sites per axis, e.g. 8,8")
     p.add_argument("--omega", help="per-axis connection coefficients, ';'-separated lists")
     p.add_argument("--bundle-file", help="GridBundle JSON (site-resolved fields)")

@@ -223,7 +223,7 @@ def segment_offsets(dga, dim, k):
     return offsets, pos
 
 
-def _blocks(dga, deltas, dim, i, j):
+def _bidegree_blocks(dga, deltas, dim, i, j):
     """d x 1 and (-1)^i 1 x delta on Omega^i x S^j (d block None at the top)."""
     d_block = (
         kron(dga.diff[i], OperatorMatrix.identity(sym_dim(dim, j)))
@@ -250,7 +250,7 @@ def build_complex(dga, algebra, lam, K, convention=LeibnizConvention.UNSIGNED,
     if grading == GRADING_DIAGONAL:
         blocks = {}
         for k in range(min(K, dga.top_degree + 1)):
-            d_block, delta_block = _blocks(dga, deltas, algebra.dim, k, k)
+            d_block, delta_block = _bidegree_blocks(dga, deltas, algebra.dim, k, k)
             if d_block is None:
                 d_block = OperatorMatrix.zero(0, delta_block.cols)
             blocks[k] = {"d_block": d_block, "delta_block": delta_block}
@@ -275,7 +275,7 @@ def build_complex(dga, algebra, lam, K, convention=LeibnizConvention.UNSIGNED,
         cols, n_cols = segment_offsets(dga, algebra.dim, k)
         out = OperatorMatrix.zero(n_rows, n_cols)
         for i, start in cols.items():
-            d_block, delta_block = _blocks(dga, deltas, algebra.dim, i, k - i)
+            d_block, delta_block = _bidegree_blocks(dga, deltas, algebra.dim, i, k - i)
             # (d omega) x s lands in form degree i+1, omega x delta(s) in i
             if d_block is not None:
                 place_block(out, d_block, rows[i + 1], start)

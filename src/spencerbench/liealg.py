@@ -11,15 +11,18 @@ antisymmetry and Jacobi residuals are exact. Built-in families:
 * ``abelian(<n>)`` all brackets zero
 
 The sl/su families are built on integers: every entry of their defining
-matrices is 0, +-1 or +-i, so the commutators are Gaussian-integer matrices
-and one integer elimination of [basis | commutators] gives every structure
-constant. The algebras carry that realization (``matrix_basis``, dense
-(re, im) Fraction matrices) so conjugation and transpose maps can be turned
-into validated automorphisms, decomposed by the same elimination.
+matrices is 0, +-1 or +-i, so the commutators are Gaussian-integer matrices,
+written as integer columns of 2n^2 rows (real and imaginary parts), and one
+``solve`` of the basis columns against them gives every structure constant.
+The algebras carry that realization (``matrix_basis``, dense (re, im)
+Fraction matrices) so conjugation and transpose maps can be turned into
+validated automorphisms: the matrix of a map is the ``solve`` of the basis
+against the images of the basis matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -33,7 +36,7 @@ from .linalg import (
     OperatorMatrix,
     common_denominator,
     format_scalar,
-    _eliminate,
+    kron,
     parse_int,
     parse_scalar,
 )
@@ -286,26 +289,29 @@ def make_automorphism(algebra, matrix, label):
     """Validate and wrap a candidate automorphism matrix (an OperatorMatrix).
 
     Checks exact invertibility and the bracket homomorphism A[e_i,e_j] =
-    [Ae_i, Ae_j] on every basis pair; raises ValidationError with a witness
-    pair on the first failure.
+    [Ae_i, Ae_j] on every basis pair (i, j) at once, as A C = C (A x A),
+    where column (i, j) of the dim x dim^2 matrix C is [e_i, e_j]; raises
+    ValidationError with the smallest failing pair as witness.
     """
-    if matrix.shape != (algebra.dim, algebra.dim):
+    n = algebra.dim
+    if matrix.shape != (n, n):
         raise MismatchError("automorphism matrix shape does not match the algebra")
-    inverse = matrix.solve(OperatorMatrix.identity(algebra.dim))
+    inverse = matrix.solve(OperatorMatrix.identity(n))
     if inverse is None:
         raise ValidationError(f"matrix for {label!r} is singular")
-    cols = [algebra.vector(matrix.column(c)) for c in range(algebra.dim)]
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            lhs = matrix.apply(bracket(algebra.basis_vector(i), algebra.basis_vector(j)).coeffs)
-            rhs = bracket(cols[i], cols[j]).coeffs
-            if lhs != rhs:
-                raise ValidationError(
-                    f"{label!r} is not a bracket homomorphism: "
-                    f"A[{algebra.basis_labels[i]},{algebra.basis_labels[j]}] = {lhs} "
-                    f"but [A{algebra.basis_labels[i]},A{algebra.basis_labels[j]}] = {rhs}",
-                    witness=(i, j, lhs, rhs),
-                )
+    den, nz = algebra.integer_structure
+    brackets = OperatorMatrix.from_numerators(n, n * n, den, {
+        (p, a * n + b): v for a in range(n) for b in range(n) for p, v in nz[a][b]})
+    lhs, rhs = matrix @ brackets, brackets @ kron(matrix, matrix)
+    if lhs != rhs:
+        i, j = divmod(min(c for _, c in (lhs - rhs).nums), n)
+        left, right = lhs.column(i * n + j), rhs.column(i * n + j)
+        raise ValidationError(
+            f"{label!r} is not a bracket homomorphism: "
+            f"A[{algebra.basis_labels[i]},{algebra.basis_labels[j]}] = {left} "
+            f"but [A{algebra.basis_labels[i]},A{algebra.basis_labels[j]}] = {right}",
+            witness=(i, j, left, right),
+        )
     return LieAutomorphism(algebra, matrix, inverse, label)
 
 
@@ -360,8 +366,9 @@ def _sparse_commutator(a, b):
 
 
 def _sparse(mat):
-    """A dense (re, im) matrix as a sparse one."""
-    return {(r, c): z for r, row in enumerate(mat) for c, z in enumerate(row) if z[0] or z[1]}
+    """A dense (re, im) matrix with integer entries as a sparse Gaussian one."""
+    return {(r, c): (int(z[0]), int(z[1]))
+            for r, row in enumerate(mat) for c, z in enumerate(row) if z[0] or z[1]}
 
 
 def _dense(n, mat):
@@ -374,34 +381,24 @@ def _dense(n, mat):
     )
 
 
-def _flatten(n, mat):
-    out = [0] * (2 * n * n)
-    for (r, c), (re_, im) in mat.items():
-        out[2 * (r * n + c)] = re_
-        out[2 * (r * n + c) + 1] = im
-    return out
+def _coordinates(n, basis, mats):
+    """The coordinates of each sparse n x n Gaussian matrix of mats in the
+    sparse basis, as the columns of an OperatorMatrix.
 
-
-def _decompose_flat(n, basis, mats):
-    """Coordinates of each sparse n x n matrix in mats in the sparse basis.
-
-    One integer elimination of the flattened columns [basis | mats], scaled
-    by one common denominator (which leaves the coordinates unchanged):
-    every basis column must be a pivot (else the basis is dependent) and no
-    column of mats may be one (else that matrix lies outside the span).
+    Entry (r, c) of a matrix is written as rows 2(rn + c) (real part) and
+    2(rn + c) + 1 (imaginary part) of an integer column, and one ``solve``
+    of the basis columns against the columns of mats gives the coordinates.
     """
-    dim = len(basis)
-    size = 2 * n * n
-    _, ints = common_denominator(
-        v for m in itertools.chain(basis, mats) for v in _flatten(n, m))
-    rows = [ints[r::size] for r in range(size)]
-    pivots = _eliminate(rows)
-    if pivots[:dim] != list(range(dim)):
-        raise ValidationError("matrix basis is linearly dependent")
-    if len(pivots) > dim:
+    def columns(group):
+        return OperatorMatrix.from_numerators(2 * n * n, len(group), 1, {
+            (2 * (r * n + c) + part, j): v
+            for j, mat in enumerate(group) for (r, c), z in mat.items()
+            for part, v in enumerate(z) if v})
+
+    solution = columns(basis).solve(columns(mats))
+    if solution is None:
         raise ValidationError("matrix does not lie in the algebra's span")
-    return [tuple(Fraction(rows[p][j], rows[p][p]) for p in range(dim))
-            for j in range(dim, dim + len(mats))]
+    return solution
 
 
 def _structure_from_matrices(name, labels, n, mats):
@@ -409,20 +406,14 @@ def _structure_from_matrices(name, labels, n, mats):
     dim = len(mats)
     structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     pairs = list(itertools.combinations(range(dim), 2))
-    sols = _decompose_flat(n, mats, [_sparse_commutator(mats[i], mats[j]) for i, j in pairs])
-    for (i, j), sol in zip(pairs, sols):
-        for k, c in enumerate(sol):
-            structure[i][j][k] = c
-            structure[j][i][k] = -c
+    coords = _coordinates(n, mats, [_sparse_commutator(mats[i], mats[j]) for i, j in pairs])
+    for (k, col), c in coords.entries.items():
+        i, j = pairs[col]
+        structure[i][j][k] = c
+        structure[j][i][k] = -c
     structure = tuple(tuple(tuple(row) for row in plane) for plane in structure)
     return LieAlgebra(name, dim, structure, tuple(labels),
                       matrix_basis=tuple(_dense(n, m) for m in mats))
-
-
-def _decompose_in_basis(algebra, *mats):
-    """Coordinates of dense (re, im) matrices in the algebra's matrix basis."""
-    basis = algebra.matrix_basis
-    return _decompose_flat(len(basis[0]), [_sparse(m) for m in basis], [_sparse(m) for m in mats])
 
 
 def _so3():
@@ -442,20 +433,13 @@ def _abelian(n):
     return LieAlgebra(f"abelian({n})", n, structure, tuple(f"e{i + 1}" for i in range(n)))
 
 
-_BUILTIN_CACHE = {}
-
-
 def builtin_algebra(name):
     """Construct a built-in algebra by name (so3, sl2, sl3, su2, abelian(4), ...)."""
-    key = name.strip().lower()
-    if key in _BUILTIN_CACHE:
-        return _BUILTIN_CACHE[key]
-    out = _build_named(key)
-    _BUILTIN_CACHE[key] = out
-    return out
+    return _builtin(name.strip().lower())
 
 
-def _build_named(key):
+@functools.lru_cache(maxsize=None)
+def _builtin(key):
     if key == "so3":
         return _so3()
     m = re.fullmatch(r"abelian\((\d+)\)|abelian(\d+)", key)
@@ -489,27 +473,9 @@ def _build_named(key):
 
 
 def _map_matrix_from_realization(algebra, mat_map, label):
-    cols = _decompose_in_basis(algebra, *map(mat_map, algebra.matrix_basis))
-    matrix = OperatorMatrix(algebra.dim, algebra.dim, {
-        (r, c): v for c, col in enumerate(cols) for r, v in enumerate(col)})
+    basis = [_sparse(m) for m in algebra.matrix_basis]
+    matrix = _coordinates(len(algebra.matrix_basis[0]), basis, [mat_map(m) for m in basis])
     return make_automorphism(algebra, matrix, label)
-
-
-def _neg_transpose(mat):
-    n = len(mat)
-    return tuple(
-        tuple((-mat[j][i][0], -mat[j][i][1]) for j in range(n)) for i in range(n)
-    )
-
-
-def _conjugate_by_permutation(mat, perm):
-    # perm maps position p to perm[p]; conjugation moves entry (a,b) to
-    # (perm[a], perm[b]), i.e. new[i][j] = old[inv(i)][inv(j)].
-    n = len(mat)
-    inv = [0] * n
-    for p, q in enumerate(perm):
-        inv[q] = p
-    return tuple(tuple(mat[inv[i]][inv[j]] for j in range(n)) for i in range(n))
 
 
 def builtin_automorphism(algebra, kind):
@@ -532,7 +498,11 @@ def builtin_automorphism(algebra, kind):
             raise FormatError(
                 f"negate_transpose needs a matrix realization; {algebra.name} has none"
             )
-        return _map_matrix_from_realization(algebra, _neg_transpose, "negate_transpose")
+        return _map_matrix_from_realization(
+            algebra,
+            lambda mat: {(c, r): (-re_, -im) for (r, c), (re_, im) in mat.items()},
+            "negate_transpose",
+        )
     m = re.fullmatch(r"permutation:(\d+)", kind)
     if m:
         digits = m.group(1)
@@ -544,9 +514,11 @@ def builtin_automorphism(algebra, kind):
         if sorted(digits) != [str(d) for d in range(1, n + 1)]:
             raise FormatError(f"permutation {digits!r} is not a permutation of 1..{n}")
         perm = [int(d) - 1 for d in digits]
+        # conjugation by the permutation matrix moves entry (a, b) to
+        # (perm[a], perm[b])
         return _map_matrix_from_realization(
             algebra,
-            lambda mat: _conjugate_by_permutation(mat, perm),
+            lambda mat: {(perm[a], perm[b]): z for (a, b), z in mat.items()},
             f"permutation:{digits}",
         )
     raise FormatError(f"unknown automorphism kind {kind!r}")

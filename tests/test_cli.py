@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from spencerbench.cli import main
+from spencerbench.cli import _parse_transform, main
 from spencerbench.linalg import OperatorMatrix
 from spencerbench.liealg import algebra_to_json, builtin_algebra
 
@@ -175,10 +175,25 @@ def test_bundle_abelian_fiber_strong_transversality(capsys):
 
 
 def test_bundle_degenerate_site_exit_two(tmp_path, capsys):
-    code, _ = run(
-        capsys, "bundle", "--builtin", "so3", "--grid", "3,3", "--lambda", "0,0,0",
-    )
+    code = main(["bundle", "--builtin", "so3", "--grid", "3,3", "--lambda", "0,0,0"])
+    err = capsys.readouterr().err
     assert code == 2
+    # the bundle names the sites; there is no flag that would let them through
+    assert "degenerate dual value at sites [(0, 0), (0, 1), (0, 2), (1, 0)]..." in err
+    assert "allow-degenerate" not in err
+    assert main(["bundle", "--builtin", "so3", "--grid", "3,3", "--lambda", "0,0,0",
+                 "--allow-degenerate"]) == 2
+    assert "unrecognized arguments: --allow-degenerate" in capsys.readouterr().err
+
+
+def test_bundle_file_with_zero_lambda_names_the_sites(tmp_path, capsys):
+    data = {"grid": [3, 3], "algebra": "so3", "lambda_field": {"constant": ["0", "0", "0"]}}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    code = main(["bundle", "--builtin", "so3", "--bundle-file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "degenerate dual value at sites [(0, 0), (0, 1), (0, 2), (1, 0)]..." in err
 
 
 def test_determinism_byte_identical(capsys):
@@ -492,6 +507,26 @@ def test_spencer_matrices_schema(capsys):
     for m in report["matrices"]:
         jsonschema.validate(m, MATRIX_SCHEMA)
         assert m["codomain_degree"] == m["domain_degree"] + 1
+
+
+@pytest.mark.parametrize("transform, message", [
+    ("rotate", "unknown automorphism kind 'rotate'"),
+    ("weyl:12x", "unknown automorphism kind 'permutation:12x'"),
+    ("weyl:1234", "permutation '1234' is not a permutation of 1..3"),
+])
+def test_mirror_unknown_transform_exit_two(capsys, transform, message):
+    code = main(["mirror", "--builtin", "sl3", "--lambda", "1,0,0,0,0,0,0,0", "--K", "2",
+                 "--transform", transform])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_transform_names_are_normalised_once():
+    sl3 = builtin_algebra("sl3")
+    assert _parse_transform(sl3, " Sign ").kind == "sign"
+    for text, label in (("Negate-Transpose", "negate_transpose"), ("identity", "identity"),
+                        ("WEYL:231", "permutation:231"), ("permutation:231", "permutation:231")):
+        assert _parse_transform(sl3, text).automorphism.label == label
 
 
 def test_mirror_inverse_mirror_rejected_exit_one(capsys):

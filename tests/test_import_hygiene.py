@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and every
-module-level private helper is used somewhere in the package."""
+"""Every module-level import in the package is used by its module, every
+module-level private helper is used somewhere in the package, and only linalg
+touches its private elimination routines."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,16 @@ def test_an_unused_private_helper_is_found():
               "def _by_attribute():\n    return 2\n"),
     }
     assert unused_private_definitions(sources) == [("a", 3, "_recursive"), ("a", 5, "_Unused")]
+
+
+ELIMINATION_INTERNALS = {"_eliminate", "_blocks", "_rref"}
+
+
+def test_only_linalg_references_its_elimination_internals():
+    """Every other module eliminates through the public OperatorMatrix methods."""
+    found = {path.stem: sorted(referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+                               & ELIMINATION_INTERNALS)
+             for path in SRC.glob("*.py") if path.stem != "linalg"}
+    assert {module: names for module, names in found.items() if names} == {}
+    linalg = referenced_names(ast.parse((SRC / "linalg.py").read_text(encoding="utf-8")))
+    assert ELIMINATION_INTERNALS <= linalg

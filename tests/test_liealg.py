@@ -10,7 +10,9 @@ from oracles import oracle_inverse, oracle_rref
 from spencerbench.errors import FormatError, MismatchError, ValidationError
 from spencerbench.liealg import (
     LieAlgebra,
-    _decompose_in_basis,
+    _coordinates,
+    _sl_basis,
+    _sparse,
     algebra_from_json,
     algebra_to_json,
     antisymmetry_residual,
@@ -23,6 +25,7 @@ from spencerbench.liealg import (
     coadjoint_matrix,
     jacobi_residual,
     killing_gram,
+    make_automorphism,
     pairing,
     weyl_mirrors,
 )
@@ -296,6 +299,58 @@ def test_inverse_mirror_rejected_on_nonabelian(so3):
     assert lhs == tuple(-v for v in rhs)
 
 
+def test_bracket_check_runs_on_every_pair():
+    # [b, a] = c but [a, b] = 0: constants that are not antisymmetric, on
+    # which -I preserves every bracket [e_i, e_j] with i < j
+    skewed = algebra_from_json({"name": "skewed", "dim": 3, "basis_labels": ["a", "b", "c"],
+                                "structure_constants": [[1, 0, 2, "1"]]})
+    with pytest.raises(ValidationError, match=r"A\[b,a\] = .* but \[Ab,Aa\]") as err:
+        builtin_automorphism(skewed, "inverse_mirror")
+    assert err.value.witness == (1, 0, (F(0), F(0), F(-1)), (F(0), F(0), F(1)))
+
+
+def oracle_bracket_witness(alg, matrix):
+    """The first pair (i, j) in row-major order with A[e_i, e_j] != [Ae_i, Ae_j],
+    from bracket() on every pair, with both sides; None when there is none."""
+    cols = [alg.vector(matrix.column(c)) for c in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            lhs = matrix.apply(bracket(alg.basis_vector(i), alg.basis_vector(j)).coeffs)
+            rhs = bracket(cols[i], cols[j]).coeffs
+            if lhs != rhs:
+                return (i, j, lhs, rhs)
+    return None
+
+
+@st.composite
+def candidate_automorphisms(draw):
+    """(algebra, matrix): raw constants with no antisymmetry imposed, and an
+    integer matrix that is often a signed permutation."""
+    alg = raw_algebra(draw(raw_constants()))
+    n = alg.dim
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+        dense = [[F(signs[c]) if perm[c] == r else F(0) for c in range(n)] for r in range(n)]
+    else:
+        dense = [[F(draw(st.integers(-2, 2))) for _ in range(n)] for _ in range(n)]
+    return alg, OperatorMatrix.from_dense(dense)
+
+
+@given(candidate_automorphisms())
+def test_bracket_check_matches_the_pairwise_oracle(case):
+    alg, matrix = case
+    if matrix.solve(OperatorMatrix.identity(alg.dim)) is None:
+        return
+    witness = oracle_bracket_witness(alg, matrix)
+    if witness is None:
+        assert make_automorphism(alg, matrix, "candidate").matrix == matrix
+    else:
+        with pytest.raises(ValidationError) as err:
+            make_automorphism(alg, matrix, "candidate")
+        assert err.value.witness == witness
+
+
 def test_inverse_mirror_fine_on_abelian():
     ab = builtin_algebra("abelian(3)")
     auto = builtin_automorphism(ab, "inverse_mirror")
@@ -467,11 +522,34 @@ def test_structure_constants_rebuild_every_commutator(name):
 
 
 def test_identity_is_outside_sl3_span():
-    identity = tuple(
-        tuple((F(int(r == c)), F(0)) for c in range(3)) for r in range(3)
-    )
-    with pytest.raises(ValidationError):
-        _decompose_in_basis(builtin_algebra("sl3"), identity)
+    identity = {(r, r): (1, 0) for r in range(3)}
+    with pytest.raises(ValidationError, match="does not lie in the algebra's span"):
+        _coordinates(3, _sl_basis(3)[1], [identity])
+
+
+@st.composite
+def basis_combinations(draw):
+    """(n, sparse basis, integer coefficient columns) on sl3, su3 or sl4."""
+    alg = builtin_algebra(draw(st.sampled_from(["sl3", "su3", "sl4"])))
+    columns = draw(st.lists(st.lists(st.integers(-6, 6), min_size=alg.dim, max_size=alg.dim),
+                            min_size=1, max_size=4))
+    return len(alg.matrix_basis[0]), [_sparse(m) for m in alg.matrix_basis], columns
+
+
+@given(basis_combinations())
+def test_integer_combinations_decompose_back_to_their_coefficients(case):
+    n, basis, columns = case
+    mats = []
+    for coeffs in columns:
+        mat = {}
+        for a, basis_mat in zip(coeffs, basis):
+            for key, (re_, im) in basis_mat.items():
+                old_re, old_im = mat.get(key, (0, 0))
+                mat[key] = (old_re + a * re_, old_im + a * im)
+        mats.append(mat)
+    coords = _coordinates(n, basis, mats)
+    assert coords.shape == (len(basis), len(columns))
+    assert [coords.column(j) for j in range(len(columns))] == [tuple(map(F, c)) for c in columns]
 
 
 # --- the Fraction construction of the builtins, kept as an oracle -------------
