@@ -9,9 +9,10 @@ omega(u, X) = sum_a u_a * omega_a(site) + X.
 Every exact per-site diagnostic depends only on the site's (lam, omega)
 value, so the bundle groups its sites into classes of equal value and keeps
 one site operator per class: the integer (n + dim g) x dim g matrix of
-omega, the dual value lam as a column, and the constraint distribution
-D = ker <lam, omega(.)> as the rows of an integer kernel (none where
-lam = 0). Each diagnostic reads that table:
+omega and the dual value lam as a column. Beside it, and only when a
+diagnostic asks for it, it keeps the constraint distribution
+D = ker <lam, omega(.)> of each class as the rows of an integer kernel
+(none where lam = 0). Each diagnostic reads those tables:
 
 * transversality: the unit fiber rows V clear the fiber columns of D, so
   rank [D; V] = dim g + the rank of D's block on the n base columns. For
@@ -27,7 +28,7 @@ lam = 0). Each diagnostic reads that table:
   tests exactly; only a value that fails the test is projected by the
   normal equations.
 
-The fields are read-only, so the table and the flatness report are built
+The fields are read-only, so the tables and the flatness report are built
 once per bundle. The sampled fiber-action law is the one float diagnostic,
 summed in the same order as a plain index loop, once per distinct step.
 """
@@ -97,11 +98,10 @@ class GridBundle:
 
     @cached_property
     def _operators(self):
-        """One (omega, lam, kernel) per site class, in class order: omega is the
+        """One (omega, lam) per site class, in class order: omega is the
         integer matrix of omega(u, X) = sum_a u_a omega_a + X acting on row
         vectors (the omega_a rows over their lcm denominator, then the
-        identity), lam the dual value as a column, and kernel the rows of the
-        constraint kernel ker <lam, omega(.)>, or None where lam = 0."""
+        identity), and lam the dual value as a column."""
         n, dim = self.n_axes, self.algebra.dim
         out = []
         for site in self._site_classes[1]:
@@ -110,9 +110,15 @@ class GridBundle:
             nums.update(((n + r, r), w) for r in range(dim))
             omega = OperatorMatrix.from_numerators(n + dim, dim, w, nums)
             lam = OperatorMatrix(dim, 1, {(r, 0): v for r, v in enumerate(self.lam_field[site].coeffs)})
-            kernel = None if lam.is_zero() else (omega @ lam).transpose().kernel()
-            out.append((omega, lam, kernel))
+            out.append((omega, lam))
         return out
+
+    @cached_property
+    def _kernels(self):
+        """The rows of the constraint kernel ker <lam, omega(.)> per site
+        class, in class order, or None where lam = 0."""
+        return [None if lam.is_zero() else (omega @ lam).transpose().kernel()
+                for omega, lam in self._operators]
 
     @cached_property
     def _cartan(self):
@@ -171,7 +177,7 @@ def grid_bundle(shape, algebra, omega=None, lam_field=None):
 
 def _kernel(bundle, site):
     """The constraint kernel of the site's class; a degenerate value raises."""
-    kernel = bundle._operators[bundle._site_classes[0][site]][2]
+    kernel = bundle._kernels[bundle._site_classes[0][site]]
     if kernel is None:
         raise DegenerateInputError(f"degenerate dual value at site {site}")
     return kernel
@@ -211,7 +217,7 @@ def transversality_report(bundle):
     dim_g = bundle.algebra.dim
     tangent = n + dim_g
     cls, _ = bundle._site_classes
-    kernels = [kernel for _, _, kernel in bundle._operators]
+    kernels = bundle._kernels
     degenerate = [site for site, c in cls.items() if kernels[c] is None]
     if degenerate:
         raise DegenerateInputError(
@@ -288,9 +294,9 @@ def _cartan_report(bundle):
     # (ad*_z xi)_j = -sum_b z_b M[b][j] / c_den with M[b][j] = sum_i c_bj^i xi_i,
     # so the base rows of a class's omega (over its den w) give every axis's
     # term at once; each is written over D = 2 L S with S = c_den * lcm of the w
-    big_s = c_den * lcm(*(omega.den for omega, _, _ in bundle._operators))
+    big_s = c_den * lcm(*(omega.den for omega, _ in bundle._operators))
     coad = []
-    for (omega, _, _), xi in zip(bundle._operators, lam):
+    for (omega, _), xi in zip(bundle._operators, lam):
         terms = [[0] * dim for _ in range(n)]
         base = [(a, b, v) for (a, b), v in omega.nums.items() if a < n]
         if base:
@@ -384,7 +390,7 @@ def compatibility_functional_terms(bundle, dist_target=None):
     if dist_target is None:
         # the default target is the constraint kernel: one distance per site class
         per_class = [_annihilator_distance_sq(omega, lam, _kernel(bundle, rep))
-                     for rep, (omega, lam, _) in zip(reps, ops)]
+                     for rep, (omega, lam) in zip(reps, ops)]
         dists = [per_class[c] for c in cls.values()]
     else:
         tangent = bundle.n_axes + bundle.algebra.dim
@@ -400,7 +406,7 @@ def compatibility_functional_terms(bundle, dist_target=None):
                     f"{tangent} coordinates (n + dim g)")
             basis = OperatorMatrix(len(vecs), tangent, {
                 (i, j): v for i, vec in enumerate(vecs) for j, v in enumerate(vec)})
-            omega, lam, _ = ops[c]
+            omega, lam = ops[c]
             dists.append(_annihilator_distance_sq(omega, lam, basis))
     second = vol * sum(dists, ZERO)
     return first, second

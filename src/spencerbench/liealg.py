@@ -1,8 +1,12 @@
 """Finite-dimensional Lie algebras over exact rationals.
 
-An algebra is stored by its structure constants c[i][j][k] with
-[e_i, e_j] = sum_k c[i][j][k] e_k. All coefficients are Fractions, so
-antisymmetry and Jacobi residuals are exact. Built-in families:
+An algebra is stored by its structure constants c_ij^k, with
+[e_i, e_j] = sum_k c_ij^k e_k, in one integer form: a common denominator
+den and, for each pair (i, j), the non-zero numerators as (k, c_ij^k * den)
+by ascending k. That form is canonical (the gcd of den and every numerator
+is 1), so equality and hashing of algebras run over integers, and every
+residual, contraction and bracket is exact. Vector coefficients are
+Fractions. Built-in families:
 
 * ``so3``          cyclic constants [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2
 * ``sl2``          basis h, x, y with [h,x]=2x, [h,y]=-2y, [x,y]=h
@@ -14,10 +18,10 @@ The sl/su families are built on integers: every entry of their defining
 matrices is 0, +-1 or +-i, so the commutators are Gaussian-integer matrices,
 written as integer columns of 2n^2 rows (real and imaginary parts), and one
 ``solve`` of the basis columns against them gives every structure constant.
-The algebras carry that realization (``matrix_basis``, dense (re, im)
-Fraction matrices) so conjugation and transpose maps can be turned into
-validated automorphisms: the matrix of a map is the ``solve`` of the basis
-against the images of the basis matrices.
+The algebras carry that realization (``matrix_basis``: the size n and the
+sparse Gaussian-integer basis matrices) so conjugation and transpose maps
+can be turned into validated automorphisms: the matrix of a map is the
+``solve`` of the basis against the images of the basis matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import FormatError, MismatchError, ValidationError
 from .linalg import (
@@ -46,23 +49,27 @@ from .linalg import (
 class LieAlgebra:
     name: str
     dim: int
-    structure: tuple  # structure[i][j][k] -> Fraction
+    # (den, nz): the structure constants as integers over their common
+    # denominator den; nz[i][j] lists the non-zero c_ij^k as (k, numerator)
+    # by ascending k, and gcd(den, every numerator) = 1
+    integer_structure: tuple
     basis_labels: tuple
-    # Matrix realization (tuple of matrices with (re, im) Fraction entries),
-    # present for sl/su families; used to build conjugation automorphisms.
+    # Matrix realization (n, basis matrices {(row, col): (re, im)} with
+    # integer entries), present for sl/su families; used to build
+    # conjugation automorphisms.
     matrix_basis: tuple | None = field(default=None, repr=False, compare=False)
 
-    def vector(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+    def _coefficients(self, coeffs):
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
         if len(coeffs) != self.dim:
             raise MismatchError(f"expected {self.dim} coefficients, got {len(coeffs)}")
-        return AlgebraVector(self, coeffs)
+        return coeffs
+
+    def vector(self, coeffs):
+        return AlgebraVector(self, self._coefficients(coeffs))
 
     def dual(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != self.dim:
-            raise MismatchError(f"expected {self.dim} coefficients, got {len(coeffs)}")
-        return DualVector(self, coeffs)
+        return DualVector(self, self._coefficients(coeffs))
 
     def basis_vector(self, i):
         return self.vector(tuple(ONE if j == i else ZERO for j in range(self.dim)))
@@ -76,16 +83,14 @@ class LieAlgebra:
     def basis_vectors(self):
         return [self.basis_vector(i) for i in range(self.dim)]
 
-    @cached_property
-    def integer_structure(self):
-        """(den, nz): the structure constants as integers over their common
-        denominator den; nz[a][b] lists the non-zero c_ab^p as (p, numerator).
-        Computed once per algebra object."""
-        n = self.dim
-        den, flat = common_denominator(c for plane in self.structure for row in plane for c in row)
-        nz = tuple(tuple(tuple((p, v) for p, v in enumerate(flat[(a * n + b) * n:(a * n + b + 1) * n])
-                               if v) for b in range(n)) for a in range(n))
-        return den, nz
+
+def _nonzero_table(dim, nums):
+    """nz[i][j]: the (k, nums[(i, j, k)]) by ascending k, for integer
+    numerators keyed by (i, j, k) with no zero among them."""
+    nz = [[[] for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), v in sorted(nums.items()):
+        nz[i][j].append((k, v))
+    return tuple(tuple(map(tuple, row)) for row in nz)
 
 
 @dataclass(frozen=True)
@@ -144,22 +149,22 @@ def _same_algebra(a, b):
 
 
 def bracket(x, y):
-    """Lie bracket [x, y] from the stored structure constants."""
+    """Lie bracket [x, y] from the non-zero structure constants."""
     _same_algebra(x, y)
     alg = x.algebra
+    den, nz = alg.integer_structure
     out = [ZERO] * alg.dim
     for i, xi in enumerate(x.coeffs):
         if not xi:
             continue
-        rows = alg.structure[i]
+        rows = nz[i]
         for j, yj in enumerate(y.coeffs):
             if not yj:
                 continue
             f = xi * yj
-            for k, c in enumerate(rows[j]):
-                if c:
-                    out[k] += f * c
-    return AlgebraVector(alg, tuple(out))
+            for k, v in rows[j]:
+                out[k] += f * v
+    return AlgebraVector(alg, tuple(c / den for c in out))
 
 
 def pairing(xi, x):
@@ -195,14 +200,17 @@ def coadjoint_matrix(z):
 
 
 def antisymmetry_residual(algebra):
-    """max |c[i][j][k] + c[j][i][k]|; zero for a genuine bracket."""
-    worst = ZERO
-    c = algebra.structure
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            for k in range(algebra.dim):
-                worst = max(worst, abs(c[i][j][k] + c[j][i][k]))
-    return worst
+    """max |c_ij^k + c_ji^k|; zero for a genuine bracket. Summed in integers
+    over the non-zero constants of each pair i <= j."""
+    den, nz = algebra.integer_structure
+    worst = 0
+    for i, row in enumerate(nz):
+        for j in range(i, algebra.dim):
+            sums = dict(row[j])
+            for k, v in nz[j][i]:
+                sums[k] = sums.get(k, 0) + v
+            worst = max(worst, max(map(abs, sums.values()), default=0))
+    return Fraction(worst, den)
 
 
 def jacobi_residual(algebra, with_witness=False):
@@ -308,11 +316,16 @@ def make_automorphism(algebra, matrix, label):
         left, right = lhs.column(i * n + j), rhs.column(i * n + j)
         raise ValidationError(
             f"{label!r} is not a bracket homomorphism: "
-            f"A[{algebra.basis_labels[i]},{algebra.basis_labels[j]}] = {left} "
-            f"but [A{algebra.basis_labels[i]},A{algebra.basis_labels[j]}] = {right}",
+            f"A[{algebra.basis_labels[i]},{algebra.basis_labels[j]}] = {_show(left)} "
+            f"but [A{algebra.basis_labels[i]},A{algebra.basis_labels[j]}] = {_show(right)}",
             witness=(i, j, left, right),
         )
     return LieAutomorphism(algebra, matrix, inverse, label)
+
+
+def _show(coeffs):
+    """Coefficients as "(p, p/q, ...)" for a message."""
+    return f"({', '.join(map(format_scalar, coeffs))})"
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +333,7 @@ def make_automorphism(algebra, matrix, label):
 # ---------------------------------------------------------------------------
 
 # The sl/su bases are built as sparse Gaussian-integer matrices
-# {(row, col): (re, im)}; matrix_basis shows them as dense (re, im)
-# Fraction matrices.
+# {(row, col): (re, im)}; matrix_basis keeps them as built.
 
 
 def _sl_basis(n):
@@ -365,22 +377,6 @@ def _sparse_commutator(a, b):
     return out
 
 
-def _sparse(mat):
-    """A dense (re, im) matrix with integer entries as a sparse Gaussian one."""
-    return {(r, c): (int(z[0]), int(z[1]))
-            for r, row in enumerate(mat) for c, z in enumerate(row) if z[0] or z[1]}
-
-
-def _dense(n, mat):
-    """A sparse Gaussian matrix as a dense n x n (re, im) Fraction matrix."""
-    zero = (ZERO, ZERO)
-    return tuple(
-        tuple((Fraction(z[0]), Fraction(z[1])) if (z := mat.get((r, c))) else zero
-              for c in range(n))
-        for r in range(n)
-    )
-
-
 def _coordinates(n, basis, mats):
     """The coordinates of each sparse n x n Gaussian matrix of mats in the
     sparse basis, as the columns of an OperatorMatrix.
@@ -402,35 +398,31 @@ def _coordinates(n, basis, mats):
 
 
 def _structure_from_matrices(name, labels, n, mats):
-    """Assemble structure constants by decomposing commutators in the basis."""
+    """Assemble structure constants by decomposing commutators in the basis:
+    the numerators of the solve are those of c_ij^k for i < j."""
     dim = len(mats)
-    structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     pairs = list(itertools.combinations(range(dim), 2))
     coords = _coordinates(n, mats, [_sparse_commutator(mats[i], mats[j]) for i, j in pairs])
-    for (k, col), c in coords.entries.items():
+    nums = {}
+    for (k, col), v in coords.nums.items():
         i, j = pairs[col]
-        structure[i][j][k] = c
-        structure[j][i][k] = -c
-    structure = tuple(tuple(tuple(row) for row in plane) for plane in structure)
-    return LieAlgebra(name, dim, structure, tuple(labels),
-                      matrix_basis=tuple(_dense(n, m) for m in mats))
+        nums[(i, j, k)] = v
+        nums[(j, i, k)] = -v
+    return LieAlgebra(name, dim, (coords.den, _nonzero_table(dim, nums)), tuple(labels),
+                      matrix_basis=(n, tuple(mats)))
 
 
 def _so3():
-    dim = 3
-    structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    nums = {}
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        structure[i][j][k] = ONE
-        structure[j][i][k] = -ONE
-    structure = tuple(tuple(tuple(row) for row in plane) for plane in structure)
-    return LieAlgebra("so3", dim, structure, ("e1", "e2", "e3"))
+        nums[(i, j, k)] = 1
+        nums[(j, i, k)] = -1
+    return LieAlgebra("so3", 3, (1, _nonzero_table(3, nums)), ("e1", "e2", "e3"))
 
 
 def _abelian(n):
-    structure = tuple(
-        tuple(tuple(ZERO for _ in range(n)) for _ in range(n)) for _ in range(n)
-    )
-    return LieAlgebra(f"abelian({n})", n, structure, tuple(f"e{i + 1}" for i in range(n)))
+    return LieAlgebra(f"abelian({n})", n, (1, _nonzero_table(n, {})),
+                      tuple(f"e{i + 1}" for i in range(n)))
 
 
 def builtin_algebra(name):
@@ -473,8 +465,8 @@ def _builtin(key):
 
 
 def _map_matrix_from_realization(algebra, mat_map, label):
-    basis = [_sparse(m) for m in algebra.matrix_basis]
-    matrix = _coordinates(len(algebra.matrix_basis[0]), basis, [mat_map(m) for m in basis])
+    n, basis = algebra.matrix_basis
+    matrix = _coordinates(n, basis, [mat_map(m) for m in basis])
     return make_automorphism(algebra, matrix, label)
 
 
@@ -510,7 +502,7 @@ def builtin_automorphism(algebra, kind):
             raise FormatError(
                 f"permutation automorphisms need a matrix realization; {algebra.name} has none"
             )
-        n = len(algebra.matrix_basis[0])
+        n = algebra.matrix_basis[0]
         if sorted(digits) != [str(d) for d in range(1, n + 1)]:
             raise FormatError(f"permutation {digits!r} is not a permutation of 1..{n}")
         perm = [int(d) - 1 for d in digits]
@@ -545,13 +537,9 @@ def weyl_mirrors(n):
 
 
 def algebra_to_json(algebra):
-    triples = []
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            for k in range(algebra.dim):
-                c = algebra.structure[i][j][k]
-                if c:
-                    triples.append([i, j, k, format_scalar(c)])
+    den, nz = algebra.integer_structure
+    triples = [[i, j, k, format_scalar(Fraction(v, den))]
+               for i, row in enumerate(nz) for j, consts in enumerate(row) for k, v in consts]
     return {
         "name": algebra.name,
         "dim": algebra.dim,
@@ -575,7 +563,7 @@ def algebra_from_json(data):
         raise FormatError("basis_labels length must equal dim")
     if not isinstance(triples, list):
         raise FormatError("structure_constants must be a list of [i, j, k, value] entries")
-    structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    constants = {}
     for item in triples:
         if not isinstance(item, list):
             raise FormatError(f"bad structure constant entry {item!r}")
@@ -586,9 +574,11 @@ def algebra_from_json(data):
         i, j, k = (parse_int(x, "structure constant index") for x in (i, j, k))
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise FormatError(f"structure constant index out of range in {item!r}")
-        structure[i][j][k] = parse_scalar(v)
-    structure = tuple(tuple(tuple(row) for row in plane) for plane in structure)
-    return LieAlgebra(name, dim, structure, labels)
+        constants[(i, j, k)] = parse_scalar(v)
+    # a later entry for the same (i, j, k) replaces an earlier one
+    constants = {key: c for key, c in constants.items() if c}
+    den, nums = common_denominator(constants.values())
+    return LieAlgebra(name, dim, (den, _nonzero_table(dim, dict(zip(constants, nums)))), labels)
 
 
 def automorphism_to_json(auto):

@@ -7,14 +7,57 @@ and can be compared with ``==``. The lattice oracles evaluate the bundle
 diagnostics straight from their definitions, site by site: the flatness
 residual and its energy in Fractions, and the equivariance defect with the
 same float operations in the same order as the library, so that ``==``
-holds for it too.
+holds for it too. The dense forms of an algebra (its n^3 structure
+tensor and its (re, im) matrix basis) exist only here, read from or
+written through the public JSON interface and the stored sparse forms.
 """
 
+import functools
 from fractions import Fraction
 
-from spencerbench.liealg import bracket, coadjoint_matrix, pairing
+from spencerbench.liealg import (
+    algebra_from_json,
+    algebra_to_json,
+    bracket,
+    coadjoint_matrix,
+    pairing,
+)
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Dense forms of an algebra
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=32)
+def dense_structure(alg):
+    """c[i][j][k] as a dense tuple of Fractions, from the algebra_to_json
+    triples; memoised, since the bracket oracles read it once per product."""
+    n = alg.dim
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, v in algebra_to_json(alg)["structure_constants"]:
+        c[i][j][k] = F(v)
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def algebra_from_dense(name, c, labels=None):
+    """The algebra with dense constants c[i][j][k] (any rationals, no
+    antisymmetry required), loaded through algebra_from_json."""
+    n = len(c)
+    triples = [[i, j, k, str(F(v))] for i in range(n) for j in range(n)
+               for k, v in enumerate(c[i][j]) if v]
+    return algebra_from_json({"name": name, "dim": n, "structure_constants": triples,
+                              "basis_labels": list(labels or (f"e{i + 1}" for i in range(n)))})
+
+
+def dense_matrix_basis(alg):
+    """The matrix realization as dense n x n matrices of (re, im) Fractions."""
+    n, mats = alg.matrix_basis
+    zero = (F(0), F(0))
+    return tuple(tuple(tuple((F(z[0]), F(z[1])) if (z := m.get((r, c))) else zero
+                             for c in range(n)) for r in range(n)) for m in mats)
 
 
 def oracle_rref(dense):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import spencerbench.linalg as linalg_mod
 from oracles import (
+    dense_structure,
     oracle_cartan,
     oracle_constraint_row,
     oracle_equivariance_residual,
@@ -481,6 +482,25 @@ def test_default_target_is_measured_without_a_solve(monkeypatch):
     assert len(calls) > 0
 
 
+def test_cartan_residual_alone_builds_no_constraint_kernel(monkeypatch):
+    # the flatness residual reads only omega and lam; the constraint kernels
+    # are built, once per site class, by the first diagnostic that reads them
+    calls = []
+    original = OperatorMatrix.kernel
+
+    def counting_kernel(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(OperatorMatrix, "kernel", counting_kernel)
+    b, _, _ = mixed_so3_bundle()
+    assert cartan_residual(b).max_abs == oracle_cartan(b)[1]
+    assert calls == []
+    transversality_report(b)
+    compatibility_functional_terms(b)
+    assert len(calls) == len(b._operators)
+
+
 def test_bundle_json_parses_each_coefficient_literal_once(monkeypatch):
     parsed = []
     original = linalg_mod.parse_scalar
@@ -539,7 +559,7 @@ def changed_basis(name, seed):
     invertible integer matrix a: dense coadjoint matrices and rational
     structure constants, so every float sum has several non-zero terms."""
     alg = builtin_algebra(name)
-    n, c = alg.dim, alg.structure
+    n, c = alg.dim, dense_structure(alg)
     rng = random.Random(seed)
     inv = None
     while inv is None:

@@ -535,6 +535,9 @@ def test_mirror_inverse_mirror_rejected_exit_one(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "bracket homomorphism" in err  # witness-carrying diagnostic
+    # the witness is rendered as rationals, not as Fraction reprs
+    assert "A[e1,e2] = (0, 0, -1) but [Ae1,Ae2] = (0, 0, 1)" in err
+    assert "Fraction(" not in err
 
 
 # --- what importing the package and running a command load --------------------

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 import spencerbench.linalg as linalg_mod
+from oracles import dense_structure
 from spencerbench.cohomology import (
     DGAModel,
     GRADING_DIAGONAL,
@@ -452,7 +453,7 @@ def chevalley_eilenberg(alg):
     by d e^{s_p} (sign (-1)^p for moving d past p one-forms) and re-sorts the
     wedge word with its permutation sign.
     """
-    n = alg.dim
+    n, structure = alg.dim, dense_structure(alg)
     subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     diff = []
     for k in range(n):
@@ -461,7 +462,7 @@ def chevalley_eilenberg(alg):
         for col, S in enumerate(subsets[k]):
             for p, m in enumerate(S):
                 for i, j in itertools.combinations(range(n), 2):
-                    c = alg.structure[i][j][m]
+                    c = structure[i][j][m]
                     word = S[:p] + (i, j) + S[p + 1 :]
                     if not c or len(set(word)) < len(word):
                         continue

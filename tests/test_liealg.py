@@ -1,18 +1,24 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_inverse, oracle_rref
+from oracles import (
+    algebra_from_dense,
+    dense_matrix_basis,
+    dense_structure,
+    oracle_inverse,
+    oracle_rref,
+)
 from spencerbench.errors import FormatError, MismatchError, ValidationError
 from spencerbench.liealg import (
-    LieAlgebra,
     _coordinates,
     _sl_basis,
-    _sparse,
     algebra_from_json,
     algebra_to_json,
     antisymmetry_residual,
@@ -32,6 +38,9 @@ from spencerbench.liealg import (
 from spencerbench.linalg import OperatorMatrix
 
 F = Fraction
+
+
+BUILTINS = ["so3", "sl2", "sl3", "sl4", "sl5", "su2", "su3", "su4", "abelian(1)", "abelian(4)"]
 
 
 @pytest.fixture(scope="module")
@@ -129,9 +138,7 @@ def oracle_jacobi(c, n):
 
 
 def raw_algebra(c):
-    n = len(c)
-    structure = tuple(tuple(tuple(F(x) for x in row) for row in plane) for plane in c)
-    return LieAlgebra("raw", n, structure, tuple(f"e{i + 1}" for i in range(n)))
+    return algebra_from_dense("raw", c)
 
 
 @st.composite
@@ -158,7 +165,7 @@ def dense_sl3_from_json():
     """sl3 after a dense rational basis change f_i = sum_j A[j][i] e_j (A = L U),
     written as algebra JSON and loaded back."""
     sl3 = builtin_algebra("sl3")
-    n, c = sl3.dim, sl3.structure
+    n, c = sl3.dim, dense_structure(sl3)
     rng = random.Random(61)
     low = [[F(1) if r == k else F(rng.choice([-2, -1, 1, 2])) if r > k else F(0)
             for k in range(n)] for r in range(n)]
@@ -207,7 +214,7 @@ def test_coadjoint_matches_bracket_oracle(case):
 def test_dense_sl3_from_json_is_a_lie_algebra():
     alg = COADJOINT_ALGEBRAS[-1]
     assert antisymmetry_residual(alg) == 0 and jacobi_residual(alg) == 0
-    assert any(c.denominator > 1 for plane in alg.structure for row in plane for c in row)
+    assert any(c.denominator > 1 for plane in dense_structure(alg) for row in plane for c in row)
 
 
 def test_jacobi_witness_is_smallest_of_tied_quadruples(so3):
@@ -217,7 +224,7 @@ def test_jacobi_witness_is_smallest_of_tied_quadruples(so3):
         for i, j, k, v in data["structure_constants"]
     ]
     bad = algebra_from_json(data)
-    worst, witness, tied = oracle_jacobi(bad.structure, bad.dim)
+    worst, witness, tied = oracle_jacobi(dense_structure(bad), bad.dim)
     assert (worst, witness) == (1, (0, 0, 1, 1))
     assert len(tied) >= 5
     assert jacobi_residual(bad, with_witness=True) == (F(1), (0, 0, 1, 1))
@@ -424,7 +431,7 @@ def test_killing_gram_invariant_under_automorphism(sl2):
 
 def oracle_killing_gram(algebra):
     """B_ij = sum_mk c_im^k c_jk^m, a dense Fraction loop over every constant."""
-    c, n = algebra.structure, algebra.dim
+    c, n = dense_structure(algebra), algebra.dim
     return tuple(tuple(sum((c[i][m][k] * c[j][k][m] for m in range(n) for k in range(n)), F(0))
                        for j in range(n)) for i in range(n))
 
@@ -454,8 +461,75 @@ def test_automorphism_json_of_the_wrong_shape_is_an_input_error(sl2, matrix):
 def test_algebra_json_round_trip(sl2):
     again = algebra_from_json(algebra_to_json(sl2))
     assert again.dim == sl2.dim
-    assert again.structure == sl2.structure
+    assert dense_structure(again) == dense_structure(sl2)
     assert again.basis_labels == sl2.basis_labels
+
+
+def assert_round_trip(alg):
+    """algebra_to_json is byte-identical after a round trip, and the reloaded
+    algebra is equal to the original and hashes equal, also when the triples
+    are read in reverse order."""
+    data = json.dumps(algebra_to_json(alg))
+    for step in (1, -1):
+        loaded = json.loads(data)
+        loaded["structure_constants"] = loaded["structure_constants"][::step]
+        again = algebra_from_json(loaded)
+        assert json.dumps(algebra_to_json(again)) == data
+        assert again == alg and hash(again) == hash(alg)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_builtin_json_round_trip_is_exact(name):
+    assert_round_trip(builtin_algebra(name))
+
+
+@given(raw_constants())
+def test_raw_json_round_trip_is_exact(c):
+    alg = raw_algebra(c)
+    assert_round_trip(alg)
+    assert dense_structure(alg) == tuple(tuple(tuple(map(F, row)) for row in plane) for plane in c)
+
+
+def test_algebra_json_keeps_the_last_entry_and_no_zero(so3):
+    # a later entry for the same (i, j, k) replaces an earlier one, and a
+    # constant that ends up zero is not stored
+    data = algebra_to_json(so3)
+    extra = [[0, 0, 1, "0"], [0, 1, 2, "5"], [0, 1, 2, "1"], [2, 2, 2, "3"], [2, 2, 2, "0"]]
+    again = algebra_from_json({**data, "structure_constants": data["structure_constants"] + extra})
+    assert again == so3 and again.integer_structure == so3.integer_structure
+
+
+def oracle_antisymmetry(c, n):
+    """max |c[i][j][k] + c[j][i][k]| over every index triple, in Fractions."""
+    return max(abs(c[i][j][k] + c[j][i][k])
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+@given(raw_constants())
+def test_antisymmetry_residual_matches_dense_oracle(c):
+    assert antisymmetry_residual(raw_algebra(c)) == oracle_antisymmetry(c, len(c))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_builtin_integer_structure_is_canonical(name):
+    alg = builtin_algebra(name)
+    den, nz = alg.integer_structure
+    assert type(den) is int and den > 0
+    assert len(nz) == alg.dim and all(len(row) == alg.dim for row in nz)
+    nums = [v for row in nz for consts in row for _, v in consts]
+    assert all(type(v) is int and v != 0 for v in nums)
+    assert gcd(den, *nums) == 1
+    for row in nz:
+        for consts in row:
+            keys = [k for k, _ in consts]
+            assert keys == sorted(set(keys)) and all(0 <= k < alg.dim for k in keys)
+    if alg.matrix_basis is not None:
+        n, mats = alg.matrix_basis
+        assert len(mats) == alg.dim
+        for mat in mats:
+            for (r, c), z in mat.items():
+                assert 0 <= r < n and 0 <= c < n
+                assert all(type(v) is int for v in z) and z != (0, 0)
 
 
 def test_automorphism_json_round_trip(sl2):
@@ -499,7 +573,7 @@ def _gauss_mat_mul(a, b):
 @pytest.mark.parametrize("name", ["sl2", "sl3", "su2", "su3", "sl4"])
 def test_structure_constants_rebuild_every_commutator(name):
     alg = builtin_algebra(name)
-    mats = alg.matrix_basis
+    mats, structure = dense_matrix_basis(alg), dense_structure(alg)
     n = len(mats[0])
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -511,8 +585,8 @@ def test_structure_constants_rebuild_every_commutator(name):
             rhs = [
                 [
                     (
-                        sum((alg.structure[i][j][k] * mats[k][r][c][0] for k in range(alg.dim)), F(0)),
-                        sum((alg.structure[i][j][k] * mats[k][r][c][1] for k in range(alg.dim)), F(0)),
+                        sum((structure[i][j][k] * mats[k][r][c][0] for k in range(alg.dim)), F(0)),
+                        sum((structure[i][j][k] * mats[k][r][c][1] for k in range(alg.dim)), F(0)),
                     )
                     for c in range(n)
                 ]
@@ -533,7 +607,7 @@ def basis_combinations(draw):
     alg = builtin_algebra(draw(st.sampled_from(["sl3", "su3", "sl4"])))
     columns = draw(st.lists(st.lists(st.integers(-6, 6), min_size=alg.dim, max_size=alg.dim),
                             min_size=1, max_size=4))
-    return len(alg.matrix_basis[0]), [_sparse(m) for m in alg.matrix_basis], columns
+    return (*alg.matrix_basis, columns)
 
 
 @given(basis_combinations())
@@ -633,10 +707,8 @@ def test_integer_builtin_matches_the_fraction_construction(name):
     labels, mats = _oracle_basis(name)
     alg = builtin_algebra(name)
     assert alg.basis_labels == labels
-    assert alg.matrix_basis == mats
-    assert alg.structure == _oracle_structure(mats)
-    assert all(type(v) is F for m in alg.matrix_basis for row in m for z in row for v in z)
-    assert all(type(c) is F for plane in alg.structure for row in plane for c in row)
+    assert dense_matrix_basis(alg) == mats
+    assert dense_structure(alg) == _oracle_structure(mats)
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "su2", "su3", "su4"])

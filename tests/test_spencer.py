@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_inverse
+from oracles import algebra_from_dense, dense_structure, oracle_inverse
 from spencerbench.errors import DegenerateInputError, MismatchError
-from spencerbench.liealg import LieAlgebra, bracket, builtin_algebra, pairing
+from spencerbench.liealg import bracket, builtin_algebra, pairing
 from spencerbench.spencer import (
     Identification,
     LeibnizConvention,
@@ -40,12 +40,13 @@ SL3 = builtin_algebra("sl3")
 
 
 def oracle_bracket(alg, x, y):
+    c = dense_structure(alg)
     out = [F(0)] * alg.dim
     for k in range(alg.dim):
         acc = F(0)
         for i in range(alg.dim):
             for j in range(alg.dim):
-                acc += x[i] * y[j] * alg.structure[i][j][k]
+                acc += x[i] * y[j] * c[i][j][k]
         out[k] = acc
     return out
 
@@ -130,9 +131,8 @@ def raw_algebras(draw):
     """Rational constants of dim 1-4 with no antisymmetry imposed."""
     n = draw(st.integers(1, 4))
     entry = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=5))
-    structure = tuple(tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n)))
-                            for _ in range(n)) for _ in range(n))
-    return LieAlgebra("raw", n, structure, tuple(f"e{i + 1}" for i in range(n)))
+    return algebra_from_dense("raw", [[draw(st.lists(entry, min_size=n, max_size=n))
+                                       for _ in range(n)] for _ in range(n)])
 
 
 @st.composite
@@ -247,7 +247,7 @@ def dense_basis_change(alg, rng):
            else F(rng.choice([-1, 1])) if r < k else F(0) for k in range(n)] for r in range(n)]
     a = [[sum(low[r][m] * up[m][k] for m in range(n)) for k in range(n)] for r in range(n)]
     ainv = oracle_inverse(a)
-    c = alg.structure
+    c = dense_structure(alg)
     structure = []
     for i in range(n):
         plane = []
@@ -256,8 +256,8 @@ def dense_basis_change(alg, rng):
                    for l in range(n)]
             plane.append(tuple(sum(ainv[k][l] * bra[l] for l in range(n)) for k in range(n)))
         structure.append(tuple(plane))
-    return LieAlgebra(alg.name + "-dense", n, tuple(structure),
-                      tuple(f"f{i + 1}" for i in range(n)))
+    return algebra_from_dense(alg.name + "-dense", structure,
+                              tuple(f"f{i + 1}" for i in range(n)))
 
 
 SL3_DENSE = dense_basis_change(SL3, random.Random(31))
