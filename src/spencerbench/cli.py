@@ -208,7 +208,7 @@ def cmd_mirror(args):
 def cmd_complex(args):
     from . import cohomology as coh
     from .linalg import ZERO
-    from .spencer import Identification, LeibnizConvention
+    from .spencer import Identification, LeibnizConvention, delta_matrix
 
     algebra = _load_algebra(args)
     lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
@@ -220,7 +220,6 @@ def cmd_complex(args):
     if args.assert_mirror_invariant and not args.mirror:
         raise FormatError("--assert-mirror-invariant needs --mirror")
     dga = coh.torus_model(args.torus)
-    instance = coh.build_complex(dga, algebra, lam, args.K, conv, args.grading, ident)
     report = {
         "command": "complex",
         "algebra": algebra.name,
@@ -229,19 +228,22 @@ def cmd_complex(args):
         "seed": args.seed,
     }
     if args.grading == coh.GRADING_DIAGONAL:
+        shapes = coh.diagonal_block_shapes(dga, algebra.dim, args.K)
+        if args.K >= 2:
+            # no block is built, but the delta blocks of degree >= 1 must
+            # exist: under killing they need an invertible Killing form
+            delta_matrix(lam, 1, conv, ident)
         report["report"] = coh.CohomologyReport(
             args.grading, conv, args.K, None, None, ZERO,
             ["diagonal-grading: blocks recorded, no composition or dim claims"],
         ).to_json()
         report["blocks"] = {
-            str(k): {
-                "d_block_shape": list(blocks["d_block"].shape),
-                "delta_block_shape": list(blocks["delta_block"].shape),
-            }
-            for k, blocks in instance.diagonal_blocks.items()
+            str(k): {"d_block_shape": list(d_shape), "delta_block_shape": list(delta_shape)}
+            for k, (d_shape, delta_shape) in enumerate(shapes)
         }
         return report, EXIT_OK
 
+    instance = coh.build_complex(dga, algebra, lam, args.K, conv, ident)
     cohrep = coh.cohomology_report(instance)
     report["report"] = cohrep.to_json()
     failed = False

@@ -6,17 +6,14 @@ d.d = 0, and an optional product table for cup products. torus_model(n)
 is the constant-coefficient exterior algebra on n one-forms (d = 0), whose
 cohomology is that of the n-torus.
 
-The tensor complex couples the model with the symmetric algebra of a Lie
-algebra through the constraint-coupled operator. Two gradings exist:
-
-* total (default): degree k space  sum_{i+j=k} Omega^i x S^j with
-  differential  d x 1 + (-1)^i 1 x delta  (Koszul sign on the form degree).
-  This is the standard tensor-product complex; its differential squares to
-  zero exactly when d^2 = 0 and delta^2 = 0.
-* diagonal: the literal spaces Omega^k x S^k. The image of the differential
-  splits over Omega^{k+1} x S^k and Omega^k x S^{k+1}, which is not the
-  next diagonal space, so the blocks are recorded per degree and no
-  composition or dimension claims are made.
+The coupled complex is the total complex of the model with the symmetric
+algebra of a Lie algebra: degree k is  sum_{i+j=k} Omega^i x S^j  with
+differential  d x 1 + (-1)^i 1 x delta  (Koszul sign on the form degree).
+Its differential squares to zero exactly when d^2 = 0 and delta^2 = 0. The
+literal diagonal spaces Omega^k x S^k do not form a complex: d and delta map
+them into Omega^{k+1} x S^k and Omega^k x S^{k+1}, neither of which is the
+next diagonal space, so diagonal_block_shapes reports only the shapes of
+those two blocks, by arithmetic.
 
 Cohomology dimensions are computed by exact rank-nullity over the rationals
 and reported only when the squared differential is exactly zero.
@@ -40,12 +37,7 @@ from .linalg import (
     parse_int,
     place_block,
 )
-from .mirror import (
-    TRANSPORT_INVERSE,
-    induced_tensor_map,
-    mirror_lambda,
-    sign_chain_sign,
-)
+from .mirror import TRANSPORT_INVERSE, mirror_lambda
 from .spencer import Identification, LeibnizConvention, delta_matrix
 from .symtensor import multisets, sym_dim
 
@@ -198,11 +190,9 @@ class SpencerComplexInstance:
     lam: object
     K: int
     convention: LeibnizConvention
-    grading: str
     identification: Identification
-    bases: list  # bases[k] = list of (form_degree, form_index, multiset)
-    differentials: list  # total grading: D^k for k in 0..K-1
-    diagonal_blocks: dict  # diagonal grading: k -> {"d_block", "delta_block"}
+    bases: list  # bases[k] = list of (form_degree, form_index, multiset), k <= K
+    differentials: list  # D^k for k in 0..K-1
     delta_matrices: list  # delta^j for j in 0..K-1 (reused by diagnostics)
 
     @cached_property
@@ -223,77 +213,60 @@ def segment_offsets(dga, dim, k):
     return offsets, pos
 
 
-def _bidegree_blocks(dga, deltas, dim, i, j):
-    """d x 1 and (-1)^i 1 x delta on Omega^i x S^j (d block None at the top)."""
-    d_block = (
-        kron(dga.diff[i], OperatorMatrix.identity(sym_dim(dim, j)))
-        if i < dga.top_degree
-        else None
-    )
-    delta_block = kron(OperatorMatrix.identity(len(dga.basis[i])).scaled((-1) ** i), deltas[j])
-    return d_block, delta_block
-
-
 def build_complex(dga, algebra, lam, K, convention=LeibnizConvention.UNSIGNED,
-                  grading=GRADING_TOTAL, identification=Identification.BASIS):
-    """Assemble the coupled complex up to total degree K (K >= 1)."""
+                  identification=Identification.BASIS):
+    """Assemble the total complex up to degree K (K >= 1)."""
     if K < 1:
         raise MismatchError("truncation K must be >= 1")
     if lam.algebra != algebra:
         raise MismatchError("lam does not live on the given algebra")
-    if grading not in (GRADING_TOTAL, GRADING_DIAGONAL):
-        raise FormatError(f"unknown grading {grading!r}")
     convention = LeibnizConvention(convention)
     identification = Identification(identification)
+    dim = algebra.dim
     deltas = [delta_matrix(lam, j, convention, identification) for j in range(K)]
-
-    if grading == GRADING_DIAGONAL:
-        blocks = {}
-        for k in range(min(K, dga.top_degree + 1)):
-            d_block, delta_block = _bidegree_blocks(dga, deltas, algebra.dim, k, k)
-            if d_block is None:
-                d_block = OperatorMatrix.zero(0, delta_block.cols)
-            blocks[k] = {"d_block": d_block, "delta_block": delta_block}
-        return SpencerComplexInstance(
-            dga, algebra, lam, K, convention, grading, identification,
-            [], [], blocks, deltas,
-        )
-
-    bases = []
-    for k in range(K + 1):
-        layer = []
-        for i in range(min(k, dga.top_degree) + 1):
-            j = k - i
-            for a in range(len(dga.basis[i])):
-                for ms in multisets(algebra.dim, j):
-                    layer.append((i, a, ms))
-        bases.append(layer)
-
+    bases = [
+        [(i, a, ms) for i in range(min(k, dga.top_degree) + 1)
+         for a in range(len(dga.basis[i])) for ms in multisets(dim, k - i)]
+        for k in range(K + 1)
+    ]
     differentials = []
     for k in range(K):
-        rows, n_rows = segment_offsets(dga, algebra.dim, k + 1)
-        cols, n_cols = segment_offsets(dga, algebra.dim, k)
+        rows, n_rows = segment_offsets(dga, dim, k + 1)
+        cols, n_cols = segment_offsets(dga, dim, k)
         out = OperatorMatrix.zero(n_rows, n_cols)
         for i, start in cols.items():
-            d_block, delta_block = _bidegree_blocks(dga, deltas, algebra.dim, i, k - i)
             # (d omega) x s lands in form degree i+1, omega x delta(s) in i
-            if d_block is not None:
+            if i < dga.top_degree:
+                d_block = kron(dga.diff[i], OperatorMatrix.identity(sym_dim(dim, k - i)))
                 place_block(out, d_block, rows[i + 1], start)
-            place_block(out, delta_block, rows[i], start)
+            signs = OperatorMatrix.identity(len(dga.basis[i])).scaled((-1) ** i)
+            place_block(out, kron(signs, deltas[k - i]), rows[i], start)
         differentials.append(out)
-
     return SpencerComplexInstance(
-        dga, algebra, lam, K, convention, grading, identification,
-        bases, differentials, {}, deltas,
+        dga, algebra, lam, K, convention, identification, bases, differentials, deltas,
     )
+
+
+def diagonal_block_shapes(dga, dim, K):
+    """Shapes of the d x 1 and (-1)^k 1 x delta blocks on each diagonal space
+    Omega^k x S^k, k < min(K, top + 1), as [(d shape, delta shape), ...].
+
+    Pure arithmetic on the basis sizes: no block is built. With s_j =
+    sym_dim(dim, j) and n_k = |Omega^k|, the d block is (n_{k+1} s_k, n_k s_k),
+    with no rows at the top degree, and the delta block (n_k s_{k+1}, n_k s_k).
+    """
+    if K < 1:
+        raise MismatchError("truncation K must be >= 1")
+    n = dga.dims() + [0]
+    return [
+        ((n[k + 1] * sym_dim(dim, k), n[k] * sym_dim(dim, k)),
+         (n[k] * sym_dim(dim, k + 1), n[k] * sym_dim(dim, k)))
+        for k in range(min(K, dga.top_degree + 1))
+    ]
 
 
 def d_squared_residual(instance):
     """Max |entry| over all consecutive compositions of the differential."""
-    if instance.grading == GRADING_DIAGONAL:
-        raise DegenerateInputError(
-            "diagonal grading does not compose; only block shapes are reported"
-        )
     return _composite_residual(instance.differentials)
 
 
@@ -338,10 +311,6 @@ class CohomologyReport:
 def cohomology_report(instance):
     """Exact dims and Euler characteristic for k <= K-1, or a non-complex flag.
     Computed once per instance; later calls return the same read-only report."""
-    if instance.grading == GRADING_DIAGONAL:
-        raise DegenerateInputError(
-            "dimension claims are only made for the total grading"
-        )
     return instance._cohomology
 
 
@@ -349,7 +318,7 @@ def _cohomology_report(instance):
     residual = d_squared_residual(instance)
     if residual != 0:
         return CohomologyReport(
-            instance.grading, instance.convention, instance.K,
+            GRADING_TOTAL, instance.convention, instance.K,
             None, None, residual, ["not-a-complex: D^2 != 0; dims withheld"],
         )
     dims = _rank_nullity(
@@ -357,7 +326,7 @@ def _cohomology_report(instance):
     )
     euler = sum((-1) ** k * d for k, d in enumerate(dims))
     return CohomologyReport(
-        instance.grading, instance.convention, instance.K, dims, euler, residual, [],
+        GRADING_TOTAL, instance.convention, instance.K, dims, euler, residual, [],
     )
 
 
@@ -462,41 +431,29 @@ class MirrorInvarianceReport:
 def chain_map_matrix(instance, transform, k, base_maps=None):
     """Block-diagonal chain map on the degree-k space of the instance.
 
-    Sign mirror: (-1)^{tensor degree} identity per segment. Automorphism
-    mirror: identity (or a supplied invertible base-model map) on the form
-    factor, the induced tensor map on the symmetric factor.
+    Each segment Omega^i x S^j carries kron(form map, transform.tensor_map(j)),
+    the form map being base_maps[i] (an invertible chain map of the base
+    model) or the identity.
     """
-    layer = instance.bases[k]
-    out = OperatorMatrix.zero(len(layer), len(layer))
     offsets, total = segment_offsets(instance.dga, instance.algebra.dim, k)
-    assert total == len(layer)
+    out = OperatorMatrix.zero(total, total)
     for i, start in offsets.items():
-        j = k - i
-        n_forms = len(instance.dga.basis[i])
-        s_dim = sym_dim(instance.algebra.dim, j)
-        if transform.kind == "sign":
-            block = OperatorMatrix.identity(n_forms * s_dim).scaled(sign_chain_sign(i, j))
-        else:
-            tensor_map = induced_tensor_map(
-                transform.automorphism, j, instance.identification
-            )
-            form_map = (
-                base_maps[i] if base_maps is not None else OperatorMatrix.identity(n_forms)
-            )
-            block = kron(form_map, tensor_map)
-        place_block(out, block, start, start)
+        form_map = (
+            base_maps[i] if base_maps is not None
+            else OperatorMatrix.identity(len(instance.dga.basis[i]))
+        )
+        tensor_map = transform.tensor_map(instance.algebra, k - i, instance.identification)
+        place_block(out, kron(form_map, tensor_map), start, start)
     return out
 
 
 def mirror_invariance_check(instance, transform, transport=TRANSPORT_INVERSE,
                             base_maps=None):
     """Build the mirrored complex, verify chain-map commutation, compare dims."""
-    if instance.grading != GRADING_TOTAL:
-        raise DegenerateInputError("mirror comparison needs the total grading")
     lam_m = mirror_lambda(transform, instance.lam, transport)
     mirrored = build_complex(
         instance.dga, instance.algebra, lam_m, instance.K,
-        instance.convention, instance.grading, instance.identification,
+        instance.convention, instance.identification,
     )
     psi = [chain_map_matrix(instance, transform, k, base_maps) for k in range(instance.K + 1)]
     residuals = [
@@ -539,8 +496,6 @@ def kunneth_diagnostic(instance):
     delta-only cohomology computed from the stored delta matrices. Reported
     only when both squared differentials vanish.
     """
-    if instance.grading != GRADING_TOTAL:
-        raise DegenerateInputError("the diagnostic needs the total grading")
     rep = cohomology_report(instance)
     if rep.dims is None:
         return KunnethReport(

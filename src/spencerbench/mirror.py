@@ -7,9 +7,12 @@ the literal transport lam -> lam o A is kept selectable because the two only
 agree for involutive A, and the intertwining check exists precisely to
 measure that gap.
 
-induced_tensor_map returns the degree-k companion map on symmetric tensors.
-Its matrix depends on the identification used between the symmetric power
-and its dual (see the spencer module):
+Every mirror acts on the coupled complex through one chain map, whose
+symmetric factor is MirrorTransform.tensor_map: (-1)^j I on S^j for the sign
+mirror, since delta^{-lam} = -delta^lam, and induced_tensor_map for an
+automorphism. induced_tensor_map returns the degree-k companion map on
+symmetric tensors. Its matrix depends on the identification used between
+the symmetric power and its dual (see the spencer module):
 
 * killing (default): the factorwise power of A itself. Automorphisms are
   orthogonal for the Killing form, so this is the eval-compatible transport
@@ -32,8 +35,9 @@ from .liealg import (
     automorphism_from_json,
     automorphism_to_json,
 )
+from .linalg import OperatorMatrix
 from .spencer import Identification, LeibnizConvention, delta_matrix
-from .symtensor import symmetric_power_matrix
+from .symtensor import sym_dim, symmetric_power_matrix
 
 
 # plain strings keep the CLI simple; values are validated on use
@@ -56,6 +60,14 @@ class MirrorTransform:
         if self.kind == "sign":
             return {"kind": "sign"}
         return {"kind": "automorphism", "automorphism": automorphism_to_json(self.automorphism)}
+
+    def tensor_map(self, algebra, j, identification=Identification.KILLING):
+        """Degree-j factor of the mirror's chain map on S^j of algebra:
+        (-1)^j I for the sign mirror, induced_tensor_map (shared, read-only)
+        for an automorphism."""
+        if self.kind == "sign":
+            return OperatorMatrix.identity(sym_dim(algebra.dim, j)).scaled((-1) ** j)
+        return induced_tensor_map(self.automorphism, j, identification)
 
 
 def sign_mirror():

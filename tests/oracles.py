@@ -22,6 +22,8 @@ from spencerbench.liealg import (
     coadjoint_matrix,
     pairing,
 )
+from spencerbench.linalg import OperatorMatrix, kron
+from spencerbench.spencer import delta_matrix
 
 F = Fraction
 
@@ -115,6 +117,26 @@ def oracle_solve(a, b, ncols, width):
 def oracle_inverse(a):
     n = len(a)
     return oracle_solve(a, [[F(int(i == j)) for j in range(n)] for i in range(n)], n, n)
+
+
+# ---------------------------------------------------------------------------
+# Diagonal blocks of the coupled complex, built as matrices
+# ---------------------------------------------------------------------------
+
+
+def oracle_diagonal_block_shapes(dga, lam, K):
+    """Shapes of kron(d_k, I) and kron((-1)^k I, delta_k) on Omega^k x S^k for
+    k < min(K, top + 1), each block built; the d block at the top degree is
+    an empty matrix with the delta block's columns."""
+    shapes = []
+    for k in range(min(K, dga.top_degree + 1)):
+        delta_k = delta_matrix(lam, k)
+        s_k = delta_k.cols
+        delta_block = kron(OperatorMatrix.identity(len(dga.basis[k])).scaled((-1) ** k), delta_k)
+        d_block = (kron(dga.diff[k], OperatorMatrix.identity(s_k)) if k < dga.top_degree
+                   else OperatorMatrix.zero(0, delta_block.cols))
+        shapes.append((d_block.shape, delta_block.shape))
+    return shapes
 
 
 # ---------------------------------------------------------------------------

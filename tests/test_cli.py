@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +411,29 @@ def test_complex_diagonal_grading_rejects_mirror_flags(flags):
                        "--grading", "diagonal", *flags)
 
 
+SINGULAR_KILLING = "input error: Killing form of abelian(2) is singular; "
+
+
+@pytest.mark.parametrize("K,code,message", [
+    ("0", 2, "input error: truncation K must be >= 1\n"),
+    ("1", 0, ""),
+    ("2", 2, SINGULAR_KILLING),
+    ("3", 2, SINGULAR_KILLING),
+])
+def test_complex_diagonal_grading_accepts_what_the_total_grading_accepts(K, code, message,
+                                                                         capsys):
+    # the diagonal report builds no block, yet rejects the same inputs: K < 1,
+    # and a singular Killing form once a delta block of degree >= 1 exists
+    argv = ["complex", "--builtin", "abelian(2)", "--lambda", "0,1", "--K", K,
+            "--identification", "killing"]
+    for grading in ("total", "diagonal"):
+        assert main([*argv, "--grading", grading]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and bool(err) == (code == 2)
+    if code == 2:
+        assert_input_error(*argv, "--grading", "diagonal")
+
+
 def test_complex_assert_mirror_invariant_needs_a_mirror():
     # with no --mirror there is nothing to assert; exit 2 instead of passing
     assert_input_error("complex", "--builtin", "so3", "--lambda", "0,0,1", "--K", "3",
@@ -615,3 +640,32 @@ def test_parser_choices_are_the_enum_values():
     args = parser.parse_args(["mirror", *lam, "--transform", "sign"])
     assert args.identification == Identification.KILLING.value
     assert parser.parse_args(["complex", *lam]).grading == GRADING_TOTAL
+
+
+# --- the README's CLI examples ------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+FILE_FLAGS = {"--file", "--bundle-file"}
+
+
+def readme_cli_lines():
+    """The ``spencerbench ...`` lines of the README's CLI block, comments
+    dropped."""
+    block = re.search(r"## CLI\n\n```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [shlex.split(line, comments=True) for line in block.group(1).splitlines()
+            if line.startswith("spencerbench ")]
+
+
+README_EXAMPLES = [argv[1:] for argv in readme_cli_lines() if not FILE_FLAGS & set(argv)]
+
+
+def test_readme_shows_every_command_on_builtin_input():
+    assert {argv[0] for argv in README_EXAMPLES} == {
+        "algebra", "spencer", "mirror", "complex", "bundle"}
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_readme_cli_example_runs(argv, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert isinstance(json.loads(out), dict)

@@ -5,10 +5,9 @@ from math import comb
 import pytest
 
 import spencerbench.linalg as linalg_mod
-from oracles import dense_structure
+from oracles import dense_structure, oracle_diagonal_block_shapes
 from spencerbench.cohomology import (
     DGAModel,
-    GRADING_DIAGONAL,
     build_complex,
     chain_map_matrix,
     classes_equal,
@@ -16,12 +15,13 @@ from spencerbench.cohomology import (
     cup_product,
     cup_well_defined,
     d_squared_residual,
+    diagonal_block_shapes,
     kunneth_diagnostic,
     mirror_invariance_check,
     segment_offsets,
     torus_model,
 )
-from spencerbench.errors import DegenerateInputError, FormatError, MismatchError
+from spencerbench.errors import FormatError, MismatchError
 from spencerbench.liealg import builtin_algebra, builtin_automorphism, weyl_mirrors
 from spencerbench.linalg import OperatorMatrix, kron, place_block
 from spencerbench.mirror import automorphism_mirror, sign_mirror
@@ -214,18 +214,26 @@ def test_rank_paths_agree_on_differentials():
         assert m.rank() == m.rank_bareiss()
 
 
-def test_diagonal_grading_blocks_only():
-    lam = SO3.dual_basis_vector(2)
-    c = build_complex(torus_model(2), SO3, lam, 3, grading=GRADING_DIAGONAL)
-    assert c.diagonal_blocks
-    blocks1 = c.diagonal_blocks[1]
-    # domain Omega^1 x S^1 has dim 2*3; images split over two bigraded pieces
-    assert blocks1["d_block"].shape == (1 * 3, 2 * 3)
-    assert blocks1["delta_block"].shape == (2 * 6, 2 * 3)
-    with pytest.raises(DegenerateInputError):
-        d_squared_residual(c)
-    with pytest.raises(DegenerateInputError):
-        cohomology_report(c)
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["so3", "sl2", "abelian(2)"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_diagonal_block_shapes_match_the_built_blocks(n, name, K):
+    alg = builtin_algebra(name)
+    dga = torus_model(n)
+    shapes = diagonal_block_shapes(dga, alg.dim, K)
+    assert shapes == oracle_diagonal_block_shapes(dga, alg.dual_basis_vector(0), K)
+    assert len(shapes) == min(K, n + 1)
+    if K > n:
+        assert shapes[n][0][0] == 0  # no d block rows at the top degree
+    if (n, name, K) == (2, "so3", 3):
+        # Omega^1 x S^1 has dim 2*3; its images split over two bigraded pieces
+        assert shapes[1] == ((1 * 3, 2 * 3), (2 * 6, 2 * 3))
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_diagonal_block_shapes_need_a_positive_truncation(K):
+    with pytest.raises(MismatchError):
+        diagonal_block_shapes(torus_model(2), SO3.dim, K)
 
 
 def test_truncation_guard():
@@ -536,22 +544,51 @@ def test_koszul_sign_cancels_cross_terms_of_d_squared():
         assert c.differentials[k + 1] @ c.differentials[k] == want
 
 
-def test_user_supplied_base_map_composes_into_chain_map():
-    # swapping the two one-form generators (with the induced orientation
-    # flip in degree 2) is an invertible chain map of the base model; the
-    # mirror comparison accepts it per-degree and commutation stays exact
-    sl2 = builtin_algebra("sl2")
-    c = build_complex(
-        torus_model(2), sl2, sl2.dual([1, 0, 0]), 3,
-        identification=Identification.KILLING,
-    )
-    base_maps = {
+def swap_base_maps():
+    """Swap of the two one-form generators of torus2, with the induced
+    orientation flip in degree 2: an invertible chain map of the base."""
+    return {
         0: OperatorMatrix.identity(1),
         1: OperatorMatrix.from_dense([[F(0), F(1)], [F(1), F(0)]]),
         2: OperatorMatrix.from_dense([[F(-1)]]),
     }
-    auto = builtin_automorphism(sl2, "negate_transpose")
+
+
+def sl2_killing_complex():
+    sl2 = builtin_algebra("sl2")
+    return build_complex(
+        torus_model(2), sl2, sl2.dual([1, 0, 0]), 3,
+        identification=Identification.KILLING,
+    )
+
+
+def test_user_supplied_base_map_composes_into_chain_map():
+    # the mirror comparison accepts the swap per degree and commutation
+    # stays exact
+    c = sl2_killing_complex()
+    base_maps = swap_base_maps()
+    auto = builtin_automorphism(c.algebra, "negate_transpose")
     rep = mirror_invariance_check(c, automorphism_mirror(auto), base_maps=base_maps)
     assert rep.commutation_holds
     psi = chain_map_matrix(c, automorphism_mirror(auto), 2, base_maps)
     assert psi.rank() == len(c.bases[2])
+
+
+def test_sign_mirror_composes_with_base_maps():
+    # psi = kron(base_maps[i], (-1)^j I) on each segment Omega^i x S^j, the
+    # same construction as for an automorphism mirror
+    c = sl2_killing_complex()
+    base_maps = swap_base_maps()
+    for k in range(c.K + 1):
+        offsets, total = segment_offsets(c.dga, c.algebra.dim, k)
+        want = OperatorMatrix.zero(total, total)
+        for i, start in offsets.items():
+            sign = OperatorMatrix.identity(sym_dim(c.algebra.dim, k - i)).scaled((-1) ** (k - i))
+            place_block(want, kron(base_maps[i], sign), start, start)
+        psi = chain_map_matrix(c, sign_mirror(), k, base_maps)
+        assert psi == want
+        if k >= 1:
+            assert psi != chain_map_matrix(c, sign_mirror(), k)
+    rep = mirror_invariance_check(c, sign_mirror(), base_maps=base_maps)
+    assert rep.commutation_holds
+    assert all(r == 0 for r in rep.commutation_residuals)

@@ -107,3 +107,12 @@ def test_only_linalg_references_its_elimination_internals():
     assert {module: names for module, names in found.items() if names} == {}
     linalg = referenced_names(ast.parse((SRC / "linalg.py").read_text(encoding="utf-8")))
     assert ELIMINATION_INTERNALS <= linalg
+
+
+def test_cohomology_reaches_every_mirror_through_tensor_map():
+    """One chain-map construction for every mirror kind, and no diagonal
+    instance: the signed identity and the induced maps both come from
+    MirrorTransform.tensor_map."""
+    names = referenced_names(ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8")))
+    assert names & {"sign_chain_sign", "induced_tensor_map", "diagonal_blocks"} == set()
+    assert "tensor_map" in names

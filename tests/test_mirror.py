@@ -19,7 +19,7 @@ from spencerbench.mirror import (
     sign_chain_sign,
     sign_mirror,
 )
-from spencerbench.spencer import Identification
+from spencerbench.spencer import Identification, delta_matrix
 from spencerbench.symtensor import (
     basis_tensor,
     eval_tensor,
@@ -246,6 +246,27 @@ def test_sign_chain_sign_values():
     assert sign_chain_sign(3, 2) == 1
     with pytest.raises(MismatchError):
         sign_chain_sign(-1, 0)
+
+
+@pytest.mark.parametrize("ident", list(Identification))
+@pytest.mark.parametrize("alg", [SO3, SL3], ids=["so3", "sl3"])
+def test_sign_tensor_map_is_the_signed_identity(alg, ident):
+    # delta^{-lam} = -delta^lam, so (-1)^j I on S^j intertwines the two
+    lam = alg.dual_basis_vector(0)
+    maps = [sign_mirror().tensor_map(alg, j, ident) for j in range(6)]
+    for j, m in enumerate(maps):
+        assert m == OperatorMatrix.identity(sym_dim(alg.dim, j)).scaled((-1) ** j)
+    for j in range(1, 5):
+        assert maps[j + 1] @ delta_matrix(lam, j, identification=ident) == (
+            delta_matrix(-lam, j, identification=ident) @ maps[j])
+
+
+@pytest.mark.parametrize("ident", list(Identification))
+def test_automorphism_tensor_map_is_the_shared_induced_map(ident):
+    for auto in weyl_mirrors(3):
+        transform = automorphism_mirror(auto)
+        for j in range(4):
+            assert transform.tensor_map(SL3, j, ident) is induced_tensor_map(auto, j, ident)
 
 
 # --- JSON --------------------------------------------------------------------
