@@ -28,7 +28,7 @@ _MODULE_NAMES = {
     ),
     "mirror": (
         "IntertwiningReport", "MirrorTransform", "automorphism_mirror", "induced_tensor_map",
-        "intertwining_check", "mirror_lambda", "sign_chain_sign", "sign_mirror",
+        "intertwining_check", "mirror_lambda", "sign_mirror",
     ),
     "cohomology": (
         "CohomologyReport", "DGAModel", "SpencerComplexInstance", "build_complex",

@@ -56,6 +56,26 @@ def _load_algebra(args):
     raise FormatError("provide --builtin NAME or --file PATH")
 
 
+def _load_lie_algebra(args):
+    """The algebra of every command but `algebra`. The builtins are Lie
+    algebras; a --file algebra whose antisymmetry or Jacobi residual is not
+    zero raises ValidationError (exit 1) with the residuals and the Jacobi
+    witness that `algebra` reports."""
+    from .liealg import antisymmetry_residual, jacobi_residual
+
+    algebra = _load_algebra(args)
+    if args.file:
+        anti = antisymmetry_residual(algebra)
+        jac, witness = jacobi_residual(algebra, with_witness=True)
+        if anti or jac:
+            raise ValidationError(
+                f"{algebra.name!r} is not a Lie algebra: antisymmetry residual {anti}, "
+                f"jacobi residual {jac}, jacobi witness {list(witness) if jac else None}",
+                witness=witness,
+            )
+    return algebra
+
+
 def _parse_lambda(algebra, text, allow_degenerate=False):
     from .linalg import parse_scalar
 
@@ -123,7 +143,7 @@ def cmd_spencer(args):
         signed_leibniz_welldefinedness,
     )
 
-    algebra = _load_algebra(args)
+    algebra = _load_lie_algebra(args)
     lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
     conv = LeibnizConvention(args.convention)
     ident = Identification(args.identification)
@@ -162,9 +182,9 @@ def _parse_transform(algebra, text):
 
 def cmd_mirror(args):
     from .mirror import TRANSPORT_INVERSE, TRANSPORT_LITERAL, intertwining_check, mirror_lambda
-    from .spencer import Identification, LeibnizConvention, delta_matrix
+    from .spencer import Identification, LeibnizConvention
 
-    algebra = _load_algebra(args)
+    algebra = _load_lie_algebra(args)
     lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
     if args.K < 2:
         raise MismatchError("mirror needs K >= 2")
@@ -179,26 +199,20 @@ def cmd_mirror(args):
         "convention": conv.value,
         "identification": ident.value,
     }
-    failed = False
-    if transform.kind == "sign":
-        twice = mirror_lambda(transform, mirror_lambda(transform, lam))
-        involution_exact = twice == lam
-        sign_identity = all(
-            (delta_matrix(-lam, k, conv, ident) - delta_matrix(lam, k, conv, ident).scaled(-1)).is_zero()
-            for k in range(args.K)
-        )
+    # both transports send lam to -lam under the sign mirror
+    sign = transform.kind == "sign"
+    transports = (TRANSPORT_INVERSE,) if sign else (TRANSPORT_INVERSE, TRANSPORT_LITERAL)
+    checks = [intertwining_check(transform, lam, k, conv, transport, ident)
+              for k in range(1, args.K) for transport in transports]
+    failed = not all(rep.holds for rep in checks if rep.transport == TRANSPORT_INVERSE)
+    if sign:
+        # degree 0 is the zero map on both sides, so degrees 1..K-1 decide
+        involution_exact = mirror_lambda(transform, mirror_lambda(transform, lam)) == lam
         report["involution_exact"] = involution_exact
-        report["delta_sign_identity"] = sign_identity
-        failed = not (involution_exact and sign_identity)
+        report["delta_sign_identity"] = not failed
+        failed = failed or not involution_exact
     else:
-        checks = []
-        for k in range(1, args.K):
-            for transport in (TRANSPORT_INVERSE, TRANSPORT_LITERAL):
-                rep = intertwining_check(transform.automorphism, lam, k, conv, transport, ident)
-                checks.append(rep.to_json())
-                if transport == TRANSPORT_INVERSE and not rep.holds:
-                    failed = True
-        report["intertwining"] = checks
+        report["intertwining"] = [rep.to_json() for rep in checks]
         report["mirrored_lambda"] = [
             str(c) for c in mirror_lambda(transform, lam, TRANSPORT_INVERSE).coeffs
         ]
@@ -210,7 +224,7 @@ def cmd_complex(args):
     from .linalg import ZERO
     from .spencer import Identification, LeibnizConvention, delta_matrix
 
-    algebra = _load_algebra(args)
+    algebra = _load_lie_algebra(args)
     lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
     conv = LeibnizConvention(args.convention)
     ident = Identification(args.identification)
@@ -296,7 +310,7 @@ def cmd_bundle(args):
     from . import bundle as bundle_mod
     from .linalg import parse_scalar
 
-    algebra = _load_algebra(args)
+    algebra = _load_lie_algebra(args)
     if args.bundle_file:
         for flag, value in (("--grid", args.grid), ("--lambda", args.lam), ("--omega", args.omega)):
             if value is not None:

@@ -432,16 +432,18 @@ def chain_map_matrix(instance, transform, k, base_maps=None):
     """Block-diagonal chain map on the degree-k space of the instance.
 
     Each segment Omega^i x S^j carries kron(form map, transform.tensor_map(j)),
-    the form map being base_maps[i] (an invertible chain map of the base
-    model) or the identity.
+    the form map being the identity or base_maps[i]: an invertible chain map
+    of the base model, given as a dict with one |Omega^i| x |Omega^i| map for
+    each form degree i = 0..top.
     """
+    sizes = instance.dga.dims()
+    if base_maps is not None and (len(base_maps) != len(sizes) or any(
+            i not in base_maps or base_maps[i].shape != (n, n) for i, n in enumerate(sizes))):
+        raise MismatchError(f"base_maps needs one square map per form degree, sizes {sizes}")
     offsets, total = segment_offsets(instance.dga, instance.algebra.dim, k)
     out = OperatorMatrix.zero(total, total)
     for i, start in offsets.items():
-        form_map = (
-            base_maps[i] if base_maps is not None
-            else OperatorMatrix.identity(len(instance.dga.basis[i]))
-        )
+        form_map = OperatorMatrix.identity(sizes[i]) if base_maps is None else base_maps[i]
         tensor_map = transform.tensor_map(instance.algebra, k - i, instance.identification)
         place_block(out, kron(form_map, tensor_map), start, start)
     return out

@@ -5,14 +5,15 @@ a validated Lie algebra automorphism A. For the automorphism kind the dual
 vector is transported contragrediently by default (lam -> lam o A^{-1});
 the literal transport lam -> lam o A is kept selectable because the two only
 agree for involutive A, and the intertwining check exists precisely to
-measure that gap.
+measure that gap; under the sign mirror both give -lam.
 
-Every mirror acts on the coupled complex through one chain map, whose
-symmetric factor is MirrorTransform.tensor_map: (-1)^j I on S^j for the sign
-mirror, since delta^{-lam} = -delta^lam, and induced_tensor_map for an
-automorphism. induced_tensor_map returns the degree-k companion map on
-symmetric tensors. Its matrix depends on the identification used between
-the symmetric power and its dual (see the spencer module):
+Every mirror acts through MirrorTransform.tensor_map, its map T_j on S^j:
+(-1)^j I for the sign mirror and induced_tensor_map for an automorphism.
+T_j is the symmetric factor of the coupled complex's chain map and the two
+sides of intertwining_check, whose residual for the sign mirror is that of
+delta^{-lam} = -delta^lam. induced_tensor_map returns the degree-k companion
+map on symmetric tensors. Its matrix depends on the identification used
+between the symmetric power and its dual (see the spencer module):
 
 * killing (default): the factorwise power of A itself. Automorphisms are
   orthogonal for the Killing form, so this is the eval-compatible transport
@@ -30,11 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormatError, MismatchError
-from .liealg import (
-    LieAutomorphism,
-    automorphism_from_json,
-    automorphism_to_json,
-)
+from .liealg import LieAutomorphism
 from .linalg import OperatorMatrix
 from .spencer import Identification, LeibnizConvention, delta_matrix
 from .symtensor import sym_dim, symmetric_power_matrix
@@ -56,17 +53,14 @@ class MirrorTransform:
         if self.kind == "automorphism" and self.automorphism is None:
             raise FormatError("automorphism mirror needs a validated automorphism")
 
-    def to_json(self):
-        if self.kind == "sign":
-            return {"kind": "sign"}
-        return {"kind": "automorphism", "automorphism": automorphism_to_json(self.automorphism)}
-
     def tensor_map(self, algebra, j, identification=Identification.KILLING):
         """Degree-j factor of the mirror's chain map on S^j of algebra:
         (-1)^j I for the sign mirror, induced_tensor_map (shared, read-only)
-        for an automorphism."""
+        for an automorphism of algebra."""
         if self.kind == "sign":
             return OperatorMatrix.identity(sym_dim(algebra.dim, j)).scaled((-1) ** j)
+        if self.automorphism.algebra != algebra:
+            raise MismatchError("automorphism and algebra differ")
         return induced_tensor_map(self.automorphism, j, identification)
 
 
@@ -78,24 +72,11 @@ def automorphism_mirror(auto):
     return MirrorTransform("automorphism", auto)
 
 
-def mirror_from_json(data, algebra):
-    kind = data.get("kind")
-    if kind == "sign":
-        return sign_mirror()
-    if kind == "automorphism":
-        return automorphism_mirror(automorphism_from_json(data["automorphism"], algebra))
-    raise FormatError(f"unknown mirror kind {kind!r}")
-
-
-def _check_transport(transport):
-    if transport not in (TRANSPORT_INVERSE, TRANSPORT_LITERAL):
-        raise FormatError(f"unknown dual transport {transport!r}")
-
-
 def mirror_lambda(transform, lam, transport=TRANSPORT_INVERSE):
     """Transported dual vector: -lam for the sign mirror, lam o A^{-1} (or
     lam o A under the literal transport) for automorphism mirrors."""
-    _check_transport(transport)
+    if transport not in (TRANSPORT_INVERSE, TRANSPORT_LITERAL):
+        raise FormatError(f"unknown dual transport {transport!r}")
     if transform.kind == "sign":
         return -lam
     auto = transform.automorphism
@@ -120,17 +101,6 @@ def induced_tensor_map(auto, k, identification=Identification.KILLING):
     return symmetric_power_matrix(auto.algebra, base, k)
 
 
-def sign_chain_sign(form_degree, tensor_degree):
-    """Sign attached to the sign-mirror chain map on a bidegree (i, j) block.
-
-    (-1)^j (j the tensor degree) makes the mirrored differential commute in
-    the total complex; on the diagonal i = j = k it reduces to (-1)^k.
-    """
-    if form_degree < 0 or tensor_degree < 0:
-        raise MismatchError("degrees must be >= 0")
-    return Fraction(-1) ** tensor_degree
-
-
 @dataclass
 class IntertwiningReport:
     degree: int
@@ -151,24 +121,26 @@ class IntertwiningReport:
         }
 
 
-def intertwining_check(auto, lam, k, convention=LeibnizConvention.UNSIGNED,
+def intertwining_check(transform, lam, k, convention=LeibnizConvention.UNSIGNED,
                        transport=TRANSPORT_INVERSE,
                        identification=Identification.KILLING):
-    """Residual of map(A, k+1) . delta^lam_k - delta^lam'_k . map(A, k).
+    """Residual of T_{k+1} . delta^lam_k - delta^lam'_k . T_k, with T_j =
+    transform.tensor_map(j) and lam' the dual vector transported by the
+    chosen transport.
 
-    lam' is the transported dual vector for the chosen transport. The report
-    states the exact max-abs residual; holds means it is exactly zero.
+    For an automorphism T_j is induced_tensor_map; for the sign mirror it is
+    (-1)^j I and lam' = -lam, so the residual is that of (-1)^{k+1}
+    (delta^lam_k + delta^{-lam}_k). The report states the exact max-abs
+    residual; holds means it is exactly zero.
     """
     if k < 1:
         raise MismatchError("intertwining check needs degree >= 1")
-    _check_transport(transport)
     identification = Identification(identification)
     convention = LeibnizConvention(convention)
-    lam_t = mirror_lambda(automorphism_mirror(auto), lam, transport)
+    lam_t = mirror_lambda(transform, lam, transport)
     d_orig = delta_matrix(lam, k, convention, identification)
     d_mirr = delta_matrix(lam_t, k, convention, identification)
-    m_k = induced_tensor_map(auto, k, identification)
-    m_k1 = induced_tensor_map(auto, k + 1, identification)
+    m_k, m_k1 = (transform.tensor_map(lam.algebra, j, identification) for j in (k, k + 1))
     residual = (m_k1 @ d_orig - d_mirr @ m_k).max_abs()
     return IntertwiningReport(
         k, residual, transport, identification, convention, residual == 0

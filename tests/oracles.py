@@ -120,6 +120,18 @@ def oracle_inverse(a):
 
 
 # ---------------------------------------------------------------------------
+# The sign mirror on the operator matrices
+# ---------------------------------------------------------------------------
+
+
+def oracle_sign_residual(lam, k, convention, identification):
+    """max |delta^{-lam}_k + delta^lam_k|: the sign mirror's operator identity
+    delta^{-lam} = -delta^lam compared entry by entry, with no tensor maps."""
+    return (delta_matrix(-lam, k, convention, identification)
+            - delta_matrix(lam, k, convention, identification).scaled(-1)).max_abs()
+
+
+# ---------------------------------------------------------------------------
 # Diagonal blocks of the coupled complex, built as matrices
 # ---------------------------------------------------------------------------
 

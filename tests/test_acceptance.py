@@ -173,7 +173,8 @@ def test_criterion_07_automorphism_intertwining():
     nt = builtin_automorphism(sl2, "negate_transpose")
     lam2 = sl2.dual_basis_vector(0)
     for k in (1, 2, 3):
-        rep = intertwining_check(nt, lam2, k, identification=Identification.KILLING)
+        rep = intertwining_check(automorphism_mirror(nt), lam2, k,
+                                 identification=Identification.KILLING)
         assert rep.residual == 0, ("sl2", k)
 
     sl3 = builtin_algebra("sl3")
@@ -183,14 +184,15 @@ def test_criterion_07_automorphism_intertwining():
     coordinate_residuals = {}
     for auto in weyl_mirrors(3):
         for k in (1, 2, 3):
-            rep = intertwining_check(auto, lam3, k, identification=Identification.KILLING)
+            rep = intertwining_check(automorphism_mirror(auto), lam3, k,
+                                     identification=Identification.KILLING)
             assert rep.residual == 0, (auto.label, k)
         paper_residuals[auto.label] = intertwining_check(
-            auto, lam3, 1, transport=TRANSPORT_LITERAL,
+            automorphism_mirror(auto), lam3, 1, transport=TRANSPORT_LITERAL,
             identification=Identification.KILLING,
         ).residual
         coordinate_residuals[auto.label] = intertwining_check(
-            auto, lam3, 1, identification=Identification.BASIS
+            automorphism_mirror(auto), lam3, 1, identification=Identification.BASIS
         ).residual
     # the literal transport separates exactly on the non-involutive 3-cycles
     assert paper_residuals["permutation:231"] != 0

@@ -461,16 +461,51 @@ def test_complex_ranks_each_differential_once(monkeypatch, capsys):
     assert len(calls) == 14
 
 
-def assert_input_error(*argv):
-    """The CLI, run as a process, rejects the input: exit 2 and no traceback."""
+def run_process(*argv):
+    """The CLI run as a process: (exit code, stderr)."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "spencerbench.cli", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert proc.returncode == 2
-    assert "input error" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stderr
+
+
+def assert_input_error(*argv):
+    """The CLI, run as a process, rejects the input: exit 2 and no traceback."""
+    code, stderr = run_process(*argv)
+    assert code == 2
+    assert "input error" in stderr
+    assert "Traceback" not in stderr
+
+
+# an antisymmetric bracket [a,b] = c, [b,c] = a, [c,a] = a failing Jacobi at
+# (0, 1, 2, 2), and the bracket [a,b] = c listed without [b,a] = -c
+NON_LIE_FILES = {
+    "jacobi": ([[0, 1, 2, "1"], [1, 0, 2, "-1"], [1, 2, 0, "1"], [2, 1, 0, "-1"],
+                [2, 0, 0, "1"], [0, 2, 0, "-1"]],
+               "antisymmetry residual 0, jacobi residual 1, jacobi witness [0, 1, 2, 2]"),
+    "antisymmetry": ([[0, 1, 2, "1"]], "antisymmetry residual 1"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["spencer", "--lambda=1,2,3", "--K", "3"],
+    ["mirror", "--lambda=1,2,3", "--K", "2", "--transform", "sign", "--identification", "basis"],
+    ["complex", "--lambda=1,2,3", "--K", "2", "--torus", "1"],
+    ["bundle", "--grid", "3,3", "--lambda=1,2,3"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("failure", sorted(NON_LIE_FILES))
+def test_non_lie_file_exits_one_in_every_command(tmp_path, argv, failure):
+    triples, message = NON_LIE_FILES[failure]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"name": "bad", "dim": 3, "structure_constants": triples,
+                                "basis_labels": ["a", "b", "c"]}))
+    code, stderr = run_process(*argv, "--file", str(path))
+    assert code == 1
+    assert stderr.startswith("invariant failed: 'bad' is not a Lie algebra: ")
+    assert message in stderr
+    assert "Traceback" not in stderr
 
 
 # --- published report schemas -------------------------------------------------

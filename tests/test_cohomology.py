@@ -592,3 +592,31 @@ def test_sign_mirror_composes_with_base_maps():
     rep = mirror_invariance_check(c, sign_mirror(), base_maps=base_maps)
     assert rep.commutation_holds
     assert all(r == 0 for r in rep.commutation_residuals)
+
+
+@pytest.mark.parametrize("name", ["su3", "so3"])
+def test_chain_map_rejects_an_automorphism_of_another_algebra(name):
+    # an sl3 mirror on an su3 complex (same dimension) or an so3 complex
+    alg = builtin_algebra(name)
+    c = build_complex(torus_model(1), alg, alg.dual_basis_vector(0), 2)
+    transform = automorphism_mirror(builtin_automorphism(SL3, "permutation:231"))
+    with pytest.raises(MismatchError):
+        chain_map_matrix(c, transform, 2)
+
+
+def test_chain_map_rejects_a_base_map_of_the_wrong_shape():
+    c = sl2_killing_complex()
+    base_maps = swap_base_maps()
+    base_maps[1] = OperatorMatrix.identity(3)
+    with pytest.raises(MismatchError):
+        chain_map_matrix(c, sign_mirror(), 2, base_maps)
+
+
+def test_chain_map_needs_a_base_map_in_every_form_degree():
+    c = sl2_killing_complex()
+    base_maps = swap_base_maps()
+    del base_maps[1]
+    with pytest.raises(MismatchError):
+        chain_map_matrix(c, sign_mirror(), 2, base_maps)
+    with pytest.raises(MismatchError):
+        mirror_invariance_check(c, sign_mirror(), base_maps=base_maps)

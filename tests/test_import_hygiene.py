@@ -114,5 +114,20 @@ def test_cohomology_reaches_every_mirror_through_tensor_map():
     instance: the signed identity and the induced maps both come from
     MirrorTransform.tensor_map."""
     names = referenced_names(ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8")))
-    assert names & {"sign_chain_sign", "induced_tensor_map", "diagonal_blocks"} == set()
+    assert "diagonal_blocks" not in names
     assert "tensor_map" in names
+
+
+def test_only_mirror_names_the_induced_maps_and_cmd_mirror_builds_no_delta():
+    """Every other module reaches a mirror's maps on S^j through
+    MirrorTransform.tensor_map, and the mirror command reads the sign
+    identity off intertwining_check instead of comparing operators itself."""
+    naming = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "mirror"
+                    and "induced_tensor_map" in referenced_names(
+                        ast.parse(path.read_text(encoding="utf-8"))))
+    assert naming == []
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    (cmd_mirror,) = [node for node in cli.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "cmd_mirror"]
+    assert "delta_matrix" not in referenced_names(cmd_mirror)
+    assert "intertwining_check" in referenced_names(cmd_mirror)

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spencerbench.mirror as mirror_mod
+from oracles import oracle_sign_residual
 from spencerbench.cli import main
 from spencerbench.errors import MismatchError
 from spencerbench.liealg import builtin_algebra, builtin_automorphism, killing_gram, weyl_mirrors
@@ -14,12 +17,10 @@ from spencerbench.mirror import (
     automorphism_mirror,
     induced_tensor_map,
     intertwining_check,
-    mirror_from_json,
     mirror_lambda,
-    sign_chain_sign,
     sign_mirror,
 )
-from spencerbench.spencer import Identification, delta_matrix
+from spencerbench.spencer import Identification, LeibnizConvention, delta_matrix
 from spencerbench.symtensor import (
     basis_tensor,
     eval_tensor,
@@ -31,6 +32,7 @@ F = Fraction
 SO3 = builtin_algebra("so3")
 SL2 = builtin_algebra("sl2")
 SL3 = builtin_algebra("sl3")
+SU3 = builtin_algebra("su3")
 
 
 def rand_lambda(rng, alg):
@@ -181,7 +183,7 @@ def test_identity_intertwines_trivially():
     auto = builtin_automorphism(SL2, "identity")
     lam = rand_lambda(rng, SL2)
     for ident in Identification:
-        rep = intertwining_check(auto, lam, 1, identification=ident)
+        rep = intertwining_check(automorphism_mirror(auto), lam, 1, identification=ident)
         assert rep.holds and rep.residual == 0
 
 
@@ -190,7 +192,7 @@ def test_sl2_negate_transpose_exact_zero_both_modes():
     lam = SL2.dual_basis_vector(0)
     for ident in Identification:
         for k in (1, 2, 3):
-            rep = intertwining_check(auto, lam, k, identification=ident)
+            rep = intertwining_check(automorphism_mirror(auto), lam, k, identification=ident)
             assert rep.residual == 0, (ident, k)
 
 
@@ -200,7 +202,7 @@ def test_weyl_mirrors_exact_zero_killing_mode():
     for auto in weyl_mirrors(3):
         for k in (1, 2):
             rep = intertwining_check(
-                auto, lam, k, identification=Identification.KILLING
+                automorphism_mirror(auto), lam, k, identification=Identification.KILLING
             )
             assert rep.residual == 0, (auto.label, k)
 
@@ -210,7 +212,8 @@ def test_coordinate_mode_obstruction_is_visible():
     # for the non-orthogonal mirrors; the residual is reported, not hidden
     lam = SL3.dual([1, 2, 3, 4, 5, 6, 7, 8])
     auto = builtin_automorphism(SL3, "permutation:231")
-    rep = intertwining_check(auto, lam, 1, identification=Identification.BASIS)
+    rep = intertwining_check(automorphism_mirror(auto), lam, 1,
+                             identification=Identification.BASIS)
     assert rep.residual != 0 and not rep.holds
 
 
@@ -218,34 +221,55 @@ def test_paper_transport_separates_noninvolutive():
     lam = SL3.dual([1, 2, 3, 4, 5, 6, 7, 8])
     for label in ("permutation:231", "permutation:312"):
         auto = builtin_automorphism(SL3, label)
-        rep = intertwining_check(
-            auto, lam, 1, transport=TRANSPORT_LITERAL, identification=Identification.KILLING
-        )
+        rep = intertwining_check(automorphism_mirror(auto), lam, 1, transport=TRANSPORT_LITERAL,
+                                 identification=Identification.KILLING)
         assert rep.residual != 0
     # involutive mirrors cannot tell the transports apart
     auto = builtin_automorphism(SL3, "permutation:213")
-    rep = intertwining_check(
-        auto, lam, 1, transport=TRANSPORT_LITERAL, identification=Identification.KILLING
-    )
+    rep = intertwining_check(automorphism_mirror(auto), lam, 1, transport=TRANSPORT_LITERAL,
+                             identification=Identification.KILLING)
     assert rep.residual == 0
 
 
 def test_intertwining_needs_degree_one():
     auto = builtin_automorphism(SL2, "identity")
     with pytest.raises(MismatchError):
-        intertwining_check(auto, SL2.dual([1, 0, 0]), 0)
+        intertwining_check(automorphism_mirror(auto), SL2.dual([1, 0, 0]), 0)
+    with pytest.raises(MismatchError):
+        intertwining_check(sign_mirror(), SL2.dual([1, 0, 0]), 0)
+
+
+@pytest.mark.parametrize("alg", [SO3, SL3, SU3], ids=["so3", "sl3", "su3"])
+def test_sign_mirror_intertwines_exactly(alg):
+    # T_j = (-1)^j I and lam' = -lam: the residual is (-1)^{k+1}(delta^lam + delta^{-lam})
+    lam = alg.dual(range(1, alg.dim + 1))
+    for k in (1, 2, 3):
+        rep = intertwining_check(sign_mirror(), lam, k)
+        assert rep.holds and rep.residual == 0, k
+
+
+@settings(max_examples=80, deadline=None)
+@given(alg=st.sampled_from([SO3, SL2, SL3, SU3]), k=st.integers(1, 3),
+       convention=st.sampled_from(list(LeibnizConvention)),
+       ident=st.sampled_from(list(Identification)), data=st.data())
+def test_sign_intertwining_matches_the_direct_comparison(alg, k, convention, ident, data):
+    entry = st.one_of(st.integers(-9, 9).map(F),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    lam = alg.dual(data.draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim)))
+    rep = intertwining_check(sign_mirror(), lam, k, convention, identification=ident)
+    assert rep.residual == oracle_sign_residual(lam, k, convention, ident)
+    assert rep.holds is (rep.residual == 0)
+
+
+def test_tensor_map_rejects_an_automorphism_of_another_algebra():
+    transform = automorphism_mirror(builtin_automorphism(SL3, "permutation:231"))
+    with pytest.raises(MismatchError):
+        transform.tensor_map(SU3, 2)
+    with pytest.raises(MismatchError):
+        intertwining_check(transform, SU3.dual(range(1, 9)), 1)
 
 
 # --- chain-map sign ----------------------------------------------------------
-
-
-def test_sign_chain_sign_values():
-    assert sign_chain_sign(0, 0) == 1
-    assert sign_chain_sign(1, 1) == -1
-    assert sign_chain_sign(2, 1) == -1
-    assert sign_chain_sign(3, 2) == 1
-    with pytest.raises(MismatchError):
-        sign_chain_sign(-1, 0)
 
 
 @pytest.mark.parametrize("ident", list(Identification))
@@ -267,16 +291,3 @@ def test_automorphism_tensor_map_is_the_shared_induced_map(ident):
         transform = automorphism_mirror(auto)
         for j in range(4):
             assert transform.tensor_map(SL3, j, ident) is induced_tensor_map(auto, j, ident)
-
-
-# --- JSON --------------------------------------------------------------------
-
-
-def test_mirror_json_round_trip():
-    t = sign_mirror()
-    assert mirror_from_json(t.to_json(), SL2).kind == "sign"
-    auto = builtin_automorphism(SL2, "negate_transpose")
-    t2 = automorphism_mirror(auto)
-    again = mirror_from_json(t2.to_json(), SL2)
-    assert again.kind == "automorphism"
-    assert again.automorphism.matrix == auto.matrix
