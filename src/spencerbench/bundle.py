@@ -114,11 +114,17 @@ class GridBundle:
         return out
 
     @cached_property
+    def _constraints(self):
+        """The constraint column omega @ lam per site class, in class order:
+        <lam, omega(v)> is v times it, for the kernel and the second energy."""
+        return [omega @ lam for omega, lam in self._operators]
+
+    @cached_property
     def _kernels(self):
         """The rows of the constraint kernel ker <lam, omega(.)> per site
         class, in class order, or None where lam = 0."""
-        return [None if lam.is_zero() else (omega @ lam).transpose().kernel()
-                for omega, lam in self._operators]
+        return [None if lam.is_zero() else column.transpose().kernel()
+                for (_, lam), column in zip(self._operators, self._constraints)]
 
     @cached_property
     def _cartan(self):
@@ -386,11 +392,10 @@ def compatibility_functional_terms(bundle, dist_target=None):
     first = cartan_residual(bundle).squared_norm() * vol / 2
 
     cls, reps = bundle._site_classes
-    ops = bundle._operators
     if dist_target is None:
         # the default target is the constraint kernel: one distance per site class
-        per_class = [_annihilator_distance_sq(omega, lam, _kernel(bundle, rep))
-                     for rep, (omega, lam) in zip(reps, ops)]
+        per_class = [_annihilator_distance_sq(bundle, c, _kernel(bundle, rep))
+                     for c, rep in enumerate(reps)]
         dists = [per_class[c] for c in cls.values()]
     else:
         tangent = bundle.n_axes + bundle.algebra.dim
@@ -406,18 +411,18 @@ def compatibility_functional_terms(bundle, dist_target=None):
                     f"{tangent} coordinates (n + dim g)")
             basis = OperatorMatrix(len(vecs), tangent, {
                 (i, j): v for i, vec in enumerate(vecs) for j, v in enumerate(vec)})
-            omega, lam = ops[c]
-            dists.append(_annihilator_distance_sq(omega, lam, basis))
+            dists.append(_annihilator_distance_sq(bundle, c, basis))
     second = vol * sum(dists, ZERO)
     return first, second
 
 
-def _annihilator_distance_sq(omega, lam, basis):
-    """Squared distance from the dual value lam (a column) to the annihilator
-    of omega(row span of the matrix basis)."""
+def _annihilator_distance_sq(bundle, c, basis):
+    """Squared distance from the dual value lam (a column) of site class c to
+    the annihilator of omega(row span of the matrix basis)."""
+    omega, lam = bundle._operators[c]
     # the distance to a subspace is 0 iff lam lies in it: here iff
     # <lam, omega(v)> = 0 for every row v of basis
-    if (basis @ (omega @ lam)).is_zero():
+    if (basis @ bundle._constraints[c]).is_zero():
         return ZERO
     # rows of ann: a basis of the annihilator of omega(span basis) in the dual
     ann = (basis @ omega).kernel()

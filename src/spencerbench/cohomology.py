@@ -35,9 +35,8 @@ from .linalg import (
     kron,
     literal_parser,
     parse_int,
-    place_block,
 )
-from .mirror import TRANSPORT_INVERSE, mirror_lambda
+from .mirror import mirror_lambda
 from .spencer import Identification, LeibnizConvention, delta_matrix
 from .symtensor import multisets, sym_dim
 
@@ -233,15 +232,15 @@ def build_complex(dga, algebra, lam, K, convention=LeibnizConvention.UNSIGNED,
     for k in range(K):
         rows, n_rows = segment_offsets(dga, dim, k + 1)
         cols, n_cols = segment_offsets(dga, dim, k)
-        out = OperatorMatrix.zero(n_rows, n_cols)
+        blocks = []
         for i, start in cols.items():
             # (d omega) x s lands in form degree i+1, omega x delta(s) in i
             if i < dga.top_degree:
                 d_block = kron(dga.diff[i], OperatorMatrix.identity(sym_dim(dim, k - i)))
-                place_block(out, d_block, rows[i + 1], start)
+                blocks.append((rows[i + 1], start, d_block))
             signs = OperatorMatrix.identity(len(dga.basis[i])).scaled((-1) ** i)
-            place_block(out, kron(signs, deltas[k - i]), rows[i], start)
-        differentials.append(out)
+            blocks.append((rows[i], start, kron(signs, deltas[k - i])))
+        differentials.append(OperatorMatrix.from_blocks(n_rows, n_cols, blocks))
     return SpencerComplexInstance(
         dga, algebra, lam, K, convention, identification, bases, differentials, deltas,
     )
@@ -441,18 +440,18 @@ def chain_map_matrix(instance, transform, k, base_maps=None):
             i not in base_maps or base_maps[i].shape != (n, n) for i, n in enumerate(sizes))):
         raise MismatchError(f"base_maps needs one square map per form degree, sizes {sizes}")
     offsets, total = segment_offsets(instance.dga, instance.algebra.dim, k)
-    out = OperatorMatrix.zero(total, total)
+    blocks = []
     for i, start in offsets.items():
         form_map = OperatorMatrix.identity(sizes[i]) if base_maps is None else base_maps[i]
         tensor_map = transform.tensor_map(instance.algebra, k - i, instance.identification)
-        place_block(out, kron(form_map, tensor_map), start, start)
-    return out
+        blocks.append((start, start, kron(form_map, tensor_map)))
+    return OperatorMatrix.from_blocks(total, total, blocks)
 
 
-def mirror_invariance_check(instance, transform, transport=TRANSPORT_INVERSE,
-                            base_maps=None):
-    """Build the mirrored complex, verify chain-map commutation, compare dims."""
-    lam_m = mirror_lambda(transform, instance.lam, transport)
+def mirror_invariance_check(instance, transform, base_maps=None):
+    """Build the mirrored complex (the dual vector under the inverse
+    transport), verify chain-map commutation, compare dims."""
+    lam_m = mirror_lambda(transform, instance.lam)
     mirrored = build_complex(
         instance.dga, instance.algebra, lam_m, instance.K,
         instance.convention, instance.identification,

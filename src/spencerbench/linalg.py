@@ -4,17 +4,19 @@ No floating point. ``OperatorMatrix`` is the package's one matrix type: it
 stores integer numerators over one positive denominator, kept canonical (the
 gcd of the denominator and every numerator is 1, and zero numerators are not
 stored), so ``==`` is exact whatever built a matrix. Sums, products,
-scaling, transposes, Kronecker products and block writes are integer
-operations; Fractions appear only at the interface (``get``, ``entries``,
-``to_dense``, ``to_json``). Every rank, kernel, solve, inverse and
-column-span test is one Gauss-Jordan elimination over the integers of the
-matrix's numerator rows; ``rank()`` asks it for the pivots only, and
-``solve(B)`` eliminates [A | B] once, so an inverse is ``solve(identity)``.
-The elimination runs on each connected component of the non-zero pattern
-on its own (found by union-find over the stored keys), and kernels and
-solutions come out as integer numerators over the lcm of the pivots.
-``rank_bareiss`` is a separate fraction-free Bareiss elimination on the
-dense Fraction form, kept only to cross-check ranks.
+scaling, transposes, Kronecker products and block sums (``from_blocks``)
+are integer operations; Fractions appear only at the interface (``get``,
+``entries``, ``to_dense``, ``to_json``). Every operation returns a new
+matrix, and no function writes into an existing one, so a cached matrix can
+be shared. Every rank, kernel, solve, inverse and column-span test is one
+Gauss-Jordan elimination over the integers of the matrix's numerator rows;
+``rank()`` asks it for the pivots only, and ``solve(B)`` eliminates
+[A | B] (built by ``from_blocks``) once, so an inverse is
+``solve(identity)``. The elimination runs on each connected component of
+the non-zero pattern on its own (found by union-find over the stored keys),
+and kernels and solutions come out as integer numerators over the lcm of
+the pivots. ``rank_bareiss`` is a separate fraction-free Bareiss elimination
+on the dense Fraction form, kept only to cross-check ranks.
 
 Only the boundaries stay dense: ``from_dense``/``to_dense`` and JSON.
 """
@@ -119,7 +121,9 @@ class OperatorMatrix:
 
     ``OperatorMatrix(rows, cols, {(r, c): Fraction})`` builds one from
     rationals and raises IndexError for a key outside the shape;
-    ``from_numerators`` builds one from integers over a denominator.
+    ``from_numerators`` builds one from integers over a denominator, and
+    ``from_blocks`` one from blocks at offsets. Only ``__init__`` and
+    ``from_numerators`` set ``den`` and ``nums``.
     """
 
     __slots__ = ("rows", "cols", "den", "nums")
@@ -144,6 +148,27 @@ class OperatorMatrix:
         return out
 
     @classmethod
+    def from_blocks(cls, rows, cols, blocks):
+        """The rows x cols sum of the list blocks of (row_offset, col_offset,
+        block) triples, each block written once over the lcm of their
+        denominators; a block that does not fit raises IndexError."""
+        den = lcm(*(block.den for _, _, block in blocks))
+        nums = {}
+        for row_offset, col_offset, block in blocks:
+            if not (0 <= row_offset <= rows - block.rows
+                    and 0 <= col_offset <= cols - block.cols):
+                raise IndexError((row_offset, col_offset))
+            f = den // block.den
+            for (r, c), v in block.nums.items():
+                key = (row_offset + r, col_offset + c)
+                s = nums.get(key, 0) + v * f
+                if s:
+                    nums[key] = s
+                else:
+                    del nums[key]
+        return cls.from_numerators(rows, cols, den, nums)
+
+    @classmethod
     def zero(cls, rows, cols):
         return cls.from_numerators(rows, cols, 1, {})
 
@@ -162,20 +187,6 @@ class OperatorMatrix:
     def entries(self):
         return _Entries(self)
 
-    def set(self, r, c, value):
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError((r, c))
-        value = Fraction(value)
-        den = lcm(self.den, value.denominator)
-        nums = self.nums
-        if den != self.den:
-            nums = {key: v * (den // self.den) for key, v in nums.items()}
-        if value:
-            nums[(r, c)] = value.numerator * (den // value.denominator)
-        else:
-            nums.pop((r, c), None)
-        self.den, self.nums = _reduced(den, nums)
-
     def get(self, r, c):
         return Fraction(self.nums.get((r, c), 0), self.den)
 
@@ -190,24 +201,13 @@ class OperatorMatrix:
     def __repr__(self):
         return f"OperatorMatrix({self.rows}, {self.cols}, den={self.den}, nums={self.nums})"
 
-    def _plus(self, other, sign):
-        self._check_shape(other)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        out = {key: v * a for key, v in self.nums.items()}
-        for key, v in other.nums.items():
-            s = out.get(key, 0) + v * b
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return OperatorMatrix.from_numerators(self.rows, self.cols, den, out)
-
     def __add__(self, other):
-        return self._plus(other, 1)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        return OperatorMatrix.from_blocks(self.rows, self.cols, [(0, 0, self), (0, 0, other)])
 
     def __sub__(self, other):
-        return self._plus(other, -1)
+        return self + -other
 
     def __neg__(self):
         return self.scaled(-1)
@@ -307,15 +307,12 @@ class OperatorMatrix:
     def solve(self, rhs):
         """One exact solution X of self @ X = rhs, free variables set to
         zero, or None when the system is inconsistent. One elimination of
-        the integer matrix lcm(den, rhs.den) * [self | rhs]."""
+        the numerator rows of [self | rhs]."""
         if self.rows != rhs.rows:
             raise ValueError(f"shape mismatch {self.shape} vs {rhs.shape}")
-        den = lcm(self.den, rhs.den)
-        a, b = den // self.den, den // rhs.den
         n = self.cols
-        nums = {key: v * a for key, v in self.nums.items()}
-        nums.update(((r, n + c), v * b) for (r, c), v in rhs.nums.items())
-        rows, pivots = _rref(OperatorMatrix.from_numerators(self.rows, n + rhs.cols, 1, nums))
+        rows, pivots = _rref(OperatorMatrix.from_blocks(
+            self.rows, n + rhs.cols, [(0, 0, self), (0, n, rhs)]))
         if pivots and pivots[-1] >= n:
             return None
         den = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
@@ -351,10 +348,6 @@ class OperatorMatrix:
         except (TypeError, ValueError, IndexError) as exc:
             raise FormatError(f"bad operator matrix entries: {exc}") from exc
 
-    def _check_shape(self, other):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-
 
 def kron(a, b):
     """Kronecker product of two sparse matrices."""
@@ -364,27 +357,6 @@ def kron(a, b):
         for (rb, cb), vb in b.nums.items():
             nums[(r0 + rb, c0 + cb)] = va * vb
     return OperatorMatrix.from_numerators(a.rows * b.rows, a.cols * b.cols, a.den * b.den, nums)
-
-
-def place_block(target, block, row_offset, col_offset):
-    """Add block into target (an OperatorMatrix) at an offset, in place.
-
-    Both are written over the lcm of their denominators, once per block.
-    """
-    if not (0 <= row_offset <= target.rows - block.rows
-            and 0 <= col_offset <= target.cols - block.cols):
-        raise IndexError((row_offset, col_offset))
-    den = lcm(target.den, block.den)
-    a, b = den // target.den, den // block.den
-    nums = target.nums if a == 1 else {key: v * a for key, v in target.nums.items()}
-    for (r, c), v in block.nums.items():
-        key = (row_offset + r, col_offset + c)
-        s = nums.get(key, 0) + v * b
-        if s:
-            nums[key] = s
-        else:
-            del nums[key]
-    target.den, target.nums = _reduced(den, nums)
 
 
 def _eliminate(mat, full=True):

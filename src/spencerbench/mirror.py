@@ -55,8 +55,8 @@ class MirrorTransform:
 
     def tensor_map(self, algebra, j, identification=Identification.KILLING):
         """Degree-j factor of the mirror's chain map on S^j of algebra:
-        (-1)^j I for the sign mirror, induced_tensor_map (shared, read-only)
-        for an automorphism of algebra."""
+        (-1)^j I for the sign mirror, induced_tensor_map (built once and
+        shared) for an automorphism of algebra."""
         if self.kind == "sign":
             return OperatorMatrix.identity(sym_dim(algebra.dim, j)).scaled((-1) ** j)
         if self.automorphism.algebra != algebra:
@@ -90,7 +90,8 @@ def mirror_lambda(transform, lam, transport=TRANSPORT_INVERSE):
 @functools.lru_cache(maxsize=8)
 def induced_tensor_map(auto, k, identification=Identification.KILLING):
     """Degree-k companion matrix of an automorphism on symmetric tensors,
-    built once per argument triple and shared: callers treat it as read-only."""
+    built once per argument triple and shared; no operation writes into an
+    OperatorMatrix after it is built."""
     if k < 0:
         raise MismatchError("degree must be >= 0")
     identification = Identification(identification)

@@ -18,6 +18,10 @@ with its dual. Two identifications are supported:
   under automorphism transport; the coordinate identification does not have
   this property unless the automorphism matrix is orthogonal.
 
+The rule is one integer matrix, delta_1 itself (Sym^2 x n, column m is
+delta(e_m)); the classical prolongation's rule is a table of the same shape,
+and one Leibniz kernel extends either from its columns.
+
 Both Leibniz conventions are implemented. UNSIGNED extends the generator rule
 as an even derivation and is order-independent. PAPER_SIGNED inserts a sign
 (-1)^p when the rule walks past a degree-p left factor; on a commutative
@@ -41,11 +45,13 @@ from .errors import DegenerateInputError, MismatchError
 from .liealg import bracket, killing_gram, pairing
 from .linalg import OperatorMatrix, common_denominator
 from .symtensor import (
+    _columns,
     _combine,
     apply_linear_map,
     from_vector,
     multisets,
     sym_dim,
+    symmetric_power_matrix,
     tensor_from_values,
     zero_tensor,
 )
@@ -72,13 +78,28 @@ def _killing_inverse(algebra):
     return inv
 
 
+def _quadratic_table(n, den, terms):
+    """The Sym^2 x n integer OperatorMatrix over den whose column m is the sum
+    of v e_i e_j over the terms (i, j, m, v); e_i e_j = e_j e_i, so the
+    ordered pairs (i, j) and (j, i) add up."""
+    index = {key: r for r, key in enumerate(multisets(n, 2))}
+    nums = {}
+    for i, j, m, v in terms:
+        key = (index[(i, j) if i <= j else (j, i)], m)
+        nums[key] = nums.get(key, 0) + v
+    return OperatorMatrix.from_numerators(
+        len(index), n, den, {key: v for key, v in nums.items() if v})
+
+
 def classical_prolongation(s):
     """Basis-summed prolongation, degree k -> k+1 (zero on degree 0): the
     unsigned Leibniz extension of e_m -> sum_i e_i . [e_i, e_m]."""
     den, nz = s.algebra.integer_structure
     n = s.algebra.dim
-    rows = [[((i, p), v) for i in range(n) for p, v in nz[i][m]] for m in range(n)]
-    return _combine(s, [_image(rows, key, False) for key in s.coeffs], den, s.degree + 1)
+    table = _quadratic_table(
+        n, den, ((i, p, m, v) for m in range(n) for i in range(n) for p, v in nz[i][m]))
+    cols = _columns(table, multisets(n, 2))
+    return _combine(s, [_image(cols, key, False) for key in s.coeffs], table.den, s.degree + 1)
 
 
 def _jacobi_values(lam, v):
@@ -105,49 +126,34 @@ def _reconstruct(algebra, values, identification):
 
 @functools.lru_cache(maxsize=8)
 def _generator_table(lam, identification):
-    """delta^lam of every basis generator, as integers over one denominator.
+    """delta^lam on the generators, delta_1 itself: the Sym^2 x n integer
+    OperatorMatrix whose column m is delta(e_m).
 
-    Returns (den, rows); rows[m] is a tuple of (sorted index pair, integer)
-    with delta(e_m) = sum int/den * e_pair. The symmetrized pairing
-    (lam([e_i,[e_j,e_m]]) + lam([e_j,[e_i,e_m]]))/2 is evaluated for all m at
-    once through L[a][p] = lam([e_a, e_p]): lam([e_i,[e_j,e_m]]) =
-    sum_p c_jm^p L[i][p].
+    Under the basis identification the coefficient of e_i e_j in delta(e_m)
+    is lam([e_i,[e_j,e_m]]) + lam([e_j,[e_i,e_m]]) for i < j and
+    lam([e_i,[e_i,e_m]]) for i = j, all over c_den^2 lam_den. They come for
+    every m at once from L[a][p] = lam([e_a, e_p]): lam([e_i,[e_j,e_m]]) =
+    sum_p c_jm^p L[i][p]. Under the killing identification the table is the
+    degree-2 power of B^{-1} times that matrix.
     """
     algebra = lam.algebra
     n = algebra.dim
     lam_den, lam_ints = common_denominator(lam.coeffs)
     c_den, nz = algebra.integer_structure
-    # lam_br[a][p] = L[a][p] and nested[i][j][m] = lam([e_i,[e_j,e_m]]), in
-    # numerators over c_den * lam_den and c_den^2 * lam_den
+    # lam_br[a][p] = L[a][p], in numerators over c_den * lam_den
     lam_br = [[sum(v * lam_ints[q] for q, v in nz[a][p]) for p in range(n)] for a in range(n)]
-    nested = [[[sum(v * lam_br[i][p] for p, v in nz[j][m]) for m in range(n)]
-               for j in range(n)] for i in range(n)]
-    scale = 2 * c_den * c_den * lam_den
-    images = [
-        _reconstruct(
-            algebra,
-            {(i, j): Fraction(nested[i][j][m] + nested[j][i][m], scale)
-             for i in range(n) for j in range(i, n)},
-            identification,
-        ).coeffs
-        for m in range(n)
-    ]
-    den, ints = common_denominator(v for coeffs in images for v in coeffs.values())
-    it = iter(ints)
-    rows = tuple(tuple((pair, next(it)) for pair in coeffs) for coeffs in images)
-    return den, rows
+    table = _quadratic_table(n, c_den * c_den * lam_den, (
+        (i, j, m, sum(v * lam_br[i][p] for p, v in nz[j][m]))
+        for i in range(n) for j in range(n) for m in range(n)))
+    if identification == Identification.KILLING:
+        table = symmetric_power_matrix(algebra, _killing_inverse(algebra), 2) @ table
+    return table
 
 
 def delta_lambda_generator(lam, v, identification=Identification.BASIS):
-    """Image of a degree-1 element under the constraint-coupled operator.
-
-    By linearity in v: the sum of v_m times the image of the generator e_m.
-    """
-    if lam.algebra != v.algebra:
-        raise MismatchError("lam and v live on different algebras")
-    den, rows = _generator_table(lam, Identification(identification))
-    s = from_vector(v)
-    return _combine(s, [dict(rows[m]) for (m,) in s.coeffs], den, 2)
+    """Image of a degree-1 element under the constraint-coupled operator:
+    delta_lambda on from_vector(v)."""
+    return delta_lambda(lam, from_vector(v), identification=identification)
 
 
 def jacobi_form_generator(lam, v, identification=Identification.BASIS):
@@ -158,23 +164,23 @@ def jacobi_form_generator(lam, v, identification=Identification.BASIS):
     return _reconstruct(v.algebra, _jacobi_values(lam, v), identification)
 
 
-def _image(rows, seq, signed):
+def _image(cols, seq, signed):
     """Leibniz extension of a generator table to the product of the factors in
     seq, as {multiset: integer}.
 
-    rows[m] lists the (index pair, integer) terms of the image of e_m, over
-    one denominator: the table of _generator_table for delta^lam, or the
-    structure constants for the classical prolongation. Leibniz rule: the t-th factor is replaced by its
-    generator image, whose index pair is merged into the sorted remaining
-    factors. The signed rule's left-to-right splitting
-    delta(h.r) = delta(h).r - h.delta(r) unrolls to the sign (-1)^t on the
-    t-th term, so it depends on the order of seq.
+    cols[m] lists the (index pair, integer) terms of the image of e_m: the
+    columns (_columns) of a Sym^2 x n table, _generator_table for delta^lam
+    or the structure constants for the classical prolongation. Leibniz rule:
+    the t-th factor is replaced by its generator image, whose index pair is
+    merged into the sorted remaining factors. The signed rule's left-to-right
+    splitting delta(h.r) = delta(h).r - h.delta(r) unrolls to the sign (-1)^t
+    on the t-th term, so it depends on the order of seq.
     """
     out = {}
     for t, i in enumerate(seq):
         rest = seq[:t] + seq[t + 1 :]
         sign = -1 if signed and t % 2 else 1
-        for pair, v in rows[i]:
+        for pair, v in cols[i]:
             key = tuple(sorted(pair + rest))
             out[key] = out.get(key, 0) + sign * v
     return {key: v for key, v in out.items() if v}
@@ -194,8 +200,9 @@ def delta_lambda(lam, s, convention=LeibnizConvention.UNSIGNED,
     identification = Identification(identification)
     if s.degree == 0 or not s.coeffs:
         return zero_tensor(s.algebra, s.degree + 1)
-    den, rows = _generator_table(lam, identification)
-    return _combine(s, [_image(rows, key, signed) for key in s.coeffs], den, s.degree + 1)
+    table = _generator_table(lam, identification)
+    cols = _columns(table, multisets(table.cols, 2))
+    return _combine(s, [_image(cols, key, signed) for key in s.coeffs], table.den, s.degree + 1)
 
 
 def delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
@@ -208,14 +215,15 @@ def delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
     identification = Identification(identification)
     if k == 0:
         return OperatorMatrix.zero(dim, 1)
-    den, rows = _generator_table(lam, identification)
+    table = _generator_table(lam, identification)
+    cols = _columns(table, multisets(dim, 2))
     codomain_index = {key: r for r, key in enumerate(multisets(dim, k + 1))}
     nums = {
         (codomain_index[row_key], c): v
         for c, key in enumerate(multisets(dim, k))
-        for row_key, v in _image(rows, key, signed).items()
+        for row_key, v in _image(cols, key, signed).items()
     }
-    return OperatorMatrix.from_numerators(sym_dim(dim, k + 1), sym_dim(dim, k), den, nums)
+    return OperatorMatrix.from_numerators(sym_dim(dim, k + 1), sym_dim(dim, k), table.den, nums)
 
 
 def delta_matrix_to_json(matrix, k):
@@ -304,14 +312,15 @@ def signed_leibniz_welldefinedness(lam, k, identification=Identification.BASIS):
     """
     if k < 2:
         raise MismatchError("the ordering audit needs degree >= 2")
-    den, rows = _generator_table(lam, Identification(identification))
+    table = _generator_table(lam, Identification(identification))
+    cols = _columns(table, multisets(table.cols, 2))
     witnesses = []
     for key in multisets(lam.algebra.dim, k):
         forward = key
         reverse = tuple(reversed(key))
-        a = _image(rows, forward, True)
-        b = _image(rows, reverse, True)
+        a = _image(cols, forward, True)
+        b = _image(cols, reverse, True)
         gap = max((abs(a.get(m, 0) - b.get(m, 0)) for m in a.keys() | b.keys()), default=0)
         if gap:
-            witnesses.append(OrderingWitness(key, forward, reverse, Fraction(gap, den)))
+            witnesses.append(OrderingWitness(key, forward, reverse, Fraction(gap, table.den)))
     return witnesses

@@ -232,23 +232,29 @@ def _combine(s, images, scale, degree):
     return SymTensor(s.algebra, degree, {key: Fraction(v, scale) for key, v in out.items() if v})
 
 
+def _columns(matrix, keys):
+    """Column c of matrix as its (keys[r], numerator) terms in row order,
+    keys[r] the multiset that row r stands for: every image built from them
+    lists its terms in the order the reports have always seen."""
+    cols = [[] for _ in range(matrix.cols)]
+    for (r, c), v in sorted(matrix.nums.items()):
+        cols[c].append((keys[r], v))
+    return cols
+
+
 def _power_images(matrix, keys):
     """(den, images): den is the matrix's denominator and images[t] the
     {multiset: integer} image of keys[t] under the degree-k power, over
     den ** k: the merge of its factors' integer columns."""
-    # each column in row order, so every image lists its terms in the order
-    # the generator tables and reports have always seen
-    cols = [[] for _ in range(matrix.cols)]
-    for (r, c), v in sorted(matrix.nums.items()):
-        cols[c].append((r, v))
+    cols = _columns(matrix, multisets(matrix.rows, 1))
     memo = {(): {(): 1}}
 
     def image(key):
         if key not in memo:
             out = {}
             for prefix, v in image(key[:-1]).items():
-                for r, w in cols[key[-1]]:
-                    merged = tuple(sorted(prefix + (r,)))
+                for factor, w in cols[key[-1]]:
+                    merged = tuple(sorted(prefix + factor))
                     out[merged] = out.get(merged, 0) + v * w
             memo[key] = {m: v for m, v in out.items() if v}
         return memo[key]

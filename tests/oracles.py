@@ -120,6 +120,34 @@ def oracle_inverse(a):
 
 
 # ---------------------------------------------------------------------------
+# Block matrices, summed in Fraction dicts
+# ---------------------------------------------------------------------------
+
+
+def oracle_place_block(target, block, row_offset, col_offset):
+    """A new {(r, c): Fraction} dict: target plus block (a dict too) at the
+    offset, with no stored zero."""
+    out = dict(target)
+    for (r, c), v in block.items():
+        key = (row_offset + r, col_offset + c)
+        s = out.get(key, F(0)) + v
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def oracle_block_matrix(rows, cols, blocks):
+    """The rows x cols sum of the (row_offset, col_offset, block) triples,
+    each block's entries added to a Fraction dict."""
+    out = {}
+    for row_offset, col_offset, block in blocks:
+        out = oracle_place_block(out, dict(block.entries), row_offset, col_offset)
+    return OperatorMatrix(rows, cols, out)
+
+
+# ---------------------------------------------------------------------------
 # The sign mirror on the operator matrices
 # ---------------------------------------------------------------------------
 

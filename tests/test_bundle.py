@@ -501,6 +501,23 @@ def test_cartan_residual_alone_builds_no_constraint_kernel(monkeypatch):
     assert len(calls) == len(b._operators)
 
 
+def test_constraint_column_is_formed_once_per_site_class(monkeypatch):
+    # omega @ lam is formed once per class and read by both the kernel and
+    # the second energy's membership test, one more product per class
+    calls = []
+    original = OperatorMatrix.__matmul__
+
+    def counting_matmul(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(OperatorMatrix, "__matmul__", counting_matmul)
+    b, _, _ = mixed_so3_bundle()
+    transversality_report(b)
+    assert compatibility_functional_terms(b)[1] == 0
+    assert len(calls) == 2 * len(b._operators)
+
+
 def test_bundle_json_parses_each_coefficient_literal_once(monkeypatch):
     parsed = []
     original = linalg_mod.parse_scalar

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import spencerbench.linalg as linalg_mod
-from oracles import dense_structure, oracle_diagonal_block_shapes
+from oracles import dense_structure, oracle_block_matrix, oracle_diagonal_block_shapes
 from spencerbench.cohomology import (
     DGAModel,
     build_complex,
@@ -23,7 +23,7 @@ from spencerbench.cohomology import (
 )
 from spencerbench.errors import FormatError, MismatchError
 from spencerbench.liealg import builtin_algebra, builtin_automorphism, weyl_mirrors
-from spencerbench.linalg import OperatorMatrix, kron, place_block
+from spencerbench.linalg import OperatorMatrix, kron
 from spencerbench.mirror import automorphism_mirror, sign_mirror
 from spencerbench.spencer import Identification, delta_matrix
 from spencerbench.symtensor import sym_dim
@@ -466,7 +466,7 @@ def chevalley_eilenberg(alg):
     diff = []
     for k in range(n):
         index = {s: r for r, s in enumerate(subsets[k + 1])}
-        out = OperatorMatrix.zero(len(subsets[k + 1]), len(subsets[k]))
+        entries = {}
         for col, S in enumerate(subsets[k]):
             for p, m in enumerate(S):
                 for i, j in itertools.combinations(range(n), 2):
@@ -475,10 +475,9 @@ def chevalley_eilenberg(alg):
                     if not c or len(set(word)) < len(word):
                         continue
                     inversions = sum(1 for x, y in itertools.combinations(word, 2) if x > y)
-                    r = index[tuple(sorted(word))]
-                    v = -c * (-1) ** (p + inversions)
-                    out.set(r, col, out.get(r, col) + v)
-        diff.append(out)
+                    key = (index[tuple(sorted(word))], col)
+                    entries[key] = entries.get(key, 0) - c * (-1) ** (p + inversions)
+        diff.append(OperatorMatrix(len(subsets[k + 1]), len(subsets[k]), entries))
     labels = tuple(tuple(str(S) for S in row) for row in subsets)
     return DGAModel(f"ce({alg.name})", labels, tuple(diff))
 
@@ -536,11 +535,10 @@ def test_koszul_sign_cancels_cross_terms_of_d_squared():
     for k in range(K - 1):
         rows, n_rows = segment_offsets(dga, SO3.dim, k + 2)
         cols, n_cols = segment_offsets(dga, SO3.dim, k)
-        want = OperatorMatrix.zero(n_rows, n_cols)
-        for i, start in cols.items():
-            d2 = c.delta_matrices[k - i + 1] @ c.delta_matrices[k - i]
-            place_block(want, kron(OperatorMatrix.identity(len(dga.basis[i])), d2),
-                        rows[i], start)
+        want = oracle_block_matrix(n_rows, n_cols, [
+            (rows[i], start, kron(OperatorMatrix.identity(len(dga.basis[i])),
+                                  c.delta_matrices[k - i + 1] @ c.delta_matrices[k - i]))
+            for i, start in cols.items()])
         assert c.differentials[k + 1] @ c.differentials[k] == want
 
 
@@ -581,10 +579,10 @@ def test_sign_mirror_composes_with_base_maps():
     base_maps = swap_base_maps()
     for k in range(c.K + 1):
         offsets, total = segment_offsets(c.dga, c.algebra.dim, k)
-        want = OperatorMatrix.zero(total, total)
-        for i, start in offsets.items():
-            sign = OperatorMatrix.identity(sym_dim(c.algebra.dim, k - i)).scaled((-1) ** (k - i))
-            place_block(want, kron(base_maps[i], sign), start, start)
+        want = oracle_block_matrix(total, total, [
+            (start, start, kron(base_maps[i], OperatorMatrix.identity(
+                sym_dim(c.algebra.dim, k - i)).scaled((-1) ** (k - i))))
+            for i, start in offsets.items()])
         psi = chain_map_matrix(c, sign_mirror(), k, base_maps)
         assert psi == want
         if k >= 1:

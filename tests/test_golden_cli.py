@@ -9,13 +9,19 @@ bundle diagnostic (a constant connection, a site-resolved rational field
 on three axes, a distinct rational value at every site of an sl3 field,
 float rendering). The reduced row echelon form is unique, every reported
 rational is exact and the one reported float is pinned to its order of
-operations, so any correct change to these paths keeps the digests.
+operations, so any correct change to these paths keeps the digests. One
+command per subcommand is also run as a process under two hash seeds, so
+the bytes cannot depend on set or dict order of hashed keys.
 """
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +126,31 @@ def test_cli_report_digest_is_pinned(argv, digest, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CROSS_PROCESS = ["algebra", "spencer-paper-signed", "mirror", "complex-sl2-identity",
+                 "bundle-so3-omega"]
+
+
+def process_report(argv, hash_seed):
+    """The CLI's stdout bytes from a fresh interpreter under PYTHONHASHSEED."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "spencerbench.cli", *argv], capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", CROSS_PROCESS)
+def test_report_bytes_are_the_same_in_every_process(name):
+    # the complex line prints the cup section, the bundle line a constant
+    # connection; both processes must give the pinned bytes
+    argv, digest = dict(zip(IDS, GOLDEN))[name]
+    first, second = (process_report(argv, seed) for seed in ("0", "1"))
+    assert first == second
+    assert hashlib.sha256(first).hexdigest() == digest
 
 
 def test_algebra_file_report_digest_is_pinned(tmp_path, capsys):

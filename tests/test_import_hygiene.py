@@ -131,3 +131,91 @@ def test_only_mirror_names_the_induced_maps_and_cmd_mirror_builds_no_delta():
                      if isinstance(node, ast.FunctionDef) and node.name == "cmd_mirror"]
     assert "delta_matrix" not in referenced_names(cmd_mirror)
     assert "intertwining_check" in referenced_names(cmd_mirror)
+
+
+MATRIX_STATE = {"nums", "den"}
+MUTATING_METHODS = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__",
+                    "__delitem__"}
+MATRIX_CONSTRUCTORS = {("linalg", "OperatorMatrix.__init__"),
+                       ("linalg", "OperatorMatrix.from_numerators")}
+
+
+def _unpacked(target):
+    """The single targets inside an assignment or del target."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _unpacked(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _unpacked(target.value)
+    else:
+        yield target
+
+
+def _is_matrix_state(node):
+    """node is x.nums or x.den, or an item of one."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in MATRIX_STATE
+
+
+def matrix_state_writes(source):
+    """(scope, line) of each write to a ``.nums`` or ``.den`` attribute in
+    source: an assignment (plain, unpacked, augmented or annotated) to one or
+    to one of its items, a del of either, a mutating dict method called on
+    one, or a setattr naming one. scope is the dotted name of the enclosing
+    function or class, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, (ast.Assign, ast.Delete)):
+                hit = any(_is_matrix_state(t) for target in child.targets
+                          for t in _unpacked(target))
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                hit = _is_matrix_state(child.target)
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                hit = child.func.attr in MUTATING_METHODS and _is_matrix_state(child.func.value)
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                hit = child.func.id == "setattr" and any(
+                    isinstance(arg, ast.Constant) and arg.value in MATRIX_STATE
+                    for arg in child.args[1:2])
+            else:
+                hit = False
+            if hit:
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_no_matrix_is_written_after_it_is_built():
+    """Only the two OperatorMatrix constructors set a matrix's numerators
+    and denominator; every other function builds a new matrix, so a cached
+    matrix can be shared."""
+    found = {path.stem: [(scope, line) for scope, line in
+                         matrix_state_writes(path.read_text(encoding="utf-8"))
+                         if (path.stem, scope) not in MATRIX_CONSTRUCTORS]
+             for path in SRC.glob("*.py")}
+    assert {module: writes for module, writes in found.items() if writes} == {}
+
+
+def test_a_matrix_state_write_is_found():
+    source = ("class OperatorMatrix:\n"
+              "    def set(self, r, c, v):\n"
+              "        self.den, self.nums = 1, {}\n"
+              "def place(target, nums):\n"
+              "    target.nums[(0, 0)] = 1\n"
+              "    target.den *= 2\n"
+              "    del target.nums[(0, 0)]\n"
+              "    target.nums.update(nums)\n"
+              "    setattr(target, 'den', 3)\n"
+              "    nums = dict(target.nums)\n"
+              "    nums.update({})\n"
+              "    return target.den\n")
+    assert matrix_state_writes(source) == [
+        ("OperatorMatrix.set", 3), ("place", 5), ("place", 6), ("place", 7), ("place", 8),
+        ("place", 9)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_kernel, oracle_rref, oracle_solve
+from oracles import oracle_kernel, oracle_place_block, oracle_rref, oracle_solve
 from spencerbench.errors import FormatError
 from spencerbench.linalg import (
     OperatorMatrix,
@@ -15,7 +15,6 @@ from spencerbench.linalg import (
     common_denominator,
     in_column_span,
     kron,
-    place_block,
     rank_bareiss,
 )
 
@@ -115,18 +114,6 @@ def oracle_kron(a, b, b_rows, b_cols):
             for (ra, ca), va in a.items() for (rb, cb), vb in b.items()}
 
 
-def oracle_place_block(target, block, row_offset, col_offset):
-    out = dict(target)
-    for (r, c), v in block.items():
-        key = (row_offset + r, col_offset + c)
-        s = out.get(key, F(0)) + v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
 def oracle_max_abs(a):
     return max((abs(v) for v in a.values()), default=F(0))
 
@@ -192,25 +179,26 @@ def test_kron_matches_fraction_dict_oracle(data):
 
 
 @given(st.data())
-def test_place_block_matches_fraction_dict_oracle(data):
+def test_from_blocks_matches_fraction_dict_oracle(data):
     rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
-    target = data.draw(fraction_dicts(rows, cols))
-    m = OperatorMatrix(rows, cols, target)
-    want = dict(target)
-    for _ in range(data.draw(st.integers(1, 3))):
+    blocks, want = [], {}
+    for _ in range(data.draw(st.integers(1, 4))):
         br, bc = data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))
         ro, co = data.draw(st.integers(0, rows - br)), data.draw(st.integers(0, cols - bc))
         block = data.draw(fraction_dicts(br, bc))
         if data.draw(st.booleans()):
-            # cancel whatever the target holds under the block
+            # cancel whatever the earlier blocks put under this one
             block.update({(r - ro, c - co): -v for (r, c), v in want.items()
                           if ro <= r < ro + br and co <= c < co + bc})
-        place_block(m, OperatorMatrix(br, bc, block), ro, co)
+        blocks.append((ro, co, OperatorMatrix(br, bc, block)))
         want = oracle_place_block(want, block, ro, co)
-        assert m.entries == want
-        assert_canonical(m)
-    with pytest.raises(IndexError):
-        place_block(m, OperatorMatrix.zero(1, 1), rows, 0)
+    got = OperatorMatrix.from_blocks(rows, cols, blocks)
+    assert got.shape == (rows, cols)
+    assert got.entries == want
+    assert_canonical(got)
+    for ro, co in [(rows, 0), (0, cols), (-1, 0), (0, -1)]:
+        with pytest.raises(IndexError):
+            OperatorMatrix.from_blocks(rows, cols, blocks + [(ro, co, OperatorMatrix.zero(1, 1))])
 
 
 @given(same_shape_pairs(), st.integers(1, 30))
@@ -224,6 +212,8 @@ def test_one_matrix_over_any_denominator_is_one_canonical_form(pair, m):
         direct.scaled(F(m, 7)).scaled(F(7, m)),
         (direct + OperatorMatrix(rows, cols, b)) - OperatorMatrix(rows, cols, b),
         OperatorMatrix.from_json(direct.to_json()),
+        OperatorMatrix.from_blocks(rows, cols, [(0, 0, direct.scaled(F(m, 7))),
+                                                (0, 0, direct.scaled(1 - F(m, 7)))]),
     ]
     if rows:  # a dense list of no rows has no column count
         routes.append(OperatorMatrix.from_dense(direct.to_dense()))
@@ -231,11 +221,6 @@ def test_one_matrix_over_any_denominator_is_one_canonical_form(pair, m):
         assert again == direct
         assert (again.den, again.nums) == (direct.den, direct.nums)
         assert again.to_json() == direct.to_json()
-    built = OperatorMatrix.zero(rows, cols)
-    for (r, c), v in a.items():
-        built.set(r, c, v * m)
-        built.set(r, c, v)
-    assert built == direct
 
 
 def test_max_abs_and_get_are_over_the_denominator():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import algebra_from_dense, dense_structure, oracle_inverse
 from spencerbench.errors import DegenerateInputError, MismatchError
 from spencerbench.liealg import bracket, builtin_algebra, pairing
+from spencerbench.linalg import OperatorMatrix
 from spencerbench.spencer import (
     Identification,
     LeibnizConvention,
@@ -270,11 +271,14 @@ SL3_DENSE = dense_basis_change(SL3, random.Random(31))
 def test_generator_table_matches_bracket_oracle(alg, ident):
     rng = random.Random(32)
     int_lam = alg.dual([rng.randint(-9, 9) for _ in range(alg.dim)])
+    pairs = multisets(alg.dim, 2)
     for lam in (int_lam, rand_lambda(rng, alg)):
-        den, rows = _generator_table(lam, ident)
-        for m, row in enumerate(rows):
+        table = _generator_table(lam, ident)
+        assert isinstance(table, OperatorMatrix) and table.shape == (len(pairs), alg.dim)
+        assert table == delta_matrix(lam, 1, identification=ident)
+        for m in range(alg.dim):
             oracle = _reconstruct(alg, bracket_generator_values(lam, alg.basis_vector(m)), ident)
-            assert {pair: F(x, den) for pair, x in row} == oracle.coeffs
+            assert {pairs[r]: v for (r, c), v in table.entries.items() if c == m} == oracle.coeffs
             assert delta_lambda_generator(lam, alg.basis_vector(m), ident) == oracle
 
 
