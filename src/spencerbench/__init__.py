@@ -32,8 +32,8 @@ _MODULE_NAMES = {
     ),
     "cohomology": (
         "CohomologyReport", "DGAModel", "SpencerComplexInstance", "build_complex",
-        "cohomology_report", "cup_product", "d_squared_residual", "kunneth_diagnostic",
-        "mirror_invariance_check", "torus_model",
+        "cohomology_report", "commutation_residuals", "cup_product", "d_squared_residual",
+        "kunneth_diagnostic", "mirror_invariance_check", "torus_model",
     ),
     "bundle": (
         "GridBundle", "TransversalityReport", "cartan_residual",

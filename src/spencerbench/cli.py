@@ -94,17 +94,30 @@ def _parse_lambda(algebra, text, allow_degenerate=False):
 def _emit(args, report):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormatError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
+# report keys whose values name things (algebras, bases, options, flags)
+# rather than measure them; --mode float leaves them as they are
+LABEL_KEYS = frozenset({
+    "algebra", "base", "basis_labels", "command", "convention", "flags", "grading",
+    "identification", "name", "transform", "transport",
+})
+
+
 def _float_mode(report, enabled):
+    """The report with every rational string among its measured values
+    rendered as a float when enabled."""
     if not enabled:
         return report
     if isinstance(report, dict):
-        return {k: _float_mode(v, True) for k, v in report.items()}
+        return {k: v if k in LABEL_KEYS else _float_mode(v, True) for k, v in report.items()}
     if isinstance(report, list):
         return [_float_mode(v, True) for v in report]
     if isinstance(report, str):

@@ -15,12 +15,25 @@ them into Omega^{k+1} x S^k and Omega^k x S^{k+1}, neither of which is the
 next diagonal space, so diagonal_block_shapes reports only the shapes of
 those two blocks, by arithmetic.
 
+The complex is kept by its Kronecker factors: each block of D^k between
+segments is a short list of terms c A x B, and a mirror's chain map psi_k is
+F_i x T_{k-i} on segment i. The D^2 and psi D - D' psi residuals are read
+off these factors block by block, exactly, through two identities:
+(A x B)(C x D) = AC x BD (each distinct factor product, such as
+delta_{j+1} delta_j, formed once), and max |A x B| = max |A| max |B|, so a
+block whose terms share a factor is summed on the other factor and only a
+block whose terms share none would be built, at block size. The total
+matrices D^k are assembled only when read, by rank, kernel, cup products or
+a caller, so a run whose D^2 is not zero, and so withholds its dims, never
+assembles one.
+
 Cohomology dimensions are computed by exact rank-nullity over the rationals
 and reported only when the squared differential is exactly zero.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -191,8 +204,14 @@ class SpencerComplexInstance:
     convention: LeibnizConvention
     identification: Identification
     bases: list  # bases[k] = list of (form_degree, form_index, multiset), k <= K
-    differentials: list  # D^k for k in 0..K-1
+    kron_blocks: list  # D^k for k in 0..K-1 by its Kronecker factors (build_complex)
     delta_matrices: list  # delta^j for j in 0..K-1 (reused by diagnostics)
+
+    @cached_property
+    def differentials(self):
+        """D^k for k in 0..K-1 as matrices, assembled from kron_blocks on the
+        first read (rank, kernel, cup products)."""
+        return [_assemble(self, k + 1, k, blocks) for k, blocks in enumerate(self.kron_blocks)]
 
     @cached_property
     def _cohomology(self):
@@ -214,7 +233,9 @@ def segment_offsets(dga, dim, k):
 
 def build_complex(dga, algebra, lam, K, convention=LeibnizConvention.UNSIGNED,
                   identification=Identification.BASIS):
-    """Assemble the total complex up to degree K (K >= 1)."""
+    """The total complex up to degree K (K >= 1), each D^k kept as its
+    Kronecker blocks: from segment i of degree k, d_i x I to segment i+1
+    and (-1)^i I x delta_{k-i} to segment i of degree k+1."""
     if K < 1:
         raise MismatchError("truncation K must be >= 1")
     if lam.algebra != algebra:
@@ -228,22 +249,84 @@ def build_complex(dga, algebra, lam, K, convention=LeibnizConvention.UNSIGNED,
          for a in range(len(dga.basis[i])) for ms in multisets(dim, k - i)]
         for k in range(K + 1)
     ]
-    differentials = []
+    identity = functools.cache(OperatorMatrix.identity)  # one I_n per size and instance
+    kron_blocks = []
     for k in range(K):
-        rows, n_rows = segment_offsets(dga, dim, k + 1)
-        cols, n_cols = segment_offsets(dga, dim, k)
-        blocks = []
-        for i, start in cols.items():
-            # (d omega) x s lands in form degree i+1, omega x delta(s) in i
+        blocks = {}
+        for i in range(min(k, dga.top_degree) + 1):
             if i < dga.top_degree:
-                d_block = kron(dga.diff[i], OperatorMatrix.identity(sym_dim(dim, k - i)))
-                blocks.append((rows[i + 1], start, d_block))
-            signs = OperatorMatrix.identity(len(dga.basis[i])).scaled((-1) ** i)
-            blocks.append((rows[i], start, kron(signs, deltas[k - i])))
-        differentials.append(OperatorMatrix.from_blocks(n_rows, n_cols, blocks))
+                blocks[(i + 1, i)] = [(1, dga.diff[i], identity(sym_dim(dim, k - i)))]
+            blocks[(i, i)] = [((-1) ** i, identity(len(dga.basis[i])), deltas[k - i])]
+        kron_blocks.append(blocks)
     return SpencerComplexInstance(
-        dga, algebra, lam, K, convention, identification, bases, differentials, deltas,
+        dga, algebra, lam, K, convention, identification, bases, kron_blocks, deltas,
     )
+
+
+def _assemble(instance, row_degree, col_degree, blocks):
+    """The matrix from degree col_degree to row_degree whose block between
+    segments (r, c) is sum c A x B over blocks[(r, c)]."""
+    dim = instance.algebra.dim
+    rows, n_rows = segment_offsets(instance.dga, dim, row_degree)
+    cols, n_cols = segment_offsets(instance.dga, dim, col_degree)
+    return OperatorMatrix.from_blocks(n_rows, n_cols, [
+        (rows[r], cols[c], kron(a.scaled(coeff), b))
+        for (r, c), terms in blocks.items() for coeff, a, b in terms])
+
+
+def _compose(after, before, product):
+    """The Kronecker blocks of after @ before: by (A x B)(C x D) = AC x BD,
+    block (r, c) collects (c1 c2, A1 A2, B1 B2) over the middle segments m
+    of every pair of terms in after[(r, m)] and before[(m, c)]."""
+    out = {}
+    for (m, c), inner in before.items():
+        for (r, m_out), outer in after.items():
+            if m_out == m:
+                out.setdefault((r, c), []).extend(
+                    (c1 * c2, product(a1, a2), product(b1, b2))
+                    for c1, a1, b1 in outer for c2, a2, b2 in inner)
+    return out
+
+
+def _factor_products():
+    """A @ that forms each product of two factors once; the memo keeps the
+    factors, so their ids stay theirs."""
+    memo = {}
+
+    def product(a, b):
+        key = (id(a), id(b))
+        if key not in memo:
+            memo[key] = (a, b, a @ b)
+        return memo[key][2]
+
+    return product
+
+
+def _combination(pairs):
+    """sum c M over the (c, M) pairs, all of one shape."""
+    rows, cols = pairs[0][1].shape
+    return OperatorMatrix.from_blocks(rows, cols, [(0, 0, m.scaled(c)) for c, m in pairs])
+
+
+def _block_max_abs(terms):
+    """Exact max |entry| of the block sum c A x B over terms, by max |A x B| =
+    max |A| max |B|: terms that share both factors add their coefficients,
+    terms that share the left (right) factor sum on the right (left) one,
+    and only terms that share no factor are built, at block size."""
+    _, a0, b0 = terms[0]
+    same_a = all(a == a0 for _, a, _ in terms)
+    same_b = all(b == b0 for _, _, b in terms)
+    if same_a and same_b:
+        return abs(sum(c for c, _, _ in terms)) * a0.max_abs() * b0.max_abs()
+    if same_a:
+        return a0.max_abs() * _combination([(c, b) for c, _, b in terms]).max_abs()
+    if same_b:
+        return b0.max_abs() * _combination([(c, a) for c, a, _ in terms]).max_abs()
+    return _combination([(c, kron(a, b)) for c, a, b in terms]).max_abs()
+
+
+def _max_abs(blocks):
+    return max(map(_block_max_abs, blocks.values()), default=ZERO)
 
 
 def diagonal_block_shapes(dga, dim, K):
@@ -265,8 +348,14 @@ def diagonal_block_shapes(dga, dim, K):
 
 
 def d_squared_residual(instance):
-    """Max |entry| over all consecutive compositions of the differential."""
-    return _composite_residual(instance.differentials)
+    """Max |entry| of D^{k+1} D^k over k, block by block from the factors:
+    each distinct factor product (delta_{j+1} delta_j, ...) is formed once,
+    and the Koszul cross block (d_i x delta_j)(eps_i + eps_{i+1}) is summed
+    from its two terms."""
+    product = _factor_products()
+    return max((_max_abs(_compose(after, before, product))
+                for before, after in zip(instance.kron_blocks, instance.kron_blocks[1:])),
+               default=ZERO)
 
 
 def _composite_residual(maps):
@@ -335,7 +424,7 @@ def _cohomology_report(instance):
 
 
 def is_closed(instance, degree, vec):
-    if degree >= len(instance.differentials):
+    if degree >= instance.K:
         raise MismatchError(f"no differential stored at degree {degree}")
     return not any(instance.differentials[degree].apply(vec))
 
@@ -427,25 +516,44 @@ class MirrorInvarianceReport:
         }
 
 
-def chain_map_matrix(instance, transform, k, base_maps=None):
-    """Block-diagonal chain map on the degree-k space of the instance.
-
-    Each segment Omega^i x S^j carries kron(form map, transform.tensor_map(j)),
-    the form map being the identity or base_maps[i]: an invertible chain map
-    of the base model, given as a dict with one |Omega^i| x |Omega^i| map for
-    each form degree i = 0..top.
-    """
+def _chain_map_blocks(instance, transform, degrees, base_maps=None):
+    """The chain map on each degree k in degrees as Kronecker blocks: F_i x
+    T_{k-i} on each segment Omega^i x S^{k-i}, with T_j =
+    transform.tensor_map(j), built once per j, and F_i the identity or
+    base_maps[i]: an invertible chain map of the base model, given as a dict
+    with one |Omega^i| x |Omega^i| map for each form degree i = 0..top."""
     sizes = instance.dga.dims()
     if base_maps is not None and (len(base_maps) != len(sizes) or any(
             i not in base_maps or base_maps[i].shape != (n, n) for i, n in enumerate(sizes))):
         raise MismatchError(f"base_maps needs one square map per form degree, sizes {sizes}")
-    offsets, total = segment_offsets(instance.dga, instance.algebra.dim, k)
-    blocks = []
-    for i, start in offsets.items():
-        form_map = OperatorMatrix.identity(sizes[i]) if base_maps is None else base_maps[i]
-        tensor_map = transform.tensor_map(instance.algebra, k - i, instance.identification)
-        blocks.append((start, start, kron(form_map, tensor_map)))
-    return OperatorMatrix.from_blocks(total, total, blocks)
+    forms = [OperatorMatrix.identity(n) if base_maps is None else base_maps[i]
+             for i, n in enumerate(sizes)]
+    tensor_maps = [transform.tensor_map(instance.algebra, j, instance.identification)
+                   for j in range(max(degrees) + 1)]
+    return [{(i, i): [(1, forms[i], tensor_maps[k - i])]
+             for i in range(min(k, instance.dga.top_degree) + 1)} for k in degrees]
+
+
+def chain_map_matrix(instance, transform, k, base_maps=None):
+    """Block-diagonal chain map on the degree-k space of the instance, with
+    kron(F_i, T_{k-i}) on each segment (see _chain_map_blocks)."""
+    return _assemble(instance, k, k, _chain_map_blocks(instance, transform, [k], base_maps)[0])
+
+
+def commutation_residuals(instance, mirrored, transform, base_maps=None):
+    """max |psi_{k+1} D^k - D'^k psi_k| for k < K, D' the differential of the
+    mirrored instance and psi the chain map of transform, block by block
+    from the factors: psi_{k+1} D^k and D'^k psi_k share F_i on a delta
+    block and T_{k-i} on a d block."""
+    psi = _chain_map_blocks(instance, transform, range(instance.K + 1), base_maps)
+    product = _factor_products()
+    residuals = []
+    for k in range(instance.K):
+        blocks = _compose(psi[k + 1], instance.kron_blocks[k], product)
+        for key, terms in _compose(mirrored.kron_blocks[k], psi[k], product).items():
+            blocks.setdefault(key, []).extend((-c, a, b) for c, a, b in terms)
+        residuals.append(_max_abs(blocks))
+    return residuals
 
 
 def mirror_invariance_check(instance, transform, base_maps=None):
@@ -456,11 +564,7 @@ def mirror_invariance_check(instance, transform, base_maps=None):
         instance.dga, instance.algebra, lam_m, instance.K,
         instance.convention, instance.identification,
     )
-    psi = [chain_map_matrix(instance, transform, k, base_maps) for k in range(instance.K + 1)]
-    residuals = [
-        (psi[k + 1] @ instance.differentials[k] - mirrored.differentials[k] @ psi[k]).max_abs()
-        for k in range(instance.K)
-    ]
+    residuals = commutation_residuals(instance, mirrored, transform, base_maps)
     commutation_holds = all(r == 0 for r in residuals)
 
     rep_o = cohomology_report(instance)

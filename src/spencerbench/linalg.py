@@ -6,9 +6,11 @@ gcd of the denominator and every numerator is 1, and zero numerators are not
 stored), so ``==`` is exact whatever built a matrix. Sums, products,
 scaling, transposes, Kronecker products and block sums (``from_blocks``)
 are integer operations; Fractions appear only at the interface (``get``,
-``entries``, ``to_dense``, ``to_json``). Every operation returns a new
-matrix, and no function writes into an existing one, so a cached matrix can
-be shared. Every rank, kernel, solve, inverse and column-span test is one
+``entries``, ``to_dense``, ``to_json``). A product with a factor c * I is
+a scaling of the other factor. Every operation returns a new matrix, except
+that ``scaled(1)`` (and so a product with I) returns the matrix itself, and
+no function writes into an existing one, so a cached matrix can be shared.
+Every rank, kernel, solve, inverse and column-span test is one
 Gauss-Jordan elimination over the integers of the matrix's numerator rows;
 ``rank()`` asks it for the pivots only, and ``solve(B)`` eliminates
 [A | B] (built by ``from_blocks``) once, so an inverse is
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import FormatError
@@ -213,14 +216,38 @@ class OperatorMatrix:
         return self.scaled(-1)
 
     def scaled(self, a):
+        """a * self; scaled(1) is self, which no function writes into."""
         a = Fraction(a)
+        if a == 1:
+            return self
         p = a.numerator
         nums = {key: v * p for key, v in self.nums.items()} if p else {}
         return OperatorMatrix.from_numerators(self.rows, self.cols, self.den * a.denominator, nums)
 
+    def _identity_scale(self):
+        """c when self is c times the identity (a 0 x 0 matrix with c = 1),
+        else None. Only a square matrix with as many non-zeros as rows gets
+        past the first test."""
+        n, nums = self.rows, self.nums
+        if n != self.cols or len(nums) != n:
+            return None
+        v = next(iter(nums.values()), self.den)
+        if all(nums.get((i, i)) == v for i in range(n)):
+            return Fraction(v, self.den)
+        return None
+
     def __matmul__(self, other):
+        """The product; a factor c * I is a scaling of the other factor.
+        Each row accumulates in an integer list, read back through
+        ``compress``, which skips its zero columns in C."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        scale = other._identity_scale()
+        if scale is not None:
+            return self.scaled(scale)
+        scale = self._identity_scale()
+        if scale is not None:
+            return other.scaled(scale)
         by_row = {}
         for (r, c), w in other.nums.items():
             by_row.setdefault(r, []).append((c, w))
@@ -228,12 +255,13 @@ class OperatorMatrix:
         for (r, k), v in self.nums.items():
             left_rows.setdefault(r, []).append((k, v))
         out = {}
+        columns = range(other.cols)
         for r, items in left_rows.items():
-            acc = {}
+            acc = [0] * other.cols
             for k, v in items:
                 for c, w in by_row.get(k, ()):
-                    acc[c] = acc.get(c, 0) + v * w
-            out.update(((r, c), v) for c, v in acc.items() if v)
+                    acc[c] += v * w
+            out.update(((r, c), acc[c]) for c in compress(columns, acc))
         return OperatorMatrix.from_numerators(self.rows, other.cols, self.den * other.den, out)
 
     def transpose(self):

@@ -7,7 +7,10 @@ and can be compared with ``==``. The lattice oracles evaluate the bundle
 diagnostics straight from their definitions, site by site: the flatness
 residual and its energy in Fractions, and the equivariance defect with the
 same float operations in the same order as the library, so that ``==``
-holds for it too. The dense forms of an algebra (its n^3 structure
+holds for it too. The coupled complex's D^2 and mirror-commutation
+residuals are taken here from total-size products of its assembled
+matrices, independent of the library's block-by-block reading of the
+Kronecker factors. The dense forms of an algebra (its n^3 structure
 tensor and its (re, im) matrix basis) exist only here, read from or
 written through the public JSON interface and the stored sparse forms.
 """
@@ -22,8 +25,11 @@ from spencerbench.liealg import (
     coadjoint_matrix,
     pairing,
 )
+from spencerbench.cohomology import build_complex, segment_offsets
 from spencerbench.linalg import OperatorMatrix, kron
+from spencerbench.mirror import mirror_lambda
 from spencerbench.spencer import delta_matrix
+from spencerbench.symtensor import sym_dim
 
 F = Fraction
 
@@ -177,6 +183,59 @@ def oracle_diagonal_block_shapes(dga, lam, K):
                    else OperatorMatrix.zero(0, delta_block.cols))
         shapes.append((d_block.shape, delta_block.shape))
     return shapes
+
+
+# ---------------------------------------------------------------------------
+# The coupled complex as total-size matrices
+# ---------------------------------------------------------------------------
+
+
+def oracle_total_differentials(instance, assemble=OperatorMatrix.from_blocks):
+    """Every D^k of the instance as one matrix: kron(d_i, I) and kron((-1)^i I,
+    delta_{k-i}) placed at their segment offsets by assemble."""
+    dga, dim = instance.dga, instance.algebra.dim
+    out = []
+    for k in range(instance.K):
+        rows, n_rows = segment_offsets(dga, dim, k + 1)
+        cols, n_cols = segment_offsets(dga, dim, k)
+        blocks = []
+        for i, start in cols.items():
+            if i < dga.top_degree:
+                identity = OperatorMatrix.identity(sym_dim(dim, k - i))
+                blocks.append((rows[i + 1], start, kron(dga.diff[i], identity)))
+            signs = OperatorMatrix.identity(len(dga.basis[i])).scaled((-1) ** i)
+            blocks.append((rows[i], start, kron(signs, instance.delta_matrices[k - i])))
+        out.append(assemble(n_rows, n_cols, blocks))
+    return out
+
+
+def oracle_chain_map(instance, transform, k, base_maps=None):
+    """The degree-k chain map as one matrix: kron(F_i, T_{k-i}) on each
+    segment, F_i the identity or base_maps[i]."""
+    offsets, total = segment_offsets(instance.dga, instance.algebra.dim, k)
+    return OperatorMatrix.from_blocks(total, total, [
+        (start, start, kron(
+            OperatorMatrix.identity(len(instance.dga.basis[i])) if base_maps is None
+            else base_maps[i],
+            transform.tensor_map(instance.algebra, k - i, instance.identification)))
+        for i, start in offsets.items()])
+
+
+def oracle_total_residuals(instance, transform=None, base_maps=None):
+    """(max |D^{k+1} D^k| over k, [max |psi_{k+1} D^k - D'^k psi_k| for k < K])
+    from total-size products of the assembled matrices, D' the differential
+    of the complex of the inverse-transported dual vector; the second entry
+    is None without a transform."""
+    total = oracle_total_differentials(instance)
+    d_squared = max(((b @ a).max_abs() for a, b in zip(total, total[1:])), default=F(0))
+    if transform is None:
+        return d_squared, None
+    mirrored = oracle_total_differentials(build_complex(
+        instance.dga, instance.algebra, mirror_lambda(transform, instance.lam), instance.K,
+        instance.convention, instance.identification))
+    psi = [oracle_chain_map(instance, transform, k, base_maps) for k in range(instance.K + 1)]
+    return d_squared, [(psi[k + 1] @ total[k] - mirrored[k] @ psi[k]).max_abs()
+                       for k in range(instance.K)]
 
 
 # ---------------------------------------------------------------------------

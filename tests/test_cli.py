@@ -225,6 +225,33 @@ def test_float_mode_renders_numbers(capsys):
     assert report["jacobi_residual"] == 0.0
 
 
+def test_float_mode_leaves_names_and_labels_alone(tmp_path, capsys):
+    # an algebra named "7" with labels "1", "2", "3/2": names that read as
+    # rationals stay strings, the measured values become floats
+    data = algebra_to_json(builtin_algebra("so3"))
+    data["name"], data["basis_labels"] = "7", ["1", "2", "3/2"]
+    path = tmp_path / "seven.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "algebra", "--file", str(path), "--mode", "float")
+    report = json.loads(out)
+    assert code == 0
+    assert report["name"] == "7" and report["basis_labels"] == ["1", "2", "3/2"]
+    assert report["jacobi_residual"] == 0.0 and report["antisymmetry_residual"] == 0.0
+    code, out = run(capsys, "spencer", "--file", str(path), "--lambda=1,2,3", "--K", "3",
+                    "--mode", "float")
+    report = json.loads(out)
+    assert code == 0
+    assert report["algebra"] == "7" and report["lambda"] == [1.0, 2.0, 3.0]
+    assert report["convention"] == "unsigned"
+    assert report["nilpotency"]["residuals"] == [[0, 0.0], [1, 24.0]]
+
+
+def test_out_to_an_unwritable_path_is_an_input_error(tmp_path):
+    stderr = assert_input_error("algebra", "--builtin", "so3",
+                                "--out", str(tmp_path / "missing" / "x.json"))
+    assert "input error: cannot write report:" in stderr
+
+
 def test_unknown_builtin_exit_two(capsys):
     code, _ = run(capsys, "algebra", "--builtin", "g2")
     assert code == 2
@@ -472,11 +499,13 @@ def run_process(*argv):
 
 
 def assert_input_error(*argv):
-    """The CLI, run as a process, rejects the input: exit 2 and no traceback."""
+    """The CLI, run as a process, rejects the input: exit 2 and no traceback.
+    Returns its stderr."""
     code, stderr = run_process(*argv)
     assert code == 2
     assert "input error" in stderr
     assert "Traceback" not in stderr
+    return stderr
 
 
 # an antisymmetric bracket [a,b] = c, [b,c] = a, [c,a] = a failing Jacobi at

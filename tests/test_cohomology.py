@@ -1,17 +1,32 @@
+import functools
 import itertools
+import json
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import spencerbench.cohomology as cohomology_mod
 import spencerbench.linalg as linalg_mod
-from oracles import dense_structure, oracle_block_matrix, oracle_diagonal_block_shapes
+from oracles import (
+    dense_structure,
+    oracle_block_matrix,
+    oracle_diagonal_block_shapes,
+    oracle_total_differentials,
+    oracle_total_residuals,
+)
+from spencerbench.cli import main
 from spencerbench.cohomology import (
     DGAModel,
+    _block_max_abs,
     build_complex,
     chain_map_matrix,
     classes_equal,
     cohomology_report,
+    commutation_residuals,
     cup_product,
     cup_well_defined,
     d_squared_residual,
@@ -24,8 +39,8 @@ from spencerbench.cohomology import (
 from spencerbench.errors import FormatError, MismatchError
 from spencerbench.liealg import builtin_algebra, builtin_automorphism, weyl_mirrors
 from spencerbench.linalg import OperatorMatrix, kron
-from spencerbench.mirror import automorphism_mirror, sign_mirror
-from spencerbench.spencer import Identification, delta_matrix
+from spencerbench.mirror import automorphism_mirror, mirror_lambda, sign_mirror
+from spencerbench.spencer import Identification, LeibnizConvention, delta_matrix
 from spencerbench.symtensor import sym_dim
 
 F = Fraction
@@ -542,6 +557,18 @@ def test_koszul_sign_cancels_cross_terms_of_d_squared():
         assert c.differentials[k + 1] @ c.differentials[k] == want
 
 
+def test_d_squared_sums_the_koszul_cross_block_from_its_two_terms():
+    # d(1) = 100 a makes max |d_0 x delta_1| = 100 max |delta_1| larger than
+    # every other block of D^2 D^1, so the residual is exact only if the two
+    # cross terms, with signs +1 and -1, are added and cancel
+    dga = DGAModel("d0-is-100a", (("1",), ("a", "b"), ("ab",)),
+                   (OperatorMatrix.from_dense([[100], [0]]), OperatorMatrix.zero(1, 2)))
+    c = build_complex(dga, SO3, SO3.dual([1, -2, 3]), 3)
+    d_squared = (c.delta_matrices[2] @ c.delta_matrices[1]).max_abs()
+    assert 0 < d_squared < 100 * c.delta_matrices[1].max_abs()
+    assert d_squared_residual(c) == d_squared == oracle_total_residuals(c)[0]
+
+
 def swap_base_maps():
     """Swap of the two one-form generators of torus2, with the induced
     orientation flip in degree 2: an invertible chain map of the base."""
@@ -618,3 +645,120 @@ def test_chain_map_needs_a_base_map_in_every_form_degree():
         chain_map_matrix(c, sign_mirror(), 2, base_maps)
     with pytest.raises(MismatchError):
         mirror_invariance_check(c, sign_mirror(), base_maps=base_maps)
+
+
+# --- the factored residuals against total-size products ---------------------------
+
+
+MIRROR_KINDS = {
+    "so3": ["sign", "identity"],
+    "sl2": ["sign", "identity", "negate_transpose", "permutation:21"],
+    "sl3": ["sign", "identity", "negate_transpose", "permutation:231"],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def base_model(name):
+    return chevalley_eilenberg(SO3) if name == "ce(so3)" else torus_model(int(name[-1]))
+
+
+def diagonal_base_maps(dga):
+    """diag(1, 2, ..., |Omega^i|) in every form degree: invertible, and on
+    CE(so3) not a chain map (d e^1 lands on e^2 e^3, which it scales by 3)."""
+    return {i: OperatorMatrix.from_dense([[F(r + 1) if r == c else F(0) for c in range(n)]
+                                          for r in range(n)])
+            for i, n in enumerate(dga.dims())}
+
+
+BASE_MAPS = {
+    "none": lambda dga: None,
+    "identity": lambda dga: {i: OperatorMatrix.identity(n) for i, n in enumerate(dga.dims())},
+    "swap": lambda dga: swap_base_maps(),
+    "not-a-chain-map": diagonal_base_maps,
+}
+
+
+@st.composite
+def complex_cases(draw):
+    base = draw(st.sampled_from(["torus1", "torus2", "torus3", "ce(so3)"]))
+    name = draw(st.sampled_from(sorted(MIRROR_KINDS)))
+    K = draw(st.integers(1, 3 if name == "sl3" else 4))
+    convention = draw(st.sampled_from([c.value for c in LeibnizConvention]))
+    identification = draw(st.sampled_from([i.value for i in Identification]))
+    lam = tuple(draw(st.lists(st.integers(-3, 3), min_size=builtin_algebra(name).dim,
+                              max_size=builtin_algebra(name).dim)))
+    kind = draw(st.sampled_from(MIRROR_KINDS[name]))
+    maps = ["none", "identity"] + {"torus2": ["swap"], "ce(so3)": ["not-a-chain-map"]}.get(base, [])
+    return base, name, K, convention, identification, lam, kind, draw(st.sampled_from(maps))
+
+
+@settings(deadline=None)
+@example(("ce(so3)", "sl3", 3, "unsigned", "killing", (1, -2, 0, 3, 1, 0, -1, 2),
+          "permutation:231", "not-a-chain-map"))
+@example(("ce(so3)", "so3", 4, "paper-signed", "basis", (1, -2, 3), "sign", "not-a-chain-map"))
+@example(("torus2", "sl2", 4, "unsigned", "basis", (1, 2, 3), "negate_transpose", "swap"))
+@example(("torus3", "sl3", 3, "unsigned", "basis", (1, 2, 3, 4, 5, 6, 7, 8),
+          "permutation:231", "none"))
+@given(complex_cases())
+def test_factored_residuals_match_total_size_products(case):
+    base, name, K, convention, identification, lam, kind, maps = case
+    alg, dga = builtin_algebra(name), base_model(base)
+    transform = (sign_mirror() if kind == "sign"
+                 else automorphism_mirror(builtin_automorphism(alg, kind)))
+    base_maps = BASE_MAPS[maps](dga)
+    instance = build_complex(dga, alg, alg.dual(lam), K, convention, identification)
+    d_squared, commutation = oracle_total_residuals(instance, transform, base_maps)
+    assert d_squared_residual(instance) == d_squared
+    mirrored = build_complex(dga, alg, mirror_lambda(transform, instance.lam), K,
+                             convention, identification)
+    assert commutation_residuals(instance, mirrored, transform, base_maps) == commutation
+    if maps == "not-a-chain-map" and K >= 2:
+        # the d blocks of psi D - D' psi carry F_2 d_1 - d_1 F_1 != 0
+        assert any(commutation)
+    assert instance.differentials == oracle_total_differentials(instance, oracle_block_matrix)
+
+
+def random_matrix(rng, rows, cols):
+    return OperatorMatrix.from_dense([[F(rng.randint(-4, 4), rng.randint(1, 3))
+                                       for _ in range(cols)] for _ in range(rows)])
+
+
+def test_block_max_abs_builds_only_terms_that_share_no_factor(monkeypatch):
+    rng = random.Random(7)
+    a1, a2 = random_matrix(rng, 2, 3), random_matrix(rng, 2, 3)
+    b1, b2 = random_matrix(rng, 3, 2), random_matrix(rng, 3, 2)
+    built = []
+    monkeypatch.setattr(cohomology_mod, "kron", lambda a, b: built.append(1) or kron(a, b))
+
+    def oracle(terms):
+        return oracle_block_matrix(6, 6, [(0, 0, kron(a, b).scaled(c))
+                                          for c, a, b in terms]).max_abs()
+
+    for terms, kron_calls in [
+        ([(2, a1, b1), (-1, a2, b2)], 2),  # no shared factor: built at block size
+        ([(2, a1, b1), (F(-1, 3), a1, b2)], 0),  # shared left factor
+        ([(2, a1, b1), (-1, a2, b1)], 0),  # shared right factor
+        ([(1, a1, b1), (-1, a1, b1)], 0),  # the Koszul cross block: coefficients cancel
+        ([(2, a1, b1), (F(1, 2), a1, b1)], 0),  # shared factors: coefficients add to 5/2
+        ([(F(-5, 2), a2, b2)], 0),  # one term: |c| max|A| max|B|
+    ]:
+        built.clear()
+        assert _block_max_abs(terms) == oracle(terms)
+        assert len(built) == kron_calls
+    assert _block_max_abs([(1, a1, b1), (-1, a1, b1)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["complex", "--builtin", "so3", "--lambda=0,0,1", "--K", "4", "--mirror", "sign"],
+    ["complex", "--builtin", "sl3", "--lambda=1,-1/2,2,3,-5,1/3,4,7", "--K", "3",
+     "--torus", "1", "--identification", "killing", "--mirror", "weyl:231"],
+], ids=["so3-sign", "sl3-weyl"])
+def test_a_run_whose_d_squared_is_not_zero_assembles_no_total_matrix(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("assembled a total-size matrix")
+
+    monkeypatch.setattr(cohomology_mod, "_assemble", refuse)
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["report"]["d_squared_residual"] != "0" and report["report"]["dims"] == []
+    assert report["mirror"]["commutation_holds"]

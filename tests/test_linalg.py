@@ -50,9 +50,16 @@ def oracle_product(a, b):
 
 @st.composite
 def product_pairs(draw):
-    """Factors with mixed denominators, empty shapes and forced cancellation."""
+    """Factors with mixed denominators, empty shapes and forced cancellation;
+    one factor may be c * I (c negative or rational, 0 x 0 included), the
+    case that ``@`` turns into a scaling."""
     n, m, p = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
     entry = st.one_of(st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=9))
+    scalar_side = draw(st.sampled_from([None, "left", "right"]))
+    if scalar_side == "left":
+        n = m
+    elif scalar_side == "right":
+        p = m
     a = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
     b = [draw(st.lists(entry, min_size=p, max_size=p)) for _ in range(m)]
     if m >= 2 and draw(st.booleans()):
@@ -62,6 +69,10 @@ def product_pairs(draw):
         for row in a:
             row[1] = t * row[0]
         b[1] = [-x / t for x in b[0]] if t else b[1]
+    if scalar_side is not None:
+        c = draw(st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(bool))
+        scalar = [[c if i == j else F(0) for j in range(m)] for i in range(m)]
+        a, b = (scalar, b) if scalar_side == "left" else (a, scalar)
     return (OperatorMatrix(n, m, {(i, k): v for i, row in enumerate(a) for k, v in enumerate(row) if v}),
             OperatorMatrix(m, p, {(k, j): v for k, row in enumerate(b) for j, v in enumerate(row) if v}))
 
@@ -73,6 +84,22 @@ def test_matmul_matches_triple_loop_oracle(pair):
     assert product.shape == (a.rows, b.cols)
     assert product.entries == oracle_product(a, b)
     assert all(product.entries.values())
+
+
+@pytest.mark.parametrize("c", [F(1), F(-1), F(-3, 7), F(5, 2)])
+def test_matmul_by_a_scalar_identity_is_a_scaling(c):
+    rng = random.Random(3)
+    m = OperatorMatrix.from_dense([[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4)]
+                                   for _ in range(3)])
+    assert m @ OperatorMatrix.identity(4).scaled(c) == m.scaled(c)
+    assert OperatorMatrix.identity(3).scaled(c) @ m == m.scaled(c)
+    assert (OperatorMatrix.identity(0) @ OperatorMatrix.zero(0, 2)).shape == (0, 2)
+    # square, one non-zero per row, but not c * I: the full product
+    swap = OperatorMatrix.from_dense([[F(0), F(1)], [F(1), F(0)]])
+    assert swap._identity_scale() is None
+    assert OperatorMatrix.from_dense([[F(2), F(0)], [F(0), F(3)]])._identity_scale() is None
+    assert OperatorMatrix.identity(3).scaled(c)._identity_scale() == c
+    assert OperatorMatrix.identity(0)._identity_scale() == 1
 
 
 def test_matmul_stores_no_cancelled_entry():
