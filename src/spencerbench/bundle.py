@@ -36,7 +36,6 @@ summed in the same order as a plain index loop, once per distinct step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -54,14 +53,14 @@ from .linalg import (
     literal_parser,
     parse_int,
 )
+from .records import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class GridBundle:
-    shape: tuple  # sites per axis
-    algebra: object
-    omega: dict  # site -> tuple of AlgebraVector, one per axis (read-only)
-    lam_field: dict  # site -> DualVector (read-only)
+class GridBundle(FrozenRecord):
+    # shape: sites per axis; omega: site -> tuple of AlgebraVector, one per
+    # axis (read-only); lam_field: site -> DualVector (read-only).
+    # No __slots__: the cached tables live in the instance __dict__.
+    _fields = ("shape", "algebra", "omega", "lam_field")
 
     @property
     def n_axes(self):
@@ -195,14 +194,10 @@ def constraint_distribution(bundle, site):
     return [tuple(row) for row in _kernel(bundle, site).to_dense()]
 
 
-@dataclass
-class TransversalityReport:
-    per_site: dict  # site -> (dim D, dim D&V, dim D+V)
-    tangent_dim: int
-    fiber_dim: int
-    zero_intersection: bool
-    full_sum: bool
-    degenerate_sites: list
+class TransversalityReport(Record):
+    # per_site: site -> (dim D, dim D&V, dim D+V)
+    __slots__ = _fields = ("per_site", "tangent_dim", "fiber_dim", "zero_intersection",
+                           "full_sum", "degenerate_sites")
 
     def to_json(self):
         return {
@@ -246,10 +241,10 @@ def transversality_report(bundle):
     )
 
 
-@dataclass
-class CartanResidualReport:
-    den: int  # every residual coefficient is an integer numerator over den
-    nums: dict  # (site, axis) -> integer numerators of the residual coefficients
+class CartanResidualReport(Record):
+    # nums: (site, axis) -> integer numerators of the residual coefficients,
+    # every one over den. No __slots__: the cached views live in __dict__.
+    _fields = ("den", "nums")
 
     @cached_property
     def field(self):

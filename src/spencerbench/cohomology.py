@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -50,6 +49,7 @@ from .linalg import (
     parse_int,
 )
 from .mirror import mirror_lambda
+from .records import FrozenRecord, Record
 from .spencer import Identification, LeibnizConvention, delta_matrix
 from .symtensor import multisets, sym_dim
 
@@ -57,15 +57,15 @@ GRADING_TOTAL = "total"
 GRADING_DIAGONAL = "diagonal"
 
 
-@dataclass(frozen=True)
-class DGAModel:
+class DGAModel(FrozenRecord):
     """Finite CDGA: bases per degree, differentials, optional product table."""
 
-    name: str
-    basis: tuple  # basis[i] = tuple of labels in degree i
-    diff: tuple  # diff[i]: OperatorMatrix from degree i to i+1
-    product: dict | None = field(default=None, compare=False)
-    # product[(i, a, j, b)] -> {c: coeff} in degree i+j
+    # basis[i]: tuple of labels in degree i; diff[i]: OperatorMatrix from
+    # degree i to i+1; product[(i, a, j, b)] -> {c: coeff} in degree i+j, or
+    # None, and not compared
+    __slots__ = _fields = ("name", "basis", "diff", "product")
+    _defaults = {"product": None}
+    _uncompared = ("product",)
 
     @property
     def top_degree(self):
@@ -195,17 +195,13 @@ def _merge_sign(sa, sb):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpencerComplexInstance:
-    dga: DGAModel
-    algebra: object
-    lam: object
-    K: int
-    convention: LeibnizConvention
-    identification: Identification
-    bases: list  # bases[k] = list of (form_degree, form_index, multiset), k <= K
-    kron_blocks: list  # D^k for k in 0..K-1 by its Kronecker factors (build_complex)
-    delta_matrices: list  # delta^j for j in 0..K-1 (reused by diagnostics)
+class SpencerComplexInstance(Record):
+    # bases[k]: list of (form_degree, form_index, multiset), k <= K;
+    # kron_blocks: D^k for k in 0..K-1 by its Kronecker factors (build_complex);
+    # delta_matrices: delta^j for j in 0..K-1 (reused by diagnostics).
+    # No __slots__: the cached properties live in the instance __dict__.
+    _fields = ("dga", "algebra", "lam", "K", "convention", "identification", "bases",
+               "kron_blocks", "delta_matrices")
 
     @cached_property
     def differentials(self):
@@ -374,15 +370,9 @@ def _rank_nullity(sizes, maps):
     return dims
 
 
-@dataclass
-class CohomologyReport:
-    grading: str
-    convention: LeibnizConvention
-    K: int
-    dims: list | None  # per degree k <= K-1; None when not a complex
-    euler: int | None
-    d_squared: Fraction
-    flags: list
+class CohomologyReport(Record):
+    # dims: per degree k <= K-1, or None when not a complex (euler too)
+    __slots__ = _fields = ("grading", "convention", "K", "dims", "euler", "d_squared", "flags")
 
     def to_json(self):
         return {
@@ -490,17 +480,12 @@ def cup_well_defined(instance, deg1, rep1, deg2, rep2):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MirrorInvarianceReport:
-    transform_kind: str
-    commutation_residuals: list  # per degree k <= K-1
-    commutation_holds: bool
-    dims_original: list | None
-    dims_mirrored: list | None
-    euler_original: int | None
-    euler_mirrored: int | None
-    dims_equal: bool | None  # None when either side is not a complex
-    flags: list
+class MirrorInvarianceReport(Record):
+    # commutation_residuals: per degree k <= K-1; dims_equal: None when
+    # either side is not a complex
+    __slots__ = _fields = ("transform_kind", "commutation_residuals", "commutation_holds",
+                           "dims_original", "dims_mirrored", "euler_original",
+                           "euler_mirrored", "dims_equal", "flags")
 
     def to_json(self):
         return {
@@ -580,11 +565,9 @@ def mirror_invariance_check(instance, transform, base_maps=None):
     )
 
 
-@dataclass
-class KunnethReport:
-    per_degree: list  # [(k, total dim, product-formula dim)]
-    matches: bool | None
-    flags: list
+class KunnethReport(Record):
+    # per_degree: [(k, total dim, product-formula dim)]
+    __slots__ = _fields = ("per_degree", "matches", "flags")
 
     def to_json(self):
         return {

@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FormatError, MismatchError, ValidationError
@@ -43,21 +42,19 @@ from .linalg import (
     parse_int,
     parse_scalar,
 )
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
-    name: str
-    dim: int
-    # (den, nz): the structure constants as integers over their common
-    # denominator den; nz[i][j] lists the non-zero c_ij^k as (k, numerator)
-    # by ascending k, and gcd(den, every numerator) = 1
-    integer_structure: tuple
-    basis_labels: tuple
-    # Matrix realization (n, basis matrices {(row, col): (re, im)} with
-    # integer entries), present for sl/su families; used to build
-    # conjugation automorphisms.
-    matrix_basis: tuple | None = field(default=None, repr=False, compare=False)
+class LieAlgebra(FrozenRecord):
+    # integer_structure = (den, nz): the structure constants as integers over
+    # their common denominator den; nz[i][j] lists the non-zero c_ij^k as
+    # (k, numerator) by ascending k, and gcd(den, every numerator) = 1.
+    # matrix_basis: the matrix realization (n, basis matrices {(row, col):
+    # (re, im)} with integer entries), present for sl/su families; used to
+    # build conjugation automorphisms, and neither compared nor shown.
+    __slots__ = _fields = ("name", "dim", "integer_structure", "basis_labels", "matrix_basis")
+    _defaults = {"matrix_basis": None}
+    _uncompared = ("matrix_basis",)
 
     def _coefficients(self, coeffs):
         coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
@@ -93,10 +90,12 @@ def _nonzero_table(dim, nums):
     return tuple(tuple(map(tuple, row)) for row in nz)
 
 
-@dataclass(frozen=True)
-class AlgebraVector:
-    algebra: LieAlgebra
-    coeffs: tuple
+class AlgebraVector(FrozenRecord):
+    __slots__ = _fields = ("algebra", "coeffs")
+
+    def __init__(self, algebra, coeffs):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __add__(self, other):
         _same_algebra(self, other)
@@ -117,10 +116,12 @@ class AlgebraVector:
         return not any(self.coeffs)
 
 
-@dataclass(frozen=True)
-class DualVector:
-    algebra: LieAlgebra
-    coeffs: tuple
+class DualVector(FrozenRecord):
+    __slots__ = _fields = ("algebra", "coeffs")
+
+    def __init__(self, algebra, coeffs):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __add__(self, other):
         _same_algebra(self, other)
@@ -275,16 +276,15 @@ def killing_gram(algebra):
 # ---------------------------------------------------------------------------
 
 
-# eq=False: an automorphism hashes by identity (its matrices are unhashable),
-# which is what the per-automorphism caches of the mirror module key on
-@dataclass(frozen=True, eq=False)
-class LieAutomorphism:
+class LieAutomorphism(FrozenRecord):
     """Validated linear automorphism, stored with its exact inverse."""
 
-    algebra: LieAlgebra
-    matrix: OperatorMatrix
-    inverse: OperatorMatrix
-    label: str
+    __slots__ = _fields = ("algebra", "matrix", "inverse", "label")
+    # an automorphism compares and hashes by identity (its matrices are
+    # unhashable), which is what the per-automorphism caches of the mirror
+    # module key on
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def apply(self, x):
         return self.algebra.vector(self.matrix.apply(x.coeffs))

@@ -27,12 +27,10 @@ between the symmetric power and its dual (see the spencer module):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import FormatError, MismatchError
-from .liealg import LieAutomorphism
 from .linalg import OperatorMatrix
+from .records import FrozenRecord, Record
 from .spencer import Identification, LeibnizConvention, delta_matrix
 from .symtensor import sym_dim, symmetric_power_matrix
 
@@ -42,10 +40,10 @@ TRANSPORT_INVERSE = "inverse"
 TRANSPORT_LITERAL = "literal"
 
 
-@dataclass(frozen=True)
-class MirrorTransform:
-    kind: str  # "sign" | "automorphism"
-    automorphism: LieAutomorphism | None = None
+class MirrorTransform(FrozenRecord):
+    # kind: "sign" | "automorphism"; automorphism: a LieAutomorphism or None
+    __slots__ = _fields = ("kind", "automorphism")
+    _defaults = {"automorphism": None}
 
     def __post_init__(self):
         if self.kind not in ("sign", "automorphism"):
@@ -102,14 +100,9 @@ def induced_tensor_map(auto, k, identification=Identification.KILLING):
     return symmetric_power_matrix(auto.algebra, base, k)
 
 
-@dataclass
-class IntertwiningReport:
-    degree: int
-    residual: Fraction
-    transport: str
-    identification: Identification
-    convention: LeibnizConvention
-    holds: bool
+class IntertwiningReport(Record):
+    __slots__ = _fields = ("degree", "residual", "transport", "identification", "convention",
+                           "holds")
 
     def to_json(self):
         return {
@@ -120,6 +113,15 @@ class IntertwiningReport:
             "convention": self.convention.value,
             "holds": self.holds,
         }
+
+
+# the checks of one degree under both transports run back to back
+@functools.lru_cache(maxsize=2)
+def _mapped_delta(transform, lam, k, convention, identification):
+    """T_{k+1} delta^lam_k, the side of the intertwining residual that does
+    not depend on the transport: built once per degree and shared."""
+    return transform.tensor_map(lam.algebra, k + 1, identification) @ delta_matrix(
+        lam, k, convention, identification)
 
 
 def intertwining_check(transform, lam, k, convention=LeibnizConvention.UNSIGNED,
@@ -139,10 +141,10 @@ def intertwining_check(transform, lam, k, convention=LeibnizConvention.UNSIGNED,
     identification = Identification(identification)
     convention = LeibnizConvention(convention)
     lam_t = mirror_lambda(transform, lam, transport)
-    d_orig = delta_matrix(lam, k, convention, identification)
     d_mirr = delta_matrix(lam_t, k, convention, identification)
-    m_k, m_k1 = (transform.tensor_map(lam.algebra, j, identification) for j in (k, k + 1))
-    residual = (m_k1 @ d_orig - d_mirr @ m_k).max_abs()
+    m_k = transform.tensor_map(lam.algebra, k, identification)
+    residual = (_mapped_delta(transform, lam, k, convention, identification)
+                - d_mirr @ m_k).max_abs()
     return IntertwiningReport(
         k, residual, transport, identification, convention, residual == 0
     )

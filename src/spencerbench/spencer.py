@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateInputError, MismatchError
 from .liealg import bracket, killing_gram, pairing
 from .linalg import OperatorMatrix, common_denominator
+from .records import Record
 from .symtensor import (
     _columns,
     _combine,
@@ -233,15 +233,13 @@ def delta_matrix_to_json(matrix, k):
     return data
 
 
-@dataclass
-class NilpotencyReport:
-    convention: LeibnizConvention
-    identification: Identification
-    residuals: list  # [(degree k, max |entry| of delta_{k+1} @ delta_k)]
-    holds: bool
-    witness: tuple | None  # (degree, multiset) of a nonzero composite column
-    composites: list = field(repr=False, default_factory=list)
-    matrices: list = field(repr=False, default_factory=list)  # delta_k, k < K
+class NilpotencyReport(Record):
+    # residuals: [(degree k, max |entry| of delta_{k+1} @ delta_k)];
+    # witness: (degree, multiset) of a nonzero composite column, or None;
+    # matrices: delta_k for k < K
+    __slots__ = _fields = ("convention", "identification", "residuals", "holds", "witness",
+                           "composites", "matrices")
+    _factories = {"composites": list, "matrices": list}
 
     def to_json(self):
         return {
@@ -287,12 +285,9 @@ def nilpotency_report(lam, K, convention=LeibnizConvention.UNSIGNED,
     )
 
 
-@dataclass
-class OrderingWitness:
-    multiset: tuple
-    forward: tuple  # factor sequence used by the canonical rule
-    reverse: tuple
-    difference_max: Fraction
+class OrderingWitness(Record):
+    # forward: the factor sequence used by the canonical rule
+    __slots__ = _fields = ("multiset", "forward", "reverse", "difference_max")
 
     def to_json(self):
         return {

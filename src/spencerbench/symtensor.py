@@ -15,7 +15,6 @@ multiplicity factor k!/prod(m_a!).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -29,6 +28,7 @@ from .linalg import (
     parse_int,
     parse_scalar,
 )
+from .records import Record
 
 
 def multisets(dim, k):
@@ -62,11 +62,9 @@ def multiplicity_factor(multiset):
     return f
 
 
-@dataclass
-class SymTensor:
-    algebra: object
-    degree: int
-    coeffs: dict  # sorted index tuple -> Fraction, zero-free
+class SymTensor(Record):
+    # coeffs: sorted index tuple -> Fraction, zero-free
+    __slots__ = _fields = ("algebra", "degree", "coeffs")
 
     def __post_init__(self):
         for key in self.coeffs:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -631,28 +632,31 @@ def test_mirror_inverse_mirror_rejected_exit_one(capsys):
 
 # --- what importing the package and running a command load --------------------
 
-ALGEBRA_MODULES = {"errors", "linalg", "liealg", "cli"}
+ALGEBRA_MODULES = {"errors", "records", "linalg", "liealg", "cli"}
 SPENCER_MODULES = ALGEBRA_MODULES | {"symtensor", "spencer"}
+# stdlib modules that cost start-up time and that no command needs:
+# dataclasses alone pulls in inspect, ast, dis and tokenize
+HEAVY_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _loaded_submodules(code):
-    """The spencerbench submodules a fresh interpreter holds after code."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = code + (
-        "\nimport sys\n"
-        "sys.stderr.write(' '.join(m.split('.', 1)[1] for m in sys.modules"
-        " if m.startswith('spencerbench.')))\n"
-    )
+def _loaded_modules(code):
+    """(the spencerbench submodules, the HEAVY_STDLIB modules) that a fresh
+    interpreter holds after code. It runs under -S, so that no .pth file of
+    site imports a module before the probe does."""
+    probe = code + "\nimport sys\nsys.stderr.write(' '.join(sys.modules))\n"
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split())
+    loaded = set(proc.stderr.split())
+    return ({m.split(".", 1)[1] for m in loaded if m.startswith("spencerbench.")},
+            loaded & HEAVY_STDLIB)
 
 
 def test_importing_the_package_loads_no_submodule():
-    assert _loaded_submodules("import spencerbench") == set()
+    assert _loaded_modules("import spencerbench") == (set(), set())
 
 
 @pytest.mark.parametrize(
@@ -671,7 +675,35 @@ def test_importing_the_package_loads_no_submodule():
 )
 def test_each_command_loads_only_its_modules(argv, expected):
     code = f"from spencerbench import cli\nassert cli.main({argv!r}) == 0"
-    assert _loaded_submodules(code) == expected
+    assert _loaded_modules(code) == (expected, set())
+
+
+def _library_op_imports():
+    """{op: its spencerbench import statements} for each library op of the
+    benchmark's child runner."""
+    tree = ast.parse((ROOT / "benchmarks" / "child.py").read_text(encoding="utf-8"))
+    return {node.name: "\n".join(ast.unparse(sub) for sub in ast.walk(node)
+                                 if isinstance(sub, ast.ImportFrom)
+                                 and (sub.module or "").startswith("spencerbench"))
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("lib_")}
+
+
+STARTUP_PROBES = {
+    # the benchmark's set-up snippet
+    "setup": "import spencerbench\nspencerbench.builtin_algebra('sl3')",
+    **_library_op_imports(),
+}
+
+
+def test_the_startup_probes_cover_the_library_ops_and_see_a_heavy_import():
+    assert len(STARTUP_PROBES) > 2 and all(STARTUP_PROBES.values())
+    assert _loaded_modules("import dataclasses")[1] >= {"dataclasses", "inspect", "ast"}
+
+
+@pytest.mark.parametrize("code", STARTUP_PROBES.values(), ids=STARTUP_PROBES.keys())
+def test_setup_and_library_ops_load_no_heavy_stdlib_module(code):
+    assert _loaded_modules(code)[1] == set()
 
 
 def test_star_import_binds_every_public_name():

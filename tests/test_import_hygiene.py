@@ -47,6 +47,42 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == [(2, "os"), (4, "gcd")]
 
 
+# stdlib modules that cost start-up time: dataclasses alone pulls in
+# inspect, ast, dis and tokenize (see the start-up probes in test_cli.py)
+HEAVY_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
+def heavy_imports(source):
+    """(line, module) of each import of a HEAVY_STDLIB module in source, at
+    any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] in HEAVY_STDLIB]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] in HEAVY_STDLIB):
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses_or_another_heavy_stdlib_module(path):
+    assert heavy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_heavy_import_is_found():
+    source = ("from __future__ import annotations\n"
+              "import os, dataclasses\n"
+              "from dataclasses import dataclass\n"
+              "from .typing import local\n"
+              "def late():\n"
+              "    import inspect\n"
+              "    from typing import Any\n")
+    assert heavy_imports(source) == [
+        (2, "dataclasses"), (3, "dataclasses"), (6, "inspect"), (7, "typing")]
+
+
 def referenced_names(node):
     """Every name that the code under node reads, calls or imports."""
     names = set()

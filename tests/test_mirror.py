@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,36 @@ def test_mirror_command_builds_each_power_map_once(monkeypatch, capsys):
     assert code == 0
     assert sorted(builds) == [1, 2, 3, 4]
 
+
+
+def test_mirror_command_builds_each_delta_and_mapped_delta_once(monkeypatch, capsys):
+    """Degrees 1..3, two transports: delta^lam_k and T_{k+1} delta^lam_k
+    once per degree, delta^lam'_k and delta^lam'_k T_k once per transport,
+    so 9 deltas and 9 products in mirror instead of 12 of each."""
+    deltas, products = [], []
+    original_delta, original_matmul = mirror_mod.delta_matrix, OperatorMatrix.__matmul__
+
+    def counting_delta(lam, k, *args):
+        deltas.append((lam.coeffs, k))
+        return original_delta(lam, k, *args)
+
+    def counting_matmul(a, b):
+        if sys._getframe(1).f_globals["__name__"] == mirror_mod.__name__:
+            products.append((a.shape, b.shape))
+        return original_matmul(a, b)
+
+    monkeypatch.setattr(mirror_mod, "delta_matrix", counting_delta)
+    monkeypatch.setattr(OperatorMatrix, "__matmul__", counting_matmul)
+    mirror_mod._mapped_delta.cache_clear()
+    code = main(["mirror", "--builtin", "sl3", "--lambda=1,2,3,4,5,6,7,8", "--K", "4",
+                 "--transform", "weyl:231"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(deltas) == len(set(deltas)) == 9
+    assert sorted(k for _, k in deltas) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+    assert len(products) == 9
+    assert mirror_mod._mapped_delta.cache_info()[:2] == (3, 3)  # (hits, misses)
+    mirror_mod._mapped_delta.cache_clear()
 
 def killing_eval(alg, s, args):
     """Evaluation against the Killing pairing: arguments hit B first."""
