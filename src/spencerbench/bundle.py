@@ -39,7 +39,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
+from operator import attrgetter, mul
 from types import MappingProxyType
 
 from .errors import DegenerateInputError, FormatError, MismatchError
@@ -54,6 +54,9 @@ from .linalg import (
     parse_int,
 )
 from .records import FrozenRecord, Record
+
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 class GridBundle(FrozenRecord):
@@ -83,13 +86,18 @@ class GridBundle(FrozenRecord):
     @cached_property
     def _site_classes(self):
         """(cls, reps): cls maps each site, in grid order, to the number of its
-        distinct (lam, omega) value (keyed on the raw coefficients, hashed once
-        per site), and reps[c] is the first site with value c."""
+        distinct (lam, omega) value, and reps[c] is the first site with value
+        c. A site's key is the numerators and then the denominators of its
+        coefficients, hashed as integers: Fraction.__hash__ computes a
+        modular inverse per coefficient."""
         keys = {}
         cls = {}
         reps = []
+        lam, omega = self.lam_field, self.omega
         for site in self.sites():
-            key = (self.lam_field[site].coeffs, tuple(v.coeffs for v in self.omega[site]))
+            coeffs = [*lam[site].coeffs, *itertools.chain.from_iterable(
+                v.coeffs for v in omega[site])]
+            key = (*map(_numerator, coeffs), *map(_denominator, coeffs))
             c = cls[site] = keys.setdefault(key, len(keys))
             if c == len(reps):
                 reps.append(site)

@@ -14,6 +14,7 @@ fail the process unless explicitly asserted with a flag.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -91,8 +92,57 @@ def _parse_lambda(algebra, text, allow_degenerate=False):
     return lam
 
 
+# a list at least this long is rendered through the C encoder; shorter
+# containers with no such list inside go through json.dumps(indent=2) whole
+_LONG = 32
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _render(value, indent):
+    """json.dumps(value, indent=2, sort_keys=True) for value at nesting
+    indent, or None when value holds no list of _LONG or more items.
+
+    json.dumps runs its C encoder only when indent is None, so a long list
+    of scalars is one indent=None call whose item separator carries the
+    newline and indentation. A long list of non-empty scalar lists is the
+    same call with the inner indentation, after which the separators
+    between two inner lists are rewritten: an encoded string holds no raw
+    newline, so "],\n" + indent + "[" occurs nowhere else.
+    """
+    inner = indent + "  "
+    if type(value) is list:
+        if len(value) >= _LONG:
+            if _SCALARS.issuperset(map(type, value)):
+                return "[\n" + inner + json.dumps(
+                    value, separators=(",\n" + inner, ": "))[1:-1] + "\n" + indent + "]"
+            if all(value) and {list} == set(map(type, value)) and _SCALARS.issuperset(
+                    map(type, itertools.chain.from_iterable(value))):
+                deeper = inner + "  "
+                body = json.dumps(value, separators=(",\n" + deeper, ": "))[2:-2].replace(
+                    "],\n" + deeper + "[", "\n" + inner + "],\n" + inner + "[\n" + deeper)
+                return ("[\n" + inner + "[\n" + deeper + body + "\n" + inner + "]\n"
+                        + indent + "]")
+        keys, children = None, value
+    elif type(value) is dict and all(type(key) is str for key in value):
+        keys = sorted(value)
+        children = [value[key] for key in keys]
+    else:
+        return None
+    parts = [_render(child, inner) for child in children]
+    if all(part is None for part in parts):
+        return None
+    parts = [json.dumps(child, indent=2, sort_keys=True).replace("\n", "\n" + inner)
+             if part is None else part for child, part in zip(children, parts)]
+    if keys is None:
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+    return ("{\n" + inner + (",\n" + inner).join(
+        json.dumps(key) + ": " + part for key, part in zip(keys, parts)) + "\n" + indent + "}")
+
+
 def _emit(args, report):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Write the bytes of json.dumps(report, indent=2, sort_keys=True) and a
+    newline, rendered through _render."""
+    text = (_render(report, "") or json.dumps(report, indent=2, sort_keys=True)) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -352,12 +352,18 @@ class OperatorMatrix:
         return rank_bareiss(self.to_dense())
 
     def to_json(self):
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[r, c, format_scalar(Fraction(v, self.den))]
-                        for (r, c), v in sorted(self.nums.items())],
-        }
+        """rows, cols and the sorted [r, c, "p/q"] entries; each entry is
+        rendered as format_scalar would render it, from v / den reduced by
+        their gcd, without building a Fraction."""
+        den = self.den
+        if den == 1:
+            entries = [[r, c, str(v)] for (r, c), v in sorted(self.nums.items())]
+        else:
+            entries = []
+            for (r, c), v in sorted(self.nums.items()):
+                g = gcd(v, den)
+                entries.append([r, c, f"{v // g}/{den // g}" if g != den else str(v // g)])
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @classmethod
     def from_json(cls, data):

@@ -124,6 +124,15 @@ def _mapped_delta(transform, lam, k, convention, identification):
         lam, k, convention, identification)
 
 
+@functools.lru_cache(maxsize=2)
+def _transported_delta(transform, lam_t, k, convention, identification):
+    """delta^lam'_k T_k for the transported dual vector lam': built once per
+    lam', so the literal transport of an involution, whose lam' equals the
+    inverse one, reuses the inverse check's side."""
+    return delta_matrix(lam_t, k, convention, identification) @ transform.tensor_map(
+        lam_t.algebra, k, identification)
+
+
 def intertwining_check(transform, lam, k, convention=LeibnizConvention.UNSIGNED,
                        transport=TRANSPORT_INVERSE,
                        identification=Identification.KILLING):
@@ -141,10 +150,8 @@ def intertwining_check(transform, lam, k, convention=LeibnizConvention.UNSIGNED,
     identification = Identification(identification)
     convention = LeibnizConvention(convention)
     lam_t = mirror_lambda(transform, lam, transport)
-    d_mirr = delta_matrix(lam_t, k, convention, identification)
-    m_k = transform.tensor_map(lam.algebra, k, identification)
     residual = (_mapped_delta(transform, lam, k, convention, identification)
-                - d_mirr @ m_k).max_abs()
+                - _transported_delta(transform, lam_t, k, convention, identification)).max_abs()
     return IntertwiningReport(
         k, residual, transport, identification, convention, residual == 0
     )

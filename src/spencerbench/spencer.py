@@ -19,8 +19,11 @@ with its dual. Two identifications are supported:
   this property unless the automorphism matrix is orthogonal.
 
 The rule is one integer matrix, delta_1 itself (Sym^2 x n, column m is
-delta(e_m)); the classical prolongation's rule is a table of the same shape,
-and one Leibniz kernel extends either from its columns.
+delta(e_m)); the classical prolongation's rule is a table of the same shape.
+delta_matrix extends the rule through index tables that depend only on the
+dimension, the degree and the convention (_leibniz_tables), so every lam
+shares them; the tensor-level operators and the signed-rule audit, where the
+order of the factors is the point, extend it one factor at a time (_image).
 
 Both Leibniz conventions are implemented. UNSIGNED extends the generator rule
 as an even derivation and is order-independent. PAPER_SIGNED inserts a sign
@@ -205,9 +208,38 @@ def delta_lambda(lam, s, convention=LeibnizConvention.UNSIGNED,
     return _combine(s, [_image(cols, key, signed) for key in s.coeffs], table.den, s.degree + 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _leibniz_tables(n, k, signed):
+    """(terms, mul): the Leibniz rule on S^k of an n-dimensional algebra as
+    index tables, which do not depend on the generator table.
+
+    terms[c] lists (s, m, rest) for column c of S^k: replacing the factor e_m
+    of the c-th multiset by its generator image leaves the multiset rest of
+    S^{k-1}, with s the sum of the signs of the positions that do so (the
+    multiplicity of e_m when unsigned, (-1)^t summed over its positions t
+    when signed; terms with s = 0 are dropped). mul[rest][q] is the S^{k+1}
+    row of rest times the q-th multiset of S^2.
+    """
+    rests = multisets(n, k - 1)
+    rest_index = {key: i for i, key in enumerate(rests)}
+    terms = []
+    for key in multisets(n, k):
+        merged = {}
+        for t, m in enumerate(key):
+            term = (m, rest_index[key[:t] + key[t + 1:]])
+            merged[term] = merged.get(term, 0) + (-1 if signed and t % 2 else 1)
+        terms.append([(s, m, rest) for (m, rest), s in merged.items() if s])
+    index = {key: r for r, key in enumerate(multisets(n, k + 1))}
+    pairs = multisets(n, 2)
+    mul = [[index[tuple(sorted(rest + pair))] for pair in pairs] for rest in rests]
+    return terms, mul
+
+
 def delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
                  identification=Identification.BASIS):
-    """Matrix of delta^lam from degree k to k+1 in sym_basis order."""
+    """Matrix of delta^lam from degree k to k+1 in sym_basis order: the
+    generator table's integer columns read through _leibniz_tables, which
+    every lam on the same algebra shares."""
     if k < 0:
         raise MismatchError("degree must be >= 0")
     dim = lam.algebra.dim
@@ -216,13 +248,19 @@ def delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
     if k == 0:
         return OperatorMatrix.zero(dim, 1)
     table = _generator_table(lam, identification)
-    cols = _columns(table, multisets(dim, 2))
-    codomain_index = {key: r for r, key in enumerate(multisets(dim, k + 1))}
-    nums = {
-        (codomain_index[row_key], c): v
-        for c, key in enumerate(multisets(dim, k))
-        for row_key, v in _image(cols, key, signed).items()
-    }
+    gens = [[] for _ in range(dim)]
+    for (q, m), v in table.nums.items():
+        gens[m].append((q, v))
+    terms, mul = _leibniz_tables(dim, k, signed)
+    nums = {}
+    for c, column in enumerate(terms):
+        acc = {}
+        for s, m, rest in column:
+            rows = mul[rest]
+            for q, v in gens[m]:
+                r = rows[q]
+                acc[r] = acc.get(r, 0) + s * v
+        nums.update(((r, c), v) for r, v in acc.items() if v)
     return OperatorMatrix.from_numerators(sym_dim(dim, k + 1), sym_dim(dim, k), table.den, nums)
 
 

@@ -28,8 +28,14 @@ from spencerbench.liealg import (
 from spencerbench.cohomology import build_complex, segment_offsets
 from spencerbench.linalg import OperatorMatrix, kron
 from spencerbench.mirror import mirror_lambda
-from spencerbench.spencer import delta_matrix
-from spencerbench.symtensor import sym_dim
+from spencerbench.spencer import (
+    Identification,
+    LeibnizConvention,
+    _generator_table,
+    _image,
+    delta_matrix,
+)
+from spencerbench.symtensor import _columns, multisets, sym_dim
 
 F = Fraction
 
@@ -151,6 +157,32 @@ def oracle_block_matrix(rows, cols, blocks):
     for row_offset, col_offset, block in blocks:
         out = oracle_place_block(out, dict(block.entries), row_offset, col_offset)
     return OperatorMatrix(rows, cols, out)
+
+
+# ---------------------------------------------------------------------------
+# delta^lam_k assembled term by term
+# ---------------------------------------------------------------------------
+
+
+def oracle_delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
+                        identification=Identification.BASIS):
+    """delta^lam_k with the Leibniz rule applied to each column's multiset
+    one factor at a time (spencer._image): every term's row is the sorted
+    merge of the generator image's index pair into the remaining factors,
+    looked up by its multiset, independent of the library's index tables."""
+    dim = lam.algebra.dim
+    signed = LeibnizConvention(convention) is LeibnizConvention.PAPER_SIGNED
+    if k == 0:
+        return OperatorMatrix.zero(dim, 1)
+    table = _generator_table(lam, Identification(identification))
+    cols = _columns(table, multisets(dim, 2))
+    codomain_index = {key: r for r, key in enumerate(multisets(dim, k + 1))}
+    nums = {
+        (codomain_index[row_key], c): v
+        for c, key in enumerate(multisets(dim, k))
+        for row_key, v in _image(cols, key, signed).items()
+    }
+    return OperatorMatrix.from_numerators(sym_dim(dim, k + 1), sym_dim(dim, k), table.den, nums)
 
 
 # ---------------------------------------------------------------------------

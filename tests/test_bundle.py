@@ -108,6 +108,20 @@ def test_one_site_operator_per_distinct_site_value():
         site: oracle_site_dims(distinct, site) for site in distinct.sites()}
 
 
+def test_equal_values_written_as_different_literals_share_a_site_class():
+    # the class keys are the reduced numerators and denominators, so "1/2"
+    # and "2/4" (and 3 and "6/2", -1 and "-2/2") are one value; "1/3" is another
+    data = {"grid": [2, 2],
+            "lambda_field": [[[0, 0], ["1/2", 3, "-1"]], [[0, 1], ["2/4", "6/2", "-2/2"]],
+                             [[1, 0], ["1/2", "3", -1]], [[1, 1], ["1/3", 3, -1]]],
+            "omega_base": [[[0, 0], 1, ["1/2", 0, 0]], [[0, 1], 1, ["2/4", "0/5", 0]],
+                           [[1, 0], 1, ["1/2", 0, 0]], [[1, 1], 1, ["1/2", 0, 0]]]}
+    b = bundle_from_json(data, SO3)
+    cls, reps = b._site_classes
+    assert cls == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
+    assert reps == [(0, 0), (1, 1)]
+
+
 def test_generic_functional_has_corank_one():
     rng = random.Random(41)
     for _ in range(5):

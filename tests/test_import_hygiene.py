@@ -255,3 +255,34 @@ def test_a_matrix_state_write_is_found():
     assert matrix_state_writes(source) == [
         ("OperatorMatrix.set", 3), ("place", 5), ("place", 6), ("place", 7), ("place", 8),
         ("place", 9)]
+
+
+def json_uses(source):
+    """(the json modules and names imported, the attributes read off json)."""
+    modules, attrs = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names if alias.name.startswith("json")}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("json"):
+            modules |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "json"):
+            attrs.add(node.attr)
+    return modules, attrs
+
+
+def test_cli_renders_reports_through_the_public_json_api():
+    """_emit reaches the C encoder through json.dumps with indent=None, not
+    through json.encoder internals (c_make_encoder, _make_iterencode, ...)."""
+    modules, attrs = json_uses((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert modules == {"json"}
+    assert attrs <= {"dumps", "load", "JSONDecodeError"}
+    assert "dumps" in attrs
+
+
+def test_a_json_encoder_internal_is_found():
+    source = ("import json\nimport json.encoder\nfrom json import encoder\n"
+              "from json.encoder import c_make_encoder\njson.encoder.c_make_encoder\n"
+              "json.dumps(1)\n")
+    assert json_uses(source) == ({"json", "json.encoder", "json.encoder.c_make_encoder"},
+                                 {"encoder", "dumps"})

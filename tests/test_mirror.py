@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -146,10 +147,9 @@ def test_mirror_command_builds_each_power_map_once(monkeypatch, capsys):
 
 
 
-def test_mirror_command_builds_each_delta_and_mapped_delta_once(monkeypatch, capsys):
-    """Degrees 1..3, two transports: delta^lam_k and T_{k+1} delta^lam_k
-    once per degree, delta^lam'_k and delta^lam'_k T_k once per transport,
-    so 9 deltas and 9 products in mirror instead of 12 of each."""
+def count_mirror_deltas(monkeypatch, capsys, argv):
+    """The (lam, k) of each delta_matrix call and the shapes of each product
+    made in mirror while main(argv) runs, with the mirror caches cleared."""
     deltas, products = [], []
     original_delta, original_matmul = mirror_mod.delta_matrix, OperatorMatrix.__matmul__
 
@@ -165,15 +165,46 @@ def test_mirror_command_builds_each_delta_and_mapped_delta_once(monkeypatch, cap
     monkeypatch.setattr(mirror_mod, "delta_matrix", counting_delta)
     monkeypatch.setattr(OperatorMatrix, "__matmul__", counting_matmul)
     mirror_mod._mapped_delta.cache_clear()
-    code = main(["mirror", "--builtin", "sl3", "--lambda=1,2,3,4,5,6,7,8", "--K", "4",
-                 "--transform", "weyl:231"])
+    mirror_mod._transported_delta.cache_clear()
+    code = main(argv)
     capsys.readouterr()
     assert code == 0
+    return deltas, products
+
+
+def test_mirror_command_builds_each_delta_and_mapped_delta_once(monkeypatch, capsys):
+    """Degrees 1..3, two transports: delta^lam_k and T_{k+1} delta^lam_k
+    once per degree, delta^lam'_k and delta^lam'_k T_k once per transport,
+    so 9 deltas and 9 products in mirror instead of 12 of each."""
+    deltas, products = count_mirror_deltas(monkeypatch, capsys, [
+        "mirror", "--builtin", "sl3", "--lambda=1,2,3,4,5,6,7,8", "--K", "4",
+        "--transform", "weyl:231"])
     assert len(deltas) == len(set(deltas)) == 9
     assert sorted(k for _, k in deltas) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
     assert len(products) == 9
     assert mirror_mod._mapped_delta.cache_info()[:2] == (3, 3)  # (hits, misses)
     mirror_mod._mapped_delta.cache_clear()
+
+
+def test_mirror_command_reuses_the_inverse_check_for_an_involution(monkeypatch, capsys):
+    """negate-transpose is an involution, so lam o A = lam o A^{-1}: at K = 3
+    the literal transport reuses the inverse check's delta^lam'_k T_k, and
+    the 4 distinct deltas are built once each (6 before)."""
+    argv = ["mirror", "--builtin", "sl3", "--lambda=1/2,2,-3,4,5/3,6,7,-8", "--K", "3",
+            "--transform", "negate-transpose"]
+    deltas, products = count_mirror_deltas(monkeypatch, capsys, argv)
+    assert len(deltas) == len(set(deltas)) == 4
+    assert sorted(k for _, k in deltas) == [1, 1, 2, 2]
+    assert len(products) == 4
+    assert mirror_mod._transported_delta.cache_info()[:2] == (2, 2)  # (hits, misses)
+    mirror_mod._transported_delta.cache_clear()
+    main(argv)
+    checks = json.loads(capsys.readouterr().out)["intertwining"]
+    assert [(c["degree"], c["transport"]) for c in checks] == [
+        (1, "inverse"), (1, "literal"), (2, "inverse"), (2, "literal")]
+    assert checks[0]["residual"] == checks[1]["residual"]
+    assert checks[2]["residual"] == checks[3]["residual"]
+
 
 def killing_eval(alg, s, args):
     """Evaluation against the Killing pairing: arguments hit B first."""

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import algebra_from_dense, dense_structure, oracle_inverse
+import spencerbench.mirror as mirror_mod
+from oracles import algebra_from_dense, dense_structure, oracle_delta_matrix, oracle_inverse
+from spencerbench.cli import main
 from spencerbench.errors import DegenerateInputError, MismatchError
 from spencerbench.liealg import bracket, builtin_algebra, pairing
 from spencerbench.linalg import OperatorMatrix
@@ -13,6 +15,7 @@ from spencerbench.spencer import (
     Identification,
     LeibnizConvention,
     _generator_table,
+    _leibniz_tables,
     _reconstruct,
     classical_prolongation,
     delta_lambda,
@@ -543,3 +546,60 @@ def test_delta_matrix_fully_linear_in_lambda():
             lhs = delta_matrix(combo, k, conv)
             rhs = delta_matrix(lam1, k, conv).scaled(a) + delta_matrix(lam2, k, conv).scaled(b)
             assert lhs == rhs
+
+
+# --- delta assembly from the Leibniz index tables ---------------------------
+
+# the deltas of the operators ladder: sl3/su3 up to degree 3, the rank-1
+# algebras and an abelian one a degree further
+DELTA_ALGEBRAS = {"so3": 4, "sl2": 4, "su2": 4, "abelian(3)": 4, "sl3": 3, "su3": 3}
+
+
+@st.composite
+def delta_inputs(draw):
+    name = draw(st.sampled_from(sorted(DELTA_ALGEBRAS)))
+    alg = builtin_algebra(name)
+    k = draw(st.integers(0, DELTA_ALGEBRAS[name]))
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    lam = alg.dual(draw(st.lists(coeff, min_size=alg.dim, max_size=alg.dim)))
+    return lam, k, draw(st.sampled_from(list(LeibnizConvention))), draw(
+        st.sampled_from(list(Identification)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(delta_inputs())
+def test_delta_matrix_matches_the_term_by_term_oracle(inputs):
+    lam, k, conv, ident = inputs
+    try:
+        expected = oracle_delta_matrix(lam, k, conv, ident)
+    except DegenerateInputError:
+        # the killing identification is defined for semisimple algebras only
+        assert ident is Identification.KILLING and k > 0
+        with pytest.raises(DegenerateInputError):
+            delta_matrix(lam, k, conv, ident)
+        return
+    assert delta_matrix(lam, k, conv, ident) == expected
+
+
+def test_leibniz_tables_merge_equal_factors():
+    # (0, 0, 1): e_0 at positions 0 and 1 leaves (0, 1) both times, so the
+    # unsigned rule counts it twice and the signed one cancels it
+    rest = multisets(2, 2).index((0, 1))
+    column = multisets(2, 3).index((0, 0, 1))
+    assert sorted(_leibniz_tables(2, 3, False)[0][column]) == [(1, 1, 0), (2, 0, rest)]
+    assert _leibniz_tables(2, 3, True)[0][column] == [(1, 1, 0)]
+    mul = _leibniz_tables(2, 3, False)[1]
+    assert mul[rest][multisets(2, 2).index((0, 1))] == multisets(2, 4).index((0, 0, 1, 1))
+
+
+def test_mirror_command_fills_each_leibniz_table_once(capsys):
+    """delta^lam, delta^{lam o A^-1} and delta^{lam o A} share one table per
+    degree: 9 deltas at K = 4, 3 tables."""
+    for cached in (_leibniz_tables, mirror_mod._mapped_delta, mirror_mod._transported_delta):
+        cached.cache_clear()
+    code = main(["mirror", "--builtin", "sl3", "--lambda=1,2,3,4,5,6,7,8", "--K", "4",
+                 "--transform", "weyl:231"])
+    capsys.readouterr()
+    assert code == 0
+    info = _leibniz_tables.cache_info()
+    assert (info.hits, info.misses) == (6, 3)
