@@ -581,17 +581,6 @@ def test_delta_matrix_matches_the_term_by_term_oracle(inputs):
     assert delta_matrix(lam, k, conv, ident) == expected
 
 
-def test_leibniz_tables_merge_equal_factors():
-    # (0, 0, 1): e_0 at positions 0 and 1 leaves (0, 1) both times, so the
-    # unsigned rule counts it twice and the signed one cancels it
-    rest = multisets(2, 2).index((0, 1))
-    column = multisets(2, 3).index((0, 0, 1))
-    assert sorted(_leibniz_tables(2, 3, False)[0][column]) == [(1, 1, 0), (2, 0, rest)]
-    assert _leibniz_tables(2, 3, True)[0][column] == [(1, 1, 0)]
-    mul = _leibniz_tables(2, 3, False)[1]
-    assert mul[rest][multisets(2, 2).index((0, 1))] == multisets(2, 4).index((0, 0, 1, 1))
-
-
 def test_mirror_command_fills_each_leibniz_table_once(capsys):
     """delta^lam, delta^{lam o A^-1} and delta^{lam o A} share one table per
     degree: 9 deltas at K = 4, 3 tables."""
