@@ -92,29 +92,30 @@ def _parse_lambda(algebra, text, allow_degenerate=False):
     return lam
 
 
-# a list at least this long is rendered through the C encoder; shorter
-# containers with no such list inside go through json.dumps(indent=2) whole
+# a list of at least this many scalar lists is rendered through the C
+# encoder; containers with no such list inside go through json.dumps(indent=2)
+# whole. 32 was not tuned: on CPython 3.11 the encoder path already beats
+# json.dumps(indent=2) on a list of 2 entries [r, c, "p/q"] (8.6 against
+# 14.0 us) and 32 of them (35 against 120 us), but a smaller cut-off was not
+# measured end to end.
 _LONG = 32
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _render(value, indent):
     """json.dumps(value, indent=2, sort_keys=True) for value at nesting
-    indent, or None when value holds no list of _LONG or more items.
+    indent, or None when value holds no list of _LONG or more non-empty
+    scalar lists (the entries of a matrix).
 
-    json.dumps runs its C encoder only when indent is None, so a long list
-    of scalars is one indent=None call whose item separator carries the
-    newline and indentation. A long list of non-empty scalar lists is the
-    same call with the inner indentation, after which the separators
-    between two inner lists are rewritten: an encoded string holds no raw
-    newline, so "],\n" + indent + "[" occurs nowhere else.
+    json.dumps runs its C encoder only when indent is None, so such a list
+    is one indent=None call whose item separator carries the newline and
+    the inner indentation, after which the separators between two inner
+    lists are rewritten: an encoded string holds no raw newline, so
+    "],\n" + indent + "[" occurs nowhere else.
     """
     inner = indent + "  "
     if type(value) is list:
         if len(value) >= _LONG:
-            if _SCALARS.issuperset(map(type, value)):
-                return "[\n" + inner + json.dumps(
-                    value, separators=(",\n" + inner, ": "))[1:-1] + "\n" + indent + "]"
             if all(value) and {list} == set(map(type, value)) and _SCALARS.issuperset(
                     map(type, itertools.chain.from_iterable(value))):
                 deeper = inner + "  "

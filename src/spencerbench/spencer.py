@@ -22,8 +22,11 @@ The rule is one integer matrix, delta_1 itself (Sym^2 x n, column m is
 delta(e_m)); the classical prolongation's rule is a table of the same shape.
 delta_matrix extends the rule through index tables that depend only on the
 dimension, the degree and the convention (_leibniz_tables), so every lam
-shares them; the tensor-level operators and the signed-rule audit, where the
-order of the factors is the point, extend it one factor at a time (_image).
+shares them. Applying the rule to a single tensor (delta_lambda, the
+classical prolongation) extends it one factor at a time instead (_image),
+factoring each multiset in sorted order just as delta_matrix does, without
+building a whole degree's tables; the signed-rule audit runs _image on the
+forward and the reversed order of the same factors.
 
 Both Leibniz conventions are implemented. UNSIGNED extends the generator rule
 as an even derivation and is order-independent. PAPER_SIGNED inserts a sign

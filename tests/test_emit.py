@@ -84,11 +84,11 @@ def test_emit_matches_json_dumps_on_the_edge_cases():
 
 
 def test_long_lists_take_the_encoder_path():
-    # a report holding a matrix goes through _render's fast paths; one
-    # without a long list is left to json.dumps whole
+    # a report holding a matrix goes through _render's entry-list path; one
+    # without a long list of scalar lists is left to json.dumps whole
     matrix = {"rows": 2, "cols": 2, "entries": [[0, 1, "1/2"]] * _LONG}
     assert _render({"matrices": [matrix], "k": 1}, "") is not None
-    assert _render(list(range(_LONG)), "") is not None
+    assert _render(list(range(_LONG)), "") is None
     assert _render({"a": [1, 2], "b": {"c": None}}, "") is None
 
 
