@@ -172,7 +172,12 @@ def _float_mode(report, enabled):
     if isinstance(report, list):
         return [_float_mode(v, True) for v in report]
     if isinstance(report, str):
+        # the "p" and "p/q" strings of to_json: int true division is
+        # correctly rounded, as float(Fraction(report)) is
+        num, slash, den = report.partition("/")
         try:
+            if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
+                return int(num) / int(den) if slash else float(int(num))
             return float(Fraction(report))
         except (ValueError, ZeroDivisionError):
             return report

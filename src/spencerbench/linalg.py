@@ -10,15 +10,18 @@ are integer operations; Fractions appear only at the interface (``get``,
 a scaling of the other factor. Every operation returns a new matrix, except
 that ``scaled(1)`` (and so a product with I) returns the matrix itself, and
 no function writes into an existing one, so a cached matrix can be shared.
-Every rank, kernel, solve, inverse and column-span test is one
-Gauss-Jordan elimination over the integers of the matrix's numerator rows;
-``rank()`` asks it for the pivots only, and ``solve(B)`` eliminates
-[A | B] (built by ``from_blocks``) once, so an inverse is
-``solve(identity)``. The elimination runs on each connected component of
-the non-zero pattern on its own (found by union-find over the stored keys),
-and kernels and solutions come out as integer numerators over the lcm of
-the pivots. ``rank_bareiss`` is a separate fraction-free Bareiss elimination
-on the dense Fraction form, kept only to cross-check ranks.
+``rank()`` is one sparse fraction-free elimination of the integer
+numerators (``_sparse_rank``) that pivots on a shortest row and, within it,
+the column held by the fewest rows (Markowitz's rule, which limits
+fill-in). Every kernel, solve, inverse and column-span test is one
+Gauss-Jordan elimination over the integers of the matrix's numerator rows
+(``_eliminate``, which yields the RREF and so the canonical outputs);
+``solve(B)`` eliminates [A | B] (built by ``from_blocks``) once, so an
+inverse is ``solve(identity)``. That elimination runs on each connected
+component of the non-zero pattern on its own (found by union-find over the
+stored keys), and kernels and solutions come out as integer numerators over
+the lcm of the pivots. ``rank_bareiss`` is a separate fraction-free Bareiss
+elimination on the dense Fraction form, kept only to cross-check ranks.
 
 Only the boundaries stay dense: ``from_dense``/``to_dense`` and JSON.
 """
@@ -204,13 +207,27 @@ class OperatorMatrix:
     def __repr__(self):
         return f"OperatorMatrix({self.rows}, {self.cols}, den={self.den}, nums={self.nums})"
 
-    def __add__(self, other):
+    def _combined(self, other, sign):
+        """self + sign * other in one pass over both key sets, over the lcm
+        of the two denominators."""
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return OperatorMatrix.from_blocks(self.rows, self.cols, [(0, 0, self), (0, 0, other)])
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        nums = {key: v * f for key, v in self.nums.items()} if f != 1 else dict(self.nums)
+        for key, v in other.nums.items():
+            s = nums.get(key, 0) + v * g
+            if s:
+                nums[key] = s
+            else:
+                del nums[key]
+        return OperatorMatrix.from_numerators(self.rows, self.cols, den, nums)
+
+    def __add__(self, other):
+        return self._combined(other, 1)
 
     def __sub__(self, other):
-        return self + -other
+        return self._combined(other, -1)
 
     def __neg__(self):
         return self.scaled(-1)
@@ -309,7 +326,8 @@ class OperatorMatrix:
         return tuple(x / self.den for x in out)
 
     def rank(self):
-        return sum(len(_eliminate(mat, full=False)) for _, mat in _blocks(self))
+        """The rank, by the sparse elimination of the numerators."""
+        return _sparse_rank(self.nums)
 
     def kernel(self):
         """The canonical kernel basis as the rows of an integer matrix: row k
@@ -393,15 +411,12 @@ def kron(a, b):
     return OperatorMatrix.from_numerators(a.rows * b.rows, a.cols * b.cols, a.den * b.den, nums)
 
 
-def _eliminate(mat, full=True):
+def _eliminate(mat):
     """Gauss-Jordan over the integers, in place on a list of integer rows.
 
     Returns the pivot columns; row r < len(pivots) is then the r-th RREF row
     times its pivot entry mat[r][pivots[r]]. Rows are eliminated with
-    p*row - f*pivot_row and divided by the gcd of their entries. With
-    full=False only the rows below each pivot are eliminated: the rows that
-    later pivots are chosen from go through the same steps, so the pivots are
-    the same, but the rows above them are left unreduced.
+    p*row - f*pivot_row and divided by the gcd of their entries.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
@@ -416,7 +431,7 @@ def _eliminate(mat, full=True):
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         prow = mat[r]
         p = prow[c]
-        for rr in range(nrows) if full else range(r + 1, nrows):
+        for rr in range(nrows):
             f = mat[rr][c]
             if rr != r and f:
                 g = gcd(p, f)
@@ -427,6 +442,76 @@ def _eliminate(mat, full=True):
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _sparse_rank(nums):
+    """The rank of the matrix with the non-zero integer entries nums[(r, c)],
+    by fraction-free elimination on sparse rows with Markowitz-style pivots.
+
+    Each row is a {column: value} dict, and each column keeps the set of rows
+    that hold it. The pivot row is a shortest row left, taken from buckets
+    of rows by length (a row is filed again when its length changes, and
+    stale entries are skipped), and its pivot column is the one held by the
+    fewest rows, so little fills in. Every other row holding that column
+    becomes a*row - b*pivot_row (a/b the pivot over that row's entry, in
+    lowest terms), divided by the gcd of its entries; a pivot row with one
+    entry only deletes its column.
+    """
+    rows, holders = {}, {}
+    for (r, c), v in nums.items():
+        rows.setdefault(r, {})[c] = v
+        holders.setdefault(c, set()).add(r)
+    # a row never holds more columns than the matrix has non-zero columns
+    by_length = [[] for _ in range(len(holders) + 1)]
+    for r, row in rows.items():
+        by_length[len(row)].append(r)
+    rank, n = 0, 1
+    while n < len(by_length):
+        if not by_length[n]:
+            n += 1
+            continue
+        r = by_length[n].pop()
+        prow = rows.get(r)
+        if prow is None or len(prow) != n:
+            continue
+        del rows[r]
+        rank += 1
+        pc = min(prow, key=lambda c: len(holders[c]))
+        p = prow.pop(pc)
+        for c in prow:
+            holders[c].discard(r)
+        targets = holders.pop(pc)
+        targets.discard(r)
+        for rr in targets:
+            row = rows[rr]
+            m = len(row)
+            f = row.pop(pc)
+            if prow:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    row = {c: a * x for c, x in row.items()}
+                for c, y in prow.items():
+                    x = row.get(c)
+                    if x is None:
+                        row[c] = -b * y
+                        holders[c].add(rr)
+                    elif x := x - b * y:
+                        row[c] = x
+                    else:
+                        del row[c]
+                        holders[c].discard(rr)
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: x // g for c, x in row.items()}
+            if not row:
+                del rows[rr]
+                continue
+            rows[rr] = row
+            if len(row) != m:
+                by_length[len(row)].append(rr)
+                n = min(n, len(row))
+    return rank
 
 
 def _blocks(matrix):

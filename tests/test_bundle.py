@@ -558,14 +558,15 @@ def test_bundle_json_rejects_a_non_literal_after_an_equal_literal(later):
 
 
 def test_constant_field_eliminations_do_not_grow_with_the_grid(monkeypatch):
+    # both elimination routines: _eliminate (kernels, solves) and
+    # _sparse_rank (ranks)
     calls = []
-    original = linalg_mod._eliminate
+    for name in ("_eliminate", "_sparse_rank"):
+        def counting(*args, _original=getattr(linalg_mod, name), **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
 
-    def counting_eliminate(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(linalg_mod, "_eliminate", counting_eliminate)
+        monkeypatch.setattr(linalg_mod, name, counting)
     counts = []
     for shape in ((3, 3), (12, 12)):
         calls.clear()

@@ -5,11 +5,14 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spencerbench.cli import _parse_transform, main
+from spencerbench.cli import _float_mode, _parse_transform, main
 from spencerbench.linalg import OperatorMatrix
 from spencerbench.liealg import algebra_to_json, builtin_algebra
 
@@ -245,6 +248,28 @@ def test_float_mode_leaves_names_and_labels_alone(tmp_path, capsys):
     assert report["algebra"] == "7" and report["lambda"] == [1.0, 2.0, 3.0]
     assert report["convention"] == "unsigned"
     assert report["nilpotency"]["residuals"] == [[0, 0.0], [1, 24.0]]
+
+
+def fraction_float(text):
+    """The float mode's reading of one string by Fraction alone."""
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        return text
+
+
+@given(st.one_of(
+    st.builds("{}/{}".format, st.integers(-10**40, 10**40), st.integers(0, 10**40)),
+    st.integers(-10**300, 10**300).map(str),
+    st.sampled_from(["-0", "-0/7", "3/0", "0/-5", "+5", " 3/4", "3/ 4", "1_0", "1e3", "1.5",
+                     "--5", "-", "/", "", "e1", "\u0663/\u0664", "\u00b2", "nan", "inf"]),
+    st.text(max_size=6),
+))
+def test_float_mode_reads_every_string_as_fraction_does(text):
+    # the same float bit for bit (repr tells -0.0 and the last bit apart),
+    # or the same string left alone
+    got, want = _float_mode(text, True), fraction_float(text)
+    assert (type(got), repr(got)) == (type(want), repr(want))
 
 
 def test_out_to_an_unwritable_path_is_an_input_error(tmp_path):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import spencerbench.linalg as linalg_mod
 from oracles import oracle_kernel, oracle_place_block, oracle_rref, oracle_solve
 from spencerbench.errors import FormatError
+from spencerbench.liealg import builtin_algebra
 from spencerbench.linalg import (
     OperatorMatrix,
     _eliminate,
@@ -17,6 +19,7 @@ from spencerbench.linalg import (
     kron,
     rank_bareiss,
 )
+from spencerbench.spencer import delta_matrix
 
 F = Fraction
 
@@ -535,10 +538,69 @@ def rank_test_matrices(draw):
 
 
 @given(rank_test_matrices())
-def test_pivot_only_rank_matches_bareiss_and_full_reduction(m):
+def test_sparse_rank_matches_bareiss_and_full_reduction(m):
     full = _eliminate(m._numerator_rows())
-    assert _eliminate(m._numerator_rows(), full=False) == full
     assert m.rank() == m.rank_bareiss() == len(full)
+
+
+@st.composite
+def fill_in_matrices(draw):
+    """Matrices that fill in under a poor pivot order: an n x n diagonal
+    block with one (arrowhead) to three (dense border) full rows and full
+    columns attached, rows and columns permuted, some rows replaced by
+    combinations of two others, and sometimes a zero on the diagonal. The
+    entries come from a hypothesis-controlled Random, which keeps the draws
+    few."""
+    n = draw(st.integers(0, 12))
+    rows, cols = n + draw(st.integers(1, 3)), n + draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def nonzero():
+        return F(rng.choice([-1, 1]) * rng.randint(1, 5), rng.choice([1, 1, 2, 3, 6]))
+
+    dense = [[F(0)] * cols for _ in range(rows)]
+    for i in range(n):
+        dense[i][i] = nonzero() if rng.random() < 0.9 else F(0)
+    for r in range(n, rows):
+        dense[r] = [nonzero() for _ in range(cols)]
+    for c in range(n, cols):
+        for r in range(rows):
+            dense[r][c] = nonzero()
+    for r in range(2, rows):
+        if rng.random() < 0.25:
+            a, b = nonzero(), nonzero()
+            p, q = rng.randrange(r), rng.randrange(r)
+            dense[r] = [a * x + b * y for x, y in zip(dense[p], dense[q])]
+    row_perm = draw(st.permutations(range(rows)))
+    col_perm = draw(st.permutations(range(cols)))
+    return OperatorMatrix(rows, cols, {(row_perm[r], col_perm[c]): v
+                                       for r, row in enumerate(dense)
+                                       for c, v in enumerate(row)})
+
+
+@given(fill_in_matrices())
+def test_sparse_rank_matches_bareiss_on_matrices_built_to_fill_in(m):
+    assert m.rank() == m.rank_bareiss()
+    assert m.transpose().rank() == m.rank()
+
+
+def test_rank_reaches_neither_the_dense_elimination_nor_the_component_split(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank() must not reach the RREF path")
+
+    m = OperatorMatrix.from_dense([[F(1), F(2), F(0)], [F(2), F(4), F(0)], [F(0), F(0), F(3)]])
+    monkeypatch.setattr(linalg_mod, "_eliminate", refuse)
+    monkeypatch.setattr(linalg_mod, "_blocks", refuse)
+    assert m.rank() == 2
+
+
+def test_sl3_delta_3_has_full_column_rank():
+    # sl3 delta_3 at lambda = (1, ..., 8): 330 x 120; the sparse rank takes
+    # about 0.1 s of this test, rank_bareiss the rest
+    sl3 = builtin_algebra("sl3")
+    m = delta_matrix(sl3.dual(list(range(1, 9))), 3)
+    assert m.shape == (330, 120)
+    assert m.rank() == m.rank_bareiss() == 120
 
 
 # --- integer kernels and the component split ------------------------------------
