@@ -10,18 +10,17 @@ are integer operations; Fractions appear only at the interface (``get``,
 a scaling of the other factor. Every operation returns a new matrix, except
 that ``scaled(1)`` (and so a product with I) returns the matrix itself, and
 no function writes into an existing one, so a cached matrix can be shared.
-``rank()`` is one sparse fraction-free elimination of the integer
-numerators (``_sparse_rank``) that pivots on a shortest row and, within it,
-the column held by the fewest rows (Markowitz's rule, which limits
-fill-in). Every kernel, solve, inverse and column-span test is one
-Gauss-Jordan elimination over the integers of the matrix's numerator rows
-(``_eliminate``, which yields the RREF and so the canonical outputs);
-``solve(B)`` eliminates [A | B] (built by ``from_blocks``) once, so an
-inverse is ``solve(identity)``. That elimination runs on each connected
-component of the non-zero pattern on its own (found by union-find over the
-stored keys), and kernels and solutions come out as integer numerators over
-the lcm of the pivots. ``rank_bareiss`` is a separate fraction-free Bareiss
-elimination on the dense Fraction form, kept only to cross-check ranks.
+Both eliminations are fraction-free on sparse {column: value} rows of the
+numerators with a column-to-rows index, and share one row step (a*row -
+b*pivot_row over its content). ``rank()`` (``_sparse_rank``) pivots on a
+shortest row and its column held by the fewest rows (Markowitz's rule).
+Every kernel, solve, inverse and column-span test is one Gauss-Jordan
+elimination (``_rref``) in ascending column order, whose RREF is unique and
+gives the canonical outputs as integer numerators over the lcm of the
+pivots; ``solve(B)`` eliminates [A | B] (one ``from_blocks``), so an inverse
+is ``solve(identity)``. A row only meets rows that hold its pivot column, so
+a block-diagonal matrix costs the sum of its blocks. ``rank_bareiss``, a
+dense Fraction-form Bareiss elimination, only cross-checks ranks.
 
 Only the boundaries stay dense: ``from_dense``/``to_dense`` and JSON.
 """
@@ -301,13 +300,6 @@ class OperatorMatrix:
             dense[r][c] = Fraction(v, self.den)
         return dense
 
-    def _numerator_rows(self):
-        """Dense integer rows den * self: the same row space as self."""
-        mat = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.nums.items():
-            mat[r][c] = v
-        return mat
-
     def column(self, c):
         col = [ZERO] * self.rows
         for (r, cc), v in self.nums.items():
@@ -411,56 +403,52 @@ def kron(a, b):
     return OperatorMatrix.from_numerators(a.rows * b.rows, a.cols * b.cols, a.den * b.den, nums)
 
 
-def _eliminate(mat):
-    """Gauss-Jordan over the integers, in place on a list of integer rows.
-
-    Returns the pivot columns; row r < len(pivots) is then the r-th RREF row
-    times its pivot entry mat[r][pivots[r]]. Rows are eliminated with
-    p*row - f*pivot_row and divided by the gcd of their entries.
-    """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((rr for rr in range(r, nrows) if mat[rr][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        prow = mat[r]
-        p = prow[c]
-        for rr in range(nrows):
-            f = mat[rr][c]
-            if rr != r and f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(mat[rr], prow)]
-                g = gcd(*row)
-                mat[rr] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _sparse_rank(nums):
-    """The rank of the matrix with the non-zero integer entries nums[(r, c)],
-    by fraction-free elimination on sparse rows with Markowitz-style pivots.
-
-    Each row is a {column: value} dict, and each column keeps the set of rows
-    that hold it. The pivot row is a shortest row left, taken from buckets
-    of rows by length (a row is filed again when its length changes, and
-    stale entries are skipped), and its pivot column is the one held by the
-    fewest rows, so little fills in. Every other row holding that column
-    becomes a*row - b*pivot_row (a/b the pivot over that row's entry, in
-    lowest terms), divided by the gcd of its entries; a pivot row with one
-    entry only deletes its column.
-    """
+def _sparse_rows(nums):
+    """The entries nums[(r, c)] as {column: value} rows, and each column's set
+    of rows that hold it."""
     rows, holders = {}, {}
     for (r, c), v in nums.items():
         rows.setdefault(r, {})[c] = v
         holders.setdefault(c, set()).add(r)
+    return rows, holders
+
+
+def _row_step(row, r, pc, p, rest, holders):
+    """Row r with its entry f in column pc cleared by a pivot row holding p
+    there and rest elsewhere: a*row - b*pivot_row (a/b = p/f in lowest terms)
+    over its content, as a new dict or row itself. holders follows every
+    entry that fills in or cancels (r stays listed under pc)."""
+    f = row.pop(pc)
+    if rest:
+        g = gcd(p, f)
+        a, b = p // g, f // g
+        if a != 1:
+            row = {c: a * x for c, x in row.items()}
+        for c, y in rest.items():
+            x = row.get(c)
+            if x is None:
+                row[c] = -b * y
+                holders[c].add(r)
+            elif x := x - b * y:
+                row[c] = x
+            else:
+                del row[c]
+                holders[c].discard(r)
+        g = gcd(*row.values())
+        if g > 1:
+            row = {c: x // g for c, x in row.items()}
+    return row
+
+
+def _sparse_rank(nums):
+    """The rank of the matrix with the non-zero integer entries nums[(r, c)].
+
+    The pivot row is a shortest row left, taken from buckets of rows by
+    length (a row is filed again when its length changes, and stale entries
+    are skipped), and its pivot column is the one held by the fewest rows,
+    so little fills in (Markowitz). The pivot row is dropped and every other
+    row holding that column takes one _row_step."""
+    rows, holders = _sparse_rows(nums)
     # a row never holds more columns than the matrix has non-zero columns
     by_length = [[] for _ in range(len(holders) + 1)]
     for r, row in rows.items():
@@ -483,27 +471,8 @@ def _sparse_rank(nums):
         targets = holders.pop(pc)
         targets.discard(r)
         for rr in targets:
-            row = rows[rr]
-            m = len(row)
-            f = row.pop(pc)
-            if prow:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                if a != 1:
-                    row = {c: a * x for c, x in row.items()}
-                for c, y in prow.items():
-                    x = row.get(c)
-                    if x is None:
-                        row[c] = -b * y
-                        holders[c].add(rr)
-                    elif x := x - b * y:
-                        row[c] = x
-                    else:
-                        del row[c]
-                        holders[c].discard(rr)
-                g = gcd(*row.values())
-                if g > 1:
-                    row = {c: x // g for c, x in row.items()}
+            m = len(rows[rr])
+            row = _row_step(rows[rr], rr, pc, p, prow, holders)
             if not row:
                 del rows[rr]
                 continue
@@ -514,77 +483,48 @@ def _sparse_rank(nums):
     return rank
 
 
-def _blocks(matrix):
-    """The connected components of the non-zero pattern of a matrix, as
-    (cols, mat): mat holds the numerator rows of the component's rows
-    restricted to its columns cols, both in ascending order.
-
-    Union-find joins row r and column c for each key (r, c), one key at a
-    time, and stops once the rows and columns in use are joined; no dense
-    row is scanned. Rows and columns with no non-zero are left out. A
-    matrix with at most one row, or one component, is one block of all its
-    rows and columns.
-    """
-    nrows, ncols, nums = matrix.rows, matrix.cols, matrix.nums
-    if not nums:
-        return []
-    if nrows > 1:
-        parent = list(range(nrows + ncols))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        # the number of unions that leaves one component
-        left = len({r for r, _ in nums}) + len({c for _, c in nums}) - 1
-        for r, c in nums:
-            a, b = find(r), find(nrows + c)
-            if a != b:
-                parent[a] = b
-                left -= 1
-                if not left:
-                    break
-        if left:
-            root = [find(x) for x in range(nrows + ncols)]
-            rows, cols = {}, {}
-            for r in range(nrows):
-                rows.setdefault(root[r], []).append(r)
-            for c in range(ncols):
-                if root[nrows + c] in rows:
-                    cols.setdefault(root[nrows + c], []).append(c)
-            local = [0] * (nrows + ncols)
-            blocks = {}
-            for key, cc in cols.items():
-                for i, r in enumerate(rows[key]):
-                    local[r] = i
-                for j, c in enumerate(cc):
-                    local[nrows + c] = j
-                blocks[key] = (cc, [[0] * len(cc) for _ in rows[key]])
-            for (r, c), v in nums.items():
-                blocks[root[r]][1][local[r]][local[nrows + c]] = v
-            return list(blocks.values())
-    return [(range(ncols), matrix._numerator_rows())]
-
-
 def _rref(matrix):
     """(rows, pivots): the pivot columns of matrix in ascending order and,
     for each, the non-zeros {column: value} of its RREF row times its pivot
-    entry. Each block of _blocks runs through _eliminate on its own; the
-    RREF is unique and the blocks share no row or column, so the pivots and
-    the RREF rows are those of the whole matrix."""
-    out = []
-    for cols, mat in _blocks(matrix):
-        for row, pc in zip(mat, _eliminate(mat)):
-            out.append((cols[pc], {cols[j]: v for j, v in enumerate(row) if v}))
-    out.sort(key=lambda item: item[0])
-    return [row for _, row in out], [pc for pc, _ in out]
+    entry.
+
+    Gauss-Jordan on sparse rows, column by column: the pivot row is a
+    shortest row holding the column that is not yet a pivot row (ties to
+    the lower index), and every other row holding it, earlier pivot rows
+    included, takes one _row_step. A pivot row keeps its pivot entry, so
+    only other rows cancel, and once every row left is a pivot row the
+    remaining columns are free."""
+    rows, holders = _sparse_rows(matrix.nums)
+    pivots, pivot_rows, left = [], set(), len(rows)
+    for pc in sorted(holders):
+        if not left:
+            break
+        hold = holders[pc]
+        best = min(((len(rows[rr]), rr) for rr in hold if rr not in pivot_rows), default=None)
+        if best is None:
+            continue
+        r = best[1]
+        pivot_rows.add(r)
+        left -= 1
+        prow = rows[r]
+        p = prow.pop(pc)
+        for rr in hold:
+            if rr != r:
+                row = _row_step(rows[rr], rr, pc, p, prow, holders)
+                if row:
+                    rows[rr] = row
+                else:
+                    del rows[rr]
+                    left -= 1
+        prow[pc] = p
+        pivots.append((pc, r))
+    return [rows[r] for _, r in pivots], [pc for pc, _ in pivots]
 
 
 def rank_bareiss(dense):
     """Rank of a dense Fraction matrix by integer fraction-free elimination,
-    independent of ``_eliminate``. Each row is scaled by the lcm of its
-    denominators first; this preserves rank.
+    independent of the sparse eliminations. Each row is scaled by the lcm of
+    its denominators first; this preserves rank.
     """
     mat = [common_denominator(row)[1] for row in dense]
     nrows = len(mat)

@@ -95,6 +95,32 @@ def oracle_rref(dense):
     return mat, pivots
 
 
+def oracle_components(matrix):
+    """The connected components of a matrix's non-zero pattern, where each
+    non-zero (r, c) joins row r to column c, found by graph search from
+    each unvisited row in ascending order; each component is the dense
+    Fraction block of its rows and columns, both in ascending order."""
+    by_row, by_col = {}, {}
+    for r, c in matrix.entries:
+        by_row.setdefault(r, []).append(c)
+        by_col.setdefault(c, []).append(r)
+    seen, blocks = set(), []
+    for start in sorted(by_row):
+        if start in seen:
+            continue
+        rows, cols, stack = {start}, set(), [start]
+        while stack:
+            for c in by_row[stack.pop()]:
+                if c not in cols:
+                    cols.add(c)
+                    fresh = [r for r in by_col[c] if r not in rows]
+                    rows.update(fresh)
+                    stack.extend(fresh)
+        seen |= rows
+        blocks.append([[matrix.get(r, c) for c in sorted(cols)] for r in sorted(rows)])
+    return blocks
+
+
 def oracle_kernel(dense, ncols):
     """Kernel basis of the rows, one vector per free column of the RREF."""
     red, pivots = oracle_rref(dense)

@@ -558,10 +558,10 @@ def test_bundle_json_rejects_a_non_literal_after_an_equal_literal(later):
 
 
 def test_constant_field_eliminations_do_not_grow_with_the_grid(monkeypatch):
-    # both elimination routines: _eliminate (kernels, solves) and
-    # _sparse_rank (ranks)
+    # both elimination routines: _rref (kernels, solves) and _sparse_rank
+    # (ranks)
     calls = []
-    for name in ("_eliminate", "_sparse_rank"):
+    for name in ("_rref", "_sparse_rank"):
         def counting(*args, _original=getattr(linalg_mod, name), **kwargs):
             calls.append(1)
             return _original(*args, **kwargs)

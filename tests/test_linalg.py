@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -12,9 +13,7 @@ from spencerbench.errors import FormatError
 from spencerbench.liealg import builtin_algebra
 from spencerbench.linalg import (
     OperatorMatrix,
-    _eliminate,
     _rref,
-    common_denominator,
     in_column_span,
     kron,
     rank_bareiss,
@@ -391,13 +390,14 @@ def mat_vec(dense, vec):
 
 
 @given(rational_matrices())
-def test_eliminate_matches_fraction_oracle(dense):
-    # row r < len(pivots) of the integer elimination is the r-th RREF row
-    # times its pivot entry
-    mat = [common_denominator(row)[1] for row in dense]
-    pivots = _eliminate(mat)
-    reduced = [[F(x, row[c]) for x in row] for row, c in zip(mat, pivots)]
-    reduced += [[F(0)] * len(dense[0]) for _ in range(len(dense) - len(pivots))]
+def test_rref_matches_fraction_oracle(dense):
+    # row k of the integer elimination is the k-th RREF row times its pivot
+    # entry
+    cols = len(dense[0])
+    rows, pivots = _rref(OperatorMatrix.from_dense(dense))
+    reduced = [[F(row.get(c, 0), row[pc]) for c in range(cols)]
+               for row, pc in zip(rows, pivots)]
+    reduced += [[F(0)] * cols for _ in range(len(dense) - len(pivots))]
     assert (reduced, pivots) == oracle_rref(dense)
 
 
@@ -539,7 +539,7 @@ def rank_test_matrices(draw):
 
 @given(rank_test_matrices())
 def test_sparse_rank_matches_bareiss_and_full_reduction(m):
-    full = _eliminate(m._numerator_rows())
+    _, full = _rref(m)
     assert m.rank() == m.rank_bareiss() == len(full)
 
 
@@ -584,13 +584,38 @@ def test_sparse_rank_matches_bareiss_on_matrices_built_to_fill_in(m):
     assert m.transpose().rank() == m.rank()
 
 
-def test_rank_reaches_neither_the_dense_elimination_nor_the_component_split(monkeypatch):
+def assert_kernel_and_solve_match_the_oracles(m, data):
+    """kernel() against oracle_kernel, and solve() of a drawn right-hand side,
+    consistent or not, against oracle_solve."""
+    a = m.to_dense()
+    assert m.kernel_basis() == oracle_kernel(a, m.cols)
+    assert_canonical(m.kernel())
+    width = data.draw(st.integers(0, 2))
+    if data.draw(st.booleans()):  # consistent: B = A X
+        x = [data.draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(m.cols)]
+        b = [[sum((row[k] * x[k][j] for k in range(m.cols)), F(0)) for j in range(width)]
+             for row in a]
+    else:
+        b = [data.draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(m.rows)]
+    sol = m.solve(as_matrix(m.rows, width, b))
+    want = oracle_solve(a, b, m.cols, width)
+    assert (sol is None) == (want is None)
+    if sol is not None:
+        assert sol.to_dense() == want
+        assert_canonical(sol)
+
+
+@given(fill_in_matrices(), st.data())
+def test_kernel_and_solve_match_the_oracles_on_matrices_built_to_fill_in(m, data):
+    assert_kernel_and_solve_match_the_oracles(m, data)
+
+
+def test_rank_does_not_reach_the_rref(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rank() must not reach the RREF path")
 
     m = OperatorMatrix.from_dense([[F(1), F(2), F(0)], [F(2), F(4), F(0)], [F(0), F(0), F(3)]])
-    monkeypatch.setattr(linalg_mod, "_eliminate", refuse)
-    monkeypatch.setattr(linalg_mod, "_blocks", refuse)
+    monkeypatch.setattr(linalg_mod, "_rref", refuse)
     assert m.rank() == 2
 
 
@@ -603,7 +628,22 @@ def test_sl3_delta_3_has_full_column_rank():
     assert m.rank() == m.rank_bareiss() == 120
 
 
-# --- integer kernels and the component split ------------------------------------
+def test_sl3_delta_3_kernel_and_solve_take_under_a_second():
+    # about 0.2 s each on sparse rows; a dense elimination of the same
+    # matrix takes 2.2-2.9 s
+    sl3 = builtin_algebra("sl3")
+    m = delta_matrix(sl3.dual(list(range(1, 9))), 3)
+    x = OperatorMatrix(120, 1, {(i, 0): F(i % 7 - 3, i % 4 + 1) for i in range(120)})
+    b = m @ x
+    start = time.perf_counter()
+    assert m.kernel().shape == (0, 120)
+    middle = time.perf_counter()
+    assert m.solve(b) == x
+    end = time.perf_counter()
+    assert middle - start < 1 and end - middle < 1
+
+
+# --- integer kernels, and block-diagonal inputs ---------------------------------
 
 
 @given(rational_matrices())
@@ -624,27 +664,12 @@ def test_kernel_basis_reads_the_canonical_integer_kernel(dense):
 @given(rank_test_matrices(), st.data())
 def test_split_elimination_matches_the_whole_matrix_oracles(m, data):
     # block-diagonal inputs with shuffled rows and columns, zero rows and
-    # columns with no non-zero fall apart into components in _blocks
+    # columns with no non-zero: each row meets only its own block's rows
     a = m.to_dense()
     red, pivots = oracle_rref(a)
-    assert _eliminate(m._numerator_rows()) == pivots
     rref_rows, rref_pivots = _rref(m)
     assert rref_pivots == pivots
     assert [[F(row.get(c, 0), row[pc]) for c in range(m.cols)]
             for row, pc in zip(rref_rows, rref_pivots)] == red[:len(pivots)]
     assert m.rank() == m.rank_bareiss() == len(pivots)
-    assert m.kernel_basis() == oracle_kernel(a, m.cols)
-    assert_canonical(m.kernel())
-    width = data.draw(st.integers(0, 2))
-    if data.draw(st.booleans()):  # consistent: B = A X
-        x = [data.draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(m.cols)]
-        b = [[sum((row[k] * x[k][j] for k in range(m.cols)), F(0)) for j in range(width)]
-             for row in a]
-    else:
-        b = [data.draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(m.rows)]
-    sol = m.solve(as_matrix(m.rows, width, b))
-    want = oracle_solve(a, b, m.cols, width)
-    assert (sol is None) == (want is None)
-    if sol is not None:
-        assert sol.to_dense() == want
-        assert_canonical(sol)
+    assert_kernel_and_solve_match_the_oracles(m, data)
