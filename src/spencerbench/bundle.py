@@ -29,17 +29,27 @@ D = ker <lam, omega(.)> of each class as the rows of an integer kernel
   normal equations.
 
 The fields are read-only, so the tables and the flatness report are built
-once per bundle. The sampled fiber-action law is the one float diagnostic,
-summed in the same order as a plain index loop, once per distinct step.
+once per bundle. The flatness report is computed as integer columns over the
+site classes and read per site through the classes of its two neighbours
+on each axis.
+
+The sampled fiber-action law is the one float diagnostic. Each series row
+is applied to every distinct dual value at once, one coordinate column at
+a time, and every float entry adds its products with + in ascending index
+order, never with builtin sum (compensated since Python 3.12), so it prints
+the same float on every interpreter. Products with an exactly zero factor
+are skipped; that changes at most the sign of a zero partial sum, which the
+residual's |a - b| and its max erase.
 """
 
 from __future__ import annotations
 
 import itertools
+from itertools import repeat
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul, sub, truediv
 from types import MappingProxyType
 
 from .errors import DegenerateInputError, FormatError, MismatchError
@@ -297,33 +307,48 @@ def _cartan_report(bundle):
     n = bundle.n_axes
     dim = bundle.algebra.dim
     c_den, nz = bundle.algebra.integer_structure
-    # the dual field as integers over one denominator L, once per site class
+    operators = bundle._operators
+    # the dual field as integers over one denominator L: lam[i] is the column
+    # of coordinate i over the site classes
     big_l, flat = common_denominator(c for rep in reps for c in bundle.lam_field[rep].coeffs)
-    lam = [flat[k * dim:(k + 1) * dim] for k in range(len(reps))]
+    lam = [flat[i::dim] for i in range(dim)]
     # (ad*_z xi)_j = -sum_b z_b M[b][j] / c_den with M[b][j] = sum_i c_bj^i xi_i,
-    # so the base rows of a class's omega (over its den w) give every axis's
-    # term at once; each is written over D = 2 L S with S = c_den * lcm of the w
-    big_s = c_den * lcm(*(omega.den for omega, _ in bundle._operators))
-    coad = []
-    for (omega, _), xi in zip(bundle._operators, lam):
-        terms = [[0] * dim for _ in range(n)]
-        base = [(a, b, v) for (a, b), v in omega.nums.items() if a < n]
-        if base:
-            mat = [[sum(v * xi[i] for i, v in consts) for consts in row] for row in nz]
-            f = -2 * (big_s // (c_den * omega.den))
-            for a, b, v in base:
-                terms[a] = [t + f * v * x for t, x in zip(terms[a], mat[b])]
-        coad.append(terms)
-    lam_at = {site: lam[c] for site, c in cls.items()}
-    # (lam(site+a) - lam(site-a)) / (2 h_a) = m_a S (plus - minus) / D
-    step = [m * big_s for m in bundle.shape]
-    nums = {}
-    for site, c in cls.items():
-        for a in range(n):
-            plus = lam_at[bundle.shift(site, a, 1)]
-            minus = lam_at[bundle.shift(site, a, -1)]
-            k = step[a]
-            nums[(site, a)] = tuple(k * (p - q) + x for p, q, x in zip(plus, minus, coad[c][a]))
+    # and z the base row a of a class's omega (over its den w). Each term is
+    # written over D = 2 L S with S = c_den * lcm of the w, so base[a][b] is
+    # the column of -2 (S / (c_den w)) omega_ab over the site classes.
+    big_s = c_den * lcm(*(omega.den for omega, _ in operators))
+    zero = [0] * len(reps)
+    base = [[zero[:] for _ in range(dim)] for _ in range(n)]
+    for c, (omega, _) in enumerate(operators):
+        f = -2 * (big_s // (c_den * omega.den))
+        for (a, b), v in omega.nums.items():
+            if a < n:
+                base[a][b][c] = f * v
+    coad = [[zero] * dim for _ in range(n)]
+    for b, row in enumerate(nz):
+        axes = [(a, base[a][b]) for a in range(n) if any(base[a][b])]
+        if not axes:
+            continue
+        for j, consts in enumerate(row):
+            if consts:
+                m_bj = zero
+                for i, v in consts:
+                    m_bj = list(map(add, m_bj, map(mul, repeat(v), lam[i])))
+                for a, column in axes:
+                    coad[a][j] = list(map(add, coad[a][j], map(mul, column, m_bj)))
+    # (lam(site+a) - lam(site-a)) / (2 h_a) = m_a S (plus - minus) / D, with
+    # plus and minus read through the classes of the site's two neighbours
+    sites = list(cls)
+    at = list(cls.values())
+    per_axis = []
+    for a, extent in enumerate(bundle.shape):
+        plus = [cls[bundle.shift(site, a, 1)] for site in sites]
+        minus = [cls[bundle.shift(site, a, -1)] for site in sites]
+        k = extent * big_s
+        per_axis.append(zip(*(
+            [k * (col[p] - col[q]) + term[c] for p, q, c in zip(plus, minus, at)]
+            for col, term in zip(lam, coad[a]))))
+    nums = {(site, a): row for site, *rows in zip(sites, *per_axis) for a, row in enumerate(rows)}
     return CartanResidualReport(2 * big_l * big_s, nums)
 
 
@@ -334,48 +359,66 @@ def equivariance_residual(bundle, order=8, steps=(0.1, 0.2)):
     coadjoint exponential in one step of size t and in two steps of t/2; the
     residual is the max coefficient deviation. Zero steps and abelian fibers
     give exactly zero; otherwise the defect is the series truncation error.
-    Each transport is applied once per distinct dual value.
+    Each series row is applied to every distinct dual value at once.
     """
     if order < 4:
         raise MismatchError("series order must be >= 4")
     alg = bundle.algebra
     dim = alg.dim
-    distinct = {bundle.lam_field[site].coeffs: None for site in bundle._site_classes[1]}
-    lams = [[float(c) for c in coeffs] for coeffs in distinct]
+    # distinct dual values, keyed on integers as the site classes are
+    values = (bundle.lam_field[site].coeffs for site in bundle._site_classes[1])
+    keys = dict.fromkeys((*map(_numerator, v), *map(_denominator, v)) for v in values)
+    # float(Fraction(p, q)) is p / q, the correctly rounded quotient: lams[k]
+    # is coordinate k of every distinct value as a float
+    columns = list(zip(*keys))
+    lams = [list(map(truediv, p, q)) for p, q in zip(columns[:dim], columns[dim:])]
+    identity = [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
 
-    # Every entry is one builtin sum of the products a[i][k] * b[k][j] in
-    # order of k, so the float result does not depend on how it is looped.
-    def mat_mul(a, b):
-        cols = list(zip(*b))
-        return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-    def expm(cols, t):
-        """Truncated exponential of t * gen, from the columns of gen."""
-        out = [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
-        term = out
+    def expm(gen, t):
+        """Truncated exponential of t * gen. Once a term is zero every later
+        term is, and adding a zero changes at most the sign of a zero."""
+        out = term = identity
         for p in range(1, order + 1):
-            term = [[sum(map(mul, row, col)) * t / p for col in cols] for row in term]
-            out = [[o + x for o, x in zip(orow, trow)] for orow, trow in zip(out, term)]
+            term = [list(map(truediv, map(mul, row, repeat(t)), repeat(p)))
+                    for row in _float_product(term, gen)]
+            if not any(map(any, term)):
+                break
+            out = [list(map(add, o, x)) for o, x in zip(out, term)]
         return out
 
     worst = 0.0
     for i in range(dim):
-        gen = [[float(v) for v in row]
-               for row in coadjoint_matrix(alg.basis_vector(i)).to_dense()]
-        cols = list(zip(*gen))
+        ad = coadjoint_matrix(alg.basis_vector(i))
+        gen = [[ad.nums.get((j, k), 0) / ad.den for k in range(dim)] for j in range(dim)]
         series = {}  # one truncated exponential per distinct step value
         for t in steps:
             for u in (t, t / 2):
                 if u not in series:
-                    series[u] = expm(cols, u)
+                    series[u] = expm(gen, u)
             half = series[t / 2]
-            rows = list(zip(series[t], mat_mul(half, half)))
-            for lam in lams:
-                for one, two in rows:
-                    d = abs(sum(map(mul, one, lam)) - sum(map(mul, two, lam)))
-                    if d > worst:
-                        worst = d
+            one = _float_product(series[t], lams)
+            two = _float_product(_float_product(half, half), lams)
+            for a, b in zip(one, two):
+                worst = max(worst, *map(abs, map(sub, a, b)))
     return worst
+
+
+def _float_product(rows, other):
+    """The float matrix product rows @ other as lists. Every entry adds its
+    products with + in ascending k, from the first k where the row is
+    non-zero, and skips the k where it is zero: a skipped product, like the
+    0.0 a plain loop starts from, is a zero, which changes at most the sign
+    of a zero partial sum."""
+    out = []
+    zero = [0.0] * len(other[0])
+    for row in rows:
+        acc = None
+        for v, line in zip(row, other):
+            if v:
+                term = map(mul, repeat(v), line)
+                acc = term if acc is None else map(add, acc, term)
+        out.append(zero if acc is None else list(acc))
+    return out
 
 
 def compatibility_functional_terms(bundle, dist_target=None):

@@ -6,8 +6,10 @@ is unique, so every kernel, span and solution derived from it is canonical
 and can be compared with ``==``. The lattice oracles evaluate the bundle
 diagnostics straight from their definitions, site by site: the flatness
 residual and its energy in Fractions, and the equivariance defect with the
-same float operations in the same order as the library, so that ``==``
-holds for it too. The coupled complex's D^2 and mirror-commutation
+same float additions in the same order as the library, every product
+included: the library skips exact zero products, which moves at most the
+sign of a zero that the residual's |a - b| erases, so ``==`` holds for it
+too. The coupled complex's D^2 and mirror-commutation
 residuals are taken here from total-size products of its assembled
 matrices, independent of the library's block-by-block reading of the
 Kronecker factors. The dense forms of an algebra (its n^3 structure
@@ -338,18 +340,34 @@ def oracle_first_term(field, vol):
 
 def oracle_equivariance_residual(bundle, order=8, steps=(0.1, 0.2)):
     """The float group-law defect with plain index loops: one series per step
-    and per half step, every entry one builtin sum over k in order."""
+    and per half step, every entry a running total of its products in
+    ascending index order, added with += (never builtin sum, which Python
+    3.12 made compensated)."""
     alg = bundle.algebra
     dim = alg.dim
     lams = {bundle.lam_field[site].coeffs: None for site in bundle.sites()}
     lams = [[float(c) for c in coeffs] for coeffs in lams]
 
     def mat_mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)]
-                for i in range(dim)]
+        out = []
+        for i in range(dim):
+            row = []
+            for j in range(dim):
+                total = 0.0
+                for k in range(dim):
+                    total += a[i][k] * b[k][j]
+                row.append(total)
+            out.append(row)
+        return out
 
     def mat_apply(a, v):
-        return [sum(a[i][k] * v[k] for k in range(dim)) for i in range(dim)]
+        out = []
+        for i in range(dim):
+            total = 0.0
+            for k in range(dim):
+                total += a[i][k] * v[k]
+            out.append(total)
+        return out
 
     def expm(mat, t):
         out = [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
