@@ -612,9 +612,9 @@ def changed_basis(name, seed):
 
 FIELD_ALGEBRAS = [builtin_algebra("so3"), builtin_algebra("sl2"), builtin_algebra("sl3"),
                   changed_basis("so3", 1), changed_basis("sl2", 2), changed_basis("sl3", 3)]
-# the float law also on su2 and su3 (series rows with several non-zero
-# products, where a compensated sum moved the last bits) and on an abelian
-# fiber (law exactly 0.0)
+# the float law also on su3 (series rows with several non-zero products,
+# where a compensated sum moves the last bits, as on the changed bases), on
+# su2 and on an abelian fiber (law exactly 0.0)
 FLOAT_LAW_ALGEBRAS = FIELD_ALGEBRAS + [builtin_algebra("su2"), builtin_algebra("su3"),
                                        builtin_algebra("abelian(3)")]
 
