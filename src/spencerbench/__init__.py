@@ -20,10 +20,9 @@ _MODULE_NAMES = {
         "weyl_mirrors",
     ),
     "linalg": ("OperatorMatrix",),
-    "symtensor": ("SymTensor", "basis_tensor", "eval_tensor", "sym_basis", "sym_product"),
+    "symtensor": ("sym_basis",),
     "spencer": (
-        "Identification", "LeibnizConvention", "NilpotencyReport", "classical_prolongation",
-        "delta_lambda", "delta_lambda_generator", "delta_matrix", "jacobi_form_generator",
+        "Identification", "LeibnizConvention", "NilpotencyReport", "delta_matrix",
         "nilpotency_report", "signed_leibniz_welldefinedness",
     ),
     "mirror": (

@@ -1,12 +1,6 @@
-"""Degree-raising operators on the symmetric algebra of a Lie algebra.
-
-Two operators live here:
-
-* the classical prolongation  s -> sum_i sum_j e_i . (s with [e_i, -] applied
-  to the j-th factor), summed over the stored basis;
-* the constraint-coupled operator delta^lam, determined by a generator rule
-  (a symmetrized double-bracket pairing against a dual vector lam) plus a
-  Leibniz extension.
+"""The constraint-coupled operator delta^lam on the symmetric algebra of a
+Lie algebra, determined by a generator rule (a symmetrized double-bracket
+pairing against a dual vector lam) plus a Leibniz extension.
 
 The generator rule produces a quadratic form on test vectors; it is turned
 back into a degree-2 tensor through an identification of the symmetric power
@@ -19,14 +13,11 @@ with its dual. Two identifications are supported:
   this property unless the automorphism matrix is orthogonal.
 
 The rule is one integer matrix, delta_1 itself (Sym^2 x n, column m is
-delta(e_m)); the classical prolongation's rule is a table of the same shape.
-delta_matrix extends the rule through index tables that depend only on the
-dimension, the degree and the convention (_leibniz_tables), so every lam
-shares them. Applying the rule to a single tensor (delta_lambda, the
-classical prolongation) extends it one factor at a time instead (_image),
-factoring each multiset in sorted order just as delta_matrix does, without
-building a whole degree's tables; the signed-rule audit runs _image on the
-forward and the reversed order of the same factors.
+delta(e_m)). delta_matrix extends the rule through index tables that depend
+only on the dimension, the degree and the convention (_leibniz_tables), so
+every lam shares them. The signed-rule audit extends it to a single multiset
+one factor at a time instead (_image), on the forward and the reversed order
+of the same factors.
 
 Both Leibniz conventions are implemented. UNSIGNED extends the generator rule
 as an even derivation and is order-independent. PAPER_SIGNED inserts a sign
@@ -47,20 +38,10 @@ import functools
 from fractions import Fraction
 
 from .errors import DegenerateInputError, MismatchError
-from .liealg import bracket, killing_gram, pairing
+from .liealg import killing_gram
 from .linalg import OperatorMatrix, common_denominator
 from .records import Record
-from .symtensor import (
-    _columns,
-    _combine,
-    apply_linear_map,
-    from_vector,
-    multisets,
-    sym_dim,
-    symmetric_power_matrix,
-    tensor_from_values,
-    zero_tensor,
-)
+from .symtensor import _columns, multisets, sym_dim, symmetric_power_matrix
 
 
 class LeibnizConvention(str, enum.Enum):
@@ -84,52 +65,6 @@ def _killing_inverse(algebra):
     return inv
 
 
-def _quadratic_table(n, den, terms):
-    """The Sym^2 x n integer OperatorMatrix over den whose column m is the sum
-    of v e_i e_j over the terms (i, j, m, v); e_i e_j = e_j e_i, so the
-    ordered pairs (i, j) and (j, i) add up."""
-    index = {key: r for r, key in enumerate(multisets(n, 2))}
-    nums = {}
-    for i, j, m, v in terms:
-        key = (index[(i, j) if i <= j else (j, i)], m)
-        nums[key] = nums.get(key, 0) + v
-    return OperatorMatrix.from_numerators(
-        len(index), n, den, {key: v for key, v in nums.items() if v})
-
-
-def classical_prolongation(s):
-    """Basis-summed prolongation, degree k -> k+1 (zero on degree 0): the
-    unsigned Leibniz extension of e_m -> sum_i e_i . [e_i, e_m]."""
-    den, nz = s.algebra.integer_structure
-    n = s.algebra.dim
-    table = _quadratic_table(
-        n, den, ((i, p, m, v) for m in range(n) for i in range(n) for p, v in nz[i][m]))
-    cols = _columns(table, multisets(n, 2))
-    return _combine(s, [_image(cols, key, False) for key in s.coeffs], table.den, s.degree + 1)
-
-
-def _jacobi_values(lam, v):
-    """Same quadratic form computed through the bracket-rewritten formula."""
-    algebra = v.algebra
-    basis = algebra.basis_vectors()
-    values = {}
-    for i in range(algebra.dim):
-        for j in range(i, algebra.dim):
-            w1, w2 = basis[i], basis[j]
-            val = pairing(lam, bracket(w2, bracket(w1, v))) + pairing(
-                lam, bracket(bracket(w1, w2), v)
-            ) / 2
-            values[(i, j)] = val
-    return values
-
-
-def _reconstruct(algebra, values, identification):
-    tensor = tensor_from_values(algebra, 2, lambda key: values[key])
-    if identification == Identification.KILLING:
-        tensor = apply_linear_map(tensor, _killing_inverse(algebra))
-    return tensor
-
-
 @functools.lru_cache(maxsize=8)
 def _generator_table(lam, identification):
     """delta^lam on the generators, delta_1 itself: the Sym^2 x n integer
@@ -148,26 +83,18 @@ def _generator_table(lam, identification):
     c_den, nz = algebra.integer_structure
     # lam_br[a][p] = L[a][p], in numerators over c_den * lam_den
     lam_br = [[sum(v * lam_ints[q] for q, v in nz[a][p]) for p in range(n)] for a in range(n)]
-    table = _quadratic_table(n, c_den * c_den * lam_den, (
-        (i, j, m, sum(v * lam_br[i][p] for p, v in nz[j][m]))
-        for i in range(n) for j in range(n) for m in range(n)))
+    index = {key: r for r, key in enumerate(multisets(n, 2))}
+    nums = {}
+    for i in range(n):
+        for j in range(n):
+            r = index[(i, j) if i <= j else (j, i)]  # e_i e_j = e_j e_i
+            for m in range(n):
+                nums[r, m] = nums.get((r, m), 0) + sum(v * lam_br[i][p] for p, v in nz[j][m])
+    table = OperatorMatrix.from_numerators(
+        len(index), n, c_den * c_den * lam_den, {key: v for key, v in nums.items() if v})
     if identification == Identification.KILLING:
         table = symmetric_power_matrix(algebra, _killing_inverse(algebra), 2) @ table
     return table
-
-
-def delta_lambda_generator(lam, v, identification=Identification.BASIS):
-    """Image of a degree-1 element under the constraint-coupled operator:
-    delta_lambda on from_vector(v)."""
-    return delta_lambda(lam, from_vector(v), identification=identification)
-
-
-def jacobi_form_generator(lam, v, identification=Identification.BASIS):
-    """Generator rule computed via the rewritten double-bracket expression."""
-    if lam.algebra != v.algebra:
-        raise MismatchError("lam and v live on different algebras")
-    identification = Identification(identification)
-    return _reconstruct(v.algebra, _jacobi_values(lam, v), identification)
 
 
 def _image(cols, seq, signed):
@@ -175,10 +102,9 @@ def _image(cols, seq, signed):
     seq, as {multiset: integer}.
 
     cols[m] lists the (index pair, integer) terms of the image of e_m: the
-    columns (_columns) of a Sym^2 x n table, _generator_table for delta^lam
-    or the structure constants for the classical prolongation. Leibniz rule:
-    the t-th factor is replaced by its generator image, whose index pair is
-    merged into the sorted remaining factors. The signed rule's left-to-right
+    columns (_columns) of _generator_table. Leibniz rule: the t-th factor is
+    replaced by its generator image, whose index pair is merged into the
+    sorted remaining factors. The signed rule's left-to-right
     splitting delta(h.r) = delta(h).r - h.delta(r) unrolls to the sign (-1)^t
     on the t-th term, so it depends on the order of seq.
     """
@@ -190,25 +116,6 @@ def _image(cols, seq, signed):
             key = tuple(sorted(pair + rest))
             out[key] = out.get(key, 0) + sign * v
     return {key: v for key, v in out.items() if v}
-
-
-def delta_lambda(lam, s, convention=LeibnizConvention.UNSIGNED,
-                 identification=Identification.BASIS):
-    """Constraint-coupled operator on a tensor of any degree >= 1.
-
-    Degree-0 input maps to zero. Each basis multiset is factorized in sorted
-    index order; UNSIGNED is independent of that order, PAPER_SIGNED is made
-    single-valued by it (see signed_leibniz_welldefinedness).
-    """
-    if lam.algebra != s.algebra:
-        raise MismatchError("lam and s live on different algebras")
-    signed = LeibnizConvention(convention) is LeibnizConvention.PAPER_SIGNED
-    identification = Identification(identification)
-    if s.degree == 0 or not s.coeffs:
-        return zero_tensor(s.algebra, s.degree + 1)
-    table = _generator_table(lam, identification)
-    cols = _columns(table, multisets(table.cols, 2))
-    return _combine(s, [_image(cols, key, signed) for key in s.coeffs], table.den, s.degree + 1)
 
 
 @functools.lru_cache(maxsize=16)

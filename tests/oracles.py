@@ -15,16 +15,22 @@ matrices, independent of the library's block-by-block reading of the
 Kronecker factors. The dense forms of an algebra (its n^3 structure
 tensor and its (re, im) matrix basis) exist only here, read from or
 written through the public JSON interface and the stored sparse forms.
+Symmetric tensors exist only here too, as zero-free {multiset: Fraction}
+dicts with their product, evaluation and reconstruction from values: an
+independent Fraction model of delta^lam to hold its matrices against.
 """
 
 import functools
+import itertools
 from fractions import Fraction
+from math import factorial, prod
 
 from spencerbench.liealg import (
     algebra_from_json,
     algebra_to_json,
     bracket,
     coadjoint_matrix,
+    killing_gram,
     pairing,
 )
 from spencerbench.cohomology import build_complex, segment_offsets
@@ -211,6 +217,83 @@ def oracle_delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
         for row_key, v in _image(cols, key, signed).items()
     }
     return OperatorMatrix.from_numerators(sym_dim(dim, k + 1), sym_dim(dim, k), table.den, nums)
+
+
+# ---------------------------------------------------------------------------
+# Symmetric tensors as {multiset: Fraction} dicts
+# ---------------------------------------------------------------------------
+
+
+def oracle_sum(*terms):
+    """sum a * t over the (a, t) terms, with no stored zero, so equal
+    tensors compare ==."""
+    out = {}
+    for a, t in terms:
+        for key, v in t.items():
+            out[key] = out.get(key, F(0)) + a * v
+    return {key: v for key, v in out.items() if v}
+
+
+def oracle_sym_product(s, t):
+    """The symmetric product: multisets merged, coefficients multiplied."""
+    return oracle_sum(*((v * w, {tuple(sorted(a + b)): F(1)})
+                        for a, v in s.items() for b, w in t.items()))
+
+
+def oracle_eval(s, args):
+    """s as a symmetric multilinear functional through e_i <-> e_i*: the
+    multiset (i_1..i_k) takes the vectors (X_1..X_k) to (1/k!) times the sum
+    over permutations sigma of prod_t X_sigma(t)[i_t]."""
+    return sum((v * prod(x.coeffs[i] for x, i in zip(perm, key)) / factorial(len(key))
+                for key, v in s.items() for perm in itertools.permutations(args)), F(0))
+
+
+def oracle_power_map(s, matrix):
+    """The degree-k power of a dense linear map applied to s: each factor e_i
+    becomes column i of matrix, multiplied in one factor at a time."""
+    n = len(matrix)
+    cols = [{(r,): matrix[r][c] for r in range(n) if matrix[r][c]} for c in range(n)]
+    terms = []
+    for key, v in s.items():
+        term = {(): v}
+        for i in key:
+            term = oracle_sym_product(term, cols[i])
+        terms.append((1, term))
+    return oracle_sum(*terms)
+
+
+def oracle_reconstruct(algebra, values, identification=Identification.BASIS):
+    """The tensor whose value on the basis vectors of each multiset is
+    values[multiset]: each value times the multiplicity k!/prod(m_a!) under
+    the basis identification, then the degree-k power of the inverse
+    Killing Gram under the killing one."""
+    s = oracle_sum(*((F(factorial(len(key)), prod(factorial(key.count(a)) for a in set(key))),
+                      {key: v}) for key, v in values.items()))
+    if Identification(identification) is Identification.KILLING:
+        s = oracle_power_map(s, oracle_inverse(killing_gram(algebra).to_dense()))
+    return s
+
+
+def oracle_jacobi_generator(lam, v, identification=Identification.BASIS):
+    """delta^lam(v) from the Jacobi-rewritten double bracket
+    lam([e_j,[e_i,v]]) + lam([[e_i,e_j],v]) / 2 on each basis pair i <= j."""
+    e = v.algebra.basis_vectors()
+    return oracle_reconstruct(v.algebra, {
+        (i, j): pairing(lam, bracket(e[j], bracket(e[i], v)))
+        + pairing(lam, bracket(bracket(e[i], e[j]), v)) / 2
+        for i, j in multisets(v.algebra.dim, 2)}, identification)
+
+
+def apply_delta_matrix(lam, s, convention=LeibnizConvention.UNSIGNED,
+                       identification=Identification.BASIS):
+    """delta_matrix(lam, k) applied to the degree-k tensor s, k the length of
+    its multisets; {} for s = {}."""
+    if not s:
+        return {}
+    dim, k = lam.algebra.dim, len(next(iter(s)))
+    image = delta_matrix(lam, k, convention, identification).apply(
+        [s.get(key, F(0)) for key in multisets(dim, k)])
+    return {key: v for key, v in zip(multisets(dim, k + 1), image) if v}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from spencerbench.cohomology import (
     MirrorInvarianceReport,
     SpencerComplexInstance,
 )
-from spencerbench.errors import FormatError, MismatchError
+from spencerbench.errors import FormatError
 from spencerbench.liealg import (
     AlgebraVector,
     DualVector,
@@ -32,7 +32,6 @@ from spencerbench.spencer import (
     _generator_table,
     _killing_inverse,
 )
-from spencerbench.symtensor import SymTensor
 
 FROZEN, MUTABLE, IDENTITY = "frozen", "mutable", "identity"
 
@@ -43,7 +42,6 @@ RECORDS = [
     (AlgebraVector, FROZEN, (), False),
     (DualVector, FROZEN, (), False),
     (LieAutomorphism, IDENTITY, (), False),
-    (SymTensor, MUTABLE, (), False),
     (NilpotencyReport, MUTABLE, (), False),
     (OrderingWitness, MUTABLE, (), False),
     (MirrorTransform, FROZEN, (), False),
@@ -60,7 +58,7 @@ RECORDS = [
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 
 # field values that pass the validation hooks
-VALID = {MirrorTransform: {"kind": "sign"}, SymTensor: {"degree": 1, "coeffs": {(0,): 1}}}
+VALID = {MirrorTransform: {"kind": "sign"}}
 
 
 def values(cls):
@@ -77,7 +75,7 @@ def _subclasses(cls):
 
 def test_the_table_names_every_record_class():
     assert set(_subclasses(Record)) - {FrozenRecord} == {cls for cls, *_ in RECORDS}
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 16
 
 
 @pytest.mark.parametrize("cls, kind, uncompared, has_dict", RECORDS, ids=IDS)
@@ -144,9 +142,7 @@ def test_defaults_and_fresh_default_lists():
 @pytest.mark.parametrize("build, error, message", [
     (lambda: MirrorTransform("rotate"), FormatError, "unknown mirror kind 'rotate'"),
     (lambda: MirrorTransform("automorphism"), FormatError, "needs a validated automorphism"),
-    (lambda: SymTensor(None, 2, {(1, 0): 1}), MismatchError, "bad multiset key (1, 0)"),
-    (lambda: SymTensor(None, 2, {(0,): 1}), MismatchError, "for degree 2"),
-], ids=["unknown-kind", "automorphism-missing", "unsorted-key", "wrong-degree"])
+], ids=["unknown-kind", "automorphism-missing"])
 def test_the_validation_hooks_still_raise(build, error, message):
     with pytest.raises(error, match=message.replace("(", r"\(").replace(")", r"\)")):
         build()

@@ -7,26 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spencerbench.errors import FormatError, MismatchError
+from oracles import (
+    oracle_eval,
+    oracle_power_map,
+    oracle_reconstruct,
+    oracle_sum,
+    oracle_sym_product,
+)
 from spencerbench.liealg import builtin_algebra
 from spencerbench.linalg import OperatorMatrix
-from spencerbench.symtensor import (
-    SymTensor,
-    apply_linear_map,
-    basis_tensor,
-    eval_tensor,
-    from_vector,
-    multiplicity_factor,
-    multisets,
-    sym_basis,
-    sym_dim,
-    sym_product,
-    symmetric_power_matrix,
-    tensor_from_json,
-    tensor_from_values,
-    unit_tensor,
-    zero_tensor,
-)
+from spencerbench.symtensor import multisets, sym_basis, sym_dim, symmetric_power_matrix
 
 F = Fraction
 SO3 = builtin_algebra("so3")
@@ -43,7 +33,7 @@ def random_tensor(rng, algebra, degree, sparsity=3):
         v = small_fraction(rng)
         if v:
             coeffs[key] = v
-    return SymTensor(algebra, degree, coeffs)
+    return coeffs
 
 
 # hypothesis strategy: sparse degree-d tensors over so3
@@ -53,7 +43,7 @@ def tensors(degree):
         st.sampled_from(keys),
         st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(lambda f: f != 0),
         max_size=4,
-    ).map(lambda d: SymTensor(SO3, degree, d))
+    )
 
 
 def test_basis_counts():
@@ -75,44 +65,46 @@ def test_dimension_matches_enumeration(n, k):
     assert sym_dim(n, k) == count == comb(n + k - 1, k)
 
 
+# --- the oracle's own laws: product, evaluation, reconstruction -------------
+
+
 def test_product_merges_multisets():
-    e1 = basis_tensor(SO3, (0,))
-    e2 = basis_tensor(SO3, (1,))
-    p = sym_product(e1, e2)
-    assert p.coeffs == {(0, 1): F(1)}
-    assert sym_product(e1, e2) == sym_product(e2, e1)
+    e1, e2 = {(0,): F(1)}, {(1,): F(1)}
+    assert oracle_sym_product(e1, e2) == {(0, 1): F(1)}
+    assert oracle_sym_product(e1, e2) == oracle_sym_product(e2, e1)
 
 
 def test_product_bilinear_hand_oracle():
-    e1 = basis_tensor(SO3, (0,))
-    e2 = basis_tensor(SO3, (1,))
-    p = sym_product(e1 + e2, e1)
-    assert p.coeffs == {(0, 0): F(1), (0, 1): F(1)}
+    e1, e2 = {(0,): F(1)}, {(1,): F(1)}
+    p = oracle_sym_product(oracle_sum((1, e1), (1, e2)), e1)
+    assert p == {(0, 0): F(1), (0, 1): F(1)}
 
 
 @settings(max_examples=60, deadline=None)
 @given(tensors(1), tensors(2), tensors(1))
 def test_product_associative(a, b, c):
-    assert sym_product(sym_product(a, b), c) == sym_product(a, sym_product(b, c))
+    assert (oracle_sym_product(oracle_sym_product(a, b), c)
+            == oracle_sym_product(a, oracle_sym_product(b, c)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(tensors(2), tensors(2))
 def test_product_commutative(a, b):
-    assert sym_product(a, b) == sym_product(b, a)
+    assert oracle_sym_product(a, b) == oracle_sym_product(b, a)
 
 
 @settings(max_examples=60, deadline=None)
 @given(tensors(1), tensors(1), tensors(2))
 def test_product_distributes(a, b, c):
-    assert sym_product(a + b, c) == sym_product(a, c) + sym_product(b, c)
+    assert oracle_sym_product(oracle_sum((1, a), (1, b)), c) == oracle_sum(
+        (1, oracle_sym_product(a, c)), (1, oracle_sym_product(b, c)))
 
 
 def test_eval_examples():
     e1, e2 = SO3.basis_vector(0), SO3.basis_vector(1)
-    assert eval_tensor(basis_tensor(SO3, (0, 0)), [e1, e1]) == 1
-    assert eval_tensor(basis_tensor(SO3, (0, 1)), [e1, e2]) == F(1, 2)
-    assert eval_tensor(basis_tensor(SO3, (0, 1)), [e2, e1]) == F(1, 2)
+    assert oracle_eval({(0, 0): F(1)}, [e1, e1]) == 1
+    assert oracle_eval({(0, 1): F(1)}, [e1, e2]) == F(1, 2)
+    assert oracle_eval({(0, 1): F(1)}, [e2, e1]) == F(1, 2)
 
 
 def test_eval_permutation_invariance_random():
@@ -122,9 +114,9 @@ def test_eval_permutation_invariance_random():
     ]
     for _ in range(100):
         s = random_tensor(rng, SO3, 3, sparsity=4)
-        base = eval_tensor(s, vectors)
+        base = oracle_eval(s, vectors)
         for perm in itertools.permutations(vectors):
-            assert eval_tensor(s, list(perm)) == base
+            assert oracle_eval(s, list(perm)) == base
 
 
 def test_eval_multilinear():
@@ -133,15 +125,14 @@ def test_eval_multilinear():
     x = SO3.vector([1, 2, 3])
     y = SO3.vector([0, 1, -1])
     z = SO3.vector([2, 0, 1])
-    lhs = eval_tensor(s, [x + y.scaled(3), z])
-    assert lhs == eval_tensor(s, [x, z]) + 3 * eval_tensor(s, [y, z])
+    lhs = oracle_eval(s, [x + y.scaled(3), z])
+    assert lhs == oracle_eval(s, [x, z]) + 3 * oracle_eval(s, [y, z])
 
 
 def test_multiplicity_factor():
-    assert multiplicity_factor((0, 0)) == 1
-    assert multiplicity_factor((0, 1)) == 2
-    assert multiplicity_factor((0, 0, 1)) == 3
-    assert multiplicity_factor((0, 1, 2)) == factorial(3)
+    # the reconstruction scales a unit value by k! / prod(m_a!)
+    for key, factor in (((0, 0), 1), ((0, 1), 2), ((0, 0, 1), 3), ((0, 1, 2), factorial(3))):
+        assert oracle_reconstruct(SO3, {key: F(1)}) == {key: F(factor)}
 
 
 def test_values_round_trip():
@@ -149,42 +140,15 @@ def test_values_round_trip():
     rng = random.Random(11)
     for degree in (1, 2, 3):
         s = random_tensor(rng, SO3, degree, sparsity=5)
-        rebuilt = tensor_from_values(
-            SO3,
-            degree,
-            lambda key: eval_tensor(s, [SO3.basis_vector(i) for i in key]),
-        )
-        assert rebuilt == s
-
-
-def test_normal_form_uniqueness():
-    a = SymTensor(SO3, 2, {(0, 1): F(1)})
-    b = sym_product(basis_tensor(SO3, (0,)), basis_tensor(SO3, (1,)))
-    assert a == b
-    assert (a - b).is_zero()
-    with pytest.raises(MismatchError):
-        SymTensor(SO3, 2, {(1, 0): F(1)})
-
-
-def test_arity_mismatch():
-    with pytest.raises(MismatchError):
-        eval_tensor(basis_tensor(SO3, (0, 1)), [SO3.basis_vector(0)])
-
-
-def test_from_vector_and_unit():
-    v = SO3.vector([1, 0, -2])
-    t = from_vector(v)
-    assert t.coeffs == {(0,): F(1), (2,): F(-2)}
-    assert unit_tensor(SO3).coeffs == {(): F(1)}
-    assert zero_tensor(SO3, 3).is_zero()
+        values = {key: oracle_eval(s, [SO3.basis_vector(i) for i in key])
+                  for key in multisets(SO3.dim, degree)}
+        assert oracle_reconstruct(SO3, values) == s
 
 
 def test_apply_linear_map_is_functorial_power():
     # the degree-k power of M acts factorwise
     m = OperatorMatrix.from_dense([[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(2)]])
-    s = basis_tensor(SO3, (0, 2))
-    out = apply_linear_map(s, m)
-    assert out.coeffs == {(1, 2): F(2)}
+    assert oracle_power_map({(0, 2): F(1)}, m.to_dense()) == {(1, 2): F(2)}
     mat2 = symmetric_power_matrix(SO3, m, 2)
     col = multisets(3, 2).index((0, 2))
     expect = {r for (r, c) in mat2.entries if c == col}
@@ -204,40 +168,7 @@ def test_power_matrix_multiplicative():
         assert lhs == symmetric_power_matrix(SO3, OperatorMatrix.from_dense(ab), k)
 
 
-def test_json_round_trip():
-    rng = random.Random(13)
-    s = random_tensor(rng, SO3, 2, sparsity=4)
-    again = tensor_from_json(SO3, s.to_json())
-    assert again == s
-
-
-@pytest.mark.parametrize(
-    "data",
-    [{"degree": 2.0, "terms": []}, {"degree": True, "terms": []},
-     {"degree": 2, "terms": [[[0, 1.0], "1"]]}, {"degree": 2, "terms": [[[0, 1], 0.5]]}],
-    ids=["float-degree", "bool-degree", "float-index", "float-coefficient"],
-)
-def test_json_non_integer_or_inexact_number_is_format_error(data):
-    with pytest.raises(FormatError):
-        tensor_from_json(SO3, data)
-
-
-# --- the integer power-map kernel against the SymTensor-product oracle --------
-
-
-def oracle_apply_linear_map(s, matrix):
-    """Factorwise power by SymTensor products: each factor e_i becomes the
-    degree-1 tensor of column i, multiplied in one factor at a time."""
-    dim = s.algebra.dim
-    cols = [SymTensor(s.algebra, 1, {(r,): matrix[r][c] for r in range(dim) if matrix[r][c]})
-            for c in range(dim)]
-    out = zero_tensor(s.algebra, s.degree)
-    for key, coeff in s.coeffs.items():
-        term = SymTensor(s.algebra, 0, {(): coeff})
-        for i in key:
-            term = sym_product(term, cols[i])
-        out = out + term
-    return out
+# --- the integer power-map kernel against the dict oracle ---------------------
 
 
 AB4 = builtin_algebra("abelian(4)")
@@ -265,14 +196,18 @@ def test_power_matrix_matches_symtensor_oracle(case):
     basis = multisets(alg.dim, k)
     want = {}
     for c, key in enumerate(basis):
-        for row_key, v in oracle_apply_linear_map(basis_tensor(alg, key), m).coeffs.items():
+        for row_key, v in oracle_power_map({key: F(1)}, m).items():
             want[(basis.index(row_key), c)] = v
     assert symmetric_power_matrix(alg, OperatorMatrix.from_dense(m), k).entries == want
 
 
 @settings(max_examples=60, deadline=None)
-@given(linear_maps(3), st.integers(0, 4).flatmap(
-    lambda d: st.dictionaries(st.sampled_from(multisets(3, d)), ENTRY, max_size=5)
-    .map(lambda c: SymTensor(SO3, d, {key: v for key, v in c.items() if v}))))
-def test_apply_linear_map_matches_symtensor_oracle(m, s):
-    assert apply_linear_map(s, OperatorMatrix.from_dense(m)) == oracle_apply_linear_map(s, m)
+@given(linear_maps(3), st.integers(0, 4).flatmap(lambda d: st.tuples(
+    st.just(d), st.dictionaries(st.sampled_from(multisets(3, d)), ENTRY, max_size=5))))
+def test_apply_linear_map_matches_symtensor_oracle(m, case):
+    # the power matrix applied to a sparse tensor, entry by entry
+    d, s = case
+    keys = multisets(3, d)
+    image = oracle_sum(*((v * s.get(keys[c], 0), {keys[r]: F(1)}) for (r, c), v
+                         in symmetric_power_matrix(SO3, OperatorMatrix.from_dense(m), d).entries.items()))
+    assert image == oracle_power_map(s, m)
