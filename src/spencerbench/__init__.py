@@ -30,9 +30,9 @@ _MODULE_NAMES = {
         "intertwining_check", "mirror_lambda", "sign_mirror",
     ),
     "cohomology": (
-        "CohomologyReport", "DGAModel", "SpencerComplexInstance", "build_complex",
+        "CohomologyReport", "DGAModel", "SpencerComplexInstance", "build_complex", "ce_model",
         "cohomology_report", "commutation_residuals", "cup_product", "d_squared_residual",
-        "kunneth_diagnostic", "mirror_invariance_check", "torus_model",
+        "kunneth_diagnostic", "mirror_invariance_check",
     ),
     "bundle": (
         "GridBundle", "TransversalityReport", "cartan_residual",

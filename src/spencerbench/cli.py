@@ -29,11 +29,10 @@ from .errors import (
 
 # Each command imports the modules it uses, so that a command loads only
 # those. The parser therefore spells its choices out instead of reading
-# them from spencer's enums and cohomology's grading constants; the tests
-# pin them equal. The first choice of each is the default.
+# them from spencer's enums; the tests pin them equal. The first choice of
+# each is the default.
 CONVENTIONS = ("unsigned", "paper-signed")
 IDENTIFICATIONS = ("basis", "killing")
-GRADINGS = ("total", "diagonal")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -290,19 +289,19 @@ def cmd_mirror(args):
 
 def cmd_complex(args):
     from . import cohomology as coh
-    from .linalg import ZERO
-    from .spencer import Identification, LeibnizConvention, delta_matrix
+    from .liealg import builtin_algebra
+    from .spencer import Identification, LeibnizConvention
 
     algebra = _load_lie_algebra(args)
     lam = _parse_lambda(algebra, args.lam, args.allow_degenerate)
     conv = LeibnizConvention(args.convention)
     ident = Identification(args.identification)
     transform = _parse_transform(algebra, args.mirror) if args.mirror else None
-    if args.grading == coh.GRADING_DIAGONAL and (args.mirror or args.assert_mirror_invariant):
-        raise DegenerateInputError("mirror comparison needs the total grading")
     if args.assert_mirror_invariant and not args.mirror:
         raise FormatError("--assert-mirror-invariant needs --mirror")
-    dga = coh.torus_model(args.torus)
+    if not 1 <= args.torus <= 4:
+        raise FormatError(f"--torus must be in 1..4, got {args.torus}")
+    dga = coh.ce_model(builtin_algebra(f"abelian({args.torus})"), f"torus{args.torus}")
     report = {
         "command": "complex",
         "algebra": algebra.name,
@@ -310,22 +309,6 @@ def cmd_complex(args):
         "base": dga.name,
         "seed": args.seed,
     }
-    if args.grading == coh.GRADING_DIAGONAL:
-        shapes = coh.diagonal_block_shapes(dga, algebra.dim, args.K)
-        if args.K >= 2:
-            # no block is built, but the delta blocks of degree >= 1 must
-            # exist: under killing they need an invertible Killing form
-            delta_matrix(lam, 1, conv, ident)
-        report["report"] = coh.CohomologyReport(
-            args.grading, conv, args.K, None, None, ZERO,
-            ["diagonal-grading: blocks recorded, no composition or dim claims"],
-        ).to_json()
-        report["blocks"] = {
-            str(k): {"d_block_shape": list(d_shape), "delta_block_shape": list(delta_shape)}
-            for k, (d_shape, delta_shape) in enumerate(shapes)
-        }
-        return report, EXIT_OK
-
     instance = coh.build_complex(dga, algebra, lam, args.K, conv, ident)
     cohrep = coh.cohomology_report(instance)
     report["report"] = cohrep.to_json()
@@ -471,7 +454,6 @@ def build_parser():
     p = sub.add_parser("complex", help="coupled complex, cohomology, mirror comparison")
     common(p)
     p.add_argument("--torus", type=int, default=2, help="base model dimension (1..4)")
-    p.add_argument("--grading", choices=GRADINGS, default=GRADINGS[0])
     p.add_argument("--mirror", help="optional transform to compare against")
     p.add_argument("--assert-mirror-invariant", action="store_true")
     p.set_defaults(func=cmd_complex)

@@ -2,18 +2,14 @@
 
 A DGAModel is a finite commutative differential graded algebra standing in
 for the forms on the base: per-degree bases, differentials d_i with
-d.d = 0, and an optional product table for cup products. torus_model(n)
-is the constant-coefficient exterior algebra on n one-forms (d = 0), whose
-cohomology is that of the n-torus.
+d.d = 0, and an optional product table for cup products. ce_model builds
+the Chevalley-Eilenberg cochains of a Lie algebra, the one exterior-algebra
+model: on abelian(n) it has d = 0 and the cohomology of the n-torus.
 
 The coupled complex is the total complex of the model with the symmetric
 algebra of a Lie algebra: degree k is  sum_{i+j=k} Omega^i x S^j  with
 differential  d x 1 + (-1)^i 1 x delta  (Koszul sign on the form degree).
-Its differential squares to zero exactly when d^2 = 0 and delta^2 = 0. The
-literal diagonal spaces Omega^k x S^k do not form a complex: d and delta map
-them into Omega^{k+1} x S^k and Omega^k x S^{k+1}, neither of which is the
-next diagonal space, so diagonal_block_shapes reports only the shapes of
-those two blocks, by arithmetic.
+Its differential squares to zero exactly when d^2 = 0 and delta^2 = 0.
 
 The complex is kept by its Kronecker factors: each block of D^k between
 segments is a short list of terms c A x B, and a mirror's chain map psi_k is
@@ -36,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 from functools import cached_property
-from fractions import Fraction
 
 from .errors import DegenerateInputError, FormatError, MismatchError
 from .linalg import (
@@ -52,10 +47,6 @@ from .mirror import mirror_lambda
 from .records import FrozenRecord, Record
 from .spencer import Identification, LeibnizConvention, delta_matrix
 from .symtensor import multisets, sym_dim
-
-GRADING_TOTAL = "total"
-GRADING_DIAGONAL = "diagonal"
-
 
 class DGAModel(FrozenRecord):
     """Finite CDGA: bases per degree, differentials, optional product table."""
@@ -155,39 +146,53 @@ def _product_row(item, basis, parse):
     return (i, a, j, b), table
 
 
-def torus_model(n):
-    """Constant-coefficient exterior algebra on n one-form generators."""
-    if not 1 <= n <= 4:
-        raise FormatError("torus_model supports 1 <= n <= 4")
-    subsets = [
-        list(itertools.combinations(range(n), i)) for i in range(n + 1)
-    ]
-    labels = tuple(
-        tuple("1" if not s else "d" + "".join(f"x{i + 1}" for i in s) for s in row)
-        for row in subsets
-    )
-    diff = tuple(
-        OperatorMatrix.zero(len(subsets[i + 1]), len(subsets[i])) for i in range(n)
-    )
+def _perm_sign(word):
+    """(-1)^(number of inversions of word): the sign that sorts a wedge word."""
+    return -1 if sum(1 for x, y in itertools.combinations(word, 2) if x > y) % 2 else 1
+
+
+def ce_model(algebra, name):
+    """The Chevalley-Eilenberg cochains of algebra (Chevalley & Eilenberg 1948).
+
+    Degree k has the basis e^S over sorted k-subsets S. On generators d e^m =
+    -sum_{i<j} c_ij^m e^i e^j, extended as a graded derivation: d e^S
+    replaces e^{s_p} by d e^{s_p} with sign (-1)^p and sorts the word. d is
+    built on the integers of integer_structure, over the non-zero c_ij^m
+    only. The product is the wedge product.
+    """
+    n = algebra.dim
+    den, nz = algebra.integer_structure
+    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    index = [{s: a for a, s in enumerate(row)} for row in subsets]
+    # d e^m = sum over (i, j, v) of v / den e^i e^j
+    d_gen = [[] for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        for m, v in nz[i][j]:
+            d_gen[m].append((i, j, -v))
+    diff = []
+    for k in range(n):
+        nums = {}
+        for col, s in enumerate(subsets[k]):
+            for p, m in enumerate(s):
+                for i, j, v in d_gen[m]:
+                    word = s[:p] + (i, j) + s[p + 1:]
+                    if len(set(word)) < k + 1:
+                        continue
+                    key = (index[k + 1][tuple(sorted(word))], col)
+                    nums[key] = nums.get(key, 0) + (-1) ** p * _perm_sign(word) * v
+        diff.append(OperatorMatrix.from_numerators(
+            len(subsets[k + 1]), len(subsets[k]), den, {key: v for key, v in nums.items() if v}))
     product = {}
     for i, row_i in enumerate(subsets):
-        for j, row_j in enumerate(subsets):
-            if i + j > n:
-                continue
-            target_index = {s: c for c, s in enumerate(subsets[i + j])}
+        for j, row_j in enumerate(subsets[:n + 1 - i]):
             for a, sa in enumerate(row_i):
                 for b, sb in enumerate(row_j):
-                    if set(sa) & set(sb):
-                        continue
-                    union = tuple(sorted(sa + sb))
-                    sign = _merge_sign(sa, sb)
-                    product[(i, a, j, b)] = {target_index[union]: sign}
-    return DGAModel(f"torus{n}", labels, diff, product)
-
-
-def _merge_sign(sa, sb):
-    inversions = sum(1 for s in sa for t in sb if s > t)
-    return Fraction(-1) ** inversions
+                    if not set(sa) & set(sb):
+                        product[(i, a, j, b)] = {
+                            index[i + j][tuple(sorted(sa + sb))]: _perm_sign(sa + sb)}
+    labels = tuple(tuple("e" + "^".join(str(x + 1) for x in s) if s else "1" for s in row)
+                   for row in subsets)
+    return DGAModel(name, labels, tuple(diff), product)
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +330,6 @@ def _max_abs(blocks):
     return max(map(_block_max_abs, blocks.values()), default=ZERO)
 
 
-def diagonal_block_shapes(dga, dim, K):
-    """Shapes of the d x 1 and (-1)^k 1 x delta blocks on each diagonal space
-    Omega^k x S^k, k < min(K, top + 1), as [(d shape, delta shape), ...].
-
-    Pure arithmetic on the basis sizes: no block is built. With s_j =
-    sym_dim(dim, j) and n_k = |Omega^k|, the d block is (n_{k+1} s_k, n_k s_k),
-    with no rows at the top degree, and the delta block (n_k s_{k+1}, n_k s_k).
-    """
-    if K < 1:
-        raise MismatchError("truncation K must be >= 1")
-    n = dga.dims() + [0]
-    return [
-        ((n[k + 1] * sym_dim(dim, k), n[k] * sym_dim(dim, k)),
-         (n[k] * sym_dim(dim, k + 1), n[k] * sym_dim(dim, k)))
-        for k in range(min(K, dga.top_degree + 1))
-    ]
-
-
 def d_squared_residual(instance):
     """Max |entry| of D^{k+1} D^k over k, block by block from the factors:
     each distinct factor product (delta_{j+1} delta_j, ...) is formed once,
@@ -371,12 +358,13 @@ def _rank_nullity(sizes, maps):
 
 
 class CohomologyReport(Record):
-    # dims: per degree k <= K-1, or None when not a complex (euler too)
-    __slots__ = _fields = ("grading", "convention", "K", "dims", "euler", "d_squared", "flags")
+    # dims: per degree k <= K-1, or None when not a complex (euler too);
+    # to_json names the one grading, the total complex
+    __slots__ = _fields = ("convention", "K", "dims", "euler", "d_squared", "flags")
 
     def to_json(self):
         return {
-            "grading": self.grading,
+            "grading": "total",
             "convention": self.convention.value,
             "K": self.K,
             "dims": self.dims if self.dims is not None else [],
@@ -396,16 +384,14 @@ def _cohomology_report(instance):
     residual = d_squared_residual(instance)
     if residual != 0:
         return CohomologyReport(
-            GRADING_TOTAL, instance.convention, instance.K,
+            instance.convention, instance.K,
             None, None, residual, ["not-a-complex: D^2 != 0; dims withheld"],
         )
     dims = _rank_nullity(
         [len(instance.bases[k]) for k in range(instance.K)], instance.differentials
     )
     euler = sum((-1) ** k * d for k, d in enumerate(dims))
-    return CohomologyReport(
-        GRADING_TOTAL, instance.convention, instance.K, dims, euler, residual, [],
-    )
+    return CohomologyReport(instance.convention, instance.K, dims, euler, residual, [])
 
 
 # ---------------------------------------------------------------------------

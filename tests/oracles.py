@@ -18,6 +18,8 @@ written through the public JSON interface and the stored sparse forms.
 Symmetric tensors exist only here too, as zero-free {multiset: Fraction}
 dicts with their product, evaluation and reconstruction from values: an
 independent Fraction model of delta^lam to hold its matrices against.
+The Chevalley-Eilenberg cochains are built here from the dense structure
+tensor in Fractions, against ``ce_model``'s integer build.
 """
 
 import functools
@@ -33,7 +35,7 @@ from spencerbench.liealg import (
     killing_gram,
     pairing,
 )
-from spencerbench.cohomology import build_complex, segment_offsets
+from spencerbench.cohomology import DGAModel, build_complex, segment_offsets
 from spencerbench.linalg import OperatorMatrix, kron
 from spencerbench.mirror import mirror_lambda
 from spencerbench.spencer import (
@@ -326,6 +328,50 @@ def oracle_diagonal_block_shapes(dga, lam, K):
                    else OperatorMatrix.zero(0, delta_block.cols))
         shapes.append((d_block.shape, delta_block.shape))
     return shapes
+
+
+# ---------------------------------------------------------------------------
+# Chevalley-Eilenberg cochains from the dense structure tensor
+# ---------------------------------------------------------------------------
+
+
+def _wedge_sign(word):
+    return (-1) ** sum(1 for x, y in itertools.combinations(word, 2) if x > y)
+
+
+def oracle_ce_model(alg, name):
+    """CE cochains of alg: d e^m = -sum_{i<j} c_ij^m e^i e^j, as a derivation,
+    and the wedge product, read from the dense Fraction constants.
+
+    Degree k has the sorted k-subsets S as basis; d e^S replaces each e^{s_p}
+    by d e^{s_p} (sign (-1)^p for moving d past p one-forms) and re-sorts the
+    wedge word with its permutation sign.
+    """
+    n, structure = alg.dim, dense_structure(alg)
+    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    diff = []
+    for k in range(n):
+        index = {s: r for r, s in enumerate(subsets[k + 1])}
+        entries = {}
+        for col, S in enumerate(subsets[k]):
+            for p, m in enumerate(S):
+                for i, j in itertools.combinations(range(n), 2):
+                    c = structure[i][j][m]
+                    word = S[:p] + (i, j) + S[p + 1 :]
+                    if not c or len(set(word)) < len(word):
+                        continue
+                    key = (index[tuple(sorted(word))], col)
+                    entries[key] = entries.get(key, 0) - c * (-1) ** p * _wedge_sign(word)
+        diff.append(OperatorMatrix(len(subsets[k + 1]), len(subsets[k]), entries))
+    product = {}
+    for S, T in itertools.product(itertools.chain(*subsets), repeat=2):
+        if not set(S) & set(T):
+            key = (len(S), subsets[len(S)].index(S), len(T), subsets[len(T)].index(T))
+            target = subsets[len(S) + len(T)].index(tuple(sorted(S + T)))
+            product[key] = {target: _wedge_sign(S + T)}
+    labels = tuple(tuple("e" + "^".join(str(x + 1) for x in S) if S else "1" for S in row)
+                   for row in subsets)
+    return DGAModel(name, labels, tuple(diff), product)
 
 
 # ---------------------------------------------------------------------------

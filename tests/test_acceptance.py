@@ -29,10 +29,10 @@ from spencerbench.bundle import (
 from spencerbench.cli import main as cli_main
 from spencerbench.cohomology import (
     build_complex,
+    ce_model,
     d_squared_residual,
     kunneth_diagnostic,
     mirror_invariance_check,
-    torus_model,
 )
 from spencerbench.liealg import (
     antisymmetry_residual,
@@ -173,8 +173,8 @@ def test_criterion_05_involution_and_kernel_invariance():
 def test_criterion_06_sign_chain_map_commutation():
     t0 = time.time()
     so3 = builtin_algebra("so3")
-    c = build_complex(torus_model(2), so3, so3.dual_basis_vector(2), 4,
-                      LeibnizConvention.UNSIGNED)
+    t2 = ce_model(builtin_algebra("abelian(2)"), "torus2")
+    c = build_complex(t2, so3, so3.dual_basis_vector(2), 4, LeibnizConvention.UNSIGNED)
     rep = mirror_invariance_check(c, sign_mirror())
     assert rep.commutation_holds
     assert all(r == 0 for r in rep.commutation_residuals)
@@ -231,7 +231,7 @@ def test_criterion_08_mirror_invariance_of_characteristics():
     sl2 = builtin_algebra("sl2")
     sl3 = builtin_algebra("sl3")
     ab2 = builtin_algebra("abelian(2)")
-    t2 = torus_model(2)
+    t2 = ce_model(builtin_algebra("abelian(2)"), "torus2")
     pairs = []
 
     def timed_check(instance, transform):
@@ -386,7 +386,7 @@ def test_criterion_12_cartan_residual_calibration():
 def test_criterion_13_kunneth_diagnostic():
     t0 = time.time()
     so3 = builtin_algebra("so3")
-    t2 = torus_model(2)
+    t2 = ce_model(builtin_algebra("abelian(2)"), "torus2")
     c0 = build_complex(t2, so3, so3.dual([0, 0, 0]), 4)
     rep0 = kunneth_diagnostic(c0)
     assert rep0.matches

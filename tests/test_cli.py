@@ -148,15 +148,14 @@ def test_complex_lam_zero_dims(capsys):
     assert report["kunneth"]["matches"] is True
 
 
-def test_complex_diagonal_grading(capsys):
-    code, out = run(
-        capsys, "complex", "--builtin", "so3", "--lambda", "0,0,1",
-        "--K", "3", "--grading", "diagonal",
-    )
-    report = json.loads(out)
-    assert code == 0
-    assert report["report"]["dims"] == []
-    assert "blocks" in report
+def test_complex_grading_option_is_gone(capsys):
+    # the total complex is the one grading; --grading is no option any more
+    assert main(["complex", "--builtin", "so3", "--lambda", "0,0,1", "--K", "3",
+                 "--grading", "diagonal"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "spencerbench: error: unrecognized arguments: --grading diagonal\n")
 
 
 def test_bundle_report(capsys):
@@ -453,17 +452,6 @@ def test_mirror_without_an_intertwining_degree_exit_two(k):
                        "--transform", "weyl:231", "--K", k, "--assert-intertwining")
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [["--mirror", "sign"], ["--mirror", "bogus"], ["--assert-mirror-invariant"],
-     ["--mirror", "sign", "--assert-mirror-invariant"]],
-    ids=["sign", "bogus", "assert-only", "sign-assert"],
-)
-def test_complex_diagonal_grading_rejects_mirror_flags(flags):
-    assert_input_error("complex", "--builtin", "so3", "--lambda", "0,0,1", "--K", "3",
-                       "--grading", "diagonal", *flags)
-
-
 SINGULAR_KILLING = "input error: Killing form of abelian(2) is singular; "
 
 
@@ -473,18 +461,16 @@ SINGULAR_KILLING = "input error: Killing form of abelian(2) is singular; "
     ("2", 2, SINGULAR_KILLING),
     ("3", 2, SINGULAR_KILLING),
 ])
-def test_complex_diagonal_grading_accepts_what_the_total_grading_accepts(K, code, message,
-                                                                         capsys):
-    # the diagonal report builds no block, yet rejects the same inputs: K < 1,
-    # and a singular Killing form once a delta block of degree >= 1 exists
+def test_complex_rejects_a_truncation_below_one_and_a_singular_killing_form(K, code, message,
+                                                                           capsys):
+    # K < 1, and a singular Killing form once a delta block of degree >= 1 exists
     argv = ["complex", "--builtin", "abelian(2)", "--lambda", "0,1", "--K", K,
             "--identification", "killing"]
-    for grading in ("total", "diagonal"):
-        assert main([*argv, "--grading", grading]) == code
-        err = capsys.readouterr().err
-        assert err.startswith(message) and bool(err) == (code == 2)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and bool(err) == (code == 2)
     if code == 2:
-        assert_input_error(*argv, "--grading", "diagonal")
+        assert_input_error(*argv)
 
 
 def test_complex_assert_mirror_invariant_needs_a_mirror():
@@ -572,7 +558,7 @@ RATIONAL = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
 COMPLEX_REPORT_SCHEMA = {
     "type": "object",
     "properties": {
-        "grading": {"type": "string", "enum": ["total", "diagonal"]},
+        "grading": {"type": "string", "enum": ["total"]},
         "convention": {"type": "string", "enum": ["unsigned", "paper-signed"]},
         "K": {"type": "integer", "minimum": 1},
         "dims": {"type": "array", "items": {"type": "integer", "minimum": 0}},
@@ -747,12 +733,10 @@ def test_star_import_binds_every_public_name():
 
 def test_parser_choices_are_the_enum_values():
     from spencerbench import cli
-    from spencerbench.cohomology import GRADING_DIAGONAL, GRADING_TOTAL
     from spencerbench.spencer import Identification, LeibnizConvention
 
     assert cli.CONVENTIONS == tuple(c.value for c in LeibnizConvention)
     assert cli.IDENTIFICATIONS == tuple(i.value for i in Identification)
-    assert cli.GRADINGS == (GRADING_TOTAL, GRADING_DIAGONAL)
     parser = cli.build_parser()
     lam = ["--builtin", "so3", "--lambda", "0,0,1"]
     args = parser.parse_args(["spencer", *lam])
@@ -760,7 +744,6 @@ def test_parser_choices_are_the_enum_values():
     assert args.identification == Identification.BASIS.value
     args = parser.parse_args(["mirror", *lam, "--transform", "sign"])
     assert args.identification == Identification.KILLING.value
-    assert parser.parse_args(["complex", *lam]).grading == GRADING_TOTAL
 
 
 # --- the README's CLI examples ------------------------------------------------

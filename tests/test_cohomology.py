@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import spencerbench.cohomology as cohomology_mod
 from oracles import (
-    dense_structure,
+    algebra_from_dense,
     oracle_block_matrix,
+    oracle_ce_model,
     oracle_components,
     oracle_diagonal_block_shapes,
     oracle_total_differentials,
@@ -23,6 +24,7 @@ from spencerbench.cohomology import (
     DGAModel,
     _block_max_abs,
     build_complex,
+    ce_model,
     chain_map_matrix,
     classes_equal,
     cohomology_report,
@@ -30,14 +32,17 @@ from spencerbench.cohomology import (
     cup_product,
     cup_well_defined,
     d_squared_residual,
-    diagonal_block_shapes,
     kunneth_diagnostic,
     mirror_invariance_check,
     segment_offsets,
-    torus_model,
 )
 from spencerbench.errors import FormatError, MismatchError
-from spencerbench.liealg import builtin_algebra, builtin_automorphism, weyl_mirrors
+from spencerbench.liealg import (
+    builtin_algebra,
+    builtin_automorphism,
+    jacobi_residual,
+    weyl_mirrors,
+)
 from spencerbench.linalg import OperatorMatrix, kron, rank_bareiss
 from spencerbench.mirror import automorphism_mirror, mirror_lambda, sign_mirror
 from spencerbench.spencer import Identification, LeibnizConvention, delta_matrix
@@ -52,7 +57,70 @@ SL3 = builtin_algebra("sl3")
 # --- base models -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def torus_model(n):
+    """The n-torus base of ``complex --torus n``: the CE model of abelian(n)."""
+    return ce_model(builtin_algebra(f"abelian({n})"), f"torus{n}")
+
+
+def constants(n, brackets):
+    """Dense constants c[i][j][k] with [e_i, e_j] = sum v e_k over the (k, v)
+    of brackets[(i, j)], and [e_j, e_i] its negative."""
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), terms in brackets.items():
+        for k, v in terms:
+            c[i][j][k], c[j][i][k] = v, -v
+    return c
+
+
+def heisenberg(pairs):
+    """The Heisenberg algebra of dimension 2 pairs + 1: [x_p, y_p] = z."""
+    n = 2 * pairs + 1
+    return constants(n, {(2 * p, 2 * p + 1): [(n - 1, 1)] for p in range(pairs)})
+
+
+BETTI_S3 = [1, 0, 0, 1]
+BETTI_S3_S5 = [1, 0, 0, 1, 0, 1, 0, 0, 1]
+CE_DIMS = {"so3": BETTI_S3, "sl2": BETTI_S3, "su2": BETTI_S3, "sl3": BETTI_S3_S5,
+           "su3": BETTI_S3_S5, "heisenberg": [1, 2, 2, 1],
+           **{f"abelian({n})": [comb(n, k) for k in range(n + 1)] for n in range(1, 5)}}
+
+
+@pytest.mark.parametrize("name", sorted(CE_DIMS))
+def test_ce_model_matches_the_oracle_and_its_cohomology(name):
+    alg = (algebra_from_dense(name, heisenberg(1)) if name == "heisenberg"
+           else builtin_algebra(name))
+    model = ce_model(alg, name)
+    oracle = oracle_ce_model(alg, name)
+    assert model == oracle and model.product == oracle.product
+    assert all(m.is_zero() for m in model.diff) == name.startswith("abelian")
+    assert model.d_squared_residual() == 0
+    assert model.de_rham_dims() == CE_DIMS[name]
+
+
+@st.composite
+def antisymmetric_constants(draw):
+    n = draw(st.integers(1, 5))
+    values = st.sampled_from([0, 0, 0, 1, -1, 2])
+    return constants(n, {(i, j): [(k, draw(values)) for k in range(n)]
+                         for i, j in itertools.combinations(range(n), 2)})
+
+
+@settings(deadline=None)
+@example(constants(3, {(0, 1): [(2, 1)], (1, 2): [(0, 1)], (2, 0): [(1, 1)]}))  # so3
+@example(constants(3, {(0, 1): [(1, 2)], (0, 2): [(2, -2)], (1, 2): [(0, 1)]}))  # sl2
+@example(heisenberg(2))
+@example(constants(3, {(0, 1): [(0, 1)], (1, 2): [(1, 1)]}))  # Jacobi sum -e1
+@given(antisymmetric_constants())
+def test_ce_model_matches_the_oracle_on_random_constants(c):
+    # d^2 is a derivation, so it vanishes iff it vanishes on the generators,
+    # where d^2 e^m reads the Jacobi sums of the constants
+    alg = algebra_from_dense("random", c)
+    model, oracle = ce_model(alg, "random"), oracle_ce_model(alg, "random")
+    assert model == oracle and model.product == oracle.product
+    assert (model.d_squared_residual() == 0) == (jacobi_residual(alg) == 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_torus_model_dims_and_cohomology(n):
     t = torus_model(n)
     assert t.dims() == [comb(n, k) for k in range(n + 1)]
@@ -61,11 +129,11 @@ def test_torus_model_dims_and_cohomology(n):
     assert t.d_squared_residual() == 0
 
 
-def test_torus_range_check():
-    with pytest.raises(FormatError):
-        torus_model(0)
-    with pytest.raises(FormatError):
-        torus_model(5)
+def test_torus_range_check(capsys):
+    # the CLI keeps --torus to 1..4; ce_model itself takes any abelian(n)
+    for n in ("0", "5"):
+        assert main(["complex", "--builtin", "so3", "--lambda", "0,0,1", "--torus", n]) == 2
+        assert capsys.readouterr().err == f"input error: --torus must be in 1..4, got {n}\n"
 
 
 def test_torus_product_signs():
@@ -233,22 +301,26 @@ def test_rank_paths_agree_on_differentials():
 @pytest.mark.parametrize("name", ["so3", "sl2", "abelian(2)"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_diagonal_block_shapes_match_the_built_blocks(n, name, K):
+    # the diagonal space Omega^k x S^k is segment k of degree 2k, where
+    # build_complex keeps d_k x I and (-1)^k I x delta_k as Kronecker factors;
+    # they map it into Omega^{k+1} x S^k and Omega^k x S^{k+1}, so the
+    # diagonal spaces form no complex
     alg = builtin_algebra(name)
     dga = torus_model(n)
-    shapes = diagonal_block_shapes(dga, alg.dim, K)
-    assert shapes == oracle_diagonal_block_shapes(dga, alg.dual_basis_vector(0), K)
+    lam = alg.dual_basis_vector(0)
+    shapes = oracle_diagonal_block_shapes(dga, lam, K)
+    c = build_complex(dga, alg, lam, 2 * len(shapes) - 1)
+    for k, (d_shape, delta_shape) in enumerate(shapes):
+        built = {row: kron(a, b).shape for (row, col), [(_, a, b)] in c.kron_blocks[2 * k].items()
+                 if col == k}
+        assert built.pop(k + 1, (0, delta_shape[1])) == d_shape
+        assert built == {k: delta_shape}
     assert len(shapes) == min(K, n + 1)
     if K > n:
         assert shapes[n][0][0] == 0  # no d block rows at the top degree
     if (n, name, K) == (2, "so3", 3):
         # Omega^1 x S^1 has dim 2*3; its images split over two bigraded pieces
         assert shapes[1] == ((1 * 3, 2 * 3), (2 * 6, 2 * 3))
-
-
-@pytest.mark.parametrize("K", [0, -1])
-def test_diagonal_block_shapes_need_a_positive_truncation(K):
-    with pytest.raises(MismatchError):
-        diagonal_block_shapes(torus_model(2), SO3.dim, K)
 
 
 def test_truncation_guard():
@@ -469,36 +541,8 @@ def test_kunneth_independent_rank_oracle():
 # --- a base model with a non-zero differential ----------------------------------
 
 
-def chevalley_eilenberg(alg):
-    """CE cochains of alg: d e^m = -sum_{i<j} c_ij^m e^i e^j, as a derivation.
-
-    Degree k has the sorted k-subsets S as basis; d e^S replaces each e^{s_p}
-    by d e^{s_p} (sign (-1)^p for moving d past p one-forms) and re-sorts the
-    wedge word with its permutation sign.
-    """
-    n, structure = alg.dim, dense_structure(alg)
-    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
-    diff = []
-    for k in range(n):
-        index = {s: r for r, s in enumerate(subsets[k + 1])}
-        entries = {}
-        for col, S in enumerate(subsets[k]):
-            for p, m in enumerate(S):
-                for i, j in itertools.combinations(range(n), 2):
-                    c = structure[i][j][m]
-                    word = S[:p] + (i, j) + S[p + 1 :]
-                    if not c or len(set(word)) < len(word):
-                        continue
-                    inversions = sum(1 for x, y in itertools.combinations(word, 2) if x > y)
-                    key = (index[tuple(sorted(word))], col)
-                    entries[key] = entries.get(key, 0) - c * (-1) ** (p + inversions)
-        diff.append(OperatorMatrix(len(subsets[k + 1]), len(subsets[k]), entries))
-    labels = tuple(tuple(str(S) for S in row) for row in subsets)
-    return DGAModel(f"ce({alg.name})", labels, tuple(diff))
-
-
 def test_ce_so3_base_with_nonzero_differential():
-    dga = chevalley_eilenberg(SO3)
+    dga = ce_model(SO3, "ce(so3)")
     assert any(not m.is_zero() for m in dga.diff)
     assert dga.d_squared_residual() == 0
     assert dga.de_rham_dims() == [1, 0, 0, 1]  # H*(so3) = H*(S^3)
@@ -518,7 +562,7 @@ def test_ce_so3_base_with_nonzero_differential():
 def test_ce_so3_with_sl3_fiber_splits_the_top_differential():
     # lambda = 0: D = d x 1 is one copy of the CE differential per multiset,
     # so the top differential falls apart into many components
-    c = build_complex(chevalley_eilenberg(SO3), SL3, SL3.dual([0] * 8), 6)
+    c = build_complex(ce_model(SO3, "ce(so3)"), SL3, SL3.dual([0] * 8), 6)
     assert d_squared_residual(c) == 0
     # Betti(so3) = (1, 0, 0, 1) convolved with dim Sym^j(sl3) = C(j + 7, 7)
     betti = [1, 0, 0, 1]
@@ -537,7 +581,7 @@ def test_ce_so3_with_sl3_fiber_splits_the_top_differential():
 def test_koszul_sign_cancels_cross_terms_of_d_squared():
     # with d != 0 and delta != 0, D^2 = d^2 x 1 + 1 x delta^2 holds only when
     # the mixed terms d x delta cancel, i.e. the delta block carries (-1)^i
-    dga = chevalley_eilenberg(SO3)
+    dga = ce_model(SO3, "ce(so3)")
     lam = SO3.dual([1, -2, 3])
     K = 4
     c = build_complex(dga, SO3, lam, K)
@@ -654,7 +698,7 @@ MIRROR_KINDS = {
 
 @functools.lru_cache(maxsize=None)
 def base_model(name):
-    return chevalley_eilenberg(SO3) if name == "ce(so3)" else torus_model(int(name[-1]))
+    return ce_model(SO3, "ce(so3)") if name == "ce(so3)" else torus_model(int(name[-1]))
 
 
 def diagonal_base_maps(dga):
