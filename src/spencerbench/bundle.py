@@ -9,24 +9,23 @@ omega(u, X) = sum_a u_a * omega_a(site) + X.
 Every exact per-site diagnostic depends only on the site's (lam, omega)
 value, so the bundle groups its sites into classes of equal value and keeps
 one site operator per class: the integer (n + dim g) x dim g matrix of
-omega and the dual value lam as a column. Beside it, and only when a
-diagnostic asks for it, it keeps the constraint distribution
-D = ker <lam, omega(.)> of each class as the rows of an integer kernel
-(none where lam = 0). Each diagnostic reads those tables:
+omega and the dual value lam as a column. Each diagnostic reads that table:
 
-* transversality: the unit fiber rows V clear the fiber columns of D, so
-  rank [D; V] = dim g + the rank of D's block on the n base columns. For
-  fiber dimension > 1 the kernel arithmetic forces dim(D & V) > 0; the
-  report states that measurement next to the claim it audits.
+* transversality and the default second energy: wherever lam != 0,
+  D = ker <lam, omega(.)> = H + ker lam with H = ker omega (Kobayashi &
+  Nomizu I, ch. II). The constraint restricts to the fiber directions V as
+  lam, so D & V = ker lam and D + V is everything: every site reads
+  (n + dim g - 1, dim g - 1, n + dim g), and lam annihilates omega(D). Only
+  lam != 0 is read off the field, once per class.
 * the flatness residual: central differences of the dual field plus the
   coadjoint term ad*_{omega_a} lam, which is minus the base rows of omega
   times the integer contraction of the structure constants with lam. Every
   coefficient is an integer numerator over one denominator, so its maximum
   and the first energy are one Fraction each.
-* the second energy: the distance from lam to the annihilator of
-  omega(D). It is 0 iff lam annihilates omega(D), which one integer product
-  tests exactly; only a value that fails the test is projected by the
-  normal equations.
+* the second energy of an explicit target: the distance from lam to the
+  annihilator of omega(target), 0 iff one integer product of the target
+  with the class's constraint column omega @ lam vanishes; only a value
+  that fails is projected by the normal equations.
 
 The fields are read-only, so the tables and the flatness report are built
 once per bundle. The flatness report is computed as integer columns over the
@@ -133,15 +132,8 @@ class GridBundle(FrozenRecord):
     @cached_property
     def _constraints(self):
         """The constraint column omega @ lam per site class, in class order:
-        <lam, omega(v)> is v times it, for the kernel and the second energy."""
+        <lam, omega(v)> is v times it, for kernels and explicit targets."""
         return [omega @ lam for omega, lam in self._operators]
-
-    @cached_property
-    def _kernels(self):
-        """The rows of the constraint kernel ker <lam, omega(.)> per site
-        class, in class order, or None where lam = 0."""
-        return [None if lam.is_zero() else column.transpose().kernel()
-                for (_, lam), column in zip(self._operators, self._constraints)]
 
     @cached_property
     def _cartan(self):
@@ -198,18 +190,21 @@ def grid_bundle(shape, algebra, omega=None, lam_field=None):
     return GridBundle(shape, algebra, MappingProxyType(omega_map), MappingProxyType(lam_map))
 
 
-def _kernel(bundle, site):
-    """The constraint kernel of the site's class; a degenerate value raises."""
-    kernel = bundle._kernels[bundle._site_classes[0][site]]
-    if kernel is None:
-        raise DegenerateInputError(f"degenerate dual value at site {site}")
-    return kernel
+def _check_nondegenerate(bundle):
+    """Raise DegenerateInputError naming the first four sites where lam = 0."""
+    cls, reps = bundle._site_classes
+    zero = {c for c, rep in enumerate(reps) if not any(bundle.lam_field[rep].coeffs)}
+    if degenerate := [site for site, c in cls.items() if c in zero]:
+        raise DegenerateInputError(f"degenerate dual value at sites {degenerate[:4]}"
+                                   + ("..." if len(degenerate) > 4 else ""))
 
 
 def constraint_distribution(bundle, site):
     """Canonical exact kernel basis of the constraint functional
     v = (u, X) -> <lam(site), omega(v)> at a site, as tuples of Fractions."""
-    return [tuple(row) for row in _kernel(bundle, site).to_dense()]
+    if not any(bundle.lam_field[site].coeffs):
+        raise DegenerateInputError(f"degenerate dual value at site {site}")
+    return bundle._constraints[bundle._site_classes[0][site]].transpose().kernel_basis()
 
 
 class TransversalityReport(Record):
@@ -231,32 +226,13 @@ class TransversalityReport(Record):
 
 
 def transversality_report(bundle):
-    """Exact per-site subspace arithmetic for D against the fiber directions."""
-    n = bundle.n_axes
-    dim_g = bundle.algebra.dim
-    tangent = n + dim_g
-    cls, _ = bundle._site_classes
-    kernels = bundle._kernels
-    degenerate = [site for site, c in cls.items() if kernels[c] is None]
-    if degenerate:
-        raise DegenerateInputError(
-            f"degenerate dual value at sites {degenerate[:4]}"
-            + ("..." if len(degenerate) > 4 else "")
-        )
-    dims = []
-    for dist in kernels:
-        # the unit fiber rows V clear the fiber columns of D's rows, so
-        # rank [D; V] = dim g + the rank of D's block on the n base columns
-        k = dist.rows
-        base = {key: v for key, v in dist.nums.items() if key[1] < n}
-        dim_sum = dim_g + OperatorMatrix.from_numerators(k, n, 1, base).rank()
-        dims.append((k, k + dim_g - dim_sum, dim_sum))
-    per_site = {site: dims[c] for site, c in cls.items()}
-    zero_intersection = all(dim_int == 0 for _, dim_int, _ in dims)
-    full_sum = all(dim_sum == tangent for _, _, dim_sum in dims)
-    return TransversalityReport(
-        per_site, tangent, dim_g, zero_intersection, full_sum, [],
-    )
+    """D against the fiber directions V from D = H + ker lam: every site reads
+    (dim D, dim D&V, dim D+V) = (n + dim g - 1, dim g - 1, n + dim g)."""
+    _check_nondegenerate(bundle)
+    n, dim_g = bundle.n_axes, bundle.algebra.dim
+    dims = (n + dim_g - 1, dim_g - 1, n + dim_g)
+    per_site = dict.fromkeys(bundle._site_classes[0], dims)
+    return TransversalityReport(per_site, n + dim_g, dim_g, dim_g == 1, True, [])
 
 
 class CartanResidualReport(Record):
@@ -428,38 +404,35 @@ def compatibility_functional_terms(bundle, dist_target=None):
     Second term: volume-weighted squared distance from the dual value to the
     annihilator of omega(D) at each site, with D the supplied per-site bases
     (dist_target: site -> vectors of length n + dim g; defaults to the
-    constraint kernel itself). Distances use the dual-coordinate Euclidean
-    norm. Each distance first tests exactly whether the dual value
-    annihilates omega(D), which proves a distance of 0; only a value that
-    fails the test is projected by the normal equations. On the default
-    target the test holds at every site, so no system is solved.
+    constraint distribution, on which it is 0 by definition). Distances use
+    the dual-coordinate Euclidean norm. A distance is 0 iff the dual value
+    annihilates omega(D), which one exact product tests; only a value that
+    fails is projected by the normal equations, once per site class and target.
     """
     vol = bundle.cell_volume()
     first = cartan_residual(bundle).squared_norm() * vol / 2
-
-    cls, reps = bundle._site_classes
     if dist_target is None:
-        # the default target is the constraint kernel: one distance per site class
-        per_class = [_annihilator_distance_sq(bundle, c, _kernel(bundle, rep))
-                     for c, rep in enumerate(reps)]
-        dists = [per_class[c] for c in cls.values()]
-    else:
-        tangent = bundle.n_axes + bundle.algebra.dim
-        dists = []
-        for site, c in cls.items():
-            try:
-                vecs = dist_target[site]
-            except KeyError:
-                raise MismatchError(f"distribution target has no basis at site {site}") from None
-            if any(len(vec) != tangent for vec in vecs):
-                raise MismatchError(
-                    f"distribution target at site {site}: every vector needs "
-                    f"{tangent} coordinates (n + dim g)")
-            basis = OperatorMatrix(len(vecs), tangent, {
-                (i, j): v for i, vec in enumerate(vecs) for j, v in enumerate(vec)})
-            dists.append(_annihilator_distance_sq(bundle, c, basis))
-    second = vol * sum(dists, ZERO)
-    return first, second
+        _check_nondegenerate(bundle)
+        return first, ZERO
+
+    tangent = bundle.n_axes + bundle.algebra.dim
+    dists = {}  # (site class, target vectors) -> squared distance
+    second = ZERO
+    for site, c in bundle._site_classes[0].items():
+        try:
+            vecs = dist_target[site]
+        except KeyError:
+            raise MismatchError(f"distribution target has no basis at site {site}") from None
+        if any(len(vec) != tangent for vec in vecs):
+            raise MismatchError(
+                f"distribution target at site {site}: every vector needs "
+                f"{tangent} coordinates (n + dim g)")
+        key = (c, tuple(map(tuple, vecs)))
+        if key not in dists:
+            dists[key] = _annihilator_distance_sq(bundle, c, OperatorMatrix(len(vecs), tangent, {
+                (i, j): v for i, vec in enumerate(vecs) for j, v in enumerate(vec)}))
+        second += dists[key]
+    return first, vol * second
 
 
 def _annihilator_distance_sq(bundle, c, basis):
@@ -530,6 +503,8 @@ def bundle_from_json(data, algebra):
         shape = tuple(parse_int(m, "grid extent") for m in _list(data["grid"], "grid"))
     except (KeyError, TypeError) as exc:
         raise FormatError("bundle JSON needs a grid field") from exc
+    if data.get("algebra", algebra.name) != algebra.name:
+        raise FormatError(f"bundle JSON is for algebra {data['algebra']!r}, not {algebra.name!r}")
     n = len(shape)
     flat = (algebra.zero_vector(),) * n
     # the fields repeat few literals: each distinct one is parsed once

@@ -81,7 +81,7 @@ def test_degenerate_site_rejected():
 
 
 def test_a_degenerate_site_leaves_the_other_kernels_readable():
-    # the per-class table holds no kernel for lam = 0; only that site raises
+    # lam = 0 at one site: constraint_distribution raises at that site only
     lf = {(i, j): [F(1), F(i), F(-j)] for i in range(3) for j in range(4)}
     lf[(2, 1)] = [F(0), F(0), F(0)]
     b = grid_bundle((3, 4), SO3, [SO3.vector([1, 0, 2]), SO3.zero_vector()], lf)
@@ -187,6 +187,15 @@ def test_transversality_so3_model():
         assert total == d + 3 - inter
     assert not rep.zero_intersection
     assert rep.full_sum
+
+
+def test_default_second_energy_names_a_degenerate_site():
+    lf = {(i, j): [F(1), F(i), F(-j)] for i in range(3) for j in range(4)}
+    lf[(2, 1)] = [F(0), F(0), F(0)]
+    b = grid_bundle((3, 4), SO3, [SO3.vector([1, 0, 2]), SO3.zero_vector()], lf)
+    with pytest.raises(DegenerateInputError,
+                       match=re.escape("degenerate dual value at sites [(2, 1)]")):
+        compatibility_functional_terms(b)
 
 
 def test_transversality_abelian_line_fiber():
@@ -361,6 +370,19 @@ def test_bundle_json_missing_lambda():
         bundle_from_json({"grid": [3]}, SO3)
 
 
+def test_bundle_json_for_another_algebra_is_rejected():
+    # su3 and sl3 both have dimension 8: only the file's algebra key tells
+    # the fields apart; a file without the key loads under either
+    su3, sl3 = builtin_algebra("su3"), builtin_algebra("sl3")
+    data = bundle_to_json(grid_bundle((3, 3), su3, None, list(range(1, 9))))
+    assert data["algebra"] == "su3"
+    assert bundle_from_json(data, su3).lam_field[(2, 2)] == su3.dual(list(range(1, 9)))
+    with pytest.raises(FormatError, match=re.escape("algebra 'su3', not 'sl3'")):
+        bundle_from_json(data, sl3)
+    del data["algebra"]
+    assert bundle_from_json(data, sl3).lam_field[(2, 2)] == sl3.dual(list(range(1, 9)))
+
+
 # --- per-site work once per distinct site value ----------------------------------
 
 
@@ -444,7 +466,7 @@ def test_shared_site_work_matches_per_site_oracle():
 
 def test_supplied_target_is_used_after_shared_kernels():
     b, _, _ = mixed_so3_bundle()
-    assert compatibility_functional_terms(b)[1] == 0  # fills the shared kernels
+    assert compatibility_functional_terms(b)[1] == 0  # the default target first
     target = {site: [(F(0), F(0), F(0), F(1), F(0)), (F(1), F(0), F(0), F(0), F(1))]
               for site in b.sites()}
     expect = sum(oracle_distance_sq(b, s, target[s]) for s in b.sites()) * F(1, 12)
@@ -477,8 +499,8 @@ def test_supplied_target_is_checked_site_by_site(vecs, site_shown):
 
 
 def test_default_target_is_measured_without_a_solve(monkeypatch):
-    # the default target is the constraint kernel itself, so the membership
-    # test proves every distance 0; a target off the kernel still solves
+    # the default target is the constraint distribution D itself, where the
+    # distance is 0 by the definition of D; a target off D still solves
     calls = []
     original = OperatorMatrix.solve
 
@@ -497,8 +519,9 @@ def test_default_target_is_measured_without_a_solve(monkeypatch):
 
 
 def test_cartan_residual_alone_builds_no_constraint_kernel(monkeypatch):
-    # the flatness residual reads only omega and lam; the constraint kernels
-    # are built, once per site class, by the first diagnostic that reads them
+    # the flatness residual reads only omega and lam, and transversality and
+    # the default second energy follow from D = H + ker lam: none of them
+    # eliminates a kernel; constraint_distribution eliminates one per call
     calls = []
     original = OperatorMatrix.kernel
 
@@ -509,27 +532,38 @@ def test_cartan_residual_alone_builds_no_constraint_kernel(monkeypatch):
     monkeypatch.setattr(OperatorMatrix, "kernel", counting_kernel)
     b, _, _ = mixed_so3_bundle()
     assert cartan_residual(b).max_abs == oracle_cartan(b)[1]
-    assert calls == []
     transversality_report(b)
-    compatibility_functional_terms(b)
-    assert len(calls) == len(b._operators)
+    assert compatibility_functional_terms(b)[1] == 0
+    assert calls == []
+    constraint_distribution(b, (0, 0))
+    constraint_distribution(b, (0, 0))
+    assert len(calls) == 2
 
 
 def test_constraint_column_is_formed_once_per_site_class(monkeypatch):
-    # omega @ lam is formed once per class and read by both the kernel and
-    # the second energy's membership test, one more product per class
+    # transversality and the default second energy form no product; an
+    # explicit target forms omega @ lam once per site class, and its
+    # membership test once per distinct (site class, target) and call
     calls = []
     original = OperatorMatrix.__matmul__
 
     def counting_matmul(self, other):
-        calls.append(1)
+        calls.append((self.shape, other.shape))
         return original(self, other)
 
-    monkeypatch.setattr(OperatorMatrix, "__matmul__", counting_matmul)
     b, _, _ = mixed_so3_bundle()
+    # the oracle's kernel of each site's row: inside D, so the test proves 0
+    target = {s: oracle_kernel([oracle_constraint_row(b, s)], 2 + 3) for s in b.sites()}
+    monkeypatch.setattr(OperatorMatrix, "__matmul__", counting_matmul)
     transversality_report(b)
     assert compatibility_functional_terms(b)[1] == 0
-    assert len(calls) == 2 * len(b._operators)
+    assert calls == []
+    assert compatibility_functional_terms(b, target)[1] == 0
+    assert compatibility_functional_terms(b, target)[1] == 0
+    classes = len(b._operators)
+    assert calls.count(((5, 3), (3, 1))) == classes  # omega @ lam
+    assert calls.count(((4, 5), (5, 1))) == 2 * classes  # target @ column
+    assert len(calls) == 3 * classes
 
 
 def test_bundle_json_parses_each_coefficient_literal_once(monkeypatch):
@@ -559,7 +593,8 @@ def test_bundle_json_rejects_a_non_literal_after_an_equal_literal(later):
 
 def test_constant_field_eliminations_do_not_grow_with_the_grid(monkeypatch):
     # both elimination routines: _rref (kernels, solves) and _sparse_rank
-    # (ranks)
+    # (ranks). The default diagnostics eliminate nothing; a target off the
+    # constraint distribution is solved once per site class, not per site
     calls = []
     for name in ("_rref", "_sparse_rank"):
         def counting(*args, _original=getattr(linalg_mod, name), **kwargs):
@@ -576,6 +611,10 @@ def test_constant_field_eliminations_do_not_grow_with_the_grid(monkeypatch):
         cartan_residual(b)
         compatibility_functional_terms(b)
         equivariance_residual(b)
+        assert calls == []
+        # omega maps the target to e2, whose annihilator misses lam by 2/3
+        target = {site: [(F(0), F(0), F(0), F(1), F(0))] for site in b.sites()}
+        assert compatibility_functional_terms(b, target)[1] == F(4, 9)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -662,8 +701,12 @@ def test_equivariance_residual_is_the_float_series_bit_for_bit(b, steps, order):
         assert law == 0.0
 
 
-@settings(max_examples=30, deadline=None)
-@given(site_resolved_fields())
+# transversality on both sides of dim g = 1: D meets V trivially only there
+TRANSVERSALITY_ALGEBRAS = FIELD_ALGEBRAS + [AB1, builtin_algebra("abelian(2)")]
+
+
+@settings(deadline=None)
+@given(site_resolved_fields(TRANSVERSALITY_ALGEBRAS))
 def test_every_constraint_distribution_is_the_oracle_kernel_of_its_row(b):
     tangent = b.n_axes + b.algebra.dim
     for site in b.sites():
@@ -671,11 +714,14 @@ def test_every_constraint_distribution_is_the_oracle_kernel_of_its_row(b):
         assert constraint_distribution(b, site) == expect
 
 
-@settings(max_examples=30, deadline=None)
-@given(site_resolved_fields())
+@settings(deadline=None)
+@given(site_resolved_fields(TRANSVERSALITY_ALGEBRAS))
 def test_transversality_dims_match_the_stacked_oracle_rank(b):
     rep = transversality_report(b)
-    assert rep.per_site == {site: oracle_site_dims(b, site) for site in b.sites()}
+    dims = {site: oracle_site_dims(b, site) for site in b.sites()}
+    assert rep.per_site == dims
+    assert rep.zero_intersection == all(inter == 0 for _, inter, _ in dims.values())
+    assert rep.full_sum == all(total == b.n_axes + b.algebra.dim for *_, total in dims.values())
 
 
 @settings(max_examples=30, deadline=None)

@@ -321,6 +321,17 @@ def test_bundle_file_rejects_grid_lambda_and_omega(tmp_path, capsys, flag):
     assert_input_error("bundle", "--builtin", "so3", "--bundle-file", str(path), *flag)
 
 
+def test_bundle_file_for_another_algebra_exit_two(tmp_path, capsys):
+    # an su3 field loads under su3 only, though sl3 has the same dimension
+    data = {"grid": [3, 3], "algebra": "su3", "lambda_field": {"constant": list("12345678")}}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "bundle", "--builtin", "su3", "--bundle-file", str(path))
+    assert code == 0 and json.loads(out)["algebra"] == "su3"
+    stderr = assert_input_error("bundle", "--builtin", "sl3", "--bundle-file", str(path))
+    assert "bundle JSON is for algebra 'su3', not 'sl3'" in stderr
+
+
 _VALID_LAM = [[[i, j], ["0", "0", "1"]] for i in range(2) for j in range(2)]
 
 
