@@ -192,8 +192,8 @@ def grid_bundle(shape, algebra, omega=None, lam_field=None):
 
 def _check_nondegenerate(bundle):
     """Raise DegenerateInputError naming the first four sites where lam = 0."""
-    cls, reps = bundle._site_classes
-    zero = {c for c, rep in enumerate(reps) if not any(bundle.lam_field[rep].coeffs)}
+    cls, _ = bundle._site_classes
+    zero = {c for c, (_, lam) in enumerate(bundle._operators) if lam.is_zero()}
     if degenerate := [site for site, c in cls.items() if c in zero]:
         raise DegenerateInputError(f"degenerate dual value at sites {degenerate[:4]}"
                                    + ("..." if len(degenerate) > 4 else ""))
@@ -202,9 +202,10 @@ def _check_nondegenerate(bundle):
 def constraint_distribution(bundle, site):
     """Canonical exact kernel basis of the constraint functional
     v = (u, X) -> <lam(site), omega(v)> at a site, as tuples of Fractions."""
-    if not any(bundle.lam_field[site].coeffs):
+    c = bundle._site_classes[0][site]
+    if bundle._operators[c][1].is_zero():
         raise DegenerateInputError(f"degenerate dual value at site {site}")
-    return bundle._constraints[bundle._site_classes[0][site]].transpose().kernel_basis()
+    return bundle._constraints[c].transpose().kernel_basis()
 
 
 class TransversalityReport(Record):
@@ -407,7 +408,7 @@ def compatibility_functional_terms(bundle, dist_target=None):
     constraint distribution, on which it is 0 by definition). Distances use
     the dual-coordinate Euclidean norm. A distance is 0 iff the dual value
     annihilates omega(D), which one exact product tests; only a value that
-    fails is projected by the normal equations, once per site class and target.
+    fails is projected by the normal equations.
     """
     vol = bundle.cell_volume()
     first = cartan_residual(bundle).squared_norm() * vol / 2
@@ -416,8 +417,7 @@ def compatibility_functional_terms(bundle, dist_target=None):
         return first, ZERO
 
     tangent = bundle.n_axes + bundle.algebra.dim
-    dists = {}  # (site class, target vectors) -> squared distance
-    second = ZERO
+    dists = []
     for site, c in bundle._site_classes[0].items():
         try:
             vecs = dist_target[site]
@@ -427,12 +427,10 @@ def compatibility_functional_terms(bundle, dist_target=None):
             raise MismatchError(
                 f"distribution target at site {site}: every vector needs "
                 f"{tangent} coordinates (n + dim g)")
-        key = (c, tuple(map(tuple, vecs)))
-        if key not in dists:
-            dists[key] = _annihilator_distance_sq(bundle, c, OperatorMatrix(len(vecs), tangent, {
-                (i, j): v for i, vec in enumerate(vecs) for j, v in enumerate(vec)}))
-        second += dists[key]
-    return first, vol * second
+        basis = OperatorMatrix(len(vecs), tangent, {
+            (i, j): v for i, vec in enumerate(vecs) for j, v in enumerate(vec)})
+        dists.append(_annihilator_distance_sq(bundle, c, basis))
+    return first, vol * sum(dists, ZERO)
 
 
 def _annihilator_distance_sq(bundle, c, basis):
