@@ -61,6 +61,7 @@ from .linalg import (
     format_scalar,
     literal_parser,
     parse_int,
+    parse_list,
 )
 from .records import FrozenRecord, Record
 
@@ -471,15 +472,8 @@ def bundle_to_json(bundle):
     }
 
 
-def _list(value, what):
-    """value, checked to be a list: a string or a number is not split up."""
-    if not isinstance(value, (list, tuple)):
-        raise FormatError(f"{what} must be a list, got {value!r}")
-    return value
-
-
 def _coefficients(value, what, parse):
-    return [parse(v) for v in _list(value, what)]
+    return [parse(v) for v in parse_list(value, what)]
 
 
 def _site_row(item, width, shape, what, parse):
@@ -488,7 +482,7 @@ def _site_row(item, width, shape, what, parse):
     if not isinstance(item, (list, tuple)) or len(item) != width:
         raise FormatError(f"{what} row {item!r} must have {width} fields")
     site, *rest, coeffs = item
-    site = tuple(parse_int(s, f"{what} row site") for s in _list(site, f"{what} row site"))
+    site = tuple(parse_int(s, f"{what} row site") for s in parse_list(site, f"{what} row site"))
     rest = [parse_int(x, f"{what} row axis") for x in rest]
     coeffs = _coefficients(coeffs, f"{what} row coefficients", parse)
     if len(site) != len(shape) or not all(0 <= s < m for s, m in zip(site, shape)):
@@ -498,7 +492,7 @@ def _site_row(item, width, shape, what, parse):
 
 def bundle_from_json(data, algebra):
     try:
-        shape = tuple(parse_int(m, "grid extent") for m in _list(data["grid"], "grid"))
+        shape = tuple(parse_int(m, "grid extent") for m in parse_list(data["grid"], "grid"))
     except (KeyError, TypeError) as exc:
         raise FormatError("bundle JSON needs a grid field") from exc
     if data.get("algebra", algebra.name) != algebra.name:
@@ -516,12 +510,12 @@ def bundle_from_json(data, algebra):
             raise FormatError("omega_base shorthand must use a 'constant' key")
         omega = [
             algebra.vector(_coefficients(coeffs, "omega_base constant row", parse))
-            for coeffs in _list(omega_raw["constant"], "omega_base constant")
+            for coeffs in parse_list(omega_raw["constant"], "omega_base constant")
         ]
     else:
         omega = {}
         seen = set()
-        for item in _list(omega_raw, "omega_base"):
+        for item in parse_list(omega_raw, "omega_base"):
             site, a, coeffs = _site_row(item, 3, shape, "omega_base", parse)
             if not 0 <= a < n:
                 raise FormatError(f"omega_base row {item!r}: axis must be in 0..{n - 1}")
@@ -541,7 +535,7 @@ def bundle_from_json(data, algebra):
         lam_field = _coefficients(lam_raw["constant"], "lambda_field constant", parse)
     else:
         lam_field = {}
-        for item in _list(lam_raw, "lambda_field"):
+        for item in parse_list(lam_raw, "lambda_field"):
             site, coeffs = _site_row(item, 2, shape, "lambda_field", parse)
             if site in lam_field:
                 raise FormatError(f"lambda_field has two rows for site {site}")

@@ -42,6 +42,7 @@ from .linalg import (
     kron,
     literal_parser,
     parse_int,
+    parse_list,
 )
 from .mirror import mirror_lambda
 from .records import FrozenRecord, Record
@@ -95,8 +96,9 @@ class DGAModel(FrozenRecord):
     def from_json(cls, data):
         try:
             name = str(data["name"])
-            basis = tuple(tuple(str(x) for x in row) for row in data["basis"])
-            diff = tuple(OperatorMatrix.from_json(m) for m in data["diff"])
+            basis = tuple(tuple(str(x) for x in parse_list(row, "DGA basis row"))
+                          for row in parse_list(data["basis"], "DGA basis"))
+            diff = tuple(OperatorMatrix.from_json(m) for m in parse_list(data["diff"], "DGA diff"))
         except (KeyError, TypeError) as exc:
             raise FormatError("DGA JSON needs name/basis/diff") from exc
         if len(diff) != len(basis) - 1:
@@ -112,10 +114,13 @@ class DGAModel(FrozenRecord):
                 )
         product = None
         if "product" in data:
-            if not isinstance(data["product"], list):
-                raise FormatError("DGA product must be a list of rows")
             parse = literal_parser()
-            product = dict(_product_row(item, basis, parse) for item in data["product"])
+            product = {}
+            for item in parse_list(data["product"], "DGA product"):
+                key, table = _product_row(item, basis, parse)
+                if key in product:
+                    raise FormatError(f"product row {item!r}: a second row for {list(key)}")
+                product[key] = table
         model = cls(name, basis, diff, product)
         if model.d_squared_residual() != 0:
             raise FormatError("DGA differential does not square to zero")
@@ -132,6 +137,8 @@ def _product_row(item, basis, parse):
         table = {}
         for c, v in item[4]:
             c = parse_int(c, "product row index")
+            if c in table:
+                raise FormatError(f"product row {item!r}: index {c} appears twice")
             table[c] = parse(v)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"product row {item!r}: {exc}") from exc
@@ -585,7 +592,6 @@ def kunneth_diagnostic(instance):
         rhs = sum(
             base_dims[i] * delta_h[k - i]
             for i in range(min(k, instance.dga.top_degree) + 1)
-            if k - i < len(delta_h)
         )
         per_degree.append((k, rep.dims[k], rhs))
     matches = all(a == b for _, a, b in per_degree)

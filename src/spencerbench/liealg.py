@@ -90,53 +90,48 @@ def _nonzero_table(dim, nums):
     return tuple(tuple(map(tuple, row)) for row in nz)
 
 
-class AlgebraVector(FrozenRecord):
-    __slots__ = _fields = ("algebra", "coeffs")
+class _Coefficients:
+    """The linear structure shared by AlgebraVector and DualVector: a
+    coefficient tuple on one algebra. Adding or subtracting a vector of the
+    other kind, or of another algebra, is a MismatchError."""
+
+    __slots__ = ()
 
     def __init__(self, algebra, coeffs):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __add__(self, other):
+    def _check(self, other):
+        if other.__class__ is not self.__class__:
+            raise MismatchError(
+                f"{type(self).__name__} and {type(other).__name__} do not add or subtract")
         _same_algebra(self, other)
-        return AlgebraVector(self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        _same_algebra(self, other)
-        return AlgebraVector(self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        self._check(other)
+        return type(self)(self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
         return self.scaled(Fraction(-1))
 
     def scaled(self, a):
         a = Fraction(a)
-        return AlgebraVector(self.algebra, tuple(a * c for c in self.coeffs))
+        return type(self)(self.algebra, tuple(a * c for c in self.coeffs))
+
+
+class AlgebraVector(_Coefficients, FrozenRecord):
+    __slots__ = _fields = ("algebra", "coeffs")
 
     def is_zero(self):
         return not any(self.coeffs)
 
 
-class DualVector(FrozenRecord):
+class DualVector(_Coefficients, FrozenRecord):
     __slots__ = _fields = ("algebra", "coeffs")
-
-    def __init__(self, algebra, coeffs):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __add__(self, other):
-        _same_algebra(self, other)
-        return DualVector(self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        _same_algebra(self, other)
-        return DualVector(self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return self.scaled(Fraction(-1))
-
-    def scaled(self, a):
-        a = Fraction(a)
-        return DualVector(self.algebra, tuple(a * c for c in self.coeffs))
 
     def is_nondegenerate(self):
         return any(self.coeffs)

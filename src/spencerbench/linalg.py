@@ -78,6 +78,13 @@ def parse_int(value, what):
     return value
 
 
+def parse_list(value, what):
+    """value, checked to be a list: a string or a number is not split up."""
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def format_scalar(value):
     """Render a Fraction as "p" or "p/q"."""
     return str(value)

@@ -3,11 +3,10 @@
 A record lists its fields in ``_fields``; a record without a cached property
 also makes that tuple its ``__slots__`` (``__slots__ = _fields = (...)``), so
 it keeps no ``__dict__``. ``Record`` gives it a positional or keyword
-``__init__`` (a missing field takes its value from ``_defaults``, or a fresh
-one from ``_factories``), then runs ``__post_init__``, and compares and
-prints the fields not named in ``_uncompared``. A mutable record is
-unhashable; a ``FrozenRecord`` refuses assignment and hashes over its
-compared fields.
+``__init__`` (a missing field takes its value from ``_defaults``), then runs
+``__post_init__``, and compares and prints the fields not named in
+``_uncompared``. A mutable record is unhashable; a ``FrozenRecord`` refuses
+assignment and hashes over its compared fields.
 """
 
 
@@ -15,7 +14,6 @@ class Record:
     __slots__ = ()
     _fields = ()
     _defaults = {}  # field -> value shared by every instance (immutable values only)
-    _factories = {}  # field -> callable giving each instance its own value
     _uncompared = ()
 
     def __init__(self, *args, **kwargs):
@@ -32,8 +30,6 @@ class Record:
                 value = values[name]
             elif name in self._defaults:
                 value = self._defaults[name]
-            elif name in self._factories:
-                value = self._factories[name]()
             else:
                 raise TypeError(f"{type(self).__name__} needs the field {name!r}")
             object.__setattr__(self, name, value)

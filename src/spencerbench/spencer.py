@@ -15,9 +15,7 @@ with its dual. Two identifications are supported:
 The rule is one integer matrix, delta_1 itself (Sym^2 x n, column m is
 delta(e_m)). delta_matrix extends the rule through index tables that depend
 only on the dimension, the degree and the convention (_leibniz_tables), so
-every lam shares them. The signed-rule audit extends it to a single multiset
-one factor at a time instead (_image), on the forward and the reversed order
-of the same factors.
+every lam shares them; the signed-rule audit reads the paper-signed delta_k.
 
 Both Leibniz conventions are implemented. UNSIGNED extends the generator rule
 as an even derivation and is order-independent. PAPER_SIGNED inserts a sign
@@ -41,7 +39,7 @@ from .errors import DegenerateInputError, MismatchError
 from .liealg import killing_gram
 from .linalg import OperatorMatrix, common_denominator
 from .records import Record
-from .symtensor import _columns, multisets, sym_dim, symmetric_power_matrix
+from .symtensor import multisets, sym_dim, symmetric_power_matrix
 
 
 class LeibnizConvention(str, enum.Enum):
@@ -95,27 +93,6 @@ def _generator_table(lam, identification):
     if identification == Identification.KILLING:
         table = symmetric_power_matrix(algebra, _killing_inverse(algebra), 2) @ table
     return table
-
-
-def _image(cols, seq, signed):
-    """Leibniz extension of a generator table to the product of the factors in
-    seq, as {multiset: integer}.
-
-    cols[m] lists the (index pair, integer) terms of the image of e_m: the
-    columns (_columns) of _generator_table. Leibniz rule: the t-th factor is
-    replaced by its generator image, whose index pair is merged into the
-    sorted remaining factors. The signed rule's left-to-right
-    splitting delta(h.r) = delta(h).r - h.delta(r) unrolls to the sign (-1)^t
-    on the t-th term, so it depends on the order of seq.
-    """
-    out = {}
-    for t, i in enumerate(seq):
-        rest = seq[:t] + seq[t + 1 :]
-        sign = -1 if signed and t % 2 else 1
-        for pair, v in cols[i]:
-            key = tuple(sorted(pair + rest))
-            out[key] = out.get(key, 0) + sign * v
-    return {key: v for key, v in out.items() if v}
 
 
 @functools.lru_cache(maxsize=16)
@@ -186,8 +163,7 @@ class NilpotencyReport(Record):
     # witness: (degree, multiset) of a nonzero composite column, or None;
     # matrices: delta_k for k < K
     __slots__ = _fields = ("convention", "identification", "residuals", "holds", "witness",
-                           "composites", "matrices")
-    _factories = {"composites": list, "matrices": list}
+                           "matrices")
 
     def to_json(self):
         return {
@@ -212,11 +188,9 @@ def nilpotency_report(lam, K, convention=LeibnizConvention.UNSIGNED,
     algebra = lam.algebra
     mats = [delta_matrix(lam, k, convention, identification) for k in range(K)]
     residuals = []
-    composites = []
     witness = None
     for k in range(K - 1):
         comp = mats[k + 1] @ mats[k]
-        composites.append(comp)
         residuals.append((k, comp.max_abs()))
         if witness is None and not comp.is_zero():
             col = min(c for (_, c) in comp.entries)
@@ -228,42 +202,43 @@ def nilpotency_report(lam, K, convention=LeibnizConvention.UNSIGNED,
         residuals,
         holds,
         witness,
-        composites,
         mats,
     )
 
 
 class OrderingWitness(Record):
-    # forward: the factor sequence used by the canonical rule
-    __slots__ = _fields = ("multiset", "forward", "reverse", "difference_max")
+    # multiset: the sorted factor word, read forward and reversed
+    __slots__ = _fields = ("multiset", "difference_max")
 
     def to_json(self):
         return {
             "multiset": list(self.multiset),
-            "forward": list(self.forward),
-            "reverse": list(self.reverse),
+            "forward": list(self.multiset),
+            "reverse": list(reversed(self.multiset)),
             "difference_max": str(self.difference_max),
         }
 
 
 def signed_leibniz_welldefinedness(lam, k, identification=Identification.BASIS):
-    """Order-dependence audit of the signed rule at degree k >= 2.
+    """Order-dependence audit of the signed rule at degree k >= 2: a witness
+    for every multiset whose sorted factor word and its reversal have
+    different signed images. An empty list means the signed rule is
+    order-independent there.
 
-    Applies the signed splitting to the sorted factor sequence and to its
-    reverse; returns a witness for every multiset where the two disagree.
-    An empty list means the signed rule is order-independent there.
+    Reversing a word of k factors moves the t-th factor to position
+    k - 1 - t, so its sign (-1)^t becomes (-1)^(k-1-t) = (-1)^(k-1) (-1)^t:
+    the reversed image is (-1)^(k-1) times the forward one, which is column
+    c of the paper-signed delta_k. At odd k the two images are equal and no
+    delta is built; at even k they differ by twice that column, so every
+    non-zero column is a witness, with difference_max = 2 max_r |delta_k[r, c]|.
     """
     if k < 2:
         raise MismatchError("the ordering audit needs degree >= 2")
-    table = _generator_table(lam, Identification(identification))
-    cols = _columns(table, multisets(table.cols, 2))
-    witnesses = []
-    for key in multisets(lam.algebra.dim, k):
-        forward = key
-        reverse = tuple(reversed(key))
-        a = _image(cols, forward, True)
-        b = _image(cols, reverse, True)
-        gap = max((abs(a.get(m, 0) - b.get(m, 0)) for m in a.keys() | b.keys()), default=0)
-        if gap:
-            witnesses.append(OrderingWitness(key, forward, reverse, Fraction(gap, table.den)))
-    return witnesses
+    if k % 2:
+        return []
+    delta = delta_matrix(lam, k, LeibnizConvention.PAPER_SIGNED, identification)
+    gaps = {}
+    for (_, c), v in delta.nums.items():
+        gaps[c] = max(gaps.get(c, 0), abs(v))
+    keys = multisets(lam.algebra.dim, k)
+    return [OrderingWitness(keys[c], Fraction(2 * gaps[c], delta.den)) for c in sorted(gaps)]

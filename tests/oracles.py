@@ -15,9 +15,12 @@ matrices, independent of the library's block-by-block reading of the
 Kronecker factors. The dense forms of an algebra (its n^3 structure
 tensor and its (re, im) matrix basis) exist only here, read from or
 written through the public JSON interface and the stored sparse forms.
-Symmetric tensors exist only here too, as zero-free {multiset: Fraction}
-dicts with their product, evaluation and reconstruction from values: an
-independent Fraction model of delta^lam to hold its matrices against.
+The term-by-term Leibniz rule on one factor word lives here too, against
+delta_matrix's index tables and the signed-rule ordering audit's reading
+of delta_k. Symmetric tensors exist only here too, as zero-free
+{multiset: Fraction} dicts with their product, evaluation and
+reconstruction from values: an independent Fraction model of delta^lam to
+hold its matrices against.
 The Chevalley-Eilenberg cochains are built here from the dense structure
 tensor in Fractions, against ``ce_model``'s integer build.
 """
@@ -42,7 +45,6 @@ from spencerbench.spencer import (
     Identification,
     LeibnizConvention,
     _generator_table,
-    _image,
     delta_matrix,
 )
 from spencerbench.symtensor import _columns, multisets, sym_dim
@@ -200,12 +202,33 @@ def oracle_block_matrix(rows, cols, blocks):
 # ---------------------------------------------------------------------------
 
 
+def _image(cols, seq, signed):
+    """Leibniz extension of a generator table to the product of the factors in
+    seq, as {multiset: integer}.
+
+    cols[m] lists the (index pair, integer) terms of the image of e_m: the
+    columns (_columns) of _generator_table. Leibniz rule: the t-th factor is
+    replaced by its generator image, whose index pair is merged into the
+    sorted remaining factors. The signed rule's left-to-right
+    splitting delta(h.r) = delta(h).r - h.delta(r) unrolls to the sign (-1)^t
+    on the t-th term, so it depends on the order of seq.
+    """
+    out = {}
+    for t, i in enumerate(seq):
+        rest = seq[:t] + seq[t + 1 :]
+        sign = -1 if signed and t % 2 else 1
+        for pair, v in cols[i]:
+            key = tuple(sorted(pair + rest))
+            out[key] = out.get(key, 0) + sign * v
+    return {key: v for key, v in out.items() if v}
+
+
 def oracle_delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
                         identification=Identification.BASIS):
     """delta^lam_k with the Leibniz rule applied to each column's multiset
-    one factor at a time (spencer._image): every term's row is the sorted
-    merge of the generator image's index pair into the remaining factors,
-    looked up by its multiset, independent of the library's index tables."""
+    one factor at a time (_image): every term's row is the sorted merge of
+    the generator image's index pair into the remaining factors, looked up
+    by its multiset, independent of the library's index tables."""
     dim = lam.algebra.dim
     signed = LeibnizConvention(convention) is LeibnizConvention.PAPER_SIGNED
     if k == 0:
@@ -219,6 +242,23 @@ def oracle_delta_matrix(lam, k, convention=LeibnizConvention.UNSIGNED,
         for row_key, v in _image(cols, key, signed).items()
     }
     return OperatorMatrix.from_numerators(sym_dim(dim, k + 1), sym_dim(dim, k), table.den, nums)
+
+
+def oracle_ordering_witnesses(lam, k, identification=Identification.BASIS):
+    """The signed-rule ordering audit's JSON witnesses from its definition:
+    _image on each multiset's sorted word and on its reversal, one witness
+    with the max |difference| wherever the two images differ."""
+    table = _generator_table(lam, Identification(identification))
+    cols = _columns(table, multisets(table.cols, 2))
+    witnesses = []
+    for key in multisets(lam.algebra.dim, k):
+        reverse = tuple(reversed(key))
+        a, b = _image(cols, key, True), _image(cols, reverse, True)
+        gap = max((abs(a.get(m, 0) - b.get(m, 0)) for m in a.keys() | b.keys()), default=0)
+        if gap:
+            witnesses.append({"multiset": list(key), "forward": list(key),
+                              "reverse": list(reverse), "difference_max": str(F(gap, table.den))})
+    return witnesses
 
 
 # ---------------------------------------------------------------------------

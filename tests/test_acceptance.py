@@ -297,9 +297,10 @@ def test_criterion_09_nilpotency_audit_vs_oracle():
             for conv in LeibnizConvention:
                 rep = nilpotency_report(lam, K, conv)
                 mats = [delta_matrix(lam, k, conv) for k in range(K)]
-                for idx, (k, residual) in enumerate(rep.residuals):
+                for k, residual in rep.residuals:
                     oracle = dense_product(mats[k + 1], mats[k])
-                    assert rep.composites[idx].to_dense() == oracle
+                    composite = rep.matrices[k + 1] @ rep.matrices[k]
+                    assert composite.to_dense() == oracle
                     flat = [abs(v) for row in oracle for v in row]
                     assert residual == (max(flat) if flat else F(0))
                 verdicts.append(rep.holds)

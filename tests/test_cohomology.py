@@ -185,6 +185,29 @@ def test_dga_json_malformed_product_is_format_error(product):
         DGAModel.from_json(data)
 
 
+@pytest.mark.parametrize("basis", ["ab", [["a"], "x"]], ids=["basis-string", "row-string"])
+def test_dga_json_basis_rows_must_be_lists(basis):
+    data = {"name": "m", "basis": [["a"], ["x"]], "diff": [{"rows": 1, "cols": 1, "entries": []}]}
+    assert DGAModel.from_json(data).basis == (("a",), ("x",))
+    data["basis"] = basis
+    with pytest.raises(FormatError, match="must be a list"):
+        DGAModel.from_json(data)
+
+
+def test_dga_json_second_product_row_for_a_key_is_format_error():
+    data = torus_model(2).to_json()
+    data["product"].append([1, 0, 1, 1, [[0, "2"]]])  # dx1 ^ dx2 again
+    with pytest.raises(FormatError, match="a second row for"):
+        DGAModel.from_json(data)
+
+
+def test_dga_json_repeated_index_in_a_product_row_is_format_error():
+    data = torus_model(2).to_json()
+    data["product"] = [[1, 0, 1, 1, [[0, "1"], [0, "2"]]]]
+    with pytest.raises(FormatError, match="index 0 appears twice"):
+        DGAModel.from_json(data)
+
+
 def test_dga_json_parses_each_coefficient_literal_once(monkeypatch):
     import spencerbench.linalg as linalg_mod
 

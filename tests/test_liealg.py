@@ -283,6 +283,15 @@ def test_mismatched_algebras_raise(so3, sl2):
         pairing(so3.dual_basis_vector(0), sl2.basis_vector(0))
 
 
+def test_vectors_and_dual_vectors_do_not_mix(so3):
+    v, xi = so3.vector([1, 2, 3]), so3.dual([1, 0, 0])
+    for combine in (lambda: v + xi, lambda: v - xi, lambda: xi + v, lambda: xi - v):
+        with pytest.raises(MismatchError, match="do not add or subtract"):
+            combine()
+    assert v + v == so3.vector([2, 4, 6]) and xi - xi == so3.dual([0, 0, 0])
+    assert -v == v.scaled(-1) and type(-xi) is type(xi)
+
+
 def test_negate_transpose_on_sl2(sl2):
     auto = builtin_automorphism(sl2, "negate_transpose")
     h, x, y = sl2.basis_vectors()

@@ -14,6 +14,7 @@ from oracles import (
     oracle_eval,
     oracle_inverse,
     oracle_jacobi_generator,
+    oracle_ordering_witnesses,
     oracle_reconstruct,
     oracle_sum,
     oracle_sym_product,
@@ -356,9 +357,10 @@ def test_nilpotency_report_matches_dense_oracle(conv):
         lam = rand_lambda(rng, alg)
         report = nilpotency_report(lam, K, conv)
         mats = [delta_matrix(lam, k, conv) for k in range(K)]
-        for idx, (k, residual) in enumerate(report.residuals):
+        for k, residual in report.residuals:
             oracle = dense_product(mats[k + 1], mats[k])
-            assert report.composites[idx].to_dense() == oracle
+            composite = report.matrices[k + 1] @ report.matrices[k]
+            assert composite.to_dense() == oracle
             flat = [abs(v) for row in oracle for v in row]
             assert residual == (max(flat) if flat else F(0))
 
@@ -414,6 +416,31 @@ def test_ordering_audit_trivial_cases():
     assert signed_leibniz_welldefinedness(SO3.dual([0, 0, 0]), 2) == []
     ab = builtin_algebra("abelian(3)")
     assert signed_leibniz_welldefinedness(ab.dual([1, 1, 1]), 3) == []
+
+
+AUDIT_ALGEBRAS = ("so3", "sl2", "su2", "sl3", "su3", "abelian(3)")
+
+
+@st.composite
+def audit_inputs(draw):
+    name = draw(st.sampled_from(AUDIT_ALGEBRAS))
+    alg = builtin_algebra(name)
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    lam = alg.dual(draw(st.lists(coeff, min_size=alg.dim, max_size=alg.dim)))
+    # the killing identification needs a semisimple algebra
+    idents = [Identification.BASIS] if name == "abelian(3)" else list(Identification)
+    return lam, draw(st.integers(2, 4)), draw(st.sampled_from(idents))
+
+
+@settings(deadline=None)
+@given(audit_inputs())
+def test_ordering_audit_matches_the_forward_reverse_oracle(inputs):
+    """The audit read off delta_k equals _image run on every sorted word and
+    its reversal: no witness at odd k, and at even k one per non-zero column
+    with twice its largest entry."""
+    lam, k, ident = inputs
+    witnesses = signed_leibniz_welldefinedness(lam, k, ident)
+    assert [w.to_json() for w in witnesses] == oracle_ordering_witnesses(lam, k, ident)
 
 
 # --- identification modes ----------------------------------------------------
