@@ -228,7 +228,8 @@ def cmd_spencer(args):
     }
     if conv is LeibnizConvention.PAPER_SIGNED:
         report["ordering_witnesses"] = [
-            w.to_json() for k in range(2, args.K) for w in signed_leibniz_welldefinedness(lam, k, ident)
+            w.to_json() for k in range(2, args.K)
+            for w in signed_leibniz_welldefinedness(nil.matrices[k], k, algebra.dim)
         ]
     return report, EXIT_CHECK_FAILED if args.assert_nilpotent and not nil.holds else EXIT_OK
 
@@ -249,7 +250,7 @@ def _parse_transform(algebra, text):
 
 
 def cmd_mirror(args):
-    from .mirror import TRANSPORT_INVERSE, TRANSPORT_LITERAL, intertwining_check, mirror_lambda
+    from .mirror import TRANSPORT_INVERSE, intertwining_check, mirror_lambda
     from .spencer import Identification, LeibnizConvention
 
     algebra = _load_lie_algebra(args)
@@ -267,13 +268,10 @@ def cmd_mirror(args):
         "convention": conv.value,
         "identification": ident.value,
     }
-    # both transports send lam to -lam under the sign mirror
-    sign = transform.kind == "sign"
-    transports = (TRANSPORT_INVERSE,) if sign else (TRANSPORT_INVERSE, TRANSPORT_LITERAL)
-    checks = [intertwining_check(transform, lam, k, conv, transport, ident)
-              for k in range(1, args.K) for transport in transports]
+    checks = [rep for k in range(1, args.K)
+              for rep in intertwining_check(transform, lam, k, conv, ident)]
     failed = not all(rep.holds for rep in checks if rep.transport == TRANSPORT_INVERSE)
-    if sign:
+    if transform.kind == "sign":
         # degree 0 is the zero map on both sides, so degrees 1..K-1 decide
         involution_exact = mirror_lambda(transform, mirror_lambda(transform, lam)) == lam
         report["involution_exact"] = involution_exact

@@ -40,6 +40,7 @@ from .linalg import (
     format_scalar,
     kron,
     parse_int,
+    parse_list,
     parse_scalar,
 )
 from .records import FrozenRecord
@@ -276,8 +277,7 @@ class LieAutomorphism(FrozenRecord):
 
     __slots__ = _fields = ("algebra", "matrix", "inverse", "label")
     # an automorphism compares and hashes by identity (its matrices are
-    # unhashable), which is what the per-automorphism caches of the mirror
-    # module key on
+    # unhashable), which is what induced_tensor_map's cache keys on
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -551,26 +551,21 @@ def algebra_from_json(data):
         labels = data["basis_labels"]
     except (KeyError, TypeError) as exc:
         raise FormatError("algebra JSON needs name/dim/structure_constants/basis_labels") from exc
-    if not isinstance(labels, list):
-        raise FormatError("basis_labels must be a list")
-    labels = tuple(str(s) for s in labels)
+    labels = tuple(str(s) for s in parse_list(labels, "basis_labels"))
     if dim < 1 or len(labels) != dim:
         raise FormatError("basis_labels length must equal dim")
-    if not isinstance(triples, list):
-        raise FormatError("structure_constants must be a list of [i, j, k, value] entries")
     constants = {}
-    for item in triples:
-        if not isinstance(item, list):
-            raise FormatError(f"bad structure constant entry {item!r}")
+    for item in parse_list(triples, "structure_constants"):
         try:
-            i, j, k, v = item
+            i, j, k, v = parse_list(item, "structure constant entry")
         except ValueError as exc:
             raise FormatError(f"bad structure constant entry {item!r}") from exc
         i, j, k = (parse_int(x, "structure constant index") for x in (i, j, k))
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise FormatError(f"structure constant index out of range in {item!r}")
+        if (i, j, k) in constants:
+            raise FormatError(f"a second structure constant entry for {[i, j, k]}")
         constants[(i, j, k)] = parse_scalar(v)
-    # a later entry for the same (i, j, k) replaces an earlier one
     constants = {key: c for key, c in constants.items() if c}
     den, nums = common_denominator(constants.values())
     return LieAlgebra(name, dim, (den, _nonzero_table(dim, dict(zip(constants, nums)))), labels)
@@ -590,8 +585,8 @@ def automorphism_from_json(data, algebra):
         label = str(data.get("label", "unnamed"))
     except (KeyError, TypeError) as exc:
         raise FormatError("automorphism JSON needs a matrix field") from exc
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise FormatError("automorphism matrix must be a list of rows")
+    rows = [parse_list(row, "automorphism matrix row")
+            for row in parse_list(rows, "automorphism matrix")]
     # a ragged or non-square matrix is a shape mismatch, not a format error
     if len(rows) != algebra.dim or any(len(row) != algebra.dim for row in rows):
         raise MismatchError("automorphism matrix shape does not match the algebra")

@@ -394,6 +394,8 @@ class OperatorMatrix:
         try:
             for r, c, v in raw:
                 key = (parse_int(r, "entry row"), parse_int(c, "entry column"))
+                if key in entries:
+                    raise FormatError(f"a second entry for {list(key)}")
                 entries[key] = parse_scalar(v)
             return cls(rows, cols, entries)
         except (TypeError, ValueError, IndexError) as exc:

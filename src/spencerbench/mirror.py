@@ -3,8 +3,8 @@
 Two kinds are supported: the sign mirror lam -> -lam, and mirrors induced by
 a validated Lie algebra automorphism A. For the automorphism kind the dual
 vector is transported contragrediently by default (lam -> lam o A^{-1});
-the literal transport lam -> lam o A is kept selectable because the two only
-agree for involutive A, and the intertwining check exists precisely to
+the intertwining check also measures the literal transport lam -> lam o A,
+because the two only agree for involutive A and it exists precisely to
 measure that gap; under the sign mirror both give -lam.
 
 Every mirror acts through MirrorTransform.tensor_map, its map T_j on S^j:
@@ -115,43 +115,35 @@ class IntertwiningReport(Record):
         }
 
 
-# the checks of one degree under both transports run back to back
-@functools.lru_cache(maxsize=2)
-def _mapped_delta(transform, lam, k, convention, identification):
-    """T_{k+1} delta^lam_k, the side of the intertwining residual that does
-    not depend on the transport: built once per degree and shared."""
-    return transform.tensor_map(lam.algebra, k + 1, identification) @ delta_matrix(
-        lam, k, convention, identification)
-
-
-@functools.lru_cache(maxsize=2)
-def _transported_delta(transform, lam_t, k, convention, identification):
-    """delta^lam'_k T_k for the transported dual vector lam': built once per
-    lam', so the literal transport of an involution, whose lam' equals the
-    inverse one, reuses the inverse check's side."""
-    return delta_matrix(lam_t, k, convention, identification) @ transform.tensor_map(
-        lam_t.algebra, k, identification)
-
-
 def intertwining_check(transform, lam, k, convention=LeibnizConvention.UNSIGNED,
-                       transport=TRANSPORT_INVERSE,
                        identification=Identification.KILLING):
-    """Residual of T_{k+1} . delta^lam_k - delta^lam'_k . T_k, with T_j =
-    transform.tensor_map(j) and lam' the dual vector transported by the
-    chosen transport.
+    """Residuals of T_{k+1} . delta^lam_k - delta^lam'_k . T_k, with T_j =
+    transform.tensor_map(j) and lam' the dual vector under each transport:
+    the inverse report, then the literal one.
 
     For an automorphism T_j is induced_tensor_map; for the sign mirror it is
     (-1)^j I and lam' = -lam, so the residual is that of (-1)^{k+1}
-    (delta^lam_k + delta^{-lam}_k). The report states the exact max-abs
+    (delta^lam_k + delta^{-lam}_k). T_{k+1} . delta^lam_k is formed once, and
+    delta^lam'_k . T_k once per distinct lam': the two coincide for the sign
+    mirror and for involutions. Each report states the exact max-abs
     residual; holds means it is exactly zero.
     """
     if k < 1:
         raise MismatchError("intertwining check needs degree >= 1")
     identification = Identification(identification)
     convention = LeibnizConvention(convention)
-    lam_t = mirror_lambda(transform, lam, transport)
-    residual = (_mapped_delta(transform, lam, k, convention, identification)
-                - _transported_delta(transform, lam_t, k, convention, identification)).max_abs()
-    return IntertwiningReport(
-        k, residual, transport, identification, convention, residual == 0
-    )
+    algebra = lam.algebra
+    mapped = transform.tensor_map(algebra, k + 1, identification) @ delta_matrix(
+        lam, k, convention, identification)
+    residuals = {}  # lam' -> residual
+    reports = []
+    for transport in (TRANSPORT_INVERSE, TRANSPORT_LITERAL):
+        lam_t = mirror_lambda(transform, lam, transport)
+        if lam_t not in residuals:
+            transported = delta_matrix(lam_t, k, convention, identification) @ (
+                transform.tensor_map(algebra, k, identification))
+            residuals[lam_t] = (mapped - transported).max_abs()
+        residual = residuals[lam_t]
+        reports.append(IntertwiningReport(
+            k, residual, transport, identification, convention, residual == 0))
+    return tuple(reports)

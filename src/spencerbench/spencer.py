@@ -15,7 +15,8 @@ with its dual. Two identifications are supported:
 The rule is one integer matrix, delta_1 itself (Sym^2 x n, column m is
 delta(e_m)). delta_matrix extends the rule through index tables that depend
 only on the dimension, the degree and the convention (_leibniz_tables), so
-every lam shares them; the signed-rule audit reads the paper-signed delta_k.
+every lam shares them; the signed-rule audit reads the paper-signed delta_k
+that the nilpotency report already holds.
 
 Both Leibniz conventions are implemented. UNSIGNED extends the generator rule
 as an even derivation and is order-independent. PAPER_SIGNED inserts a sign
@@ -219,8 +220,9 @@ class OrderingWitness(Record):
         }
 
 
-def signed_leibniz_welldefinedness(lam, k, identification=Identification.BASIS):
-    """Order-dependence audit of the signed rule at degree k >= 2: a witness
+def signed_leibniz_welldefinedness(delta, k, dim):
+    """Order-dependence audit of the signed rule at degree k >= 2, read off
+    delta, the paper-signed delta_k of a dim-dimensional algebra: a witness
     for every multiset whose sorted factor word and its reversal have
     different signed images. An empty list means the signed rule is
     order-independent there.
@@ -228,17 +230,18 @@ def signed_leibniz_welldefinedness(lam, k, identification=Identification.BASIS):
     Reversing a word of k factors moves the t-th factor to position
     k - 1 - t, so its sign (-1)^t becomes (-1)^(k-1-t) = (-1)^(k-1) (-1)^t:
     the reversed image is (-1)^(k-1) times the forward one, which is column
-    c of the paper-signed delta_k. At odd k the two images are equal and no
-    delta is built; at even k they differ by twice that column, so every
-    non-zero column is a witness, with difference_max = 2 max_r |delta_k[r, c]|.
+    c of delta. At odd k the two images are equal; at even k they differ by
+    twice that column, so every non-zero column is a witness, with
+    difference_max = 2 max_r |delta[r, c]|.
     """
     if k < 2:
         raise MismatchError("the ordering audit needs degree >= 2")
+    if delta.shape != (sym_dim(dim, k + 1), sym_dim(dim, k)):
+        raise MismatchError(f"delta_{k} of a {dim}-dimensional algebra cannot be {delta.shape}")
     if k % 2:
         return []
-    delta = delta_matrix(lam, k, LeibnizConvention.PAPER_SIGNED, identification)
     gaps = {}
     for (_, c), v in delta.nums.items():
         gaps[c] = max(gaps.get(c, 0), abs(v))
-    keys = multisets(lam.algebra.dim, k)
+    keys = multisets(dim, k)
     return [OrderingWitness(keys[c], Fraction(2 * gaps[c], delta.den)) for c in sorted(gaps)]

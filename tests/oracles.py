@@ -20,7 +20,8 @@ delta_matrix's index tables and the signed-rule ordering audit's reading
 of delta_k. Symmetric tensors exist only here too, as zero-free
 {multiset: Fraction} dicts with their product, evaluation and
 reconstruction from values: an independent Fraction model of delta^lam to
-hold its matrices against.
+hold its matrices against, and of the mirror intertwining residual under
+both dual transports.
 The Chevalley-Eilenberg cochains are built here from the dense structure
 tensor in Fractions, against ``ce_model``'s integer build.
 """
@@ -351,6 +352,60 @@ def oracle_sign_residual(lam, k, convention, identification):
 
 
 # ---------------------------------------------------------------------------
+# Mirror intertwining on symmetric-tensor dicts
+# ---------------------------------------------------------------------------
+
+
+def oracle_intertwining_residual(transform, lam, k, convention=LeibnizConvention.UNSIGNED,
+                                 identification=Identification.KILLING):
+    """(inverse, literal): max |T_{k+1} delta^lam_k s - delta^lam'_k T_k s| over
+    the basis tensors s of S^k, for lam' = lam o A^{-1} and lam o A (-lam
+    both for the sign mirror). delta comes from oracle_delta_matrix, read as
+    columns of tensor dicts; T_j is (-1)^j for the sign mirror and else
+    oracle_power_map of A (killing) or (A^{-1})^T (basis), with A^{-1} from
+    the Fraction Gauss-Jordan, not the automorphism's stored inverse."""
+    algebra = lam.algebra
+    n = algebra.dim
+    if transform.kind == "sign":
+        def tensor_map(s):
+            return {key: (-1) ** len(key) * v for key, v in s.items()}
+        duals = ([-c for c in lam.coeffs],) * 2
+    else:
+        a = transform.automorphism.matrix.to_dense()
+        a_inv = oracle_inverse(a)
+        base = (a if Identification(identification) is Identification.KILLING
+                else [list(col) for col in zip(*a_inv)])
+
+        def tensor_map(s):
+            return oracle_power_map(s, base)
+        # <lam', e_j> = <lam, M e_j> = sum_i lam_i M[i][j]
+        duals = tuple([sum((lam.coeffs[i] * m[i][j] for i in range(n)), F(0)) for j in range(n)]
+                      for m in (a_inv, a))
+    domain, codomain = multisets(n, k), multisets(n, k + 1)
+
+    def columns(lam_):
+        cols = [{} for _ in domain]
+        for (r, c), v in oracle_delta_matrix(lam_, k, convention, identification).entries.items():
+            cols[c][codomain[r]] = v
+        return cols
+
+    # T_j is linear: its images of the basis tensors of S^k and S^{k+1}
+    image = {key: tensor_map({key: F(1)}) for key in domain + codomain}
+    index = {key: c for c, key in enumerate(domain)}
+    mapped = [oracle_sum(*((v, image[m]) for m, v in col.items())) for col in columns(lam)]
+    residuals = []
+    for coeffs in duals:
+        delta_t = columns(algebra.dual(coeffs))
+        gap = F(0)
+        for c, key in enumerate(domain):
+            diff = oracle_sum((1, mapped[c]),
+                              *((-v, delta_t[index[m]]) for m, v in image[key].items()))
+            gap = max([gap, *map(abs, diff.values())])
+        residuals.append(gap)
+    return tuple(residuals)
+
+
+# ---------------------------------------------------------------------------
 # Diagonal blocks of the coupled complex, built as matrices
 # ---------------------------------------------------------------------------
 
@@ -497,6 +552,15 @@ def oracle_constraint_row(bundle, site):
     one Fraction row: <lam, omega_a> for each base axis a, then lam."""
     lam = bundle.lam_field[site]
     return [pairing(lam, w) for w in bundle.omega[site]] + list(lam.coeffs)
+
+
+def oracle_site_dims(bundle, site):
+    """(dim D, dim D&V, dim D+V) from one kernel and one RREF at this site."""
+    n, dim_g = bundle.n_axes, bundle.algebra.dim
+    dist = oracle_kernel([oracle_constraint_row(bundle, site)], n + dim_g)
+    vertical = [[F(int(c == n + i)) for c in range(n + dim_g)] for i in range(dim_g)]
+    dim_sum = len(oracle_rref([list(v) for v in dist] + vertical)[1])
+    return len(dist), len(dist) + dim_g - dim_sum, dim_sum
 
 
 def oracle_first_term(field, vol):

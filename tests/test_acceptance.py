@@ -193,8 +193,8 @@ def test_criterion_07_automorphism_intertwining():
     nt = builtin_automorphism(sl2, "negate_transpose")
     lam2 = sl2.dual_basis_vector(0)
     for k in (1, 2, 3):
-        rep = intertwining_check(automorphism_mirror(nt), lam2, k,
-                                 identification=Identification.KILLING)
+        rep, _ = intertwining_check(automorphism_mirror(nt), lam2, k,
+                                    identification=Identification.KILLING)
         assert rep.residual == 0, ("sl2", k)
 
     sl3 = builtin_algebra("sl3")
@@ -204,16 +204,15 @@ def test_criterion_07_automorphism_intertwining():
     coordinate_residuals = {}
     for auto in weyl_mirrors(3):
         for k in (1, 2, 3):
-            rep = intertwining_check(automorphism_mirror(auto), lam3, k,
-                                     identification=Identification.KILLING)
+            rep, literal = intertwining_check(automorphism_mirror(auto), lam3, k,
+                                              identification=Identification.KILLING)
             assert rep.residual == 0, (auto.label, k)
-        paper_residuals[auto.label] = intertwining_check(
-            automorphism_mirror(auto), lam3, 1, transport=TRANSPORT_LITERAL,
-            identification=Identification.KILLING,
-        ).residual
+            if k == 1:
+                assert literal.transport == TRANSPORT_LITERAL
+                paper_residuals[auto.label] = literal.residual
         coordinate_residuals[auto.label] = intertwining_check(
             automorphism_mirror(auto), lam3, 1, identification=Identification.BASIS
-        ).residual
+        )[0].residual
     # the literal transport separates exactly on the non-involutive 3-cycles
     assert paper_residuals["permutation:231"] != 0
     assert paper_residuals["permutation:312"] != 0
@@ -309,11 +308,18 @@ def test_criterion_09_nilpotency_audit_vs_oracle():
           f"(measured verdict: nilpotency fails in {failures}/30 runs)")
 
 
+def ordering_witnesses(lam):
+    """The degree-2 ordering witnesses read off the paper-signed nilpotency
+    report's delta_2, as the spencer command reads them."""
+    delta_2 = nilpotency_report(lam, 3, LeibnizConvention.PAPER_SIGNED).matrices[2]
+    return {w.multiset for w in signed_leibniz_welldefinedness(delta_2, 2, lam.algebra.dim)}
+
+
 def test_criterion_10_signed_rule_ordering_audit():
     so3 = builtin_algebra("so3")
     rng = random.Random(10)
     for lam in (so3.dual_basis_vector(2), rand_lambda(rng, so3)):
-        witnesses = {w.multiset for w in signed_leibniz_welldefinedness(lam, 2)}
+        witnesses = ordering_witnesses(lam)
         gens = [oracle_jacobi_generator(lam, v) for v in so3.basis_vectors()]
         assert gens == delta_columns(lam)
         expected = set()
@@ -326,7 +332,7 @@ def test_criterion_10_signed_rule_ordering_audit():
                 expected.add((a, b))
         assert witnesses == expected
     # frozen instance: the gap cancels on (e1, e2) despite nonzero factors
-    base = {w.multiset for w in signed_leibniz_welldefinedness(so3.dual_basis_vector(2), 2)}
+    base = ordering_witnesses(so3.dual_basis_vector(2))
     assert base == {(0, 2), (1, 2)}
     ok(10, "ordering witnesses equal the analytic cross-term gap 2(d(a).b - a.d(b)), "
            "including the cancelling pair")

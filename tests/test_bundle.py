@@ -18,6 +18,7 @@ from oracles import (
     oracle_kernel,
     oracle_row_space,
     oracle_rref,
+    oracle_site_dims,
 )
 from spencerbench.bundle import (
     bundle_from_json,
@@ -411,15 +412,6 @@ def test_constraint_distribution_is_fraction_tuples_of_the_oracle_kernel():
         assert all(type(vec) is tuple and len(vec) == n + dim_g for vec in basis)
         assert all(type(v) is F for vec in basis for v in vec)
         assert basis == oracle_kernel([row], n + dim_g)
-
-
-def oracle_site_dims(bundle, site):
-    """(dim D, dim D&V, dim D+V) from one kernel and one RREF at this site."""
-    n, dim_g = bundle.n_axes, bundle.algebra.dim
-    dist = oracle_kernel([oracle_constraint_row(bundle, site)], n + dim_g)
-    vertical = [[F(int(c == n + i)) for c in range(n + dim_g)] for i in range(dim_g)]
-    dim_sum = len(oracle_rref([list(v) for v in dist] + vertical)[1])
-    return len(dist), len(dist) + dim_g - dim_sum, dim_sum
 
 
 def oracle_distance_sq(bundle, site, basis):

@@ -439,6 +439,17 @@ def test_algebra_file_string_basis_labels_exit_two(tmp_path):
     assert_input_error("algebra", "--file", str(path))
 
 
+@pytest.mark.parametrize("value", ["5", "1"], ids=["other-value", "same-value"])
+def test_algebra_file_repeated_structure_constant_exit_two(tmp_path, value):
+    # a later [i, j, k, v] does not replace an earlier one
+    data = {"name": "repeated", "dim": 2, "basis_labels": ["a", "b"],
+            "structure_constants": [[0, 1, 1, "1"], [0, 1, 1, value], [1, 0, 1, "-1"]]}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    stderr = assert_input_error("algebra", "--file", str(path))
+    assert "a second structure constant entry for [0, 1, 1]" in stderr
+
+
 @pytest.mark.parametrize("grid", ["abc", "4,"])
 def test_bundle_malformed_grid_exit_two(grid):
     assert_input_error("bundle", "--builtin", "so3", "--grid", grid, "--lambda", "0,0,1")

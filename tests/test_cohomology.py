@@ -208,6 +208,15 @@ def test_dga_json_repeated_index_in_a_product_row_is_format_error():
         DGAModel.from_json(data)
 
 
+def test_dga_json_second_diff_entry_for_a_position_is_format_error():
+    data = {"name": "m", "basis": [["a"], ["x"]],
+            "diff": [{"rows": 1, "cols": 1, "entries": [[0, 0, "1"]]}]}
+    assert DGAModel.from_json(data).diff[0].to_dense() == [[F(1)]]
+    data["diff"][0]["entries"].append([0, 0, "5"])  # a later value does not replace it
+    with pytest.raises(FormatError, match=r"a second entry for \[0, 0\]"):
+        DGAModel.from_json(data)
+
+
 def test_dga_json_parses_each_coefficient_literal_once(monkeypatch):
     import spencerbench.linalg as linalg_mod
 

@@ -499,13 +499,16 @@ def test_raw_json_round_trip_is_exact(c):
     assert dense_structure(alg) == tuple(tuple(tuple(map(F, row)) for row in plane) for plane in c)
 
 
-def test_algebra_json_keeps_the_last_entry_and_no_zero(so3):
-    # a later entry for the same (i, j, k) replaces an earlier one, and a
-    # constant that ends up zero is not stored
+def test_algebra_json_rejects_a_repeated_entry_and_stores_no_zero(so3):
+    # a zero constant is not stored, and a second entry for the same
+    # (i, j, k) is an input error, not a replacement
     data = algebra_to_json(so3)
-    extra = [[0, 0, 1, "0"], [0, 1, 2, "5"], [0, 1, 2, "1"], [2, 2, 2, "3"], [2, 2, 2, "0"]]
-    again = algebra_from_json({**data, "structure_constants": data["structure_constants"] + extra})
+    constants = data["structure_constants"] + [[0, 0, 1, "0"], [2, 2, 2, "0"]]
+    again = algebra_from_json({**data, "structure_constants": constants})
     assert again == so3 and again.integer_structure == so3.integer_structure
+    for repeat in ([0, 1, 2, "5"], [0, 1, 2, "1"], [0, 0, 1, "0"]):
+        with pytest.raises(FormatError, match="a second structure constant entry for"):
+            algebra_from_json({**data, "structure_constants": constants + [repeat]})
 
 
 def oracle_antisymmetry(c, n):

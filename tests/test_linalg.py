@@ -335,7 +335,8 @@ def test_shape_mismatch_raises():
 @pytest.mark.parametrize(
     "entries",
     [[[0, 0]], [[0, 0, "1", "2"]], [[2, 0, "1"]], [[0, -1, "1"]], [["a", 0, "1"]], [7], None,
-     [[1.0, 0, "1"]], [[0, True, "1"]], [[0, 0, 0.25]], [[0, 0, False]]],
+     [[1.0, 0, "1"]], [[0, True, "1"]], [[0, 0, 0.25]], [[0, 0, False]],
+     [[0, 0, "1"], [0, 0, "2"]], [[0, 0, "1"], [0, 0, "1"]]],  # a second entry replaces nothing
 )
 def test_from_json_malformed_entry_is_format_error(entries):
     with pytest.raises(FormatError):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spencerbench.mirror as mirror_mod
-from oracles import oracle_eval, oracle_sign_residual
+from oracles import oracle_eval, oracle_intertwining_residual, oracle_sign_residual
 from spencerbench.cli import main
 from spencerbench.errors import MismatchError
 from spencerbench.liealg import builtin_algebra, builtin_automorphism, killing_gram, weyl_mirrors
@@ -144,7 +145,7 @@ def test_mirror_command_builds_each_power_map_once(monkeypatch, capsys):
 
 def count_mirror_deltas(monkeypatch, capsys, argv):
     """The (lam, k) of each delta_matrix call and the shapes of each product
-    made in mirror while main(argv) runs, with the mirror caches cleared."""
+    made in mirror while main(argv) runs."""
     deltas, products = [], []
     original_delta, original_matmul = mirror_mod.delta_matrix, OperatorMatrix.__matmul__
 
@@ -159,8 +160,6 @@ def count_mirror_deltas(monkeypatch, capsys, argv):
 
     monkeypatch.setattr(mirror_mod, "delta_matrix", counting_delta)
     monkeypatch.setattr(OperatorMatrix, "__matmul__", counting_matmul)
-    mirror_mod._mapped_delta.cache_clear()
-    mirror_mod._transported_delta.cache_clear()
     code = main(argv)
     capsys.readouterr()
     assert code == 0
@@ -177,22 +176,18 @@ def test_mirror_command_builds_each_delta_and_mapped_delta_once(monkeypatch, cap
     assert len(deltas) == len(set(deltas)) == 9
     assert sorted(k for _, k in deltas) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
     assert len(products) == 9
-    assert mirror_mod._mapped_delta.cache_info()[:2] == (3, 3)  # (hits, misses)
-    mirror_mod._mapped_delta.cache_clear()
 
 
 def test_mirror_command_reuses_the_inverse_check_for_an_involution(monkeypatch, capsys):
     """negate-transpose is an involution, so lam o A = lam o A^{-1}: at K = 3
     the literal transport reuses the inverse check's delta^lam'_k T_k, and
-    the 4 distinct deltas are built once each (6 before)."""
+    the 4 distinct deltas and 4 products are made once each (6 before)."""
     argv = ["mirror", "--builtin", "sl3", "--lambda=1/2,2,-3,4,5/3,6,7,-8", "--K", "3",
             "--transform", "negate-transpose"]
     deltas, products = count_mirror_deltas(monkeypatch, capsys, argv)
     assert len(deltas) == len(set(deltas)) == 4
     assert sorted(k for _, k in deltas) == [1, 1, 2, 2]
     assert len(products) == 4
-    assert mirror_mod._transported_delta.cache_info()[:2] == (2, 2)  # (hits, misses)
-    mirror_mod._transported_delta.cache_clear()
     main(argv)
     checks = json.loads(capsys.readouterr().out)["intertwining"]
     assert [(c["degree"], c["transport"]) for c in checks] == [
@@ -237,8 +232,8 @@ def test_identity_intertwines_trivially():
     auto = builtin_automorphism(SL2, "identity")
     lam = rand_lambda(rng, SL2)
     for ident in Identification:
-        rep = intertwining_check(automorphism_mirror(auto), lam, 1, identification=ident)
-        assert rep.holds and rep.residual == 0
+        for rep in intertwining_check(automorphism_mirror(auto), lam, 1, identification=ident):
+            assert rep.holds and rep.residual == 0
 
 
 def test_sl2_negate_transpose_exact_zero_both_modes():
@@ -246,8 +241,8 @@ def test_sl2_negate_transpose_exact_zero_both_modes():
     lam = SL2.dual_basis_vector(0)
     for ident in Identification:
         for k in (1, 2, 3):
-            rep = intertwining_check(automorphism_mirror(auto), lam, k, identification=ident)
-            assert rep.residual == 0, (ident, k)
+            for rep in intertwining_check(automorphism_mirror(auto), lam, k, identification=ident):
+                assert rep.residual == 0, (ident, k, rep.transport)
 
 
 def test_weyl_mirrors_exact_zero_killing_mode():
@@ -255,10 +250,10 @@ def test_weyl_mirrors_exact_zero_killing_mode():
     lam = rand_lambda(rng, SL3)
     for auto in weyl_mirrors(3):
         for k in (1, 2):
-            rep = intertwining_check(
+            rep, _ = intertwining_check(
                 automorphism_mirror(auto), lam, k, identification=Identification.KILLING
             )
-            assert rep.residual == 0, (auto.label, k)
+            assert rep.transport == TRANSPORT_INVERSE and rep.residual == 0, (auto.label, k)
 
 
 def test_coordinate_mode_obstruction_is_visible():
@@ -266,8 +261,8 @@ def test_coordinate_mode_obstruction_is_visible():
     # for the non-orthogonal mirrors; the residual is reported, not hidden
     lam = SL3.dual([1, 2, 3, 4, 5, 6, 7, 8])
     auto = builtin_automorphism(SL3, "permutation:231")
-    rep = intertwining_check(automorphism_mirror(auto), lam, 1,
-                             identification=Identification.BASIS)
+    rep, _ = intertwining_check(automorphism_mirror(auto), lam, 1,
+                                identification=Identification.BASIS)
     assert rep.residual != 0 and not rep.holds
 
 
@@ -275,14 +270,14 @@ def test_paper_transport_separates_noninvolutive():
     lam = SL3.dual([1, 2, 3, 4, 5, 6, 7, 8])
     for label in ("permutation:231", "permutation:312"):
         auto = builtin_automorphism(SL3, label)
-        rep = intertwining_check(automorphism_mirror(auto), lam, 1, transport=TRANSPORT_LITERAL,
-                                 identification=Identification.KILLING)
-        assert rep.residual != 0
+        _, rep = intertwining_check(automorphism_mirror(auto), lam, 1,
+                                    identification=Identification.KILLING)
+        assert rep.transport == TRANSPORT_LITERAL and rep.residual != 0
     # involutive mirrors cannot tell the transports apart
     auto = builtin_automorphism(SL3, "permutation:213")
-    rep = intertwining_check(automorphism_mirror(auto), lam, 1, transport=TRANSPORT_LITERAL,
-                             identification=Identification.KILLING)
-    assert rep.residual == 0
+    _, rep = intertwining_check(automorphism_mirror(auto), lam, 1,
+                                identification=Identification.KILLING)
+    assert rep.transport == TRANSPORT_LITERAL and rep.residual == 0
 
 
 def test_intertwining_needs_degree_one():
@@ -298,8 +293,8 @@ def test_sign_mirror_intertwines_exactly(alg):
     # T_j = (-1)^j I and lam' = -lam: the residual is (-1)^{k+1}(delta^lam + delta^{-lam})
     lam = alg.dual(range(1, alg.dim + 1))
     for k in (1, 2, 3):
-        rep = intertwining_check(sign_mirror(), lam, k)
-        assert rep.holds and rep.residual == 0, k
+        for rep in intertwining_check(sign_mirror(), lam, k):
+            assert rep.holds and rep.residual == 0, k
 
 
 @settings(max_examples=80, deadline=None)
@@ -310,9 +305,33 @@ def test_sign_intertwining_matches_the_direct_comparison(alg, k, convention, ide
     entry = st.one_of(st.integers(-9, 9).map(F),
                       st.fractions(min_value=-9, max_value=9, max_denominator=7))
     lam = alg.dual(data.draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim)))
-    rep = intertwining_check(sign_mirror(), lam, k, convention, identification=ident)
-    assert rep.residual == oracle_sign_residual(lam, k, convention, ident)
-    assert rep.holds is (rep.residual == 0)
+    for rep in intertwining_check(sign_mirror(), lam, k, convention, identification=ident):
+        assert rep.residual == oracle_sign_residual(lam, k, convention, ident)
+        assert rep.holds is (rep.residual == 0)
+
+
+MIRROR_KINDS = ("sign", "identity", "negate_transpose",
+                *(f"permutation:{''.join(p)}" for p in itertools.permutations("123")))
+
+
+@settings(deadline=None)
+@given(alg=st.sampled_from([SL3, SU3]), kind=st.sampled_from(MIRROR_KINDS), k=st.integers(1, 2),
+       convention=st.sampled_from(list(LeibnizConvention)),
+       ident=st.sampled_from(list(Identification)), data=st.data())
+def test_both_transports_match_the_intertwining_oracle(alg, kind, k, convention, ident, data):
+    """One call reports the inverse, then the literal transport, each with
+    the residual of the tensor-dict oracle."""
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    lam = alg.dual(data.draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim)))
+    transform = (sign_mirror() if kind == "sign"
+                 else automorphism_mirror(builtin_automorphism(alg, kind)))
+    reports = intertwining_check(transform, lam, k, convention, ident)
+    assert [rep.transport for rep in reports] == [TRANSPORT_INVERSE, TRANSPORT_LITERAL]
+    assert tuple(rep.residual for rep in reports) == oracle_intertwining_residual(
+        transform, lam, k, convention, ident)
+    for rep in reports:
+        assert (rep.degree, rep.convention, rep.identification) == (k, convention, ident)
+        assert rep.holds is (rep.residual == 0)
 
 
 def test_tensor_map_rejects_an_automorphism_of_another_algebra():

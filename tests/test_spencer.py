@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spencerbench.mirror as mirror_mod
+import spencerbench.spencer as spencer_mod
 from oracles import (
     algebra_from_dense,
     apply_delta_matrix,
@@ -389,6 +389,12 @@ def test_nilpotency_requires_k2():
 # --- signed-rule ordering audit ----------------------------------------------
 
 
+def ordering_audit(lam, k, identification=Identification.BASIS):
+    """The ordering audit read off the paper-signed delta_k of lam."""
+    delta = delta_matrix(lam, k, LeibnizConvention.PAPER_SIGNED, identification)
+    return signed_leibniz_welldefinedness(delta, k, lam.algebra.dim)
+
+
 def analytic_cross_difference(lam, a, b):
     """2 (delta(e_a) . e_b  -  e_a . delta(e_b)), the two-ordering gap."""
     da, db = generator(lam, a), generator(lam, b)
@@ -398,7 +404,7 @@ def analytic_cross_difference(lam, a, b):
 
 def test_ordering_witnesses_match_analytic_formula():
     lam = SO3.dual_basis_vector(2)
-    witnesses = {w.multiset for w in signed_leibniz_welldefinedness(lam, 2)}
+    witnesses = {w.multiset for w in ordering_audit(lam, 2)}
     expected = set()
     for a, b in multisets(3, 2):
         if a == b:
@@ -413,9 +419,19 @@ def test_ordering_witnesses_match_analytic_formula():
 
 
 def test_ordering_audit_trivial_cases():
-    assert signed_leibniz_welldefinedness(SO3.dual([0, 0, 0]), 2) == []
+    assert ordering_audit(SO3.dual([0, 0, 0]), 2) == []
     ab = builtin_algebra("abelian(3)")
-    assert signed_leibniz_welldefinedness(ab.dual([1, 1, 1]), 3) == []
+    assert ordering_audit(ab.dual([1, 1, 1]), 3) == []
+
+
+def test_ordering_audit_rejects_a_degree_or_shape_it_cannot_read():
+    delta_2 = delta_matrix(SO3.dual_basis_vector(2), 2, LeibnizConvention.PAPER_SIGNED)
+    with pytest.raises(MismatchError):
+        signed_leibniz_welldefinedness(delta_2, 1, SO3.dim)
+    with pytest.raises(MismatchError):
+        signed_leibniz_welldefinedness(delta_2, 3, 3)
+    with pytest.raises(MismatchError):
+        signed_leibniz_welldefinedness(delta_2, 2, 4)
 
 
 AUDIT_ALGEBRAS = ("so3", "sl2", "su2", "sl3", "su3", "abelian(3)")
@@ -439,7 +455,7 @@ def test_ordering_audit_matches_the_forward_reverse_oracle(inputs):
     its reversal: no witness at odd k, and at even k one per non-zero column
     with twice its largest entry."""
     lam, k, ident = inputs
-    witnesses = signed_leibniz_welldefinedness(lam, k, ident)
+    witnesses = ordering_audit(lam, k, ident)
     assert [w.to_json() for w in witnesses] == oracle_ordering_witnesses(lam, k, ident)
 
 
@@ -522,11 +538,30 @@ def test_delta_matrix_matches_the_term_by_term_oracle(inputs):
 def test_mirror_command_fills_each_leibniz_table_once(capsys):
     """delta^lam, delta^{lam o A^-1} and delta^{lam o A} share one table per
     degree: 9 deltas at K = 4, 3 tables."""
-    for cached in (_leibniz_tables, mirror_mod._mapped_delta, mirror_mod._transported_delta):
-        cached.cache_clear()
+    _leibniz_tables.cache_clear()
     code = main(["mirror", "--builtin", "sl3", "--lambda=1,2,3,4,5,6,7,8", "--K", "4",
                  "--transform", "weyl:231"])
     capsys.readouterr()
     assert code == 0
     info = _leibniz_tables.cache_info()
     assert (info.hits, info.misses) == (6, 3)
+
+
+@pytest.mark.parametrize("argv, degrees", [
+    (["--builtin", "su3", "--lambda=1,2,3,4,5,6,7,8", "--K", "3"], [0, 1, 2]),
+    (["--builtin", "so3", "--lambda=1,-2,3", "--K", "6"], [0, 1, 2, 3, 4, 5]),
+], ids=["su3-K3", "so3-K6"])
+def test_paper_signed_spencer_builds_each_delta_once(monkeypatch, capsys, argv, degrees):
+    """The ordering audit reads the nilpotency report's delta_k, so the
+    paper-signed spencer command builds each delta_k once."""
+    built = []
+    original = spencer_mod.delta_matrix
+
+    def counting_delta(lam, k, *args):
+        built.append(k)
+        return original(lam, k, *args)
+
+    monkeypatch.setattr(spencer_mod, "delta_matrix", counting_delta)
+    code = main(["spencer", *argv, "--convention", "paper-signed"])
+    assert code == 0 and capsys.readouterr().out
+    assert built == degrees
