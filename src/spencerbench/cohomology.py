@@ -15,13 +15,16 @@ The complex is kept by its Kronecker factors: each block of D^k between
 segments is a short list of terms c A x B, and a mirror's chain map psi_k is
 F_i x T_{k-i} on segment i. The D^2 and psi D - D' psi residuals are read
 off these factors block by block, exactly, through two identities:
-(A x B)(C x D) = AC x BD (each distinct factor product, such as
-delta_{j+1} delta_j, formed once), and max |A x B| = max |A| max |B|, so a
-block whose terms share a factor is summed on the other factor and only a
-block whose terms share none would be built, at block size. The total
-matrices D^k are assembled only when read, by rank, kernel, cup products or
-a caller, so a run whose D^2 is not zero, and so withholds its dims, never
-assembles one.
+(A x B)(C x D) = AC x BD, with each product AC kept as its two factors (a
+factor c * I only scales the other), and max |A x B| = max |A| max |B|, so
+a block whose terms share a factor is summed on the other factor by
+linalg.residual_max_abs, which reads max |sum c A C| row by row without
+building a product, a difference or a block sum. Each distinct sum, such
+as delta_{j+1} delta_j or T_{j+1} delta_j - delta'_j T_j, is read once;
+only a block whose terms share no factor would be built, at block size,
+and the complex has none. The total matrices D^k are assembled only when
+read, by rank, kernel, cup products or a caller, so a run whose D^2 is not
+zero, and so withholds its dims, never assembles one.
 
 Cohomology dimensions are computed by exact rank-nullity over the rationals
 and reported only when the squared differential is exactly zero.
@@ -43,6 +46,7 @@ from .linalg import (
     literal_parser,
     parse_int,
     parse_list,
+    residual_max_abs,
 )
 from .mirror import mirror_lambda
 from .records import FrozenRecord, Record
@@ -115,9 +119,10 @@ class DGAModel(FrozenRecord):
         product = None
         if "product" in data:
             parse = literal_parser()
+            sizes = [len(row) for row in basis]
             product = {}
             for item in parse_list(data["product"], "DGA product"):
-                key, table = _product_row(item, basis, parse)
+                key, table = _product_row(item, sizes, parse)
                 if key in product:
                     raise FormatError(f"product row {item!r}: a second row for {list(key)}")
                 product[key] = table
@@ -127,29 +132,39 @@ class DGAModel(FrozenRecord):
         return model
 
 
-def _product_row(item, basis, parse):
+def _product_row(item, sizes, parse):
     """Parse [i, a, j, b, [[c, coeff], ...]]: e^i_a . e^j_b = sum coeff e^{i+j}_c,
-    reading each coefficient with parse (one ``literal_parser`` per table)."""
-    if not isinstance(item, list) or len(item) != 5 or not isinstance(item[4], list):
+    sizes[d] the number of basis elements in degree d, reading each
+    coefficient with parse (one ``literal_parser`` per table). One pass: the
+    shape, the integer fields, the degrees, a and b, then each c and its
+    coefficient."""
+    if type(item) is not list or len(item) != 5 or type(item[4]) is not list:
         raise FormatError(f"product row {item!r} must be [i, a, j, b, [[c, coeff], ...]]")
-    i, a, j, b = (parse_int(x, "product row index") for x in item[:4])
+    i, a, j, b, entries = item
+    if not (type(i) is int and type(a) is int and type(j) is int and type(b) is int):
+        for x in item[:4]:
+            parse_int(x, "product row index")
+    top = len(sizes) - 1
+    if i < 0 or j < 0 or i + j > top:
+        raise FormatError(f"product row {item!r}: degrees must satisfy i + j <= {top}")
+    for index, degree in (a, i), (b, j):
+        if not 0 <= index < sizes[degree]:
+            raise FormatError(
+                f"product row {item!r}: index {index} out of range in degree {degree}")
+    n = sizes[i + j]
+    table = {}
     try:
-        table = {}
-        for c, v in item[4]:
-            c = parse_int(c, "product row index")
+        for c, v in entries:
+            if type(c) is not int:
+                parse_int(c, "product row index")
             if c in table:
                 raise FormatError(f"product row {item!r}: index {c} appears twice")
+            if not 0 <= c < n:
+                raise FormatError(
+                    f"product row {item!r}: index {c} out of range in degree {i + j}")
             table[c] = parse(v)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"product row {item!r}: {exc}") from exc
-    top = len(basis) - 1
-    if min(i, j) < 0 or i + j > top:
-        raise FormatError(f"product row {item!r}: degrees must satisfy i + j <= {top}")
-    for index, degree in [(a, i), (b, j)] + [(c, i + j) for c in table]:
-        if not 0 <= index < len(basis[degree]):
-            raise FormatError(
-                f"product row {item!r}: index {index} out of range in degree {degree}"
-            )
     return (i, a, j, b), table
 
 
@@ -282,75 +297,98 @@ def _assemble(instance, row_degree, col_degree, blocks):
         for (r, c), terms in blocks.items() for coeff, a, b in terms])
 
 
-def _compose(after, before, product):
+def _factor(x, y):
+    """(s, F) with s F = x @ y: a factor c * I scales the other factor (s = c,
+    F the other factor; I itself when both are c * I), otherwise F is the
+    pair (x, y), kept unmultiplied."""
+    sx, sy = x.identity_scale(), y.identity_scale()
+    if sy is not None:
+        return (sy, x) if sx is None else (sx * sy, x.scaled(1 / sx))
+    if sx is not None:
+        return sx, y
+    return 1, (x, y)
+
+
+def _compose(after, before):
     """The Kronecker blocks of after @ before: by (A x B)(C x D) = AC x BD,
     block (r, c) collects (c1 c2, A1 A2, B1 B2) over the middle segments m
-    of every pair of terms in after[(r, m)] and before[(m, c)]."""
+    of every pair of terms in after[(r, m)] and before[(m, c)], each product
+    kept as its factors (_factor)."""
     out = {}
     for (m, c), inner in before.items():
         for (r, m_out), outer in after.items():
             if m_out == m:
-                out.setdefault((r, c), []).extend(
-                    (c1 * c2, product(a1, a2), product(b1, b2))
-                    for c1, a1, b1 in outer for c2, a2, b2 in inner)
+                terms = out.setdefault((r, c), [])
+                for c1, a1, b1 in outer:
+                    for c2, a2, b2 in inner:
+                        (sa, a), (sb, b) = _factor(a1, a2), _factor(b1, b2)
+                        terms.append((c1 * c2 * sa * sb, a, b))
     return out
 
 
-def _factor_products():
-    """A @ that forms each product of two factors once; the memo keeps the
-    factors, so their ids stay theirs."""
-    memo = {}
+def _read_once():
+    """residual_max_abs over (c, F) pairs, F a matrix or a pair (x, y) for
+    x @ y, that reads each distinct list once, up to an overall sign, and
+    splits each matrix into rows once; the memo keeps the factors, so their
+    ids stay theirs."""
+    memo, split = {}, {}
 
-    def product(a, b):
-        key = (id(a), id(b))
+    def read(pairs):
+        if len(pairs) == 1 and isinstance(pairs[0][1], OperatorMatrix):
+            return abs(pairs[0][0]) * pairs[0][1].max_abs()
+        sign = -1 if pairs[0][0] < 0 else 1
+        terms = [(sign * c, f, None) if isinstance(f, OperatorMatrix) else (sign * c, *f)
+                 for c, f in pairs]
+        key = tuple((c, id(a), id(b)) for c, a, b in terms)
         if key not in memo:
-            memo[key] = (a, b, a @ b)
-        return memo[key][2]
+            memo[key] = (terms, residual_max_abs(terms, split))
+        return memo[key][1]
 
-    return product
-
-
-def _combination(pairs):
-    """sum c M over the (c, M) pairs, all of one shape."""
-    rows, cols = pairs[0][1].shape
-    return OperatorMatrix.from_blocks(rows, cols, [(0, 0, m.scaled(c)) for c, m in pairs])
+    return read
 
 
-def _block_max_abs(terms):
-    """Exact max |entry| of the block sum c A x B over terms, by max |A x B| =
-    max |A| max |B|: terms that share both factors add their coefficients,
-    terms that share the left (right) factor sum on the right (left) one,
-    and only terms that share no factor are built, at block size."""
+def _matrix(factor):
+    return factor if isinstance(factor, OperatorMatrix) else factor[0] @ factor[1]
+
+
+def _block_max_abs(terms, read=None):
+    """Exact max |entry| of the block sum c A x B over terms, each factor a
+    matrix or a pair (x, y) for x @ y, by max |A x B| = max |A| max |B|:
+    terms that share both factors add their coefficients, terms that share
+    the left (right) factor sum on the right (left) one, each sum read by
+    read (a _read_once), and only terms that share no factor are built, at
+    block size."""
+    read = read or _read_once()
     _, a0, b0 = terms[0]
     same_a = all(a == a0 for _, a, _ in terms)
     same_b = all(b == b0 for _, _, b in terms)
     if same_a and same_b:
-        return abs(sum(c for c, _, _ in terms)) * a0.max_abs() * b0.max_abs()
+        return abs(sum(c for c, _, _ in terms)) * read([(1, a0)]) * read([(1, b0)])
     if same_a:
-        return a0.max_abs() * _combination([(c, b) for c, _, b in terms]).max_abs()
+        return read([(1, a0)]) * read([(c, b) for c, _, b in terms])
     if same_b:
-        return b0.max_abs() * _combination([(c, a) for c, a, _ in terms]).max_abs()
-    return _combination([(c, kron(a, b)) for c, a, b in terms]).max_abs()
+        return read([(1, b0)]) * read([(c, a) for c, a, _ in terms])
+    return read([(c, kron(_matrix(a), _matrix(b))) for c, a, b in terms])
 
 
-def _max_abs(blocks):
-    return max(map(_block_max_abs, blocks.values()), default=ZERO)
+def _max_abs(blocks, read):
+    return max((_block_max_abs(terms, read) for terms in blocks.values()), default=ZERO)
 
 
 def d_squared_residual(instance):
     """Max |entry| of D^{k+1} D^k over k, block by block from the factors:
-    each distinct factor product (delta_{j+1} delta_j, ...) is formed once,
-    and the Koszul cross block (d_i x delta_j)(eps_i + eps_{i+1}) is summed
-    from its two terms."""
-    product = _factor_products()
-    return max((_max_abs(_compose(after, before, product))
+    each distinct factor product (delta_{j+1} delta_j, ...) is read once by
+    residual_max_abs and never built, and the Koszul cross block
+    (d_i x delta_j)(eps_i + eps_{i+1}) is summed from its two terms."""
+    read = _read_once()
+    return max((_max_abs(_compose(after, before), read)
                 for before, after in zip(instance.kron_blocks, instance.kron_blocks[1:])),
                default=ZERO)
 
 
 def _composite_residual(maps):
     """Max |entry| over the consecutive composites maps[k+1] @ maps[k]."""
-    return max(((b @ a).max_abs() for a, b in zip(maps, maps[1:])), default=ZERO)
+    return max((residual_max_abs([(1, b, a)]) for a, b in zip(maps, maps[1:])), default=ZERO)
 
 
 def _rank_nullity(sizes, maps):
@@ -524,13 +562,13 @@ def commutation_residuals(instance, mirrored, transform, base_maps=None):
     from the factors: psi_{k+1} D^k and D'^k psi_k share F_i on a delta
     block and T_{k-i} on a d block."""
     psi = _chain_map_blocks(instance, transform, range(instance.K + 1), base_maps)
-    product = _factor_products()
+    read = _read_once()
     residuals = []
     for k in range(instance.K):
-        blocks = _compose(psi[k + 1], instance.kron_blocks[k], product)
-        for key, terms in _compose(mirrored.kron_blocks[k], psi[k], product).items():
+        blocks = _compose(psi[k + 1], instance.kron_blocks[k])
+        for key, terms in _compose(mirrored.kron_blocks[k], psi[k]).items():
             blocks.setdefault(key, []).extend((-c, a, b) for c, a, b in terms)
-        residuals.append(_max_abs(blocks))
+        residuals.append(_max_abs(blocks, read))
     return residuals
 
 

@@ -10,6 +10,8 @@ are integer operations; Fractions appear only at the interface (``get``,
 a scaling of the other factor. Every operation returns a new matrix, except
 that ``scaled(1)`` (and so a product with I) returns the matrix itself, and
 no function writes into an existing one, so a cached matrix can be shared.
+``residual_max_abs`` reads the exact max |entry| of a sum of products
+c A B row by row, in integers over one denominator, and builds none of them.
 Both eliminations are fraction-free on sparse {column: value} rows of the
 numerators with a column-to-rows index, and share one row step (a*row -
 b*pivot_row over its content). ``rank()`` (``_sparse_rank``) pivots on a
@@ -247,7 +249,7 @@ class OperatorMatrix:
         nums = {key: v * p for key, v in self.nums.items()} if p else {}
         return OperatorMatrix.from_numerators(self.rows, self.cols, self.den * a.denominator, nums)
 
-    def _identity_scale(self):
+    def identity_scale(self):
         """c when self is c times the identity (a 0 x 0 matrix with c = 1),
         else None. Only a square matrix with as many non-zeros as rows gets
         past the first test."""
@@ -265,10 +267,10 @@ class OperatorMatrix:
         ``compress``, which skips its zero columns in C."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        scale = other._identity_scale()
+        scale = other.identity_scale()
         if scale is not None:
             return self.scaled(scale)
-        scale = self._identity_scale()
+        scale = self.identity_scale()
         if scale is not None:
             return other.scaled(scale)
         by_row = {}
@@ -410,6 +412,62 @@ def kron(a, b):
         for (rb, cb), vb in b.nums.items():
             nums[(r0 + rb, c0 + cb)] = va * vb
     return OperatorMatrix.from_numerators(a.rows * b.rows, a.cols * b.cols, a.den * b.den, nums)
+
+
+def residual_max_abs(terms, split=None):
+    """Exact max |entry| of sum c A B over the (c, A, B) terms, every A B of
+    one shape; B None stands for the identity, so the term is c A.
+
+    Each output row is summed in one integer list (a sparse accumulator,
+    Gustavson 1978) over the lcm of the terms' denominators, so no product,
+    difference or sum is built and one Fraction is made at the end. Each
+    matrix is split into its rows once, into split ({id(matrix): rows}),
+    which a caller may share between calls while it keeps the matrices
+    alive."""
+    terms = [(Fraction(c), a, b) for c, a, b in terms]
+    if not terms:
+        return ZERO
+    shapes = {(a.rows, a.cols if b is None else b.cols) for _, a, b in terms}
+    if len(shapes) != 1 or any(b is not None and a.cols != b.rows for _, a, b in terms):
+        raise ValueError(f"terms of mismatched shapes {sorted(shapes)}")
+    n_rows, cols = shapes.pop()
+    if not cols:
+        return ZERO
+    den = lcm(*(c.denominator * a.den * (1 if b is None else b.den) for c, a, b in terms))
+    split = {} if split is None else split
+
+    def rows(m):  # [[(column, numerator), ...] for each row of m]
+        out = split.get(id(m))
+        if out is None:
+            out = split[id(m)] = [[] for _ in range(m.rows)]
+            for (r, c), v in m.nums.items():
+                out[r].append((c, v))
+        return out
+
+    by_row = [[] for _ in range(n_rows)]  # [(scale, row of A, rows of B or None)]
+    for c, a, b in terms:
+        if c:
+            scale = c.numerator * (den // (c.denominator * a.den * (1 if b is None else b.den)))
+            right = None if b is None else rows(b)
+            for parts, items in zip(by_row, rows(a)):
+                if items:
+                    parts.append((scale, items, right))
+    worst = 0
+    for parts in by_row:
+        if not parts:
+            continue
+        acc = [0] * cols
+        for scale, items, right in parts:
+            if right is None:
+                for k, v in items:
+                    acc[k] += scale * v
+            else:
+                for k, v in items:
+                    sv = scale * v
+                    for c, w in right[k]:
+                        acc[c] += sv * w
+        worst = max(worst, max(acc), -min(acc))
+    return Fraction(worst, den)
 
 
 def _sparse_rows(nums):

@@ -43,7 +43,7 @@ from spencerbench.liealg import (
     jacobi_residual,
     weyl_mirrors,
 )
-from spencerbench.linalg import OperatorMatrix, kron, rank_bareiss
+from spencerbench.linalg import OperatorMatrix, kron, rank_bareiss, residual_max_abs
 from spencerbench.mirror import automorphism_mirror, mirror_lambda, sign_mirror
 from spencerbench.spencer import Identification, LeibnizConvention, delta_matrix
 from spencerbench.symtensor import sym_dim
@@ -151,6 +151,15 @@ def test_dga_json_round_trip():
     assert again.basis == t2.basis
     assert again.product == t2.product
     assert [m.to_json() for m in again.diff] == [m.to_json() for m in t2.diff]
+
+
+def test_ce_su3_json_round_trip_keeps_the_product_table():
+    # DGAModel equality skips the product, so the table is compared by itself
+    model = ce_model(builtin_algebra("su3"), "ce(su3)")
+    again = DGAModel.from_json(json.loads(json.dumps(model.to_json())))
+    assert again == model
+    assert len(again.product) == len(model.product) == 3 ** 8
+    assert again.product == model.product
 
 
 @pytest.mark.parametrize(
@@ -789,6 +798,24 @@ def test_factored_residuals_match_total_size_products(case):
     assert instance.differentials == oracle_total_differentials(instance, oracle_block_matrix)
 
 
+@pytest.mark.parametrize("base, name, maps", [("torus2", "sl2", "swap"),
+                                             ("ce(so3)", "so3", "not-a-chain-map")])
+def test_sign_mirror_with_base_maps_shares_a_factor_in_every_block(base, name, maps,
+                                                                   monkeypatch):
+    # T_j = (-1)^j I and the identity of a d block are one factor up to its
+    # sign, so no block falls through to the build at block size
+    def refuse(factor):
+        raise AssertionError("built a block at block size")
+
+    monkeypatch.setattr(cohomology_mod, "_matrix", refuse)
+    alg, dga = builtin_algebra(name), base_model(base)
+    base_maps = BASE_MAPS[maps](dga)
+    instance = build_complex(dga, alg, alg.dual(range(1, alg.dim + 1)), 3)
+    mirrored = build_complex(dga, alg, mirror_lambda(sign_mirror(), instance.lam), 3)
+    got = commutation_residuals(instance, mirrored, sign_mirror(), base_maps)
+    assert got == oracle_total_residuals(instance, sign_mirror(), base_maps)[1]
+
+
 def random_matrix(rng, rows, cols):
     return OperatorMatrix.from_dense([[F(rng.randint(-4, 4), rng.randint(1, 3))
                                        for _ in range(cols)] for _ in range(rows)])
@@ -817,6 +844,64 @@ def test_block_max_abs_builds_only_terms_that_share_no_factor(monkeypatch):
         assert _block_max_abs(terms) == oracle(terms)
         assert len(built) == kron_calls
     assert _block_max_abs([(1, a1, b1), (-1, a1, b1)]) == 0
+
+
+def test_a_residual_reader_reads_each_term_list_once_up_to_its_sign(monkeypatch):
+    rng = random.Random(11)
+    a, b = random_matrix(rng, 3, 2), random_matrix(rng, 3, 2)
+    reads = []
+    monkeypatch.setattr(cohomology_mod, "residual_max_abs",
+                        lambda terms, split: reads.append(1) or residual_max_abs(terms, split))
+    read = cohomology_mod._read_once()
+    plus = oracle_block_matrix(3, 2, [(0, 0, a), (0, 0, b)]).max_abs()
+    minus = oracle_block_matrix(3, 2, [(0, 0, a), (0, 0, b.scaled(-1))]).max_abs()
+    assert plus != minus
+    assert read([(1, a), (1, b)]) == plus
+    assert read([(-1, a), (-1, b)]) == plus  # the same list up to its sign
+    assert read([(1, a), (-1, b)]) == minus  # another list of the same factors
+    assert len(reads) == 2
+    assert read([(F(-5, 2), a)]) == F(5, 2) * a.max_abs()  # one matrix: no row read
+    assert len(reads) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["complex", "--builtin", "sl3", "--lambda=1,-2,3,0,2,-1,1,2", "--K", "4", "--torus", "3",
+     "--mirror", "weyl:231"],
+    ["complex", "--builtin", "so3", "--lambda=0,0,1", "--K", "4", "--mirror", "sign"],
+], ids=["sl3-top-rung", "so3-sign"])
+def test_the_residuals_of_a_complex_build_no_product_difference_or_block_sum(
+        argv, monkeypatch, capsys):
+    inside = []
+
+    def guarded(name, method):
+        def run(*args, **kwargs):
+            assert not inside, f"{inside[-1]} called OperatorMatrix.{name}"
+            return method(*args, **kwargs)
+        return run
+
+    for name in ("__matmul__", "__sub__"):
+        monkeypatch.setattr(OperatorMatrix, name, guarded(name, getattr(OperatorMatrix, name)))
+    monkeypatch.setattr(OperatorMatrix, "from_blocks",
+                        classmethod(guarded("from_blocks", OperatorMatrix.from_blocks.__func__)))
+    calls = []
+
+    def entered(name, residual):
+        def run(*args, **kwargs):
+            calls.append(name)
+            inside.append(name)
+            try:
+                return residual(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
+
+    for name in ("d_squared_residual", "commutation_residuals"):
+        monkeypatch.setattr(cohomology_mod, name, entered(name, getattr(cohomology_mod, name)))
+    assert main(argv) == 0
+    # D^2 of the complex and of its mirror, and one commutation check
+    assert sorted(calls) == ["commutation_residuals", "d_squared_residual", "d_squared_residual"]
+    report = json.loads(capsys.readouterr().out)
+    assert report["report"]["d_squared_residual"] != "0"
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,6 +17,7 @@ from spencerbench.linalg import (
     in_column_span,
     kron,
     rank_bareiss,
+    residual_max_abs,
 )
 from spencerbench.spencer import delta_matrix
 
@@ -98,10 +99,10 @@ def test_matmul_by_a_scalar_identity_is_a_scaling(c):
     assert (OperatorMatrix.identity(0) @ OperatorMatrix.zero(0, 2)).shape == (0, 2)
     # square, one non-zero per row, but not c * I: the full product
     swap = OperatorMatrix.from_dense([[F(0), F(1)], [F(1), F(0)]])
-    assert swap._identity_scale() is None
-    assert OperatorMatrix.from_dense([[F(2), F(0)], [F(0), F(3)]])._identity_scale() is None
-    assert OperatorMatrix.identity(3).scaled(c)._identity_scale() == c
-    assert OperatorMatrix.identity(0)._identity_scale() == 1
+    assert swap.identity_scale() is None
+    assert OperatorMatrix.from_dense([[F(2), F(0)], [F(0), F(3)]]).identity_scale() is None
+    assert OperatorMatrix.identity(3).scaled(c).identity_scale() == c
+    assert OperatorMatrix.identity(0).identity_scale() == 1
 
 
 def test_matmul_stores_no_cancelled_entry():
@@ -111,6 +112,87 @@ def test_matmul_stores_no_cancelled_entry():
     assert product.entries == {(0, 1): F(5, 14)}
     assert (OperatorMatrix.zero(0, 3) @ OperatorMatrix.zero(3, 2)).shape == (0, 2)
     assert (OperatorMatrix.zero(2, 0) @ OperatorMatrix.zero(0, 4)).entries == {}
+
+
+# --- the fused residual kernel against the triple-loop oracle -------------------
+
+
+@st.composite
+def residual_terms(draw):
+    """1-4 (c, A, B) terms whose products are n x p, with mixed denominators,
+    empty shapes and zero rows and columns: dense factors, zero factors, c * I
+    factors on either side, B None (the term c A) and zero coefficients; a
+    last term may cancel one term, or the whole sum, exactly."""
+    n, p = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=9))
+    coeff = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+
+    def dense(rows, cols):
+        return OperatorMatrix.from_dense(
+            [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+        ) if rows else OperatorMatrix.zero(0, cols)
+
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(0, 5))
+        form = draw(st.sampled_from(["product", "left-scalar", "right-scalar", "zero-left",
+                                     "zero-right", "single"]))
+        a, b = {
+            "product": lambda: (dense(n, m), dense(m, p)),
+            "left-scalar": lambda: (OperatorMatrix.identity(n).scaled(draw(nonzero)), dense(n, p)),
+            "right-scalar": lambda: (dense(n, p), OperatorMatrix.identity(p).scaled(draw(nonzero))),
+            "zero-left": lambda: (OperatorMatrix.zero(n, m), dense(m, p)),
+            "zero-right": lambda: (dense(n, m), OperatorMatrix.zero(m, p)),
+            "single": lambda: (dense(n, p), None),
+        }[form]()
+        terms.append((draw(coeff), a, b))
+    cancel = draw(st.sampled_from([None, "term", "sum", "sum-by-identity"]))
+    if cancel == "term":
+        # the first term again, split as (-c / t) (t A) B: only it cancels
+        c, a, b = terms[0]
+        t = draw(nonzero)
+        terms.append((-c / t, a.scaled(t), b))
+    elif cancel is not None:
+        total = OperatorMatrix(n, p, oracle_combination(terms))
+        terms.append((-1, total, OperatorMatrix.identity(p) if cancel == "sum-by-identity" else None))
+    return terms
+
+
+def oracle_combination(terms):
+    """sum c P over the terms as a Fraction dict, P the triple-loop product
+    (or A itself when B is None)."""
+    out = {}
+    for c, a, b in terms:
+        for key, v in (a.entries if b is None else oracle_product(a, b)).items():
+            out[key] = out.get(key, F(0)) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+@given(residual_terms())
+def test_residual_max_abs_matches_the_triple_loop_oracle(terms):
+    got = residual_max_abs(terms)
+    assert type(got) is Fraction
+    assert got == max(map(abs, oracle_combination(terms).values()), default=F(0))
+
+
+def test_residual_max_abs_reads_each_term_list_whole():
+    rng = random.Random(5)
+    a = OperatorMatrix.from_dense([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+                                   for _ in range(2)])
+    b = OperatorMatrix.from_dense([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+                                   for _ in range(3)])
+    assert residual_max_abs([]) == 0
+    assert residual_max_abs([(1, a, b), (-1, a @ b, None)]) == 0
+    assert residual_max_abs([(F(-3, 2), a, b)]) == (a @ b).max_abs() * F(3, 2)
+    assert residual_max_abs([(1, OperatorMatrix.zero(2, 3), OperatorMatrix.zero(3, 0))]) == 0
+    split = {}
+    assert residual_max_abs([(1, a, b)], split) == (a @ b).max_abs()
+    assert set(split) == {id(a), id(b)}
+    with pytest.raises(ValueError):
+        residual_max_abs([(1, a, b), (1, a, None)])  # 2 x 4 and 2 x 3
+    with pytest.raises(ValueError):
+        residual_max_abs([(1, a, a)])  # 3 columns against 2 rows
 
 
 # --- the Fraction-dict matrix operations, kept as oracles -----------------------
