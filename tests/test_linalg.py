@@ -176,7 +176,7 @@ def test_residual_max_abs_matches_the_triple_loop_oracle(terms):
     assert got == max(map(abs, oracle_combination(terms).values()), default=F(0))
 
 
-def test_residual_max_abs_reads_each_term_list_whole():
+def test_residual_max_abs_on_empty_cancelled_and_mismatched_terms():
     rng = random.Random(5)
     a = OperatorMatrix.from_dense([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
                                    for _ in range(2)])
