@@ -16,12 +16,15 @@ segments is a short list of terms c A x B, and a mirror's chain map psi_k is
 F_i x T_{k-i} on segment i. The D^2 and psi D - D' psi residuals are read
 off these factors block by block, exactly, through two identities:
 (A x B)(C x D) = AC x BD, with each product AC kept as its two factors (a
-factor c * I only scales the other), and max |A x B| = max |A| max |B|, so
-a block whose terms share a factor is summed on the other factor by
-linalg.residual_max_abs, which reads max |sum c A C| row by row without
-building a product, a difference or a block sum. Each distinct sum, such
-as delta_{j+1} delta_j or T_{j+1} delta_j - delta'_j T_j, is read once;
-only a block whose terms share no factor would be built, at block size,
+factor c * I only scales the other: linalg.factored_product), and
+max |A x B| = max |A| max |B|, so a block whose terms share a factor is
+summed on the other factor by linalg.residual_max_abs, which reads
+max |sum c A C| row by row without building a product, a difference or a
+block sum. Each distinct sum, such as delta_{j+1} delta_j or
+T_{j+1} delta_j - delta'_j T_j, is read once by the complex's reader
+(linalg.read_once), which its mirrored complex shares, so each factor is
+split into rows once per command; only a block whose terms share no
+factor would be built, at block size,
 and the complex has none. The total matrices D^k are assembled only when
 read, by rank, kernel, cup products or a caller, so a run whose D^2 is not
 zero, and so withholds its dims, never assembles one.
@@ -46,7 +49,9 @@ from .linalg import (
     literal_parser,
     parse_int,
     parse_list,
-    residual_max_abs,
+    composite_residuals,
+    factored_product,
+    read_once,
 )
 from .mirror import mirror_lambda
 from .records import FrozenRecord, Record
@@ -71,7 +76,7 @@ class DGAModel(FrozenRecord):
         return [len(b) for b in self.basis]
 
     def d_squared_residual(self):
-        return _composite_residual(self.diff)
+        return max(composite_residuals(self.diff), default=ZERO)
 
     def de_rham_dims(self):
         """H^i dims by rank-nullity on the stored differentials."""
@@ -225,10 +230,13 @@ def ce_model(algebra, name):
 class SpencerComplexInstance(Record):
     # bases[k]: list of (form_degree, form_index, multiset), k <= K;
     # kron_blocks: D^k for k in 0..K-1 by its Kronecker factors (build_complex);
-    # delta_matrices: delta^j for j in 0..K-1 (reused by diagnostics).
+    # delta_matrices: delta^j for j in 0..K-1 (reused by diagnostics);
+    # read: the linalg.read_once reader of its D^2 and commutation residuals,
+    # shared with the mirrored complex, so each factor is split into rows once.
     # No __slots__: the cached properties live in the instance __dict__.
     _fields = ("dga", "algebra", "lam", "K", "convention", "identification", "bases",
-               "kron_blocks", "delta_matrices")
+               "kron_blocks", "delta_matrices", "read")
+    _uncompared = ("read",)
 
     @cached_property
     def differentials(self):
@@ -255,10 +263,12 @@ def segment_offsets(dga, dim, k):
 
 
 def build_complex(dga, algebra, lam, K, convention=LeibnizConvention.UNSIGNED,
-                  identification=Identification.BASIS):
+                  identification=Identification.BASIS, read=None):
     """The total complex up to degree K (K >= 1), each D^k kept as its
     Kronecker blocks: from segment i of degree k, d_i x I to segment i+1
-    and (-1)^i I x delta_{k-i} to segment i of degree k+1."""
+    and (-1)^i I x delta_{k-i} to segment i of degree k+1. read is the
+    residual reader it shares with a complex it is compared with; a new
+    read_once() by default."""
     if K < 1:
         raise MismatchError("truncation K must be >= 1")
     if lam.algebra != algebra:
@@ -283,6 +293,7 @@ def build_complex(dga, algebra, lam, K, convention=LeibnizConvention.UNSIGNED,
         kron_blocks.append(blocks)
     return SpencerComplexInstance(
         dga, algebra, lam, K, convention, identification, bases, kron_blocks, deltas,
+        read or read_once(),
     )
 
 
@@ -297,23 +308,11 @@ def _assemble(instance, row_degree, col_degree, blocks):
         for (r, c), terms in blocks.items() for coeff, a, b in terms])
 
 
-def _factor(x, y):
-    """(s, F) with s F = x @ y: a factor c * I scales the other factor (s = c,
-    F the other factor; I itself when both are c * I), otherwise F is the
-    pair (x, y), kept unmultiplied."""
-    sx, sy = x.identity_scale(), y.identity_scale()
-    if sy is not None:
-        return (sy, x) if sx is None else (sx * sy, x.scaled(1 / sx))
-    if sx is not None:
-        return sx, y
-    return 1, (x, y)
-
-
 def _compose(after, before):
     """The Kronecker blocks of after @ before: by (A x B)(C x D) = AC x BD,
     block (r, c) collects (c1 c2, A1 A2, B1 B2) over the middle segments m
     of every pair of terms in after[(r, m)] and before[(m, c)], each product
-    kept as its factors (_factor)."""
+    kept as its factors (factored_product)."""
     out = {}
     for (m, c), inner in before.items():
         for (r, m_out), outer in after.items():
@@ -321,30 +320,9 @@ def _compose(after, before):
                 terms = out.setdefault((r, c), [])
                 for c1, a1, b1 in outer:
                     for c2, a2, b2 in inner:
-                        (sa, a), (sb, b) = _factor(a1, a2), _factor(b1, b2)
+                        (sa, a), (sb, b) = factored_product(a1, a2), factored_product(b1, b2)
                         terms.append((c1 * c2 * sa * sb, a, b))
     return out
-
-
-def _read_once():
-    """residual_max_abs over (c, F) pairs, F a matrix or a pair (x, y) for
-    x @ y, that reads each distinct list once, up to an overall sign, and
-    splits each matrix into rows once; the memo keeps the factors, so their
-    ids stay theirs."""
-    memo, split = {}, {}
-
-    def read(pairs):
-        if len(pairs) == 1 and isinstance(pairs[0][1], OperatorMatrix):
-            return abs(pairs[0][0]) * pairs[0][1].max_abs()
-        sign = -1 if pairs[0][0] < 0 else 1
-        terms = [(sign * c, f, None) if isinstance(f, OperatorMatrix) else (sign * c, *f)
-                 for c, f in pairs]
-        key = tuple((c, id(a), id(b)) for c, a, b in terms)
-        if key not in memo:
-            memo[key] = (terms, residual_max_abs(terms, split))
-        return memo[key][1]
-
-    return read
 
 
 def _matrix(factor):
@@ -356,9 +334,9 @@ def _block_max_abs(terms, read=None):
     matrix or a pair (x, y) for x @ y, by max |A x B| = max |A| max |B|:
     terms that share both factors add their coefficients, terms that share
     the left (right) factor sum on the right (left) one, each sum read by
-    read (a _read_once), and only terms that share no factor are built, at
-    block size."""
-    read = read or _read_once()
+    read (a linalg.read_once reader), and only terms that share no factor
+    are built, at block size."""
+    read = read or read_once()
     _, a0, b0 = terms[0]
     same_a = all(a == a0 for _, a, _ in terms)
     same_b = all(b == b0 for _, _, b in terms)
@@ -378,17 +356,11 @@ def _max_abs(blocks, read):
 def d_squared_residual(instance):
     """Max |entry| of D^{k+1} D^k over k, block by block from the factors:
     each distinct factor product (delta_{j+1} delta_j, ...) is read once by
-    residual_max_abs and never built, and the Koszul cross block
+    the instance's reader and never built, and the Koszul cross block
     (d_i x delta_j)(eps_i + eps_{i+1}) is summed from its two terms."""
-    read = _read_once()
-    return max((_max_abs(_compose(after, before), read)
+    return max((_max_abs(_compose(after, before), instance.read)
                 for before, after in zip(instance.kron_blocks, instance.kron_blocks[1:])),
                default=ZERO)
-
-
-def _composite_residual(maps):
-    """Max |entry| over the consecutive composites maps[k+1] @ maps[k]."""
-    return max((residual_max_abs([(1, b, a)]) for a, b in zip(maps, maps[1:])), default=ZERO)
 
 
 def _rank_nullity(sizes, maps):
@@ -562,7 +534,7 @@ def commutation_residuals(instance, mirrored, transform, base_maps=None):
     from the factors: psi_{k+1} D^k and D'^k psi_k share F_i on a delta
     block and T_{k-i} on a d block."""
     psi = _chain_map_blocks(instance, transform, range(instance.K + 1), base_maps)
-    read = _read_once()
+    read = instance.read
     residuals = []
     for k in range(instance.K):
         blocks = _compose(psi[k + 1], instance.kron_blocks[k])
@@ -574,11 +546,12 @@ def commutation_residuals(instance, mirrored, transform, base_maps=None):
 
 def mirror_invariance_check(instance, transform, base_maps=None):
     """Build the mirrored complex (the dual vector under the inverse
-    transport), verify chain-map commutation, compare dims."""
+    transport) on the instance's reader, verify chain-map commutation,
+    compare dims."""
     lam_m = mirror_lambda(transform, instance.lam)
     mirrored = build_complex(
         instance.dga, instance.algebra, lam_m, instance.K,
-        instance.convention, instance.identification,
+        instance.convention, instance.identification, instance.read,
     )
     residuals = commutation_residuals(instance, mirrored, transform, base_maps)
     commutation_holds = all(r == 0 for r in residuals)

@@ -11,7 +11,11 @@ a scaling of the other factor. Every operation returns a new matrix, except
 that ``scaled(1)`` (and so a product with I) returns the matrix itself, and
 no function writes into an existing one, so a cached matrix can be shared.
 ``residual_max_abs`` reads the exact max |entry| of a sum of products
-c A B row by row, in integers over one denominator, and builds none of them.
+c A B row by row, in integers over one denominator, and builds none of them;
+``factored_product`` folds a c * I factor into the coefficient, and a
+``read_once`` reader reads each distinct sum once and splits each matrix
+into rows once, so every residual of the package (delta^2, the mirror
+intertwining, D^2 and the chain-map commutation) goes through it.
 Both eliminations are fraction-free on sparse {column: value} rows of the
 numerators with a column-to-rows index, and share one row step (a*row -
 b*pivot_row over its content). ``rank()`` (``_sparse_rank``) pivots on a
@@ -468,6 +472,48 @@ def residual_max_abs(terms, split=None):
                         acc[c] += sv * w
         worst = max(worst, max(acc), -min(acc))
     return Fraction(worst, den)
+
+
+def factored_product(x, y):
+    """(s, F) with s F = x @ y: a factor c * I scales the other factor (s = c,
+    F the other factor; I itself when both are c * I), otherwise F is the
+    pair (x, y), kept unmultiplied."""
+    sx, sy = x.identity_scale(), y.identity_scale()
+    if sy is not None:
+        return (sy, x) if sx is None else (sx * sy, x.scaled(1 / sx))
+    if sx is not None:
+        return sx, y
+    return 1, (x, y)
+
+
+def read_once():
+    """A reader: residual_max_abs over (c, F) pairs, F a matrix or a pair
+    (x, y) for x @ y (as factored_product gives them), that reads each
+    distinct list once, up to an overall sign, and splits each matrix into
+    rows once across all its reads; the memo keeps the factors, so their ids
+    stay theirs."""
+    memo, split = {}, {}
+
+    def read(pairs):
+        if len(pairs) == 1 and isinstance(pairs[0][1], OperatorMatrix):
+            return abs(pairs[0][0]) * pairs[0][1].max_abs()
+        sign = -1 if pairs[0][0] < 0 else 1
+        terms = [(sign * c, f, None) if isinstance(f, OperatorMatrix) else (sign * c, *f)
+                 for c, f in pairs]
+        key = tuple((c, id(a), id(b)) for c, a, b in terms)
+        if key not in memo:
+            memo[key] = (terms, residual_max_abs(terms, split))
+        return memo[key][1]
+
+    return read
+
+
+def composite_residuals(maps):
+    """[max |maps[k+1] @ maps[k]| for each k], each composite read by one
+    reader, so a map that is the right factor at k and the left one at k + 1
+    is split into rows once."""
+    read = read_once()
+    return [read([factored_product(b, a)]) for a, b in zip(maps, maps[1:])]
 
 
 def _sparse_rows(nums):

@@ -10,10 +10,14 @@ measure that gap; under the sign mirror both give -lam.
 Every mirror acts through MirrorTransform.tensor_map, its map T_j on S^j:
 (-1)^j I for the sign mirror and induced_tensor_map for an automorphism.
 T_j is the symmetric factor of the coupled complex's chain map and the two
-sides of intertwining_check, whose residual for the sign mirror is that of
-delta^{-lam} = -delta^lam. induced_tensor_map returns the degree-k companion
-map on symmetric tensors. Its matrix depends on the identification used
-between the symmetric power and its dual (see the spencer module):
+sides of intertwining_check. That check reads T_{k+1} delta_k - delta'_k T_k
+row by row from its factors (linalg.residual_max_abs) and builds neither
+product nor their difference; a T_j = c I (the sign mirror, the identity)
+folds into the coefficient, so the read takes the two deltas alone, and for
+the sign mirror its residual is that of delta^{-lam} = -delta^lam.
+induced_tensor_map returns the degree-k companion map on symmetric tensors.
+Its matrix depends on the identification used between the symmetric power
+and its dual (see the spencer module):
 
 * killing (default): the factorwise power of A itself. Automorphisms are
   orthogonal for the Killing form, so this is the eval-compatible transport
@@ -29,7 +33,7 @@ from __future__ import annotations
 import functools
 
 from .errors import FormatError, MismatchError
-from .linalg import OperatorMatrix
+from .linalg import OperatorMatrix, factored_product, read_once
 from .records import FrozenRecord, Record
 from .spencer import Identification, LeibnizConvention, delta_matrix
 from .symtensor import sym_dim, symmetric_power_matrix
@@ -123,26 +127,30 @@ def intertwining_check(transform, lam, k, convention=LeibnizConvention.UNSIGNED,
 
     For an automorphism T_j is induced_tensor_map; for the sign mirror it is
     (-1)^j I and lam' = -lam, so the residual is that of (-1)^{k+1}
-    (delta^lam_k + delta^{-lam}_k). T_{k+1} . delta^lam_k is formed once, and
-    delta^lam'_k . T_k once per distinct lam': the two coincide for the sign
-    mirror and for involutions. Each report states the exact max-abs
-    residual; holds means it is exactly zero.
+    (delta^lam_k + delta^{-lam}_k). Neither side is formed: each distinct
+    lam' (the two coincide for the sign mirror and for involutions) gets one
+    delta^lam'_k and one read of the sum of both sides from their factors,
+    a T_j = c I folded into the coefficient (linalg.factored_product), and
+    the reads share one split of each factor into rows. Each report states
+    the exact max-abs residual; holds means it is exactly zero.
     """
     if k < 1:
         raise MismatchError("intertwining check needs degree >= 1")
     identification = Identification(identification)
     convention = LeibnizConvention(convention)
     algebra = lam.algebra
-    mapped = transform.tensor_map(algebra, k + 1, identification) @ delta_matrix(
-        lam, k, convention, identification)
+    mapped = factored_product(transform.tensor_map(algebra, k + 1, identification),
+                              delta_matrix(lam, k, convention, identification))
+    read = read_once()
     residuals = {}  # lam' -> residual
     reports = []
     for transport in (TRANSPORT_INVERSE, TRANSPORT_LITERAL):
         lam_t = mirror_lambda(transform, lam, transport)
         if lam_t not in residuals:
-            transported = delta_matrix(lam_t, k, convention, identification) @ (
+            s, transported = factored_product(
+                delta_matrix(lam_t, k, convention, identification),
                 transform.tensor_map(algebra, k, identification))
-            residuals[lam_t] = (mapped - transported).max_abs()
+            residuals[lam_t] = read([mapped, (-s, transported)])
         residual = residuals[lam_t]
         reports.append(IntertwiningReport(
             k, residual, transport, identification, convention, residual == 0))

@@ -26,8 +26,10 @@ canonical sorted factorization, and a separate audit measures the order
 dependence instead of hiding it.
 
 Whether (delta^lam)^2 = 0 is treated as a measurement, never an assumption:
-nilpotency_report multiplies the assembled matrices and reports the exact
-residuals per degree.
+nilpotency_report reads the exact residual of each delta_{k+1} delta_k row
+by row from the two factors (linalg.composite_residuals), builds no product
+at a degree whose residual is 0, and multiplies once, at the first degree
+whose residual is not, to name a witness column.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError, MismatchError
 from .liealg import killing_gram
-from .linalg import OperatorMatrix, common_denominator
+from .linalg import OperatorMatrix, common_denominator, composite_residuals
 from .records import Record
 from .symtensor import multisets, sym_dim, symmetric_power_matrix
 
@@ -160,7 +162,7 @@ def delta_matrix_to_json(matrix, k):
 
 
 class NilpotencyReport(Record):
-    # residuals: [(degree k, max |entry| of delta_{k+1} @ delta_k)];
+    # residuals: [(degree k, max |entry| of delta_{k+1} delta_k)];
     # witness: (degree, multiset) of a nonzero composite column, or None;
     # matrices: delta_k for k < K
     __slots__ = _fields = ("convention", "identification", "residuals", "holds", "witness",
@@ -182,21 +184,21 @@ def nilpotency_report(lam, K, convention=LeibnizConvention.UNSIGNED,
                       identification=Identification.BASIS):
     """Measure delta^2 degree by degree up to the truncation K (K >= 2).
 
-    The verdict is whatever the matrix products say; nothing is assumed.
+    The verdict is whatever the exact residuals say; nothing is assumed.
+    Each delta_{k+1} delta_k is read from its factors, each delta_k split
+    into rows once, and only the first composite that is not zero is
+    built, for the lowest column of its witness.
     """
     if K < 2:
         raise MismatchError("nilpotency audit needs K >= 2")
-    algebra = lam.algebra
     mats = [delta_matrix(lam, k, convention, identification) for k in range(K)]
-    residuals = []
+    residuals = list(enumerate(composite_residuals(mats)))
     witness = None
-    for k in range(K - 1):
-        comp = mats[k + 1] @ mats[k]
-        residuals.append((k, comp.max_abs()))
-        if witness is None and not comp.is_zero():
-            col = min(c for (_, c) in comp.entries)
-            witness = (k, multisets(algebra.dim, k)[col])
-    holds = all(r == 0 for _, r in residuals)
+    k = next((k for k, r in residuals if r), None)
+    if k is not None:
+        col = min(c for _, c in (mats[k + 1] @ mats[k]).nums)
+        witness = (k, multisets(lam.algebra.dim, k)[col])
+    holds = witness is None
     return NilpotencyReport(
         LeibnizConvention(convention),
         Identification(identification),

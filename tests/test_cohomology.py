@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spencerbench.cohomology as cohomology_mod
+import spencerbench.linalg as linalg_mod
 from oracles import (
     algebra_from_dense,
     oracle_block_matrix,
@@ -43,7 +45,7 @@ from spencerbench.liealg import (
     jacobi_residual,
     weyl_mirrors,
 )
-from spencerbench.linalg import OperatorMatrix, kron, rank_bareiss, residual_max_abs
+from spencerbench.linalg import OperatorMatrix, kron, rank_bareiss, read_once, residual_max_abs
 from spencerbench.mirror import automorphism_mirror, mirror_lambda, sign_mirror
 from spencerbench.spencer import Identification, LeibnizConvention, delta_matrix
 from spencerbench.symtensor import sym_dim
@@ -850,9 +852,9 @@ def test_a_residual_reader_reads_each_term_list_once_up_to_its_sign(monkeypatch)
     rng = random.Random(11)
     a, b = random_matrix(rng, 3, 2), random_matrix(rng, 3, 2)
     reads = []
-    monkeypatch.setattr(cohomology_mod, "residual_max_abs",
+    monkeypatch.setattr(linalg_mod, "residual_max_abs",
                         lambda terms, split: reads.append(1) or residual_max_abs(terms, split))
-    read = cohomology_mod._read_once()
+    read = read_once()
     plus = oracle_block_matrix(3, 2, [(0, 0, a), (0, 0, b)]).max_abs()
     minus = oracle_block_matrix(3, 2, [(0, 0, a), (0, 0, b.scaled(-1))]).max_abs()
     assert plus != minus
@@ -902,6 +904,29 @@ def test_the_residuals_of_a_complex_build_no_product_difference_or_block_sum(
     assert sorted(calls) == ["commutation_residuals", "d_squared_residual", "d_squared_residual"]
     report = json.loads(capsys.readouterr().out)
     assert report["report"]["d_squared_residual"] != "0"
+
+
+def test_a_mirrored_complex_splits_each_factor_into_rows_once(monkeypatch, capsys):
+    """On the cohomology top rung, D^2 of the complex and of its mirror and
+    the commutation check share one reader: every matrix any read takes is
+    split into rows once, however many reads take it."""
+    matrices, reads, added = {}, Counter(), []
+
+    def counting(terms, split):
+        before = len(split)
+        out = residual_max_abs(terms, split)
+        added.append(len(split) - before)
+        taken = {id(m): m for c, a, b in terms if c for m in (a, b) if m is not None}
+        matrices.update(taken)
+        reads.update(taken.keys())
+        return out
+
+    monkeypatch.setattr(linalg_mod, "residual_max_abs", counting)
+    assert main(["complex", "--builtin", "sl3", "--lambda=1,-2,3,0,2,-1,1,2", "--K", "4",
+                 "--torus", "3", "--mirror", "weyl:231"]) == 0
+    capsys.readouterr()
+    assert max(reads.values()) > 1  # delta_j: in delta_{j+1} delta_j and delta_j delta_{j-1}
+    assert sum(added) == len(matrices)
 
 
 @pytest.mark.parametrize("argv", [

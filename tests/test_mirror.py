@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spencerbench.linalg as linalg_mod
 import spencerbench.mirror as mirror_mod
 from oracles import oracle_eval, oracle_intertwining_residual, oracle_sign_residual
 from spencerbench.cli import main
@@ -143,57 +144,93 @@ def test_mirror_command_builds_each_power_map_once(monkeypatch, capsys):
 
 
 
-def count_mirror_deltas(monkeypatch, capsys, argv):
-    """The (lam, k) of each delta_matrix call and the shapes of each product
-    made in mirror while main(argv) runs."""
-    deltas, products = [], []
-    original_delta, original_matmul = mirror_mod.delta_matrix, OperatorMatrix.__matmul__
+def count_mirror_work(monkeypatch, capsys, argv):
+    """While main(argv) runs: the (lam, k) of each delta_matrix call, the
+    shapes of each product or difference that code in mirror makes, and the
+    terms of each residual_max_abs read."""
+    deltas, built, reads = [], [], []
+    original_delta = mirror_mod.delta_matrix
+    original_read = linalg_mod.residual_max_abs
 
     def counting_delta(lam, k, *args):
         deltas.append((lam.coeffs, k))
         return original_delta(lam, k, *args)
 
-    def counting_matmul(a, b):
-        if sys._getframe(1).f_globals["__name__"] == mirror_mod.__name__:
-            products.append((a.shape, b.shape))
-        return original_matmul(a, b)
+    def counting(name):
+        method = getattr(OperatorMatrix, name)
+
+        def run(a, b):
+            if sys._getframe(1).f_globals["__name__"] == mirror_mod.__name__:
+                built.append((name, a.shape, b.shape))
+            return method(a, b)
+        return run
+
+    def counting_read(terms, split=None):
+        reads.append(list(terms))
+        return original_read(terms, split)
 
     monkeypatch.setattr(mirror_mod, "delta_matrix", counting_delta)
-    monkeypatch.setattr(OperatorMatrix, "__matmul__", counting_matmul)
+    for name in ("__matmul__", "__sub__"):
+        monkeypatch.setattr(OperatorMatrix, name, counting(name))
+    monkeypatch.setattr(linalg_mod, "residual_max_abs", counting_read)
     code = main(argv)
     capsys.readouterr()
     assert code == 0
-    return deltas, products
+    return deltas, built, reads
 
 
-def test_mirror_command_builds_each_delta_and_mapped_delta_once(monkeypatch, capsys):
-    """Degrees 1..3, two transports: delta^lam_k and T_{k+1} delta^lam_k
-    once per degree, delta^lam'_k and delta^lam'_k T_k once per transport,
-    so 9 deltas and 9 products in mirror instead of 12 of each."""
-    deltas, products = count_mirror_deltas(monkeypatch, capsys, [
+def test_mirror_command_builds_each_delta_once_and_reads_both_sides_unbuilt(
+        monkeypatch, capsys):
+    """Degrees 1..3, two transports: delta^lam_k once per degree and
+    delta^lam'_k once per transport, so 9 deltas; no product or difference
+    is made in mirror, and each (degree, transport) is one read of
+    T_{k+1} delta_k - delta'_k T_k from its four factors."""
+    deltas, built, reads = count_mirror_work(monkeypatch, capsys, [
         "mirror", "--builtin", "sl3", "--lambda=1,2,3,4,5,6,7,8", "--K", "4",
         "--transform", "weyl:231"])
     assert len(deltas) == len(set(deltas)) == 9
     assert sorted(k for _, k in deltas) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
-    assert len(products) == 9
+    assert built == []
+    assert len(reads) == 6
+    for terms, k in zip(reads, [1, 1, 2, 2, 3, 3]):
+        n, m = sym_dim(SL3.dim, k + 1), sym_dim(SL3.dim, k)
+        assert [(c, a.shape, b.shape) for c, a, b in terms] == [
+            (1, (n, n), (n, m)), (-1, (n, m), (m, m))]
 
 
-def test_mirror_command_reuses_the_inverse_check_for_an_involution(monkeypatch, capsys):
+def test_mirror_command_reads_an_involution_once_per_degree(monkeypatch, capsys):
     """negate-transpose is an involution, so lam o A = lam o A^{-1}: at K = 3
-    the literal transport reuses the inverse check's delta^lam'_k T_k, and
-    the 4 distinct deltas and 4 products are made once each (6 before)."""
+    the literal transport reuses the inverse check's residual, and the 4
+    distinct deltas are made and the 2 reads taken once each."""
     argv = ["mirror", "--builtin", "sl3", "--lambda=1/2,2,-3,4,5/3,6,7,-8", "--K", "3",
             "--transform", "negate-transpose"]
-    deltas, products = count_mirror_deltas(monkeypatch, capsys, argv)
+    deltas, built, reads = count_mirror_work(monkeypatch, capsys, argv)
     assert len(deltas) == len(set(deltas)) == 4
     assert sorted(k for _, k in deltas) == [1, 1, 2, 2]
-    assert len(products) == 4
+    assert built == []
+    assert len(reads) == 2
     main(argv)
     checks = json.loads(capsys.readouterr().out)["intertwining"]
     assert [(c["degree"], c["transport"]) for c in checks] == [
         (1, "inverse"), (1, "literal"), (2, "inverse"), (2, "literal")]
     assert checks[0]["residual"] == checks[1]["residual"]
     assert checks[2]["residual"] == checks[3]["residual"]
+
+
+@pytest.mark.parametrize("transform", ["sign", "identity"])
+def test_a_signed_identity_mirror_reads_the_two_deltas_alone(transform, monkeypatch, capsys):
+    """T_j = +-I folds into the coefficient: each read is delta_k - delta'_k
+    for the identity and, up to its sign, delta^lam_k + delta^{-lam}_k for
+    the sign mirror, with no tensor-map factor and no right factor."""
+    _, built, reads = count_mirror_work(monkeypatch, capsys, [
+        "mirror", "--builtin", "sl3", "--lambda=1,-2,3,0,2,-1,1,2/3", "--K", "4",
+        "--transform", transform])
+    assert built == []
+    assert len(reads) == 3
+    for terms, k in zip(reads, [1, 2, 3]):
+        shape = (sym_dim(SL3.dim, k + 1), sym_dim(SL3.dim, k))
+        sign = 1 if transform == "sign" else -1
+        assert [(c, a.shape, b) for c, a, b in terms] == [(1, shape, None), (sign, shape, None)]
 
 
 def killing_eval(alg, s, args):
@@ -332,6 +369,29 @@ def test_both_transports_match_the_intertwining_oracle(alg, kind, k, convention,
     for rep in reports:
         assert (rep.degree, rep.convention, rep.identification) == (k, convention, ident)
         assert rep.holds is (rep.residual == 0)
+
+
+FOLDED_DEGREES = {SO3: 3, SL2: 3, SL3: 2, SU3: 2}
+
+
+@settings(deadline=None)
+@given(alg=st.sampled_from(list(FOLDED_DEGREES)), kind=st.sampled_from(["sign", "identity"]),
+       convention=st.sampled_from(list(LeibnizConvention)),
+       ident=st.sampled_from(list(Identification)), data=st.data())
+def test_folded_mirror_reads_match_the_tensor_dict_oracle(alg, kind, convention, ident, data):
+    """The sign and identity mirrors have T_j = +-I, which the check folds
+    into the coefficients: both transports still carry the residual of the
+    tensor-dict oracle, on integer and rational lam."""
+    k = data.draw(st.integers(1, FOLDED_DEGREES[alg]))
+    entry = st.one_of(st.integers(-9, 9).map(F),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    lam = alg.dual(data.draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim)))
+    transform = (sign_mirror() if kind == "sign"
+                 else automorphism_mirror(builtin_automorphism(alg, kind)))
+    reports = intertwining_check(transform, lam, k, convention, ident)
+    assert tuple(rep.residual for rep in reports) == oracle_intertwining_residual(
+        transform, lam, k, convention, ident)
+    assert all(rep.holds is (rep.residual == 0) for rep in reports)
 
 
 def test_tensor_map_rejects_an_automorphism_of_another_algebra():

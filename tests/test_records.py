@@ -47,7 +47,7 @@ RECORDS = [
     (MirrorTransform, FROZEN, (), False),
     (IntertwiningReport, MUTABLE, (), False),
     (DGAModel, FROZEN, ("product",), False),
-    (SpencerComplexInstance, MUTABLE, (), True),
+    (SpencerComplexInstance, MUTABLE, ("read",), True),
     (CohomologyReport, MUTABLE, (), False),
     (MirrorInvarianceReport, MUTABLE, (), False),
     (KunnethReport, MUTABLE, (), False),

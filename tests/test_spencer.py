@@ -1,8 +1,9 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spencerbench.spencer as spencer_mod
@@ -32,7 +33,7 @@ from spencerbench.spencer import (
     nilpotency_report,
     signed_leibniz_welldefinedness,
 )
-from spencerbench.symtensor import multisets
+from spencerbench.symtensor import multisets, sym_dim
 
 F = Fraction
 SO3 = builtin_algebra("so3")
@@ -379,6 +380,79 @@ def test_nilpotency_measured_failure_so3():
         rep = nilpotency_report(lam, 4, conv)
         assert not rep.holds
         assert rep.witness is not None
+
+
+# K per algebra: sl3's delta_3 delta_2 is too big for the dense oracle
+NILPOTENCY_K = {"so3": 4, "sl2": 4, "sl3": 3, "abelian(3)": 4}
+
+
+@st.composite
+def nilpotency_inputs(draw):
+    name = draw(st.sampled_from(sorted(NILPOTENCY_K)))
+    alg = builtin_algebra(name)
+    entry = st.one_of(st.integers(-6, 6).map(F),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=7))
+    # lam = 0 on a semisimple algebra is abelian too: delta^2 = 0 and no witness
+    coeffs = draw(st.one_of(st.just([0] * alg.dim),
+                            st.lists(entry, min_size=alg.dim, max_size=alg.dim)))
+    # the killing identification is defined for semisimple algebras only
+    idents = [Identification.BASIS] if name.startswith("abelian") else list(Identification)
+    return (alg.dual(coeffs), NILPOTENCY_K[name], draw(st.sampled_from(list(LeibnizConvention))),
+            draw(st.sampled_from(idents)))
+
+
+@settings(deadline=None)
+@example((SO3.dual([0, 0, 0]), 4, LeibnizConvention.UNSIGNED, Identification.KILLING))
+@example((builtin_algebra("abelian(3)").dual([1, 2, 3]), 4, LeibnizConvention.PAPER_SIGNED,
+          Identification.BASIS))
+@given(nilpotency_inputs())
+def test_nilpotency_residuals_and_witness_match_the_dense_product(inputs):
+    """Each residual is max |delta_{k+1} delta_k| of the dense product, and
+    the witness is the lowest non-zero column of the first non-zero one."""
+    lam, K, conv, ident = inputs
+    report = nilpotency_report(lam, K, conv, ident)
+    mats = [delta_matrix(lam, k, conv, ident) for k in range(K)]
+    expected, witness = [], None
+    for k in range(K - 1):
+        product = dense_product(mats[k + 1], mats[k])
+        expected.append((k, max((abs(v) for row in product for v in row), default=F(0))))
+        columns = [c for c in range(mats[k].cols) if any(row[c] for row in product)]
+        if witness is None and columns:
+            witness = (k, multisets(lam.algebra.dim, k)[columns[0]])
+    assert report.residuals == expected
+    assert report.witness == witness
+    assert report.holds is (witness is None) is all(r == 0 for _, r in expected)
+    assert report.matrices == mats
+
+
+@pytest.mark.parametrize("lam, witness_degree", [
+    ("1,2,3,4,5,6,7,8", 1), ("1/2,-2,3,0,5/3,-6,7,-8", 1), ("0,0,0,0,0,0,0,0", None)])
+def test_spencer_command_builds_one_composite_at_most_at_its_witness(
+        lam, witness_degree, monkeypatch, capsys):
+    """sl3 at K = 4: every delta_{k+1} delta_k is read from its factors, no
+    difference is made, and the only product is the witness degree's."""
+    built = []
+
+    def counting(name):
+        method = getattr(OperatorMatrix, name)
+
+        def run(a, b):
+            built.append((name, a.shape, b.shape))
+            return method(a, b)
+        return run
+
+    for name in ("__matmul__", "__sub__"):
+        monkeypatch.setattr(OperatorMatrix, name, counting(name))
+    assert main(["spencer", "--builtin", "sl3", f"--lambda={lam}", "--K", "4",
+                 "--allow-degenerate"]) == 0
+    report = json.loads(capsys.readouterr().out)["nilpotency"]
+    if witness_degree is None:
+        assert report["witness"] is None and built == []
+    else:
+        assert report["witness"]["degree"] == witness_degree
+        w = witness_degree
+        shapes = [(sym_dim(8, j + 1), sym_dim(8, j)) for j in (w + 1, w)]
+        assert built == [("__matmul__", *shapes)]
 
 
 def test_nilpotency_requires_k2():
