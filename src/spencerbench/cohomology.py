@@ -4,7 +4,9 @@ A DGAModel is a finite commutative differential graded algebra standing in
 for the forms on the base: per-degree bases, differentials d_i with
 d.d = 0, and an optional product table for cup products. ce_model builds
 the Chevalley-Eilenberg cochains of a Lie algebra, the one exterior-algebra
-model: on abelian(n) it has d = 0 and the cohomology of the n-torus.
+model: on abelian(n) it has d = 0 and the cohomology of the n-torus. A basis
+element e^S is the bit mask S, and d and the wedge product both follow one
+sign rule: e^i ^ e^S = (-1)^popcount(S & ((1 << i) - 1)) e^(S | 1 << i).
 
 The coupled complex is the total complex of the model with the symmetric
 algebra of a Lie algebra: degree k is  sum_{i+j=k} Omega^i x S^j  with
@@ -14,20 +16,17 @@ Its differential squares to zero exactly when d^2 = 0 and delta^2 = 0.
 The complex is kept by its Kronecker factors: each block of D^k between
 segments is a short list of terms c A x B, and a mirror's chain map psi_k is
 F_i x T_{k-i} on segment i. The D^2 and psi D - D' psi residuals are read
-off these factors block by block, exactly, through two identities:
-(A x B)(C x D) = AC x BD, with each product AC kept as its two factors (a
-factor c * I only scales the other: linalg.factored_product), and
-max |A x B| = max |A| max |B|, so a block whose terms share a factor is
-summed on the other factor by linalg.residual_max_abs, which reads
-max |sum c A C| row by row without building a product, a difference or a
-block sum. Each distinct sum, such as delta_{j+1} delta_j or
-T_{j+1} delta_j - delta'_j T_j, is read once by the complex's reader
-(linalg.read_once), which its mirrored complex shares, so each factor is
-split into rows once per command; only a block whose terms share no
-factor would be built, at block size,
-and the complex has none. The total matrices D^k are assembled only when
-read, by rank, kernel, cup products or a caller, so a run whose D^2 is not
-zero, and so withholds its dims, never assembles one.
+off these factors block by block, exactly, by (A x B)(C x D) = AC x BD, each
+AC kept as its two factors (linalg.factored_product folds a c * I), and
+max |A x B| = max |A| max |B|: a block whose terms share a factor is summed
+on the other by linalg.residual_max_abs, row by row, with no product,
+difference or block sum built. The complex's reader (linalg.read_once),
+shared with its mirrored complex, reads each distinct sum, such as
+delta_{j+1} delta_j or T_{j+1} delta_j - delta'_j T_j, once and splits each
+factor into rows once per command; only a block whose terms share no factor
+would be built, at block size, and the complex has none. The total matrices
+D^k are assembled only when read, by rank, kernel, cup products or a caller,
+so a run whose D^2 is not zero, and so withholds its dims, never assembles one.
 
 Cohomology dimensions are computed by exact rank-nullity over the rationals
 and reported only when the squared differential is exactly zero.
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from functools import cached_property
 
 from .errors import DegenerateInputError, FormatError, MismatchError
 from .linalg import (
@@ -173,53 +171,55 @@ def _product_row(item, sizes, parse):
     return (i, a, j, b), table
 
 
-def _perm_sign(word):
-    """(-1)^(number of inversions of word): the sign that sorts a wedge word."""
-    return -1 if sum(1 for x, y in itertools.combinations(word, 2) if x > y) % 2 else 1
+def _sign_mask(s):
+    """The w with e^s ^ e^t = (-1)^popcount(t & w) e^(s | t) for t disjoint from
+    s: the sign rule inserts each i in s, largest first, past t's (1 << i) - 1."""
+    w = 0
+    while s:
+        w, s = w ^ (s & -s) - 1, s & s - 1
+    return w
+
+
+def _ce_differentials(algebra):
+    """Per degree, the masks in combinations order and their index; and d_k,
+    k < dim, on the integers of integer_structure: d e^m = -sum_{i<j} c_ij^m
+    e^i e^j, and d e^S = sum_{m in S} (-1)^|S below m| (d e^m) ^ e^(S - m)."""
+    n, (den, nz) = algebra.dim, algebra.integer_structure
+    masks = [[sum(1 << i for i in s) for s in itertools.combinations(range(n), k)]
+             for k in range(n + 1)]
+    index = {s: a for row in masks for a, s in enumerate(row)}
+    d_gen = [[] for _ in range(n)]  # d e^m: (mask {i, j}, sign mask of e^m e^i e^j, v / den)
+    for i, j in itertools.combinations(range(n), 2):
+        pair = 1 << i | 1 << j
+        for m, v in nz[i][j]:
+            d_gen[m].append((pair, _sign_mask(1 << m) ^ _sign_mask(pair), -v))
+    diff = []
+    for k, row in enumerate(masks[:-1]):
+        nums = {}
+        for col, s in enumerate(row):
+            for m, terms in enumerate(d_gen):
+                if s >> m & 1:
+                    rest = s ^ 1 << m
+                    for pair, w, v in terms:
+                        if not pair & rest:
+                            key = (index[pair | rest], col)
+                            nums[key] = nums.get(key, 0) + (-v if (rest & w).bit_count() & 1 else v)
+        diff.append(OperatorMatrix.from_numerators(
+            len(masks[k + 1]), len(row), den, {key: v for key, v in nums.items() if v}))
+    return masks, index, tuple(diff)
 
 
 def ce_model(algebra, name):
-    """The Chevalley-Eilenberg cochains of algebra (Chevalley & Eilenberg 1948).
-
-    Degree k has the basis e^S over sorted k-subsets S. On generators d e^m =
-    -sum_{i<j} c_ij^m e^i e^j, extended as a graded derivation: d e^S
-    replaces e^{s_p} by d e^{s_p} with sign (-1)^p and sorts the word. d is
-    built on the integers of integer_structure, over the non-zero c_ij^m
-    only. The product is the wedge product.
-    """
-    n = algebra.dim
-    den, nz = algebra.integer_structure
-    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
-    index = [{s: a for a, s in enumerate(row)} for row in subsets]
-    # d e^m = sum over (i, j, v) of v / den e^i e^j
-    d_gen = [[] for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        for m, v in nz[i][j]:
-            d_gen[m].append((i, j, -v))
-    diff = []
-    for k in range(n):
-        nums = {}
-        for col, s in enumerate(subsets[k]):
-            for p, m in enumerate(s):
-                for i, j, v in d_gen[m]:
-                    word = s[:p] + (i, j) + s[p + 1:]
-                    if len(set(word)) < k + 1:
-                        continue
-                    key = (index[k + 1][tuple(sorted(word))], col)
-                    nums[key] = nums.get(key, 0) + (-1) ** p * _perm_sign(word) * v
-        diff.append(OperatorMatrix.from_numerators(
-            len(subsets[k + 1]), len(subsets[k]), den, {key: v for key, v in nums.items() if v}))
-    product = {}
-    for i, row_i in enumerate(subsets):
-        for j, row_j in enumerate(subsets[:n + 1 - i]):
-            for a, sa in enumerate(row_i):
-                for b, sb in enumerate(row_j):
-                    if not set(sa) & set(sb):
-                        product[(i, a, j, b)] = {
-                            index[i + j][tuple(sorted(sa + sb))]: _perm_sign(sa + sb)}
-    labels = tuple(tuple("e" + "^".join(str(x + 1) for x in s) if s else "1" for s in row)
-                   for row in subsets)
-    return DGAModel(name, labels, tuple(diff), product)
+    """The Chevalley-Eilenberg cochains of algebra (Chevalley & Eilenberg 1948):
+    d (_ce_differentials) and the wedge product (_sign_mask) follow one rule,
+    e^i ^ e^S = (-1)^popcount(S & ((1 << i) - 1)) e^(S | 1 << i) for i not in S."""
+    masks, index, diff = _ce_differentials(algebra)
+    flat = [(i, a, s, _sign_mask(s)) for i, row in enumerate(masks) for a, s in enumerate(row)]
+    product = {(i, a, j, b): {index[s | t]: -1 if (t & w).bit_count() & 1 else 1}
+               for i, a, s, w in flat for j, b, t, _ in flat if not s & t}
+    labels = tuple(tuple("e" + "^".join(str(x + 1) for x in s) if s else "1" for s in
+                         itertools.combinations(range(algebra.dim), k)) for k in range(len(masks)))
+    return DGAModel(name, labels, diff, product)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +238,13 @@ class SpencerComplexInstance(Record):
                "kron_blocks", "delta_matrices", "read")
     _uncompared = ("read",)
 
-    @cached_property
+    @functools.cached_property
     def differentials(self):
         """D^k for k in 0..K-1 as matrices, assembled from kron_blocks on the
         first read (rank, kernel, cup products)."""
         return [_assemble(self, k + 1, k, blocks) for k, blocks in enumerate(self.kron_blocks)]
 
-    @cached_property
+    @functools.cached_property
     def _cohomology(self):
         return _cohomology_report(self)
 

@@ -420,9 +420,23 @@ def _abelian(n):
                       tuple(f"e{i + 1}" for i in range(n)))
 
 
+MAX_BUILTIN_DIM = 1024  # a builtin's dim x dim structure table: about 10^6 entries
+
+
 def builtin_algebra(name):
-    """Construct a built-in algebra by name (so3, sl2, sl3, su2, abelian(4), ...)."""
+    """Construct a built-in algebra by name (so3, sl2, sl3, su2, abelian(4), ...)
+    of dimension at most MAX_BUILTIN_DIM."""
     return _builtin(name.strip().lower())
+
+
+def _family_size(key, digits, dim):
+    """The n of a builtin family, once its dimension dim(n) >= n is checked
+    against MAX_BUILTIN_DIM, before anything is allocated; a numeral longer
+    than the bound's is over it unread."""
+    if (len(digits.lstrip("0")) > len(str(MAX_BUILTIN_DIM))
+            or dim(int(digits)) > MAX_BUILTIN_DIM):
+        raise FormatError(f"builtin {key!r} exceeds the dimension bound {MAX_BUILTIN_DIM}")
+    return int(digits)
 
 
 @functools.lru_cache(maxsize=None)
@@ -431,13 +445,13 @@ def _builtin(key):
         return _so3()
     m = re.fullmatch(r"abelian\((\d+)\)|abelian(\d+)", key)
     if m:
-        n = int(m.group(1) or m.group(2))
+        n = _family_size(key, m.group(1) or m.group(2), lambda n: n)
         if n < 1:
             raise FormatError("abelian dimension must be >= 1")
         return _abelian(n)
     m = re.fullmatch(r"sl(\d+)|sln\((\d+)\)", key)
     if m:
-        n = int(m.group(1) or m.group(2))
+        n = _family_size(key, m.group(1) or m.group(2), lambda n: n * n - 1)
         if n < 2:
             raise FormatError("sl(n) needs n >= 2")
         labels, mats = _sl_basis(n)
@@ -446,7 +460,7 @@ def _builtin(key):
         return _structure_from_matrices(f"sl{n}", labels, n, mats)
     m = re.fullmatch(r"su(\d+)|sun\((\d+)\)", key)
     if m:
-        n = int(m.group(1) or m.group(2))
+        n = _family_size(key, m.group(1) or m.group(2), lambda n: n * n - 1)
         if n < 2:
             raise FormatError("su(n) needs n >= 2")
         labels, mats = _su_basis(n)

@@ -129,18 +129,19 @@ def intertwining_check(transform, lam, k, convention=LeibnizConvention.UNSIGNED,
     (-1)^j I and lam' = -lam, so the residual is that of (-1)^{k+1}
     (delta^lam_k + delta^{-lam}_k). Neither side is formed: each distinct
     lam' (the two coincide for the sign mirror and for involutions) gets one
-    delta^lam'_k and one read of the sum of both sides from their factors,
-    a T_j = c I folded into the coefficient (linalg.factored_product), and
-    the reads share one split of each factor into rows. Each report states
-    the exact max-abs residual; holds means it is exactly zero.
+    read of the sum of both sides from their factors, a T_j = c I folded
+    into the coefficient (linalg.factored_product), and each distinct dual
+    vector one delta, so a lam' equal to lam (the identity) reuses
+    delta^lam_k; the reads share one split of each factor into rows. Each
+    report states the exact max-abs residual; holds means it is exactly zero.
     """
     if k < 1:
         raise MismatchError("intertwining check needs degree >= 1")
     identification = Identification(identification)
     convention = LeibnizConvention(convention)
     algebra = lam.algebra
-    mapped = factored_product(transform.tensor_map(algebra, k + 1, identification),
-                              delta_matrix(lam, k, convention, identification))
+    delta = functools.cache(lambda mu: delta_matrix(mu, k, convention, identification))
+    mapped = factored_product(transform.tensor_map(algebra, k + 1, identification), delta(lam))
     read = read_once()
     residuals = {}  # lam' -> residual
     reports = []
@@ -148,8 +149,7 @@ def intertwining_check(transform, lam, k, convention=LeibnizConvention.UNSIGNED,
         lam_t = mirror_lambda(transform, lam, transport)
         if lam_t not in residuals:
             s, transported = factored_product(
-                delta_matrix(lam_t, k, convention, identification),
-                transform.tensor_map(algebra, k, identification))
+                delta(lam_t), transform.tensor_map(algebra, k, identification))
             residuals[lam_t] = read([mapped, (-s, transported)])
         residual = residuals[lam_t]
         reports.append(IntertwiningReport(

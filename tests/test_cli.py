@@ -2,9 +2,11 @@ import ast
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 from spencerbench.cli import _float_mode, _parse_transform, main
 from spencerbench.linalg import OperatorMatrix
-from spencerbench.liealg import algebra_to_json, builtin_algebra
+from spencerbench.errors import FormatError
+from spencerbench.liealg import MAX_BUILTIN_DIM, algebra_to_json, builtin_algebra
 
 
 def run(capsys, *argv):
@@ -34,6 +37,37 @@ def test_algebra_sl3_dim(capsys):
     code, out = run(capsys, "algebra", "--builtin", "sl3")
     assert code == 0
     assert json.loads(out)["dim"] == 8
+
+
+def cap_address_space():
+    # 1 GiB: a builtin that allocates its table before the bound check
+    # raises MemoryError instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("name", [f"abelian({10 ** 12})", "sl1000000", "su1000000"])
+def test_an_oversized_builtin_exits_2_before_allocating(name):
+    src = Path(__file__).resolve().parents[1] / "src"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "spencerbench.cli", "algebra", "--builtin", name],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"input error: builtin {name!r} exceeds the dimension bound {MAX_BUILTIN_DIM}\n")
+
+
+def test_builtin_dimension_bound_is_inclusive():
+    # dim abelian(n) = n and dim sl(n) = dim su(n) = n^2 - 1; a numeral too
+    # long for the bound is rejected without being read
+    assert MAX_BUILTIN_DIM == 1024
+    assert builtin_algebra("abelian(1024)").dim == 1024
+    for name in ("abelian(1025)", "sl33", "su33", "sln(33)", "abelian" + "9" * 5000):
+        with pytest.raises(FormatError, match="exceeds the dimension bound 1024"):
+            builtin_algebra(name)
+    assert builtin_algebra("abelian(0003)").dim == 3
 
 
 def test_algebra_bad_file_exit_one_with_witness(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -217,20 +218,31 @@ def test_mirror_command_reads_an_involution_once_per_degree(monkeypatch, capsys)
     assert checks[2]["residual"] == checks[3]["residual"]
 
 
-@pytest.mark.parametrize("transform", ["sign", "identity"])
-def test_a_signed_identity_mirror_reads_the_two_deltas_alone(transform, monkeypatch, capsys):
+@pytest.mark.parametrize("transform, digest", [
+    ("sign", "a7c90c53f67c8254c576ba51eaea3874654214636d8acfa58dc973a3f7aa2b80"),
+    ("identity", "c573ff40002e7f5b4be0d3a600f628502af65d745dfa8536ec276ce534a64adb"),
+], ids=["sign", "identity"])
+def test_a_signed_identity_mirror_reads_the_two_deltas_alone(transform, digest, monkeypatch,
+                                                              capsys):
     """T_j = +-I folds into the coefficient: each read is delta_k - delta'_k
     for the identity and, up to its sign, delta^lam_k + delta^{-lam}_k for
-    the sign mirror, with no tensor-map factor and no right factor."""
-    _, built, reads = count_mirror_work(monkeypatch, capsys, [
-        "mirror", "--builtin", "sl3", "--lambda=1,-2,3,0,2,-1,1,2/3", "--K", "4",
-        "--transform", transform])
+    the sign mirror, with no tensor-map factor and no right factor. The
+    identity's lam o I = lam reuses delta^lam_k, so it builds 3 deltas, not
+    6, and reads each against itself; the digests pin the report bytes."""
+    argv = ["mirror", "--builtin", "sl3", "--lambda=1,-2,3,0,2,-1,1,2/3", "--K", "4",
+            "--transform", transform]
+    deltas, built, reads = count_mirror_work(monkeypatch, capsys, argv)
+    assert sorted(k for _, k in deltas) == ([1, 1, 2, 2, 3, 3] if transform == "sign"
+                                            else [1, 2, 3])
     assert built == []
     assert len(reads) == 3
     for terms, k in zip(reads, [1, 2, 3]):
         shape = (sym_dim(SL3.dim, k + 1), sym_dim(SL3.dim, k))
         sign = 1 if transform == "sign" else -1
         assert [(c, a.shape, b) for c, a, b in terms] == [(1, shape, None), (sign, shape, None)]
+        assert (terms[0][1] is terms[1][1]) == (transform == "identity")
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def killing_eval(alg, s, args):
