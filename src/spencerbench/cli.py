@@ -407,40 +407,35 @@ def cmd_bundle(args):
     return report, EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="spencerbench",
-        description="exact diagnostics for constraint-coupled symmetric-algebra "
-        "operators, mirror transformations, and their complexes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, lam=True):
+    p.add_argument("--builtin", help="builtin algebra name (so3, sl2, sl3, su2, abelian(3), ...)")
+    p.add_argument("--file", help="algebra JSON file")
+    p.add_argument("--mode", choices=["rational", "float"], default="rational")
+    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    p.add_argument("--seed", type=int, default=None, help="echoed in the complex report; no check is randomized")
+    if lam:
+        p.add_argument("--lambda", dest="lam", required=True,
+                       help="comma-separated dual coefficients")
+        p.add_argument("--allow-degenerate", action="store_true")
+        p.add_argument("--K", type=int, default=4)
+        p.add_argument("--convention", choices=CONVENTIONS, default=CONVENTIONS[0])
+        p.add_argument("--identification", choices=IDENTIFICATIONS,
+                       default=IDENTIFICATIONS[0])
 
-    def common(p, lam=True):
-        p.add_argument("--builtin", help="builtin algebra name (so3, sl2, sl3, su2, abelian(3), ...)")
-        p.add_argument("--file", help="algebra JSON file")
-        p.add_argument("--mode", choices=["rational", "float"], default="rational")
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--seed", type=int, default=None, help="echoed in the complex report; no check is randomized")
-        if lam:
-            p.add_argument("--lambda", dest="lam", required=True,
-                           help="comma-separated dual coefficients")
-            p.add_argument("--allow-degenerate", action="store_true")
-            p.add_argument("--K", type=int, default=4)
-            p.add_argument("--convention", choices=CONVENTIONS, default=CONVENTIONS[0])
-            p.add_argument("--identification", choices=IDENTIFICATIONS,
-                           default=IDENTIFICATIONS[0])
 
-    p = sub.add_parser("algebra", help="validate an algebra's structure constants")
-    common(p, lam=False)
+def _algebra_parser(p):
+    _common(p, lam=False)
     p.set_defaults(func=cmd_algebra)
 
-    p = sub.add_parser("spencer", help="operator matrices and the nilpotency audit")
-    common(p)
+
+def _spencer_parser(p):
+    _common(p)
     p.add_argument("--assert-nilpotent", action="store_true")
     p.set_defaults(func=cmd_spencer)
 
-    p = sub.add_parser("mirror", help="mirror transports and intertwining residuals")
-    common(p)
+
+def _mirror_parser(p):
+    _common(p)
     p.add_argument("--transform", required=True,
                    help="sign | identity | negate-transpose | weyl:<perm digits>")
     p.add_argument("--assert-intertwining", action="store_true")
@@ -449,25 +444,60 @@ def build_parser():
     # transported operator identity exact for every validated automorphism
     p.set_defaults(identification="killing")
 
-    p = sub.add_parser("complex", help="coupled complex, cohomology, mirror comparison")
-    common(p)
+
+def _complex_parser(p):
+    _common(p)
     p.add_argument("--torus", type=int, default=2, help="base model dimension (1..4)")
     p.add_argument("--mirror", help="optional transform to compare against")
     p.add_argument("--assert-mirror-invariant", action="store_true")
     p.set_defaults(func=cmd_complex)
 
-    p = sub.add_parser("bundle", help="lattice transversality and flatness diagnostics")
-    common(p, lam=False)
+
+def _bundle_parser(p):
+    _common(p, lam=False)
     p.add_argument("--lambda", dest="lam", help="comma-separated dual coefficients")
     p.add_argument("--grid", help="comma-separated sites per axis, e.g. 8,8")
     p.add_argument("--omega", help="per-axis connection coefficients, ';'-separated lists")
     p.add_argument("--bundle-file", help="GridBundle JSON (site-resolved fields)")
     p.set_defaults(func=cmd_bundle)
+
+
+# command: (help line, builder of its subparser), in the order of --help
+COMMANDS = {
+    "algebra": ("validate an algebra's structure constants", _algebra_parser),
+    "spencer": ("operator matrices and the nilpotency audit", _spencer_parser),
+    "mirror": ("mirror transports and intertwining residuals", _mirror_parser),
+    "complex": ("coupled complex, cohomology, mirror comparison", _complex_parser),
+    "bundle": ("lattice transversality and flatness diagnostics", _bundle_parser),
+}
+
+
+def build_parser(command=None):
+    """The argument parser. When command names a command, only its
+    subparser is built: on an argv that starts with that command it prints
+    and exits as the parser of every command does, whose choice list its
+    usage line spells out."""
+    parser = argparse.ArgumentParser(
+        prog="spencerbench",
+        description="exact diagnostics for constraint-coupled symmetric-algebra "
+        "operators, mirror transformations, and their complexes",
+    )
+    if command in COMMANDS:
+        names = [command]
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+    else:
+        names = list(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_line, build = COMMANDS[name]
+        build(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -27,6 +27,9 @@ factor into rows once per command; only a block whose terms share no factor
 would be built, at block size, and the complex has none. The total matrices
 D^k are assembled only when read, by rank, kernel, cup products or a caller,
 so a run whose D^2 is not zero, and so withholds its dims, never assembles one.
+A mirror comparison prints only whether the mirrored complex's D'^2 is
+zero, so it asks the reader only that (d_squared_vanishes), which stops at
+the first non-zero block and, inside it, at the first non-zero row.
 
 Cohomology dimensions are computed by exact rank-nullity over the rationals
 and reported only when the squared differential is exactly zero.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .errors import DegenerateInputError, FormatError, MismatchError
 from .linalg import (
@@ -329,28 +333,49 @@ def _matrix(factor):
     return factor if isinstance(factor, OperatorMatrix) else factor[0] @ factor[1]
 
 
-def _block_max_abs(terms, read=None):
-    """Exact max |entry| of the block sum c A x B over terms, each factor a
-    matrix or a pair (x, y) for x @ y, by max |A x B| = max |A| max |B|:
-    terms that share both factors add their coefficients, terms that share
-    the left (right) factor sum on the right (left) one, each sum read by
-    read (a linalg.read_once reader), and only terms that share no factor
-    are built, at block size."""
-    read = read or read_once()
+def _block_reads(terms):
+    """(s, lists): the block sum c A x B over terms, each factor a matrix or
+    a pair (x, y) for x @ y, has max |entry| |s| times the product of the
+    reads of lists, by max |A x B| = max |A| max |B|: terms that share both
+    factors add their coefficients into s, terms that share the left
+    (right) factor sum on the right (left) one, and only terms that share
+    no factor are built, at block size."""
     _, a0, b0 = terms[0]
     same_a = all(a == a0 for _, a, _ in terms)
     same_b = all(b == b0 for _, _, b in terms)
     if same_a and same_b:
-        return abs(sum(c for c, _, _ in terms)) * read([(1, a0)]) * read([(1, b0)])
+        return sum(c for c, _, _ in terms), ([(1, a0)], [(1, b0)])
     if same_a:
-        return read([(1, a0)]) * read([(c, b) for c, _, b in terms])
+        return 1, ([(1, a0)], [(c, b) for c, _, b in terms])
     if same_b:
-        return read([(1, b0)]) * read([(c, a) for c, a, _ in terms])
-    return read([(c, kron(_matrix(a), _matrix(b))) for c, a, b in terms])
+        return 1, ([(1, b0)], [(c, a) for c, a, _ in terms])
+    return 1, ([(c, kron(_matrix(a), _matrix(b))) for c, a, b in terms],)
+
+
+def _block_max_abs(terms, read=None):
+    """Exact max |entry| of the block sum c A x B over terms (_block_reads),
+    each sum read by read (a linalg.read_once reader)."""
+    read = read or read_once()
+    s, lists = _block_reads(terms)
+    return abs(s) * math.prod(read(pairs) for pairs in lists) if s else ZERO
+
+
+def _block_is_zero(terms, read):
+    """True iff the block sum c A x B over terms is zero: its coefficient
+    sum is 0 or one of its reads (_block_reads) is, each tested by read,
+    which stops at the sum's first non-zero row."""
+    s, lists = _block_reads(terms)
+    return not s or any(read(pairs, zero_test=True) for pairs in lists)
 
 
 def _max_abs(blocks, read):
     return max((_block_max_abs(terms, read) for terms in blocks.values()), default=ZERO)
+
+
+def _squares(instance):
+    """The blocks of D^{k+1} D^k for k = 0, 1, ..., composed one k at a time."""
+    return (_compose(after, before)
+            for before, after in zip(instance.kron_blocks, instance.kron_blocks[1:]))
 
 
 def d_squared_residual(instance):
@@ -358,9 +383,16 @@ def d_squared_residual(instance):
     each distinct factor product (delta_{j+1} delta_j, ...) is read once by
     the instance's reader and never built, and the Koszul cross block
     (d_i x delta_j)(eps_i + eps_{i+1}) is summed from its two terms."""
-    return max((_max_abs(_compose(after, before), instance.read)
-                for before, after in zip(instance.kron_blocks, instance.kron_blocks[1:])),
+    return max((_max_abs(blocks, instance.read) for blocks in _squares(instance)),
                default=ZERO)
+
+
+def d_squared_vanishes(instance):
+    """True iff D^2 = 0, that is iff d_squared_residual(instance) == 0, from
+    the same blocks: degree by degree in ascending order, it stops at the
+    first non-zero block, whose read stops at its first non-zero row."""
+    return all(_block_is_zero(terms, instance.read)
+               for blocks in _squares(instance) for terms in blocks.values())
 
 
 def _rank_nullity(sizes, maps):
@@ -397,18 +429,25 @@ def cohomology_report(instance):
     return instance._cohomology
 
 
+NOT_A_COMPLEX = "not-a-complex: D^2 != 0; dims withheld"
+
+
 def _cohomology_report(instance):
     residual = d_squared_residual(instance)
     if residual != 0:
-        return CohomologyReport(
-            instance.convention, instance.K,
-            None, None, residual, ["not-a-complex: D^2 != 0; dims withheld"],
-        )
+        return CohomologyReport(instance.convention, instance.K, None, None, residual,
+                                [NOT_A_COMPLEX])
+    return _ranked_report(instance)
+
+
+def _ranked_report(instance):
+    """The report of an instance whose D^2 is known to be zero: exact dims
+    by rank-nullity, their Euler characteristic and residual 0."""
     dims = _rank_nullity(
         [len(instance.bases[k]) for k in range(instance.K)], instance.differentials
     )
     euler = sum((-1) ** k * d for k, d in enumerate(dims))
-    return CohomologyReport(instance.convention, instance.K, dims, euler, residual, [])
+    return CohomologyReport(instance.convention, instance.K, dims, euler, ZERO, [])
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +586,13 @@ def commutation_residuals(instance, mirrored, transform, base_maps=None):
 def mirror_invariance_check(instance, transform, base_maps=None):
     """Build the mirrored complex (the dual vector under the inverse
     transport) on the instance's reader, verify chain-map commutation,
-    compare dims."""
+    compare dims.
+
+    The report prints only whether the mirrored D'^2 is zero, so that is
+    all it asks (d_squared_vanishes): when it is, the mirrored dims are
+    ranked; when it is not, they are withheld and no residual is measured.
+    When the mirrored delta matrices equal the instance's, C' = C and the
+    instance's cohomology report serves both sides, ranked once."""
     lam_m = mirror_lambda(transform, instance.lam)
     mirrored = build_complex(
         instance.dga, instance.algebra, lam_m, instance.K,
@@ -557,15 +602,21 @@ def mirror_invariance_check(instance, transform, base_maps=None):
     commutation_holds = all(r == 0 for r in residuals)
 
     rep_o = cohomology_report(instance)
-    rep_m = cohomology_report(mirrored)
-    flags = list(dict.fromkeys(rep_o.flags + rep_m.flags))
-    if rep_o.dims is None or rep_m.dims is None:
+    if mirrored.delta_matrices == instance.delta_matrices:
+        dims_m, euler_m, flags_m = rep_o.dims, rep_o.euler, rep_o.flags
+    elif d_squared_vanishes(mirrored):
+        rep_m = _ranked_report(mirrored)
+        dims_m, euler_m, flags_m = rep_m.dims, rep_m.euler, rep_m.flags
+    else:
+        dims_m, euler_m, flags_m = None, None, [NOT_A_COMPLEX]
+    flags = list(dict.fromkeys(rep_o.flags + flags_m))
+    if rep_o.dims is None or dims_m is None:
         dims_equal = None
     else:
-        dims_equal = rep_o.dims == rep_m.dims and rep_o.euler == rep_m.euler
+        dims_equal = rep_o.dims == dims_m and rep_o.euler == euler_m
     return MirrorInvarianceReport(
         transform.kind, residuals, commutation_holds,
-        rep_o.dims, rep_m.dims, rep_o.euler, rep_m.euler, dims_equal, flags,
+        rep_o.dims, dims_m, rep_o.euler, euler_m, dims_equal, flags,
     )
 
 

@@ -198,15 +198,16 @@ def coadjoint_matrix(z):
 
 def antisymmetry_residual(algebra):
     """max |c_ij^k + c_ji^k|; zero for a genuine bracket. Summed in integers
-    over the non-zero constants of each pair i <= j."""
+    over the non-zero constants of each pair i <= j that has one."""
     den, nz = algebra.integer_structure
     worst = 0
     for i, row in enumerate(nz):
         for j in range(i, algebra.dim):
-            sums = dict(row[j])
-            for k, v in nz[j][i]:
-                sums[k] = sums.get(k, 0) + v
-            worst = max(worst, max(map(abs, sums.values()), default=0))
+            if row[j] or nz[j][i]:
+                sums = dict(row[j])
+                for k, v in nz[j][i]:
+                    sums[k] = sums.get(k, 0) + v
+                worst = max(worst, max(map(abs, sums.values())))
     return Fraction(worst, den)
 
 
@@ -216,35 +217,39 @@ def jacobi_residual(algebra, with_witness=False):
     The sum S(i,j,l,k) = sum_m c_ij^m c_ml^k + c_jl^m c_mi^k + c_li^m c_mj^k
     is T(i,j,l,k) + T(j,l,i,k) + T(l,i,j,k) with T(x,y,z,k) = sum_m
     c_xy^m c_mz^k, computed once in integer numerators over the common
-    denominator of the constants and only over non-zero brackets. Every
-    quadruple is measured, so input that is not antisymmetric is measured
-    too. The witness is the lexicographically smallest quadruple attaining
-    the maximum (None when the residual is zero).
+    denominator of the constants and only over non-zero brackets, and kept
+    as the non-zero slices T(x,y,z,.). S(i,j,l,.) is zero unless one of its
+    three slices is kept, so only those triples are summed; every other
+    quadruple is measured as 0, so input that is not antisymmetric is
+    measured too. The witness is the lexicographically smallest quadruple
+    attaining the maximum (None when the residual is zero).
     """
     n = algebra.dim
     den, nz = algebra.integer_structure
-    t = [0] * n ** 4
-    for x in range(n):
-        for y in range(n):
-            base = (x * n + y) * n
-            for m, v in nz[x][y]:
-                for z in range(n):
+    slices = {}  # (x, y, z): [T(x, y, z, k) for k < n], non-zero
+    for x, row in enumerate(nz):
+        for y in itertools.compress(range(n), row):
+            by_z = {}
+            for m, v in row[y]:
+                for z in itertools.compress(range(n), nz[m]):
+                    t = by_z.get(z)
+                    if t is None:
+                        t = by_z[z] = [0] * n
                     for k, w in nz[m][z]:
-                        t[(base + z) * n + k] += v * w
+                        t[k] += v * w
+            slices.update(((x, y, z), t) for z, t in by_z.items() if any(t))
+    zero = [0] * n
     best = 0
     witness = None
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                a = ((i * n + j) * n + l) * n
-                b = ((j * n + l) * n + i) * n
-                c = ((l * n + i) * n + j) * n
-                sums = [abs(x + y + z) for x, y, z in
-                        zip(t[a:a + n], t[b:b + n], t[c:c + n])]
-                top = max(sums)
-                if top > best:
-                    best = top
-                    witness = (i, j, l, sums.index(top))
+    for i, j, l in sorted({triple for x, y, z in slices
+                           for triple in ((x, y, z), (z, x, y), (y, z, x))}):
+        sums = [abs(a + b + c) for a, b, c in zip(slices.get((i, j, l), zero),
+                                                   slices.get((j, l, i), zero),
+                                                   slices.get((l, i, j), zero))]
+        top = max(sums)
+        if top > best:
+            best = top
+            witness = (i, j, l, sums.index(top))
     worst = Fraction(best, den * den)
     if with_witness:
         return worst, witness

@@ -12,10 +12,12 @@ that ``scaled(1)`` (and so a product with I) returns the matrix itself, and
 no function writes into an existing one, so a cached matrix can be shared.
 ``residual_max_abs`` reads the exact max |entry| of a sum of products
 c A B row by row, in integers over one denominator, and builds none of them;
-``factored_product`` folds a c * I factor into the coefficient, and a
-``read_once`` reader reads each distinct sum once and splits each matrix
-into rows once, so every residual of the package (delta^2, the mirror
-intertwining, D^2 and the chain-map commutation) goes through it.
+``residual_is_zero`` reads the same rows (``_row_peaks``) only until the
+first non-zero one. ``factored_product`` folds a c * I factor into the
+coefficient, and a ``read_once`` reader reads each distinct sum once, as a
+max or as a zero test, and splits each matrix into rows once, so every
+residual of the package (delta^2, the mirror intertwining, D^2 and the
+chain-map commutation) goes through it.
 Both eliminations are fraction-free on sparse {column: value} rows of the
 numerators with a column-to-rows index, and share one row step (a*row -
 b*pivot_row over its content). ``rank()`` (``_sparse_rank``) pivots on a
@@ -418,25 +420,27 @@ def kron(a, b):
     return OperatorMatrix.from_numerators(a.rows * b.rows, a.cols * b.cols, a.den * b.den, nums)
 
 
-def residual_max_abs(terms, split=None):
-    """Exact max |entry| of sum c A B over the (c, A, B) terms, every A B of
-    one shape; B None stands for the identity, so the term is c A.
+def _row_peaks(terms, split):
+    """(den, peaks): the lcm den of the terms' denominators and an iterator
+    over the exact integer max |entry| of each non-empty output row of
+    den * sum c A B, in row order, for residual_max_abs and
+    residual_is_zero; B None stands for the identity, so the term is c A.
 
     Each output row is summed in one integer list (a sparse accumulator,
-    Gustavson 1978) over the lcm of the terms' denominators, so no product,
-    difference or sum is built and one Fraction is made at the end. Each
+    Gustavson 1978), so no product, difference or sum is built; a row that
+    cancels to zero is told by any() and skips its max and min scans. Each
     matrix is split into its rows once, into split ({id(matrix): rows}),
     which a caller may share between calls while it keeps the matrices
-    alive."""
+    alive. The shapes are checked before the first row is read."""
     terms = [(Fraction(c), a, b) for c, a, b in terms]
     if not terms:
-        return ZERO
+        return 1, iter(())
     shapes = {(a.rows, a.cols if b is None else b.cols) for _, a, b in terms}
     if len(shapes) != 1 or any(b is not None and a.cols != b.rows for _, a, b in terms):
         raise ValueError(f"terms of mismatched shapes {sorted(shapes)}")
     n_rows, cols = shapes.pop()
     if not cols:
-        return ZERO
+        return 1, iter(())
     den = lcm(*(c.denominator * a.den * (1 if b is None else b.den) for c, a, b in terms))
     split = {} if split is None else split
 
@@ -456,22 +460,40 @@ def residual_max_abs(terms, split=None):
             for parts, items in zip(by_row, rows(a)):
                 if items:
                     parts.append((scale, items, right))
-    worst = 0
-    for parts in by_row:
-        if not parts:
-            continue
-        acc = [0] * cols
-        for scale, items, right in parts:
-            if right is None:
-                for k, v in items:
-                    acc[k] += scale * v
-            else:
-                for k, v in items:
-                    sv = scale * v
-                    for c, w in right[k]:
-                        acc[c] += sv * w
-        worst = max(worst, max(acc), -min(acc))
-    return Fraction(worst, den)
+
+    def peaks():
+        for parts in by_row:
+            if not parts:
+                continue
+            acc = [0] * cols
+            for scale, items, right in parts:
+                if right is None:
+                    for k, v in items:
+                        acc[k] += scale * v
+                else:
+                    for k, v in items:
+                        sv = scale * v
+                        for c, w in right[k]:
+                            acc[c] += sv * w
+            yield max(max(acc), -min(acc)) if any(acc) else 0
+
+    return den, peaks()
+
+
+def residual_max_abs(terms, split=None):
+    """Exact max |entry| of sum c A B over the (c, A, B) terms, every A B of
+    one shape; B None stands for the identity, so the term is c A. Read row
+    by row (_row_peaks) in integers over one denominator, with one Fraction
+    made at the end."""
+    den, peaks = _row_peaks(terms, split)
+    return Fraction(max(peaks, default=0), den)
+
+
+def residual_is_zero(terms, split=None):
+    """True iff sum c A B over the terms is zero: residual_max_abs(terms)
+    == 0, read by the same rows (_row_peaks), which stop at the first
+    non-zero one."""
+    return not any(_row_peaks(terms, split)[1])
 
 
 def factored_product(x, y):
@@ -487,23 +509,34 @@ def factored_product(x, y):
 
 
 def read_once():
-    """A reader: residual_max_abs over (c, F) pairs, F a matrix or a pair
-    (x, y) for x @ y (as factored_product gives them), that reads each
-    distinct list once, up to an overall sign, and splits each matrix into
-    rows once across all its reads; the memo keeps the factors, so their ids
-    stay theirs."""
-    memo, split = {}, {}
+    """A reader: read(pairs) is residual_max_abs over (c, F) pairs, F a
+    matrix or a pair (x, y) for x @ y (as factored_product gives them), and
+    read(pairs, zero_test=True) is True iff that sum is zero
+    (residual_is_zero). It reads each distinct list once, up to an overall
+    sign, and splits each matrix into rows once across all its reads. A
+    zero verdict is kept as the exact value 0, so a later read of that list
+    costs nothing; a non-zero one keeps no number, so a later max read
+    reads it. The memo keeps the factors, so their ids stay theirs."""
+    memo, split = {}, {}  # key: (terms, max |sum|, or None when only known non-zero)
 
-    def read(pairs):
+    def read(pairs, zero_test=False):
         if len(pairs) == 1 and isinstance(pairs[0][1], OperatorMatrix):
-            return abs(pairs[0][0]) * pairs[0][1].max_abs()
+            c, m = pairs[0]
+            if zero_test:
+                return not c or m.is_zero()
+            return abs(c) * m.max_abs()
         sign = -1 if pairs[0][0] < 0 else 1
         terms = [(sign * c, f, None) if isinstance(f, OperatorMatrix) else (sign * c, *f)
                  for c, f in pairs]
         key = tuple((c, id(a), id(b)) for c, a, b in terms)
-        if key not in memo:
-            memo[key] = (terms, residual_max_abs(terms, split))
-        return memo[key][1]
+        entry = memo.get(key)
+        if zero_test:
+            if entry is None:
+                entry = memo[key] = (terms, ZERO if residual_is_zero(terms, split) else None)
+            return entry[1] == 0
+        if entry is None or entry[1] is None:
+            entry = memo[key] = (terms, residual_max_abs(terms, split))
+        return entry[1]
 
     return read
 

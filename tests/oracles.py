@@ -14,7 +14,8 @@ residuals are taken here from total-size products of its assembled
 matrices, independent of the library's block-by-block reading of the
 Kronecker factors. The dense forms of an algebra (its n^3 structure
 tensor and its (re, im) matrix basis) exist only here, read from or
-written through the public JSON interface and the stored sparse forms.
+written through the public JSON interface and the stored sparse forms,
+with the dense Jacobi loop over every index quadruple.
 The term-by-term Leibniz rule on one factor word lives here too, against
 delta_matrix's index tables and the signed-rule ordering audit's reading
 of delta_k. Symmetric tensors exist only here too, as zero-free
@@ -77,6 +78,29 @@ def algebra_from_dense(name, c, labels=None):
                for k, v in enumerate(c[i][j]) if v]
     return algebra_from_json({"name": name, "dim": n, "structure_constants": triples,
                               "basis_labels": list(labels or (f"e{i + 1}" for i in range(n)))})
+
+
+def oracle_jacobi(c, n):
+    """Dense n^5 Fraction Jacobi loop over the constants c[i][j][k]:
+    (worst, witness, all maximizers)."""
+    sums = {}
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                for k in range(n):
+                    s = F(0)
+                    for m in range(n):
+                        s += (
+                            c[i][j][m] * c[m][l][k]
+                            + c[j][l][m] * c[m][i][k]
+                            + c[l][i][m] * c[m][j][k]
+                        )
+                    sums[(i, j, l, k)] = abs(s)
+    worst = max(sums.values())
+    if not worst:
+        return worst, None, []
+    tied = sorted(q for q, s in sums.items() if s == worst)
+    return worst, tied[0], tied
 
 
 def dense_matrix_basis(alg):

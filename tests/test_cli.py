@@ -59,6 +59,21 @@ def test_an_oversized_builtin_exits_2_before_allocating(name):
         f"input error: builtin {name!r} exceeds the dimension bound {MAX_BUILTIN_DIM}\n")
 
 
+def test_the_largest_abelian_builtin_is_validated_in_bounded_time_and_memory():
+    # abelian(1024) has no non-zero bracket, so its Jacobi sum has no term
+    src = Path(__file__).resolve().parents[1] / "src"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "spencerbench.cli", "algebra", "--builtin", "abelian(1024)"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["jacobi_residual"] == "0" and report["jacobi_witness"] is None
+    assert report["valid"] and report["dim"] == 1024
+
+
 def test_builtin_dimension_bound_is_inclusive():
     # dim abelian(n) = n and dim sl(n) = dim su(n) = n^2 - 1; a numeral too
     # long for the bound is rejected without being read
@@ -540,7 +555,8 @@ def test_builtin_and_file_are_exclusive(tmp_path):
 
 
 def test_complex_ranks_each_differential_once(monkeypatch, capsys):
-    # 4 ranks of D and 4 of the mirrored D, 4 of delta and 2 of the base
+    # 4 ranks of D, 4 of delta and 2 of the base; the identity mirror at
+    # lambda = 0 maps the complex to itself, so D's ranks serve both sides
     calls = []
     original = OperatorMatrix.rank
 
@@ -553,7 +569,7 @@ def test_complex_ranks_each_differential_once(monkeypatch, capsys):
                  "--K", "4", "--torus", "2", "--mirror", "identity"])
     capsys.readouterr()
     assert code == 0
-    assert len(calls) == 14
+    assert len(calls) == 10
 
 
 def run_process(*argv):
@@ -785,6 +801,41 @@ def test_star_import_binds_every_public_name():
         module = importlib.import_module(f"spencerbench.{owner}")
         expected = module if name == owner else getattr(module, name)
         assert namespace[name] is expected, name
+
+
+PARSER_ARGV = [
+    [], ["--help"], ["-h", "complex"], ["nonsense"], ["nonsense", "--help"],
+    *[[name, "--help"] for name in ("algebra", "spencer", "mirror", "complex", "bundle")],
+    ["complex", "--builtin", "so3"],  # --lambda is required
+    ["mirror", "--builtin", "so3", "--lambda", "0,0,1"],  # so is --transform
+    ["complex", "--builtin", "so3", "--lambda", "0,0,1", "--unknown"],  # the top-level usage
+    ["algebra", "--mode", "exact"],
+    ["spencer", "--builtin", "so3", "--lambda", "0,0,1", "--K", "two"],
+    ["algebra", "--builtin", "so3"],
+    ["mirror", "--builtin", "so3", "--lambda", "0,0,1", "--transform", "sign"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_a_command_parser_prints_and_exits_as_the_full_parser(argv, monkeypatch, capsys):
+    from spencerbench import cli
+
+    got = main(list(argv)), *capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert (main(list(argv)), *capsys.readouterr()) == got
+
+
+def test_a_command_builds_only_its_own_subparser():
+    from spencerbench import cli
+
+    def commands(parser):
+        return list(parser._subparsers._group_actions[0].choices)
+
+    assert commands(cli.build_parser()) == list(cli.COMMANDS)
+    assert commands(cli.build_parser("nonsense")) == list(cli.COMMANDS)
+    for name in cli.COMMANDS:
+        assert commands(cli.build_parser(name)) == [name]
 
 
 def test_parser_choices_are_the_enum_values():

@@ -36,6 +36,7 @@ from spencerbench.cohomology import (
     cup_product,
     cup_well_defined,
     d_squared_residual,
+    d_squared_vanishes,
     kunneth_diagnostic,
     mirror_invariance_check,
     segment_offsets,
@@ -47,7 +48,14 @@ from spencerbench.liealg import (
     jacobi_residual,
     weyl_mirrors,
 )
-from spencerbench.linalg import OperatorMatrix, kron, rank_bareiss, read_once, residual_max_abs
+from spencerbench.linalg import (
+    OperatorMatrix,
+    kron,
+    rank_bareiss,
+    read_once,
+    residual_is_zero,
+    residual_max_abs,
+)
 from spencerbench.mirror import automorphism_mirror, mirror_lambda, sign_mirror
 from spencerbench.spencer import Identification, LeibnizConvention, delta_matrix
 from spencerbench.symtensor import sym_dim
@@ -859,6 +867,84 @@ def test_factored_residuals_match_total_size_products(case):
     assert instance.differentials == oracle_total_differentials(instance, oracle_block_matrix)
 
 
+@settings(deadline=None)
+@example(("torus2", "so3", 2, "unsigned", "basis", (1, 2, 3), "sign", "none"))
+@example(("ce(so3)", "so3", 4, "paper-signed", "basis", (1, -2, 3), "sign", "none"))
+@example(("torus3", "sl3", 3, "unsigned", "basis", (1, 2, 3, 4, 5, 6, 7, 8),
+          "permutation:231", "none"))
+@given(complex_cases())
+def test_the_mirrored_zero_test_matches_the_mirrored_residual(case):
+    base, name, K, convention, identification, lam, kind, _ = case
+    alg, dga = builtin_algebra(name), base_model(base)
+    transform = (sign_mirror() if kind == "sign"
+                 else automorphism_mirror(builtin_automorphism(alg, kind)))
+    instance = build_complex(dga, alg, alg.dual(lam), K, convention, identification)
+    lam_m = mirror_lambda(transform, instance.lam)
+    mirrored = build_complex(dga, alg, lam_m, K, convention, identification, instance.read)
+    vanishes = d_squared_vanishes(mirrored)  # tested first, then read in full
+    assert vanishes is (d_squared_residual(mirrored) == 0)
+    assert vanishes is (oracle_total_residuals(mirrored)[0] == 0)
+    assert d_squared_vanishes(instance) is (oracle_total_residuals(instance)[0] == 0)
+    # the report equals the one built from both full cohomology reports
+    got = mirror_invariance_check(instance, transform)
+    rep_o = cohomology_report(instance)
+    rep_m = cohomology_report(build_complex(dga, alg, lam_m, K, convention, identification))
+    assert (got.dims_mirrored, got.euler_mirrored) == (rep_m.dims, rep_m.euler)
+    assert got.flags == list(dict.fromkeys(rep_o.flags + rep_m.flags))
+    assert got.dims_equal == (None if rep_o.dims is None or rep_m.dims is None
+                              else (rep_o.dims, rep_o.euler) == (rep_m.dims, rep_m.euler))
+
+
+@pytest.mark.parametrize("name, lam, kind, K, ranks", [
+    ("sl2", (0, 0, 0), "identity", 4, 4),  # lambda' = lambda: C' = C
+    ("abelian(2)", (1, -2), "sign", 4, 4),  # delta = 0 on an abelian fiber: C' = C
+    ("so3", (1, 2, 3), "sign", 2, 4),  # C' != C and D'^2 = 0: both sides ranked
+], ids=["identity-at-zero", "sign-abelian", "sign-so3"])
+def test_a_mirror_that_maps_the_complex_to_itself_ranks_it_once(name, lam, kind, K, ranks,
+                                                                monkeypatch):
+    alg, dga = builtin_algebra(name), torus_model(2)
+    transform = (sign_mirror() if kind == "sign"
+                 else automorphism_mirror(builtin_automorphism(alg, kind)))
+    instance = build_complex(dga, alg, alg.dual(lam), K)
+    calls = []
+    rank = OperatorMatrix.rank
+    monkeypatch.setattr(OperatorMatrix, "rank", lambda self: calls.append(1) or rank(self))
+    report = mirror_invariance_check(instance, transform)
+    assert len(calls) == ranks
+    assert report.dims_mirrored == report.dims_original == cohomology_report(instance).dims
+    assert report.dims_equal
+
+
+def test_the_top_rung_never_reads_the_mirrored_delta_3_delta_2(monkeypatch, capsys):
+    """On the cohomology top rung D'^2 is not zero: its zero test finds
+    delta'_2 delta'_1 != 0 and stops there, so delta'_3 delta'_2 is never
+    read, while D^2 of the complex itself is read in full."""
+    lam = SL3.dual([1, -2, 3, 0, 2, -1, 1, 2])
+    lam_m = mirror_lambda(automorphism_mirror(builtin_automorphism(SL3, "permutation:231")), lam)
+    deltas, mirrored = ([delta_matrix(x, j) for j in range(4)] for x in (lam, lam_m))
+    reads = []
+    for name in ("residual_max_abs", "residual_is_zero"):
+        kernel = getattr(linalg_mod, name)
+
+        def counting(terms, split, name=name, kernel=kernel):
+            out = kernel(terms, split)
+            reads.append((name, [(a, b) for c, a, b in terms], out))
+            return out
+
+        monkeypatch.setattr(linalg_mod, name, counting)
+    assert main(["complex", "--builtin", "sl3", "--lambda=1,-2,3,0,2,-1,1,2", "--K", "4",
+                 "--torus", "3", "--mirror", "weyl:231"]) == 0
+    assert json.loads(capsys.readouterr().out)["mirror"]["dims_mirrored"] == []
+
+    def reads_of(a, b):
+        return [(name, out) for name, pairs, out in reads if pairs == [(a, b)]]
+
+    assert reads_of(mirrored[3], mirrored[2]) == []
+    assert reads_of(mirrored[2], mirrored[1]) == [("residual_is_zero", False)]
+    assert reads_of(mirrored[1], mirrored[0]) == [("residual_is_zero", True)]
+    assert [name for name, _ in reads_of(deltas[3], deltas[2])] == ["residual_max_abs"]
+
+
 @pytest.mark.parametrize("base, name, maps", [("torus2", "sl2", "swap"),
                                              ("ce(so3)", "so3", "not-a-chain-map")])
 def test_sign_mirror_with_base_maps_shares_a_factor_in_every_block(base, name, maps,
@@ -956,13 +1042,24 @@ def test_the_residuals_of_a_complex_build_no_product_difference_or_block_sum(
                 inside.pop()
         return run
 
-    for name in ("d_squared_residual", "commutation_residuals"):
+    for name in ("d_squared_residual", "d_squared_vanishes", "commutation_residuals"):
         monkeypatch.setattr(cohomology_mod, name, entered(name, getattr(cohomology_mod, name)))
+    verdicts = []
+
+    def zero_test(terms, split):
+        verdicts.append(linalg_mod.residual_max_abs(terms, {}) == 0)
+        return residual_is_zero(terms, split)
+
+    monkeypatch.setattr(linalg_mod, "residual_is_zero", zero_test)
     assert main(argv) == 0
-    # D^2 of the complex and of its mirror, and one commutation check
-    assert sorted(calls) == ["commutation_residuals", "d_squared_residual", "d_squared_residual"]
+    # D^2 of the complex, the zero test of its mirror's, and one commutation check
+    assert sorted(calls) == ["commutation_residuals", "d_squared_residual", "d_squared_vanishes"]
     report = json.loads(capsys.readouterr().out)
     assert report["report"]["d_squared_residual"] != "0"
+    assert report["mirror"]["dims_mirrored"] == []
+    # the mirror's D'^2 is not zero either: its zero test reads products that
+    # vanish until the first one that does not, and no product after it
+    assert verdicts[-1] is False and all(verdicts[:-1])
 
 
 def test_a_mirrored_complex_splits_each_factor_into_rows_once(monkeypatch, capsys):

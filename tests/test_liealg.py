@@ -13,6 +13,7 @@ from oracles import (
     dense_matrix_basis,
     dense_structure,
     oracle_inverse,
+    oracle_jacobi,
     oracle_rref,
 )
 from spencerbench.errors import FormatError, MismatchError, ValidationError
@@ -115,28 +116,6 @@ def test_corrupted_constants_nonzero_jacobi(so3):
     assert antisymmetry_residual(both) == 0 and jacobi_residual(both) == 0
 
 
-def oracle_jacobi(c, n):
-    """Dense n^5 Fraction Jacobi loop: (worst, witness, all maximizers)."""
-    sums = {}
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                for k in range(n):
-                    s = F(0)
-                    for m in range(n):
-                        s += (
-                            c[i][j][m] * c[m][l][k]
-                            + c[j][l][m] * c[m][i][k]
-                            + c[l][i][m] * c[m][j][k]
-                        )
-                    sums[(i, j, l, k)] = abs(s)
-    worst = max(sums.values())
-    if not worst:
-        return worst, None, []
-    tied = sorted(q for q, s in sums.items() if s == worst)
-    return worst, tied[0], tied
-
-
 def raw_algebra(c):
     return algebra_from_dense("raw", c)
 
@@ -151,6 +130,29 @@ def raw_constants(draw):
 
 @given(raw_constants())
 def test_jacobi_residual_matches_dense_oracle(c):
+    worst, witness, _ = oracle_jacobi(c, len(c))
+    assert jacobi_residual(raw_algebra(c), with_witness=True) == (worst, witness)
+
+
+@st.composite
+def sparse_constants(draw):
+    """Constants of dim 1-6 with a few brackets: each c_ij^k is zero unless
+    drawn otherwise, antisymmetric or not, so only some slices T(x,y,z,.) of
+    the Jacobi sum are non-zero, and some cancel."""
+    n = draw(st.integers(1, 6))
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    value = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3, 4)])
+    index = st.integers(0, n - 1)
+    for i, j, k, v, mirrored in draw(st.lists(st.tuples(index, index, index, value,
+                                                        st.booleans()), max_size=8)):
+        c[i][j][k] = v
+        if mirrored:
+            c[j][i][k] = -v
+    return c
+
+
+@given(sparse_constants())
+def test_jacobi_residual_of_sparse_constants_matches_dense_oracle(c):
     worst, witness, _ = oracle_jacobi(c, len(c))
     assert jacobi_residual(raw_algebra(c), with_witness=True) == (worst, witness)
 

@@ -17,6 +17,8 @@ from spencerbench.linalg import (
     in_column_span,
     kron,
     rank_bareiss,
+    read_once,
+    residual_is_zero,
     residual_max_abs,
 )
 from spencerbench.spencer import delta_matrix
@@ -174,6 +176,64 @@ def test_residual_max_abs_matches_the_triple_loop_oracle(terms):
     got = residual_max_abs(terms)
     assert type(got) is Fraction
     assert got == max(map(abs, oracle_combination(terms).values()), default=F(0))
+
+
+@given(residual_terms())
+def test_residual_is_zero_matches_residual_max_abs(terms):
+    assert residual_is_zero(terms) is (residual_max_abs(terms) == 0)
+
+
+def test_residual_is_zero_stops_at_the_first_non_zero_row(monkeypatch):
+    # rows 0 and 2 of a - a cancel and row 1 does not; the rows of the sum
+    # are read in order and row 2 is never accumulated
+    a = OperatorMatrix.from_dense([[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]])
+    b = OperatorMatrix.from_dense([[F(1), F(2)], [F(3), F(5)], [F(5), F(6)]])
+    peaks = []
+    row_peaks = linalg_mod._row_peaks
+
+    def recording(terms, split):
+        den, rows = row_peaks(terms, split)
+        return den, (peaks.append(p) or p for p in rows)
+
+    monkeypatch.setattr(linalg_mod, "_row_peaks", recording)
+    assert residual_is_zero([(1, a, None), (-1, b, None)]) is False
+    assert peaks == [0, 1]
+    peaks.clear()
+    assert residual_max_abs([(1, a, None), (-1, b, None)]) == 1
+    assert peaks == [0, 1, 0]
+    with pytest.raises(ValueError):
+        residual_is_zero([(1, a, None), (1, a, a)])  # checked before a row is read
+
+
+def test_a_reader_keeps_a_zero_verdict_as_0_and_a_non_zero_one_as_no_number(monkeypatch):
+    rng = random.Random(3)
+    a = OperatorMatrix.from_dense([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+                                   for _ in range(2)])
+    b = OperatorMatrix.from_dense([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+                                   for _ in range(3)])
+    reads = []
+    for name in ("residual_max_abs", "residual_is_zero"):
+        kernel = getattr(linalg_mod, name)
+        monkeypatch.setattr(linalg_mod, name, lambda terms, split, name=name, kernel=kernel:
+                            reads.append(name) or kernel(terms, split))
+    read, ab = read_once(), a @ b
+    zero = [(1, (a, b)), (-1, ab)]
+    assert read(zero, zero_test=True) is True
+    assert read(zero) == 0  # the verdict is the exact value 0: no second read
+    assert read([(-1, (a, b)), (1, ab)], zero_test=True) is True  # the same list, signed
+    assert reads == ["residual_is_zero"]
+    nonzero = [(1, (a, b))]
+    assert read(nonzero, zero_test=True) is False
+    assert read(nonzero, zero_test=True) is False
+    assert reads == ["residual_is_zero"] * 2
+    assert read(nonzero) == ab.max_abs()  # no number was kept: read in full
+    assert read(nonzero) == ab.max_abs() and read(nonzero, zero_test=True) is False
+    assert reads == ["residual_is_zero"] * 2 + ["residual_max_abs"]
+    # one matrix is tested by its entries, with no row read
+    assert read([(F(-5, 2), a)], zero_test=True) is False
+    assert read([(0, a)], zero_test=True) is True
+    assert read([(1, OperatorMatrix.zero(2, 3))], zero_test=True) is True
+    assert len(reads) == 3
 
 
 def test_residual_max_abs_on_empty_cancelled_and_mismatched_terms():
